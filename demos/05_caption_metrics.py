@@ -4,7 +4,7 @@ Both metrics are normalized to [0, 1]. The consensus metric drops the
 conventional x10 factor, so values are not comparable to tools that keep it.
 """
 
-from densevoc import Caption, IdfTable, cider_pair, meteor_lite, score_pair
+from densevoc import Caption, IdfTable, cider_pair, meteor_lite
 from densevoc.capmetrics import stem
 
 pred = Caption.from_text("a red car drives past the tree")
@@ -28,8 +28,3 @@ corpus = [
 ]
 idf = IdfTable.build(corpus)
 print("cider:", cider_pair(Caption.from_text("a red car"), Caption.from_text("a blue car"), idf))
-
-# score_pair bundles whatever sub-metrics are enabled, including an optional
-# external scorer (a table of precomputed values, or any callable).
-bundle = score_pair(pred, ref, idf, external=lambda p, r: 0.42)
-print("bundle:", bundle)

@@ -9,15 +9,7 @@ from .assoc import (
     iou_tracker,
     preprocess,
 )
-from .capmetrics import (
-    CaptionScore,
-    IdfTable,
-    cider_pair,
-    exact_match,
-    meteor_lite,
-    score_pair,
-    stem,
-)
+from .capmetrics import IdfTable, cider_pair, exact_match, meteor_lite, stem
 from .core import (
     Box,
     Caption,

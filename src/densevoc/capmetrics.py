@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .core import Caption, tokenize
 
@@ -23,9 +23,6 @@ __all__ = [
     "IdfTable",
     "cider_pair",
     "exact_match",
-    "CaptionScore",
-    "CaptionScoringError",
-    "score_pair",
 ]
 
 _VOWELS = set("aeiou")
@@ -284,42 +281,3 @@ def cider_pair(
 def exact_match(pred: Caption | Sequence[str], ref: Caption | Sequence[str]) -> float:
     """1.0 when token sequences are identical, else 0.0."""
     return 1.0 if _tokens(pred) == _tokens(ref) else 0.0
-
-
-class CaptionScoringError(RuntimeError):
-    """External scorer failure, tagged with the offending caption pair."""
-
-
-@dataclass(frozen=True)
-class CaptionScore:
-    meteor: float
-    cider: float
-    external: float | None = None
-
-    def enabled(self) -> dict[str, float]:
-        out = {"meteor": self.meteor, "cider": self.cider}
-        if self.external is not None:
-            out["external"] = self.external
-        return out
-
-
-def score_pair(
-    pred: Caption | Sequence[str],
-    ref: Caption | Sequence[str],
-    idf: IdfTable,
-    external: Callable[[Caption | Sequence[str], Caption | Sequence[str]], float] | None = None,
-) -> CaptionScore:
-    """Bundle the enabled sub-metrics for one prediction/reference pair."""
-    ext_value = None
-    if external is not None:
-        try:
-            ext_value = float(external(pred, ref))
-        except Exception as exc:
-            raise CaptionScoringError(
-                f"external scorer failed on pred={_tokens(pred)!r} ref={_tokens(ref)!r}: {exc}"
-            ) from exc
-    return CaptionScore(
-        meteor=meteor_lite(pred, ref),
-        cider=cider_pair(pred, ref, idf),
-        external=ext_value,
-    )

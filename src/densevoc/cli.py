@@ -9,6 +9,7 @@ survive; schema violations do not.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -26,8 +27,15 @@ def _jobs_default() -> int:
         return 1
 
 
-def _parse_alphas(text: str) -> tuple[float, ...]:
-    return metrics.validate_alphas(tuple(float(a) for a in text.split(",")))
+def _number(text: str, flag: str) -> float:
+    """A finite float from a command-line value; malformed input is a ValidationError."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValidationError(f"{flag}: expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_gates(gates: list[str]) -> list[tuple[str, float]]:
@@ -36,7 +44,7 @@ def _parse_gates(gates: list[str]) -> list[tuple[str, float]]:
         name, _, value = gate.partition(":")
         if not value:
             raise ValidationError(f"gate must look like metric:min, got {gate!r}")
-        parsed.append((name.strip(), float(value)))
+        parsed.append((name.strip(), _number(value, "--gate")))
     return parsed
 
 
@@ -65,17 +73,17 @@ def _scorer_config(args) -> metrics.ScorerConfig:
         mode, _, value = args.capa_alpha.partition(":")
         if mode != "single" or not value:
             raise ValidationError("--capa-alpha must be 'integrate' or 'single:<alpha>'")
-        capa_alpha = float(value)
+        capa_alpha = _number(value, "--capa-alpha")
     return metrics.ScorerConfig(metrics=names, external_scores=external, capa_alpha=capa_alpha)
 
 
 def cmd_eval_chota(args) -> int:
+    gates = _parse_gates(args.gate)
+    alphas = tuple(_number(a, "--alphas") for a in args.alphas.split(","))
     gts = formats.load_dataset(args.gt, strict=args.strict)
     preds = formats.load_dataset(args.pred, strict=args.strict)
     config = _scorer_config(args)
-    report = metrics.chota(
-        preds, gts, alphas=_parse_alphas(args.alphas), config=config, jobs=args.jobs
-    )
+    report = metrics.chota(preds, gts, alphas=alphas, config=config, jobs=args.jobs)
     summary = report.flat_summary()
     for key, value in summary.items():
         print(f"{key}={value}")
@@ -93,23 +101,25 @@ def cmd_eval_chota(args) -> int:
         "ass_a": report.ass_a_mean,
         "cap_a": report.cap_a_mean,
     }
-    return _apply_gates(_parse_gates(args.gate), gate_values)
+    return _apply_gates(gates, gate_values)
 
 
 def cmd_eval_apm(args) -> int:
+    gates = _parse_gates(args.gate)
+    iou_thresholds = tuple(_number(t, "--iou-thresholds") for t in args.iou_thresholds.split(","))
+    meteor_thresholds = tuple(
+        _number(t, "--meteor-thresholds") for t in args.meteor_thresholds.split(",")
+    )
     gts = formats.load_dataset(args.gt, strict=args.strict)
     preds = formats.load_dataset(args.pred, strict=args.strict)
     report = metrics.ap_m(
-        preds,
-        gts,
-        iou_thresholds=tuple(float(t) for t in args.iou_thresholds.split(",")),
-        meteor_thresholds=tuple(float(t) for t in args.meteor_thresholds.split(",")),
+        preds, gts, iou_thresholds=iou_thresholds, meteor_thresholds=meteor_thresholds
     )
     print(f"ap_m={report.overall}")
     print(f"frames={report.num_frames}")
     if args.out:
         formats.write_json(report.to_dict(), args.out)
-    return _apply_gates(_parse_gates(args.gate), {"ap_m": report.overall})
+    return _apply_gates(gates, {"ap_m": report.overall})
 
 
 def cmd_track_assign(args) -> int:
@@ -429,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (formats.FormatError, ValidationError, FileNotFoundError) as exc:
+    except (formats.FormatError, ValidationError, ground.GroundingError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

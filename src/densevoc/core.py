@@ -1,6 +1,6 @@
 """Shared domain types and box geometry.
 
-Boxes are corner pairs (x1, y1, x2, y2) in real-valued coordinates; any
+Boxes are corner pairs (x1, y1, x2, y2) in finite real coordinates; any
 (x, y, w, h) input is converted at ingestion time. Zero-area boxes are legal
 and score IoU 0 against everything, including themselves, so degraded
 synthetic data never crashes an evaluation.
@@ -8,6 +8,7 @@ synthetic data never crashes an evaluation.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -24,7 +25,10 @@ class Box:
     y2: float
 
     def __post_init__(self) -> None:
-        if not (self.x1 <= self.x2 and self.y1 <= self.y2):
+        inf = math.inf
+        if not (-inf < self.x1 <= self.x2 < inf and -inf < self.y1 <= self.y2 < inf):
+            if not all(math.isfinite(v) for v in self.as_tuple()):
+                raise ValidationError(f"box coordinates must be finite, got {self.as_tuple()}")
             raise ValidationError(
                 f"box corners out of order: ({self.x1}, {self.y1}, {self.x2}, {self.y2})"
             )

@@ -51,6 +51,15 @@ def _require(obj: dict, key: str, kind, where: str):
     return value
 
 
+def _read_json(path: Path) -> Any:
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+
+
 def _check_unknown(obj: dict, allowed: set[str], where: str, strict: bool) -> None:
     if strict:
         unknown = set(obj) - allowed
@@ -71,12 +80,16 @@ def parse_dataset(data: Any, strict: bool = False) -> list[VideoRecord]:
     if not isinstance(data, list):
         raise FormatError("top level: expected a list of video objects")
     records = []
+    seen_ids: set[str] = set()
     for vi, video in enumerate(data):
         where = f"video[{vi}]"
         if not isinstance(video, dict):
             raise FormatError(f"{where}: expected an object")
         _check_unknown(video, {"video_id", "num_frames", "tracks"}, where, strict)
         video_id = _require(video, "video_id", str, where)
+        if video_id in seen_ids:
+            raise FormatError(f"{where}: duplicate video_id {video_id!r}")
+        seen_ids.add(video_id)
         num_frames = _require(video, "num_frames", int, where)
         tracks_raw = _require(video, "tracks", list, where)
         tracks = []
@@ -124,10 +137,7 @@ def parse_dataset(data: Any, strict: bool = False) -> list[VideoRecord]:
 
 def load_dataset(path: str | Path, strict: bool = False) -> list[VideoRecord]:
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    data = _read_json(path)
     try:
         return parse_dataset(data, strict=strict)
     except FormatError as exc:
@@ -174,10 +184,7 @@ class FeatureFile:
 def load_matrix(path: str | Path) -> AssocMatrix | FeatureFile:
     """Load an association matrix (dim: M) or a feature matrix (dim: [M, D])."""
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise FormatError(f"{path}: top level: expected an object")
     where = str(path)
@@ -244,7 +251,7 @@ def save_matrix(
 def load_external_scores(path: str | Path) -> dict[tuple[str, int, int], float]:
     """Sidecar caption scores keyed (video_id, pred_observation_index, gt_track_id)."""
     path = Path(path)
-    data = json.loads(path.read_text())
+    data = _read_json(path)
     if not isinstance(data, list):
         raise FormatError(f"{path}: top level: expected a list of score records")
     out: dict[tuple[str, int, int], float] = {}
@@ -271,7 +278,7 @@ def load_likelihoods(
     nll); per-track records carry (video_id, track_id, query_id, nll).
     """
     path = Path(path)
-    data = json.loads(path.read_text())
+    data = _read_json(path)
     if not isinstance(data, list):
         raise FormatError(f"{path}: top level: expected a list of likelihood records")
     per_frame: dict[tuple[str, int, int, str], float] = {}
@@ -297,7 +304,7 @@ def load_likelihoods(
 def load_queries(path: str | Path) -> list[dict]:
     """Grounding queries with their annotated spans and per-frame boxes."""
     path = Path(path)
-    data = json.loads(path.read_text())
+    data = _read_json(path)
     if not isinstance(data, list):
         raise FormatError(f"{path}: top level: expected a list of query records")
     queries = []
@@ -309,9 +316,12 @@ def load_queries(path: str | Path) -> list[dict]:
         if len(span) != 2 or span[0] > span[1]:
             raise FormatError(f"{where}: span must be [start, end] with start <= end")
         boxes = {}
-        for entry in _require(rec, "boxes", list, where):
-            frame = _require(entry, "frame", int, where)
-            boxes[frame] = _parse_box(entry.get("box"), where)
+        for bi, entry in enumerate(_require(rec, "boxes", list, where)):
+            bwhere = f"{where}.boxes[{bi}]"
+            if not isinstance(entry, dict):
+                raise FormatError(f"{bwhere}: expected an object")
+            frame = _require(entry, "frame", int, bwhere)
+            boxes[frame] = _parse_box(entry.get("box"), bwhere)
         queries.append(
             {
                 "video_id": _require(rec, "video_id", str, where),

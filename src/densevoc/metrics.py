@@ -11,6 +11,7 @@ ineligible. Cross-video pooling is micro-averaged per threshold.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -18,7 +19,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .capmetrics import IdfTable, cider_pair, exact_match, meteor_lite
-from .core import Box, Caption, ValidationError, VideoRecord, iou
+from .core import Box, Caption, Detection, ValidationError, VideoRecord, iou
 
 DEFAULT_ALPHAS: tuple[float, ...] = tuple(round(0.05 * k, 2) for k in range(1, 20))
 APM_IOU_THRESHOLDS: tuple[float, ...] = (0.3, 0.4, 0.5, 0.6, 0.7)
@@ -88,6 +89,13 @@ class MatchSet:
         return sum(len(p) for p in self.fn_by_frame)
 
 
+def _iou_block(rows: list[tuple[int, Detection]], cols: list[tuple[int, Detection]]) -> np.ndarray:
+    """IoU of every (row, col) pair of two per-frame (track_id, detection) lists."""
+    return np.array([[iou(r.box, c.box) for _, c in cols] for _, r in rows]).reshape(
+        len(rows), len(cols)
+    )
+
+
 class _VideoPrep:
     """Per-frame similarity structure plus pass-1 association strengths."""
 
@@ -120,9 +128,7 @@ class _VideoPrep:
             pred_here = pred_by_frame[frame] if frame < len(pred_by_frame) else []
             g_idx = np.array([gt_index[tid] for tid, _ in gt_here], dtype=int)
             p_idx = np.array([pred_index[tid] for tid, _ in pred_here], dtype=int)
-            sim = np.array(
-                [[iou(gdet.box, pdet.box) for _, pdet in pred_here] for _, gdet in gt_here]
-            ).reshape(len(gt_here), len(pred_here))
+            sim = _iou_block(gt_here, pred_here)
             self.frame_gt.append(g_idx)
             self.frame_pred.append(p_idx)
             self.frame_sim.append(sim)
@@ -149,6 +155,36 @@ def _match_frame(sim: np.ndarray, ass: np.ndarray, alpha: float) -> tuple[np.nda
     rows, cols = linear_sum_assignment(-score)
     keep = eligible[rows, cols]
     return rows[keep], cols[keep]
+
+
+def _sweep(
+    prep: _VideoPrep, alphas: tuple[float, ...]
+) -> list[tuple[int, int, int, np.ndarray, np.ndarray]]:
+    """Per-frame matchings over an increasing threshold grid, in bands.
+
+    Returns records (frame, first_alpha, last_alpha, gt_rows, pred_cols):
+    the matching solved at alphas[first_alpha] pairs track indices gt_rows
+    and pred_cols, and stays optimal up to alphas[last_alpha], the last
+    threshold its weakest pair still passes.
+    """
+    alpha_arr = np.asarray(alphas)
+    records = []
+    for frame in range(prep.num_frames):
+        g_idx = prep.frame_gt[frame]
+        p_idx = prep.frame_pred[frame]
+        if len(g_idx) == 0 or len(p_idx) == 0:
+            continue
+        sim = prep.frame_sim[frame]
+        ass = prep.global_ass[np.ix_(g_idx, p_idx)]
+        a = 0
+        while a < len(alphas):
+            rows, cols = _match_frame(sim, ass, alphas[a])
+            if rows.size == 0:
+                break  # stays empty for every higher threshold
+            end = int(np.searchsorted(alpha_arr, sim[rows, cols].min(), side="right") - 1)
+            records.append((frame, a, end, g_idx[rows], p_idx[cols]))
+            a = end + 1
+    return records
 
 
 @dataclass
@@ -216,93 +252,43 @@ def _evaluate_video(
     prep = _VideoPrep(pred, gt)
     n_alpha = len(alphas)
     n_gt, n_pred = len(prep.gt_ids), len(prep.pred_ids)
-    alpha_arr = np.asarray(alphas)
+    records = _sweep(prep, alphas)
 
     tp = np.zeros(n_alpha)
-    fp = np.zeros(n_alpha)
-    fn = np.zeros(n_alpha)
     mc = np.zeros((n_alpha, n_gt, n_pred))
-
-    track_caps = [t.caption for t in prep.gt_tracks]
-    gt_caption_count = sum(1 for c in track_caps if c is not None)
-    needs_external = "external" in config.metrics
-    has_det_caps = any(
-        d.caption is not None for t in prep.pred_tracks for d in t.detections
-    )
-    slow_caption_path = gt_caption_count > 0 and (needs_external or has_det_caps)
-    frame_bands: list[tuple[int, int, int, np.ndarray, np.ndarray]] = []
-
-    for frame in range(prep.num_frames):
-        g_idx = prep.frame_gt[frame]
-        p_idx = prep.frame_pred[frame]
-        sim = prep.frame_sim[frame]
-        fn += len(g_idx)
-        fp += len(p_idx)
-        if len(g_idx) == 0 or len(p_idx) == 0:
-            continue
-        ass = prep.global_ass[np.ix_(g_idx, p_idx)]
-        a = 0
-        while a < n_alpha:
-            rows, cols = _match_frame(sim, ass, alphas[a])
-            if rows.size == 0:
-                break  # stays empty for every higher threshold
-            min_iou = sim[rows, cols].min()
-            end = int(np.searchsorted(alpha_arr, min_iou, side="right") - 1)
-            n_match = rows.size
-            tp[a : end + 1] += n_match
-            fp[a : end + 1] -= n_match
-            fn[a : end + 1] -= n_match
-            for r, c in zip(rows, cols):
-                mc[a : end + 1, g_idx[r], p_idx[c]] += 1.0
-            if slow_caption_path:
-                frame_bands.append((frame, a, end, g_idx[rows], p_idx[cols]))
-            a = end + 1
+    for _, a, end, g_rows, p_cols in records:
+        tp[a : end + 1] += len(g_rows)
+        mc[a : end + 1, g_rows, p_cols] += 1.0
 
     denom = prep.gt_count[None, :, None] + prep.pred_count[None, None, :] - mc
     ass_iou = np.divide(mc, denom, out=np.zeros_like(mc), where=denom > 1e-12)
     ass_iou_sum = (mc * ass_iou).sum(axis=(1, 2))
 
+    track_caps = [t.caption for t in prep.gt_tracks]
+    gt_caption_count = sum(1 for c in track_caps if c is not None)
     cap_sum = np.zeros(n_alpha)
     tp_prime = np.zeros(n_alpha)
     warnings: list[str] = []
     if gt_caption_count > 0:
         scorer = _PairScorer(config, idf)
-        if not slow_caption_path:
+        has_det_caps = any(
+            d.caption is not None for t in prep.pred_tracks for d in t.detections
+        )
+        if "external" in config.metrics or has_det_caps:
+            cap_sum, tp_prime = _caption_sums(records, n_alpha, pred, gt, scorer)
+        else:
+            # Track captions only: one score per matched track pair, weighted
+            # by its match count per threshold. This sum rounds differently
+            # from the per-match sum of _caption_sums, and reports on
+            # track-captioned data are pinned to it.
             captioned = np.array([c is not None for c in track_caps])
-            pair_mask = mc.sum(axis=0) > 0
             scores = np.zeros((n_gt, n_pred))
-            for g in range(n_gt):
-                if not captioned[g]:
-                    continue
-                for p in range(n_pred):
-                    if pair_mask[g, p]:
-                        pred_cap = _effective_caption(None, prep.pred_tracks[p].caption)
-                        scores[g, p] = scorer.intrinsic(pred_cap, track_caps[g]) / config.divisor
+            for g, p in zip(*np.nonzero((mc.sum(axis=0) > 0) & captioned[:, None])):
+                pred_cap = _effective_caption(None, prep.pred_tracks[p].caption)
+                scores[g, p] = scorer.intrinsic(pred_cap, track_caps[g]) / config.divisor
             cap_mc = mc * captioned[None, :, None]
             cap_sum = (cap_mc * scores[None, :, :]).sum(axis=(1, 2))
             tp_prime = cap_mc.sum(axis=(1, 2))
-        else:
-            obs_index = _pred_observation_index(pred)
-            det_by_frame_track = {
-                (d.frame, t.track_id): d for t in prep.pred_tracks for d in t.detections
-            }
-            for frame, a, end, g_tracks, p_tracks in frame_bands:
-                for g, p in zip(g_tracks, p_tracks):
-                    gt_cap = track_caps[g]
-                    if gt_cap is None:
-                        continue
-                    pred_track = prep.pred_tracks[p]
-                    det = det_by_frame_track[(frame, pred_track.track_id)]
-                    pred_cap = _effective_caption(det.caption, pred_track.caption)
-                    total = scorer.intrinsic(pred_cap, gt_cap)
-                    if needs_external:
-                        total += scorer.external(
-                            prep.video_id,
-                            obs_index[(frame, pred_track.track_id)],
-                            prep.gt_ids[g],
-                        )
-                    cap_sum[a : end + 1] += total / config.divisor
-                    tp_prime[a : end + 1] += 1.0
         if scorer.missing_external:
             warnings.append(
                 f"{prep.video_id}: {scorer.missing_external} matched pairs had no external score (scored 0)"
@@ -311,8 +297,8 @@ def _evaluate_video(
     return _VideoStats(
         video_id=prep.video_id,
         tp=tp,
-        fp=fp,
-        fn=fn,
+        fp=prep.pred_count.sum() - tp,
+        fn=prep.gt_count.sum() - tp,
         ass_iou_sum=ass_iou_sum,
         cap_sum=cap_sum,
         tp_prime=tp_prime,
@@ -321,11 +307,37 @@ def _evaluate_video(
     )
 
 
-def _pred_observation_index(pred: VideoRecord) -> dict[tuple[int, int], int]:
-    """(frame, track_id) -> flat frame-major observation index."""
-    return {
-        (frame, track_id): k for k, (frame, track_id, _) in enumerate(pred.flatten())
-    }
+def _caption_sums(
+    records: Sequence[tuple], n_alpha: int, pred: VideoRecord, gt: VideoRecord, scorer: _PairScorer
+) -> tuple[np.ndarray, np.ndarray]:
+    """Caption score sums and caption-annotated match counts per threshold.
+
+    Scores every matched detection of the sweep records (track indices into
+    ``pred.trajectories`` and ``gt.trajectories``) on its own caption,
+    falling back to its track caption, plus the external score if enabled.
+    """
+    config = scorer.config
+    # Observation index: frame-major position among the prediction's detections.
+    obs_index = {(frame, tid): k for k, (frame, tid, _) in enumerate(pred.flatten())}
+    det_lookup = {(d.frame, t.track_id): d for t in pred.trajectories for d in t.detections}
+    cap_sum = np.zeros(n_alpha)
+    tp_prime = np.zeros(n_alpha)
+    for frame, a, end, g_rows, p_cols in records:
+        for g, p in zip(g_rows, p_cols):
+            gt_track = gt.trajectories[g]
+            if gt_track.caption is None:
+                continue
+            pred_track = pred.trajectories[p]
+            det = det_lookup[(frame, pred_track.track_id)]
+            pred_cap = _effective_caption(det.caption, pred_track.caption)
+            total = scorer.intrinsic(pred_cap, gt_track.caption)
+            if "external" in config.metrics:
+                total += scorer.external(
+                    gt.video_id, obs_index[(frame, pred_track.track_id)], gt_track.track_id
+                )
+            cap_sum[a : end + 1] += total / config.divisor
+            tp_prime[a : end + 1] += 1.0
+    return cap_sum, tp_prime
 
 
 def match_at_alpha(pred: VideoRecord, gt: VideoRecord, alpha: float) -> MatchSet:
@@ -333,25 +345,13 @@ def match_at_alpha(pred: VideoRecord, gt: VideoRecord, alpha: float) -> MatchSet
     if not (0.0 < alpha < 1.0):
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     prep = _VideoPrep(pred, gt)
-    pairs_by_frame: list[list[tuple[int, int]]] = []
-    fp_by_frame: list[list[int]] = []
-    fn_by_frame: list[list[int]] = []
+    matched = {frame: (g, p) for frame, _, _, g, p in _sweep(prep, (alpha,))}
+    pairs_by_frame, fp_by_frame, fn_by_frame = [], [], []
     for frame in range(prep.num_frames):
-        g_idx = prep.frame_gt[frame]
-        p_idx = prep.frame_pred[frame]
-        sim = prep.frame_sim[frame]
-        if len(g_idx) and len(p_idx):
-            ass = prep.global_ass[np.ix_(g_idx, p_idx)]
-            rows, cols = _match_frame(sim, ass, alpha)
-        else:
-            rows = cols = np.array([], dtype=int)
-        matched_g = set(rows.tolist())
-        matched_p = set(cols.tolist())
-        pairs_by_frame.append(
-            [(prep.pred_ids[p_idx[c]], prep.gt_ids[g_idx[r]]) for r, c in zip(rows, cols)]
-        )
-        fp_by_frame.append([prep.pred_ids[p] for k, p in enumerate(p_idx) if k not in matched_p])
-        fn_by_frame.append([prep.gt_ids[g] for k, g in enumerate(g_idx) if k not in matched_g])
+        g_rows, p_cols = matched.get(frame, ((), ()))
+        pairs_by_frame.append([(prep.pred_ids[p], prep.gt_ids[g]) for g, p in zip(g_rows, p_cols)])
+        fp_by_frame.append([prep.pred_ids[p] for p in prep.frame_pred[frame] if p not in p_cols])
+        fn_by_frame.append([prep.gt_ids[g] for g in prep.frame_gt[frame] if g not in g_rows])
     return MatchSet(
         video_id=prep.video_id,
         alpha=alpha,
@@ -369,23 +369,14 @@ def det_a(m: MatchSet) -> float:
     return 1.0 if total == 0 else m.tp / total
 
 
-def ass_a(
-    m: MatchSet,
-    pred_track_sizes: Mapping[int, int] | None = None,
-    gt_track_sizes: Mapping[int, int] | None = None,
-) -> float:
+def ass_a(m: MatchSet) -> float:
     """Mean association IoU over true positives; 1 when there are none."""
-    pred_sizes = pred_track_sizes or m.pred_track_sizes
-    gt_sizes = gt_track_sizes or m.gt_track_sizes
-    mc: dict[tuple[int, int], int] = {}
-    for pairs in m.pairs_by_frame:
-        for pred_id, gt_id in pairs:
-            mc[(pred_id, gt_id)] = mc.get((pred_id, gt_id), 0) + 1
+    mc = Counter(pair for pairs in m.pairs_by_frame for pair in pairs)
     if not mc:
         return 1.0
     total = 0.0
     for (pred_id, gt_id), count in mc.items():
-        total += count * (count / (gt_sizes[gt_id] + pred_sizes[pred_id] - count))
+        total += count * (count / (m.gt_track_sizes[gt_id] + m.pred_track_sizes[pred_id] - count))
     return total / m.tp
 
 
@@ -402,32 +393,18 @@ def cap_a(
     undefined and the combined metric falls back to its caption-free form);
     returns 0.0 when captions exist but no true positive pair has one.
     """
-    gt_tracks = {t.track_id: t for t in gt.trajectories}
-    pred_tracks = {t.track_id: t for t in pred.trajectories}
     if all(t.caption is None for t in gt.trajectories):
         return None
     if idf is None:
         idf = IdfTable.build([t.caption for t in gt.trajectories if t.caption is not None])
-    scorer = _PairScorer(config, idf)
-    obs_index = _pred_observation_index(pred)
-    det_lookup = {
-        (d.frame, t.track_id): d for t in pred.trajectories for d in t.detections
-    }
-    total = 0.0
-    count = 0
-    for frame, pairs in enumerate(m.pairs_by_frame):
-        for pred_id, gt_id in pairs:
-            gt_cap = gt_tracks[gt_id].caption
-            if gt_cap is None:
-                continue
-            det = det_lookup[(frame, pred_id)]
-            pred_cap = _effective_caption(det.caption, pred_tracks[pred_id].caption)
-            pair_total = scorer.intrinsic(pred_cap, gt_cap)
-            if "external" in config.metrics:
-                pair_total += scorer.external(m.video_id, obs_index[(frame, pred_id)], gt_id)
-            total += pair_total / config.divisor
-            count += 1
-    return total / count if count else 0.0
+    gt_index = {t.track_id: k for k, t in enumerate(gt.trajectories)}
+    pred_index = {t.track_id: k for k, t in enumerate(pred.trajectories)}
+    records = [
+        (frame, 0, 0, [gt_index[g] for _, g in pairs], [pred_index[p] for p, _ in pairs])
+        for frame, pairs in enumerate(m.pairs_by_frame)
+    ]
+    total, count = _caption_sums(records, 1, pred, gt, _PairScorer(config, idf))
+    return float(total[0] / count[0]) if count[0] else 0.0
 
 
 @dataclass
@@ -706,10 +683,14 @@ def ap_m(
     """
     iou_thresholds = tuple(iou_thresholds)
     meteor_thresholds = tuple(meteor_thresholds)
+    for name, grid in (("IoU", iou_thresholds), ("METEOR", meteor_thresholds)):
+        if not grid or any(not (0.0 <= t <= 1.0) for t in grid):
+            raise ValidationError(f"{name} thresholds must be non-empty and in [0, 1], got {grid}")
     pairs, _ = _pair_records(preds, gts)
     grid_sum = np.zeros((len(iou_thresholds), len(meteor_thresholds)))
     n_frames = 0
-    meteor_cache: dict[tuple, float] = {}
+    # One scorer for every video, so its METEOR cache spans the collection.
+    scorer = _PairScorer(ScorerConfig(metrics=("meteor",)), IdfTable.build([]))
 
     for pred, gt in pairs:
         gt_frames = gt.detections_by_frame()
@@ -724,20 +705,13 @@ def ap_m(
             pred_here = pred_frames[frame] if frame < len(pred_frames) else []
             order = sorted(range(len(pred_here)), key=lambda k: -pred_here[k][1].score)
             n_gt_here = len(gt_here)
-            iou_mat = np.zeros((len(pred_here), n_gt_here))
-            met_mat = np.zeros((len(pred_here), n_gt_here))
+            iou_mat = _iou_block(pred_here, gt_here)
+            met_mat = np.ones((len(pred_here), n_gt_here))
             for k, (p_tid, p_det) in enumerate(pred_here):
                 p_cap = _effective_caption(p_det.caption, pred_caps.get(p_tid))
-                for g, (g_tid, g_det) in enumerate(gt_here):
-                    iou_mat[k, g] = iou(p_det.box, g_det.box)
-                    g_cap = gt_caps.get(g_tid)
-                    if g_cap is None:
-                        met_mat[k, g] = 1.0
-                    else:
-                        key = (p_cap.tokens, g_cap.tokens)
-                        if key not in meteor_cache:
-                            meteor_cache[key] = meteor_lite(p_cap, g_cap)
-                        met_mat[k, g] = meteor_cache[key]
+                for g, (g_tid, _) in enumerate(gt_here):
+                    if gt_caps.get(g_tid) is not None:
+                        met_mat[k, g] = scorer.intrinsic(p_cap, gt_caps[g_tid])
             for i_t, t_iou in enumerate(iou_thresholds):
                 for m_t, t_met in enumerate(meteor_thresholds):
                     taken = np.zeros(n_gt_here, dtype=bool)

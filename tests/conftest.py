@@ -72,6 +72,33 @@ def random_tiny_instance(rng: np.random.Generator, max_tracks=3, max_frames=4):
     return random_record("tiny", 1), random_record("tiny", 1)
 
 
+def tie_heavy_instance(rng: np.random.Generator, max_tracks=3, max_frames=4):
+    """Random pair with integer-grid boxes and duplicated prediction tracks.
+
+    Boxes snap to a coarse grid, so many pairs share the same IoU; each
+    prediction track may be copied under a new id, so matchings tie.
+    """
+    num_frames = int(rng.integers(1, max_frames + 1))
+
+    def random_record(duplicate):
+        tracks = []
+        for k in range(int(rng.integers(1, max_tracks + 1))):
+            frames = sorted(
+                rng.choice(num_frames, size=int(rng.integers(1, num_frames + 1)), replace=False)
+            )
+            boxes = []
+            for frame in frames:
+                x, y = (float(v) for v in rng.integers(0, 4, size=2) * 5)
+                w, h = (float(v) for v in rng.integers(1, 3, size=2) * 10)
+                boxes.append((int(frame), x, y, x + w, y + h))
+            tracks.append(make_track(k + 1, boxes))
+            if duplicate and rng.random() < 0.5:
+                tracks.append(make_track(k + 1 + max_tracks, boxes))
+        return make_video("tiny", tracks, num_frames)
+
+    return random_record(True), random_record(False)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

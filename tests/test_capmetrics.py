@@ -6,15 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from densevoc.capmetrics import (
-    CaptionScoringError,
-    IdfTable,
-    cider_pair,
-    exact_match,
-    meteor_lite,
-    score_pair,
-    stem,
-)
+from densevoc.capmetrics import IdfTable, cider_pair, exact_match, meteor_lite, stem
 from densevoc.core import Caption, tokenize
 
 FIXTURE = json.loads((Path(__file__).parent / "fixtures" / "caption_pairs.json").read_text())
@@ -145,25 +137,3 @@ def test_stemmer_examples() -> None:
 def test_exact_match() -> None:
     assert exact_match(_cap("A dog!"), _cap("a dog")) == 1.0
     assert exact_match(_cap("a dog"), _cap("a cat")) == 0.0
-
-
-def test_score_pair_bundles_metrics() -> None:
-    idf = IdfTable.build([("a", "dog")])
-    score = score_pair(_cap("a dog"), _cap("a dog"), idf)
-    assert score.meteor == pytest.approx(meteor_lite(_cap("a dog"), _cap("a dog")))
-    assert score.external is None
-    assert set(score.enabled()) == {"meteor", "cider"}
-
-    with_ext = score_pair(_cap("a dog"), _cap("a dog"), idf, external=lambda p, r: 0.7)
-    assert with_ext.external == pytest.approx(0.7)
-    assert set(with_ext.enabled()) == {"meteor", "cider", "external"}
-
-
-def test_score_pair_external_failure_is_tagged() -> None:
-    idf = IdfTable.build([("a",)])
-
-    def broken(pred, ref):
-        raise RuntimeError("backend down")
-
-    with pytest.raises(CaptionScoringError, match="dog"):
-        score_pair(_cap("a dog"), _cap("a cat"), idf, external=broken)

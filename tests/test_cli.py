@@ -286,3 +286,71 @@ def test_jobs_env_default(monkeypatch, capsys) -> None:
         ["eval-chota", "a.json", "b.json"]
     )
     assert args.jobs == 3
+
+
+def _write(path: Path, obj) -> str:
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
+    return str(path)
+
+
+def _ground_files(tmp_path, queries=None, likelihoods=None) -> list[str]:
+    pred = [{"video_id": "v0", "num_frames": 1, "tracks": [
+        {"track_id": 1, "boxes": [{"frame": 0, "box": [0, 0, 10, 10], "score": 0.5}]},
+    ]}]
+    if queries is None:
+        queries = [{"video_id": "v0", "query_id": "q1", "text": "x", "span": [0, 0],
+                    "boxes": [{"frame": 0, "box": [0, 0, 10, 10]}]}]
+    if likelihoods is None:
+        likelihoods = [{"video_id": "v0", "frame": 0, "observation_index": 0, "query_id": "q1", "nll": 0.1}]
+    return [
+        "ground", _write(tmp_path / "pred.json", pred),
+        "--queries", _write(tmp_path / "queries.json", queries),
+        "--likelihoods", _write(tmp_path / "nll.json", likelihoods),
+    ]
+
+
+def _gt_with(tmp_path, edit) -> str:
+    data = json.loads((FIXTURES / "synth20_gt.json").read_text())
+    edit(data)
+    return _write(tmp_path / "gt.json", json.dumps(data, allow_nan=True))
+
+
+_SYNTH_GT = str(FIXTURES / "synth20_gt.json")
+
+BAD_INPUTS = {
+    "alphas-not-a-number": lambda tmp: ["eval-chota", _SYNTH_GT, _SYNTH_GT, "--alphas", "0.1,x"],
+    "gate-not-a-number": lambda tmp: ["eval-chota", _SYNTH_GT, _SYNTH_GT, "--gate", "chota:abc"],
+    "capa-alpha-not-a-number": lambda tmp: [
+        "eval-chota", _SYNTH_GT, _SYNTH_GT, "--capa-alpha", "single:x"
+    ],
+    "iou-thresholds-not-a-number": lambda tmp: [
+        "eval-apm", _SYNTH_GT, _SYNTH_GT, "--iou-thresholds", "0.5,x"
+    ],
+    "iou-threshold-above-one": lambda tmp: ["eval-apm", _SYNTH_GT, _SYNTH_GT, "--iou-thresholds", "1.5"],
+    "meteor-threshold-not-finite": lambda tmp: [
+        "eval-apm", _SYNTH_GT, _SYNTH_GT, "--meteor-thresholds", "0.1,inf"
+    ],
+    "external-scores-malformed-json": lambda tmp: [
+        "eval-chota", _SYNTH_GT, _SYNTH_GT, "--cap-metrics", "meteor,external",
+        "--external-scores", _write(tmp / "scores.json", "[{not json"),
+    ],
+    "likelihoods-malformed-json": lambda tmp: _ground_files(tmp, likelihoods="[{"),
+    "queries-malformed-json": lambda tmp: _ground_files(tmp, queries="[1,"),
+    "query-box-not-an-object": lambda tmp: _ground_files(
+        tmp, queries=[{"video_id": "v0", "query_id": "q1", "text": "x", "span": [0, 0], "boxes": [7]}]
+    ),
+    "likelihood-record-missing": lambda tmp: _ground_files(tmp, likelihoods=[]),
+    "box-coordinate-infinite": lambda tmp: [
+        "eval-chota", _SYNTH_GT,
+        _gt_with(tmp, lambda d: d[0]["tracks"][0]["boxes"][0].update(box=[0, 0, float("inf"), 10])),
+    ],
+    "video-id-repeated": lambda tmp: ["eval-chota", _gt_with(tmp, lambda d: d.append(d[0])), _SYNTH_GT],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, case) -> None:
+    assert main(BAD_INPUTS[case](tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err

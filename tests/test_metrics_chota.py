@@ -17,7 +17,7 @@ from densevoc.metrics import (
     match_at_alpha,
 )
 
-from conftest import make_track, make_video, random_tiny_instance
+from conftest import make_track, make_video, random_tiny_instance, tie_heavy_instance
 from oracles import hota_oracle
 
 
@@ -177,13 +177,18 @@ def test_matching_matches_enumeration_oracle(rng) -> None:
 
 
 def test_match_at_alpha_agrees_with_banded_sweep(rng) -> None:
-    for _ in range(20):
-        pred, gt = random_tiny_instance(rng)
+    # The pooled report reuses one matching across a band of thresholds;
+    # match_at_alpha solves each threshold on its own. Tie-heavy instances
+    # (grid boxes, duplicated tracks) give many equal-score matchings.
+    instances = [random_tiny_instance(rng) for _ in range(20)]
+    instances += [tie_heavy_instance(rng) for _ in range(200)]
+    for trial, (pred, gt) in enumerate(instances):
         report = chota([pred], [gt], config=ScorerConfig(metrics=("exact",)))
         for k, alpha in enumerate(DEFAULT_ALPHAS):
             m = match_at_alpha(pred, gt, alpha)
-            assert det_a(m) == pytest.approx(report.det_a[k], abs=1e-12)
-            assert ass_a(m) == pytest.approx(report.ass_a[k], abs=1e-12)
+            assert m.tp == report.tp[k], (trial, alpha)
+            assert det_a(m) == pytest.approx(report.det_a[k], abs=1e-12), (trial, alpha)
+            assert ass_a(m) == pytest.approx(report.ass_a[k], abs=1e-12), (trial, alpha)
 
 
 def test_tp_monotone_in_alpha(rng) -> None:
