@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import Box, Detection, ValidationError, VideoRecord, iou
+from .core import Box, Detection, ValidationError, VideoRecord, corner_array, iou_matrix
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def match_boxes(
     """
     if not left or not right:
         return []
-    sim = np.array([[iou(a, b) for b in right] for a in left])
+    sim = iou_matrix(corner_array(left), corner_array(right))
     eligible = sim >= min_iou
     score = np.where(eligible, sim, 0.0)
     rows, cols = linear_sum_assignment(-score)

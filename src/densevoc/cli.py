@@ -169,11 +169,7 @@ def cmd_aggregate(args) -> int:
         print(f"rows={out.shape[0]} dim={out.shape[1]}")
         return 0
     if args.ids:
-        import json
-
-        ids = assoc.IdentityAssignment(
-            ids=np.asarray(json.loads(open(args.ids).read())["ids"], dtype=int)
-        )
+        ids = assoc.IdentityAssignment(ids=formats.load_ids(args.ids))
     else:
         if not args.matrix:
             raise ValidationError("hard aggregation needs --ids or --matrix")

@@ -34,6 +34,10 @@ class FormatError(ValueError):
     """Malformed input file; message carries the offending location."""
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(obj: dict, key: str, kind, where: str):
     if key not in obj:
         raise FormatError(f"{where}: missing required field {key!r}")
@@ -43,7 +47,7 @@ def _require(obj: dict, key: str, kind, where: str):
             raise FormatError(f"{where}.{key}: expected a number, got {type(value).__name__}")
         return float(value)
     if kind is int:
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not _is_int(value):
             raise FormatError(f"{where}.{key}: expected an integer, got {type(value).__name__}")
         return value
     if not isinstance(value, kind):
@@ -313,8 +317,8 @@ def load_queries(path: str | Path) -> list[dict]:
         if not isinstance(rec, dict):
             raise FormatError(f"{where}: expected an object")
         span = _require(rec, "span", list, where)
-        if len(span) != 2 or span[0] > span[1]:
-            raise FormatError(f"{where}: span must be [start, end] with start <= end")
+        if len(span) != 2 or not all(_is_int(v) for v in span) or span[0] > span[1]:
+            raise FormatError(f"{where}: span must be integers [start, end] with start <= end")
         boxes = {}
         for bi, entry in enumerate(_require(rec, "boxes", list, where)):
             bwhere = f"{where}.boxes[{bi}]"
@@ -327,11 +331,26 @@ def load_queries(path: str | Path) -> list[dict]:
                 "video_id": _require(rec, "video_id", str, where),
                 "query_id": _require(rec, "query_id", str, where),
                 "text": _require(rec, "text", str, where),
-                "span": (int(span[0]), int(span[1])),
+                "span": (span[0], span[1]),
                 "boxes": boxes,
             }
         )
     return queries
+
+
+def load_ids(path: str | Path) -> np.ndarray:
+    """Identity vector from an ``{"ids": [int, ...]}`` file, as track-assign writes it."""
+    path = Path(path)
+    data = _read_json(path)
+    if not isinstance(data, dict):
+        raise FormatError(f"{path}: top level: expected an object")
+    ids = _require(data, "ids", list, str(path))
+    if not all(_is_int(v) for v in ids):
+        raise FormatError(f"{path}.ids: expected a list of integers")
+    try:
+        return np.asarray(ids, dtype=int)
+    except OverflowError as exc:
+        raise FormatError(f"{path}.ids: {exc}") from exc
 
 
 def load_flat_records(

@@ -19,7 +19,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .capmetrics import IdfTable, cider_pair, exact_match, meteor_lite
-from .core import Box, Caption, Detection, ValidationError, VideoRecord, iou
+from .core import Box, Caption, Detection, ValidationError, VideoRecord
+from .core import corner_array, iou, iou_matrix
 
 DEFAULT_ALPHAS: tuple[float, ...] = tuple(round(0.05 * k, 2) for k in range(1, 20))
 APM_IOU_THRESHOLDS: tuple[float, ...] = (0.3, 0.4, 0.5, 0.6, 0.7)
@@ -89,11 +90,18 @@ class MatchSet:
         return sum(len(p) for p in self.fn_by_frame)
 
 
-def _iou_block(rows: list[tuple[int, Detection]], cols: list[tuple[int, Detection]]) -> np.ndarray:
-    """IoU of every (row, col) pair of two per-frame (track_id, detection) lists."""
-    return np.array([[iou(r.box, c.box) for _, c in cols] for _, r in rows]).reshape(
-        len(rows), len(cols)
-    )
+def _frames(
+    record: VideoRecord, num_frames: int
+) -> tuple[list[list[tuple[int, Detection]]], list[np.ndarray]]:
+    """Per-frame (track_id, detection) lists of frames 0..num_frames-1, and their corners.
+
+    Frames past the record's end are empty. The per-frame (n, 4) corner
+    arrays are views of one array built for the whole video.
+    """
+    by_frame = record.detections_by_frame()[:num_frames]
+    by_frame += [[] for _ in range(num_frames - len(by_frame))]
+    corners = corner_array(d.box for dets in by_frame for _, d in dets)
+    return by_frame, np.split(corners, np.cumsum([len(dets) for dets in by_frame[:-1]]))
 
 
 class _VideoPrep:
@@ -115,8 +123,8 @@ class _VideoPrep:
         self.frame_gt: list[np.ndarray] = []
         self.frame_pred: list[np.ndarray] = []
         self.frame_sim: list[np.ndarray] = []
-        gt_by_frame = gt.detections_by_frame()
-        pred_by_frame = pred.detections_by_frame()
+        gt_by_frame, gt_corners = _frames(gt, self.num_frames)
+        pred_by_frame, pred_corners = _frames(pred, self.num_frames)
         gt_index = {tid: k for k, tid in enumerate(self.gt_ids)}
         pred_index = {tid: k for k, tid in enumerate(self.pred_ids)}
 
@@ -124,11 +132,10 @@ class _VideoPrep:
         self.pred_count = np.zeros(n_pred)
         potential = np.zeros((n_gt, n_pred))
         for frame in range(self.num_frames):
-            gt_here = gt_by_frame[frame] if frame < len(gt_by_frame) else []
-            pred_here = pred_by_frame[frame] if frame < len(pred_by_frame) else []
+            gt_here, pred_here = gt_by_frame[frame], pred_by_frame[frame]
             g_idx = np.array([gt_index[tid] for tid, _ in gt_here], dtype=int)
             p_idx = np.array([pred_index[tid] for tid, _ in pred_here], dtype=int)
-            sim = _iou_block(gt_here, pred_here)
+            sim = iou_matrix(gt_corners[frame], pred_corners[frame])
             self.frame_gt.append(g_idx)
             self.frame_pred.append(p_idx)
             self.frame_sim.append(sim)
@@ -679,7 +686,9 @@ def ap_m(
     (highest IoU first), the all-points AP is averaged over the threshold
     grid, and frames containing at least one ground-truth box are averaged.
     Ground-truth objects without a caption accept any predicted caption
-    (caption score pinned to 1).
+    (caption score pinned to 1). METEOR is computed only for pairs that clear
+    the lowest IoU threshold, since no other pair can match in any cell; this
+    changes no result.
     """
     iou_thresholds = tuple(iou_thresholds)
     meteor_thresholds = tuple(meteor_thresholds)
@@ -688,13 +697,18 @@ def ap_m(
             raise ValidationError(f"{name} thresholds must be non-empty and in [0, 1], got {grid}")
     pairs, _ = _pair_records(preds, gts)
     grid_sum = np.zeros((len(iou_thresholds), len(meteor_thresholds)))
+    n_cells = grid_sum.size
+    # Broadcast to (iou cell, meteor cell, pred, gt); row-major cell order.
+    iou_cut = np.asarray(iou_thresholds)[:, None, None, None]
+    met_cut = np.asarray(meteor_thresholds)[None, :, None, None]
+    min_iou = min(iou_thresholds)
     n_frames = 0
     # One scorer for every video, so its METEOR cache spans the collection.
     scorer = _PairScorer(ScorerConfig(metrics=("meteor",)), IdfTable.build([]))
 
     for pred, gt in pairs:
-        gt_frames = gt.detections_by_frame()
-        pred_frames = pred.detections_by_frame()
+        gt_frames, gt_corners = _frames(gt, gt.num_frames)
+        pred_frames, pred_corners = _frames(pred, gt.num_frames)
         gt_caps = {t.track_id: t.caption for t in gt.trajectories}
         pred_caps = {t.track_id: t.caption for t in pred.trajectories}
         for frame in range(gt.num_frames):
@@ -702,30 +716,40 @@ def ap_m(
             if not gt_here:
                 continue
             n_frames += 1
-            pred_here = pred_frames[frame] if frame < len(pred_frames) else []
+            pred_here = pred_frames[frame]
             order = sorted(range(len(pred_here)), key=lambda k: -pred_here[k][1].score)
-            n_gt_here = len(gt_here)
-            iou_mat = _iou_block(pred_here, gt_here)
-            met_mat = np.ones((len(pred_here), n_gt_here))
-            for k, (p_tid, p_det) in enumerate(pred_here):
-                p_cap = _effective_caption(p_det.caption, pred_caps.get(p_tid))
-                for g, (g_tid, _) in enumerate(gt_here):
-                    if gt_caps.get(g_tid) is not None:
-                        met_mat[k, g] = scorer.intrinsic(p_cap, gt_caps[g_tid])
-            for i_t, t_iou in enumerate(iou_thresholds):
-                for m_t, t_met in enumerate(meteor_thresholds):
-                    taken = np.zeros(n_gt_here, dtype=bool)
-                    flags = []
-                    for k in order:
-                        ok = (~taken) & (iou_mat[k] >= t_iou) & (met_mat[k] >= t_met)
-                        cand = np.flatnonzero(ok)
-                        if cand.size:
-                            best = cand[np.argmax(iou_mat[k][cand])]
-                            taken[best] = True
-                            flags.append(True)
-                        else:
-                            flags.append(False)
-                    grid_sum[i_t, m_t] += average_precision(flags, n_gt_here)
+            n_pred, n_gt_here = len(pred_here), len(gt_here)
+            # Rows in descending score order (stable).
+            iou_mat = iou_matrix(pred_corners[frame][order], gt_corners[frame])
+            met_mat = np.ones((n_pred, n_gt_here))
+            # Only pairs clearing the lowest IoU threshold can match in any cell.
+            for k, g in zip(*np.nonzero(iou_mat >= min_iou)):
+                gt_cap = gt_caps[gt_here[g][0]]
+                if gt_cap is not None:
+                    p_tid, p_det = pred_here[order[k]]
+                    p_cap = _effective_caption(p_det.caption, pred_caps[p_tid])
+                    met_mat[k, g] = scorer.intrinsic(p_cap, gt_cap)
+            eligible = ((iou_mat >= iou_cut) & (met_mat >= met_cut)).reshape(
+                n_cells, n_pred, n_gt_here
+            )
+            # Greedy match in every cell at once: each prediction takes the
+            # first highest-IoU eligible ground truth not yet taken.
+            taken = np.zeros((n_cells, n_gt_here), dtype=bool)
+            flags = np.zeros((n_cells, n_pred), dtype=bool)
+            for k in range(n_pred):
+                ok = eligible[:, k] & ~taken
+                hit = ok.any(axis=1)
+                best = np.argmax(np.where(ok, iou_mat[k], -1.0), axis=1)
+                taken[hit, best[hit]] = True
+                flags[:, k] = hit
+            ap_by_flags: dict[bytes, float] = {}
+            cell_ap = np.empty(n_cells)
+            for c, row in enumerate(flags):
+                key = row.tobytes()
+                if key not in ap_by_flags:
+                    ap_by_flags[key] = average_precision(row, n_gt_here)
+                cell_ap[c] = ap_by_flags[key]
+            grid_sum += cell_ap.reshape(grid_sum.shape)
 
     if n_frames == 0:
         grid = np.full_like(grid_sum, np.nan)

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import math
 
-from densevoc.core import VideoRecord
+import numpy as np
+
+from densevoc.core import Caption, VideoRecord
 
 
 def box_iou(a, b) -> float:
@@ -218,6 +220,66 @@ def detection_ap_oracle(pred_dets, gt_boxes, iou_thresh) -> float:
         if recalls[i + 1] != recalls[i]:
             ap += (recalls[i + 1] - recalls[i]) * precisions[i + 1]
     return ap
+
+
+def apm_grid_oracle(preds, gts, iou_thresholds, meteor_thresholds):
+    """AP_M threshold grid replayed cell by cell, METEOR scored on every pair.
+
+    For every frame holding ground truth and every (IoU, METEOR) cell,
+    predictions in stable descending score order each take the first
+    highest-IoU untaken ground truth passing both thresholds; ground truth
+    without a caption passes every METEOR threshold. A prediction's caption
+    is its box caption, else its track caption, else empty. Per-cell APs are
+    summed over videos in ground-truth order and frames in order, then
+    divided by the frame count. METEOR and the AP sweep are the library's,
+    so that the grid can be compared exactly; the matching is replayed here.
+    """
+    from densevoc.capmetrics import meteor_lite
+    from densevoc.metrics import average_precision
+
+    pred_by_id = {p.video_id: p for p in preds}
+    grid_sum = [[0.0] * len(meteor_thresholds) for _ in iou_thresholds]
+    n_frames = 0
+    for gt in gts:
+        pred = pred_by_id.get(gt.video_id)
+        pred_tracks = pred.trajectories if pred is not None else ()
+        for frame in range(gt.num_frames):
+            gt_here = [
+                (t.caption, d.box) for t in gt.trajectories for d in t.detections if d.frame == frame
+            ]
+            if not gt_here:
+                continue
+            n_frames += 1
+            pred_here = []
+            for t in pred_tracks:
+                for d in t.detections:
+                    if d.frame == frame:
+                        cap = d.caption if d.caption is not None else t.caption
+                        pred_here.append((cap if cap is not None else Caption(""), d.box, d.score))
+            order = sorted(range(len(pred_here)), key=lambda k: -pred_here[k][2])
+            ious = [[box_iou(p[1], g[1]) for g in gt_here] for p in pred_here]
+            mets = [
+                [1.0 if g[0] is None else meteor_lite(p[0], g[0]) for g in gt_here]
+                for p in pred_here
+            ]
+            for i, t_iou in enumerate(iou_thresholds):
+                for m, t_met in enumerate(meteor_thresholds):
+                    taken = [False] * len(gt_here)
+                    flags = []
+                    for k in order:
+                        best = -1
+                        for g in range(len(gt_here)):
+                            if taken[g] or ious[k][g] < t_iou or mets[k][g] < t_met:
+                                continue
+                            if best < 0 or ious[k][g] > ious[k][best]:
+                                best = g
+                        if best >= 0:
+                            taken[best] = True
+                        flags.append(best >= 0)
+                    grid_sum[i][m] += average_precision(flags, len(gt_here))
+    if n_frames == 0:
+        return np.full((len(iou_thresholds), len(meteor_thresholds)), np.nan)
+    return np.array(grid_sum) / n_frames
 
 
 def argmax_selection_oracle(candidates, nlls):

@@ -2,15 +2,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from densevoc.assoc import (
     AssocMatrix,
     assign_identities,
     build_gt_association,
     iou_tracker,
+    match_boxes,
     preprocess,
 )
-from densevoc.core import Box, Detection, ValidationError
+from densevoc.core import Box, Detection, ValidationError, iou
 
 from conftest import make_track, make_video
 from oracles import greedy_assignment_oracle
@@ -213,3 +215,30 @@ def test_iou_tracker_crossing_boxes_follow_best_overlap() -> None:
 def test_iou_tracker_track_termination_no_reid() -> None:
     frames = [[_det(0, 0.0)], [], [_det(2, 0.0)]]
     assert iou_tracker(frames, match_thresh=0.5).ids.tolist() == [1, 2]
+
+
+def _scalar_match_boxes(left, right, min_iou):
+    """match_boxes with the IoU matrix built pair by pair from scalar iou."""
+    if not left or not right:
+        return []
+    sim = np.array([[iou(a, b) for b in right] for a in left])
+    eligible = sim >= min_iou
+    rows, cols = linear_sum_assignment(-np.where(eligible, sim, 0.0))
+    return [(int(r), int(c), float(sim[r, c])) for r, c in zip(rows, cols) if eligible[r, c]]
+
+
+def test_match_boxes_equals_scalar_iou_reference(rng) -> None:
+    for trial in range(200):
+        boxes = []
+        for _ in range(int(rng.integers(0, 9))):
+            if trial % 2:  # integer grid: many tied IoUs
+                x, y = (float(v) for v in rng.integers(0, 4, size=2) * 5)
+                w, h = (float(v) for v in rng.integers(1, 3, size=2) * 10)
+            else:
+                x, y = (float(v) for v in rng.uniform(0, 40, size=2))
+                w, h = (float(v) for v in rng.uniform(1, 25, size=2))
+            boxes.append(Box(x, y, x + w, y + h))
+        cut = int(rng.integers(0, len(boxes) + 1))
+        left, right = boxes[:cut], boxes[cut:]
+        for thresh in (0.0, 0.3, 0.5):
+            assert match_boxes(left, right, thresh) == _scalar_match_boxes(left, right, thresh)

@@ -132,6 +132,13 @@ def test_aggregate_soft_and_hard(tmp_path) -> None:
     assert hard["tracks"][0]["values"] == pytest.approx([0.0, 0.0, 3.0, 3.0])
 
 
+def test_aggregate_hard_from_ids_file(tmp_path, capsys) -> None:
+    out = tmp_path / "hard.json"
+    assert main(_aggregate_ids_files(tmp_path, {"ids": [1, 1]}) + ["--out", str(out)]) == 0
+    hard = json.loads(out.read_text())
+    assert hard["tracks"][0]["values"] == pytest.approx([0.0, 0.0, 3.0, 3.0])
+
+
 def test_ground_command(tmp_path, capsys) -> None:
     pred = [
         {
@@ -315,6 +322,17 @@ def _gt_with(tmp_path, edit) -> str:
     return _write(tmp_path / "gt.json", json.dumps(data, allow_nan=True))
 
 
+def _aggregate_ids_files(tmp_path, ids) -> list[str]:
+    feat_path = tmp_path / "features.json"
+    save_matrix("v0", np.array([0, 1]), np.array([[0.0, 0.0], [3.0, 3.0]]), feat_path, kind="features")
+    return ["aggregate", str(feat_path), "--mode", "hard", "--m", "2", "--ids", _write(tmp_path / "ids.json", ids)]
+
+
+def _span_query(span) -> list[dict]:
+    return [{"video_id": "v0", "query_id": "q1", "text": "x", "span": span,
+             "boxes": [{"frame": 0, "box": [0, 0, 10, 10]}]}]
+
+
 _SYNTH_GT = str(FIXTURES / "synth20_gt.json")
 
 BAD_INPUTS = {
@@ -345,6 +363,16 @@ BAD_INPUTS = {
         _gt_with(tmp, lambda d: d[0]["tracks"][0]["boxes"][0].update(box=[0, 0, float("inf"), 10])),
     ],
     "video-id-repeated": lambda tmp: ["eval-chota", _gt_with(tmp, lambda d: d.append(d[0])), _SYNTH_GT],
+    "aggregate-ids-malformed-json": lambda tmp: _aggregate_ids_files(tmp, '{"ids": [1,'),
+    "aggregate-ids-key-missing": lambda tmp: _aggregate_ids_files(tmp, {"tracks": [1, 1]}),
+    "aggregate-ids-not-an-object": lambda tmp: _aggregate_ids_files(tmp, [1, 1]),
+    "aggregate-ids-not-a-list": lambda tmp: _aggregate_ids_files(tmp, {"ids": 1}),
+    "aggregate-ids-not-integers": lambda tmp: _aggregate_ids_files(tmp, {"ids": [1, "a"]}),
+    "aggregate-ids-float": lambda tmp: _aggregate_ids_files(tmp, {"ids": [1, 1.5]}),
+    "aggregate-ids-out-of-range": lambda tmp: _aggregate_ids_files(tmp, {"ids": [1, 2**70]}),
+    "query-span-strings": lambda tmp: _ground_files(tmp, queries=_span_query(["a", "b"])),
+    "query-span-floats": lambda tmp: _ground_files(tmp, queries=_span_query([0, 0.5])),
+    "query-span-bools": lambda tmp: _ground_files(tmp, queries=_span_query([False, False])),
 }
 
 

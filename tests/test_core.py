@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from densevoc.core import (
@@ -9,8 +10,10 @@ from densevoc.core import (
     Trajectory,
     ValidationError,
     VideoRecord,
+    corner_array,
     giou,
     iou,
+    iou_matrix,
     tokenize,
 )
 
@@ -74,6 +77,56 @@ def test_zero_area_box_is_legal_and_scores_zero() -> None:
     point = Box(1, 1, 1, 1)
     assert iou(point, point) == 0.0
     assert iou(point, Box(0, 0, 2, 2)) == 0.0
+
+
+def _assert_kernel_equals_scalar(rows: list[Box], cols: list[Box]) -> None:
+    got = iou_matrix(corner_array(rows), corner_array(cols))
+    assert got.shape == (len(rows), len(cols))
+    for r, a in enumerate(rows):
+        for c, b in enumerate(cols):
+            assert got[r, c] == iou(a, b), (a, b)
+
+
+def test_iou_matrix_equals_scalar_iou_on_random_boxes(rng) -> None:
+    for _ in range(50):
+        rows = [_random_box(rng) for _ in range(int(rng.integers(1, 9)))]
+        cols = [_random_box(rng) for _ in range(int(rng.integers(1, 9)))]
+        _assert_kernel_equals_scalar(rows, cols)
+
+
+def test_iou_matrix_equals_scalar_iou_on_integer_grid(rng) -> None:
+    boxes = []
+    for _ in range(40):
+        x1, y1 = (int(v) for v in rng.integers(0, 6, size=2))
+        w, h = (int(v) for v in rng.integers(0, 4, size=2))
+        boxes.append(Box(x1, y1, x1 + w, y1 + h))
+    _assert_kernel_equals_scalar(boxes, boxes)
+
+
+def test_iou_matrix_equals_scalar_iou_on_degenerate_boxes() -> None:
+    base = Box(0.0, 0.0, 4.0, 2.0)
+    boxes = [
+        base,
+        Box(0.0, 0.0, 4.0, 2.0),  # identical
+        Box(1.0, 0.5, 2.0, 1.5),  # nested
+        Box(4.0, 0.0, 6.0, 2.0),  # touching edge
+        Box(4.0, 2.0, 5.0, 3.0),  # touching corner
+        Box(1.0, 1.0, 1.0, 1.0),  # zero-area point inside
+        Box(0.0, 1.0, 4.0, 1.0),  # zero-area segment
+        Box(-3.0, -3.0, -1.0, -1.0),  # disjoint
+        Box(0.1, 0.2, 0.7, 0.3),  # inexact decimals
+    ]
+    _assert_kernel_equals_scalar(boxes, boxes)
+
+
+def test_iou_matrix_empty_sides() -> None:
+    boxes = corner_array([Box(0, 0, 1, 1), Box(0, 0, 2, 2)])
+    empty = corner_array([])
+    assert empty.shape == (0, 4)
+    assert iou_matrix(empty, boxes).shape == (0, 2)
+    assert iou_matrix(boxes, empty).shape == (2, 0)
+    assert iou_matrix(empty, empty).shape == (0, 0)
+    assert iou_matrix(empty, boxes).dtype == np.float64
 
 
 def test_box_corner_order_enforced() -> None:

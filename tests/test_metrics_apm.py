@@ -7,7 +7,7 @@ from densevoc.core import Box
 from densevoc.metrics import ap_m, average_precision, grounding_ious
 
 from conftest import make_track, make_video
-from oracles import detection_ap_oracle
+from oracles import apm_grid_oracle, detection_ap_oracle
 
 
 def _one_frame_video(video_id, tracks):
@@ -110,6 +110,63 @@ def test_apm_reduces_to_detection_ap_with_zero_meteor_thresholds(rng) -> None:
             [detection_ap_oracle(pred_dets, gt_boxes, t) for t in iou_thresholds]
         )
         assert report.overall == pytest.approx(expected, abs=1e-12), trial
+
+
+_WORDS = ("a", "red", "dog", "car", "runs", "left", "small", "blue")
+
+
+def _random_caption(rng) -> str:
+    return " ".join(rng.choice(_WORDS, size=int(rng.integers(2, 6))))
+
+
+def _tie_heavy_apm_scene(rng, video_id, num_frames):
+    """Integer-grid boxes, two score levels, some caption-less ground truth.
+
+    Predictions copy ground-truth boxes (shifted on the grid or not), so IoUs,
+    scores and captions tie often; some predictions carry box captions.
+    """
+    gt_tracks, pred_tracks = [], []
+    for k in range(int(rng.integers(1, 5))):
+        frames = sorted(rng.choice(num_frames, size=int(rng.integers(1, num_frames + 1)), replace=False))
+        boxes = []
+        for f in frames:
+            x, y = (float(v) for v in rng.integers(0, 4, size=2) * 5)
+            w, h = (float(v) for v in rng.integers(1, 3, size=2) * 10)
+            boxes.append((int(f), x, y, x + w, y + h))
+        caption = _random_caption(rng) if rng.random() < 0.7 else None
+        gt_tracks.append(make_track(k + 1, boxes, caption=caption))
+        for copy in range(int(rng.integers(0, 3))):
+            shifted = [(f, x1 + 5 * copy, y1, x2 + 5 * copy, y2) for f, x1, y1, x2, y2 in boxes]
+            scores = [float(rng.choice([0.5, 0.8])) for _ in boxes]
+            det_caps = [_random_caption(rng) if rng.random() < 0.3 else None for _ in boxes]
+            track_cap = caption if rng.random() < 0.5 else _random_caption(rng)
+            pred_tracks.append(
+                make_track(len(pred_tracks) + 1, shifted, caption=track_cap, scores=scores,
+                           det_captions=det_caps)
+            )
+    return make_video(video_id, pred_tracks, num_frames), make_video(video_id, gt_tracks, num_frames)
+
+
+@pytest.mark.parametrize(
+    "iou_thresholds, meteor_thresholds",
+    [
+        ((0.3, 0.4, 0.5, 0.6, 0.7), (0.0, 0.05, 0.1, 0.15, 0.2)),
+        ((0.0, 0.3, 0.5), (0.1, 0.3, 0.6, 1.0)),
+        ((0.5, 0.0), (0.25,)),
+    ],
+)
+def test_apm_grid_equals_per_cell_oracle(rng, iou_thresholds, meteor_thresholds) -> None:
+    for trial in range(30):
+        preds, gts = [], []
+        for v in range(int(rng.integers(1, 4))):
+            pred, gt = _tie_heavy_apm_scene(rng, f"v{trial}_{v}", int(rng.integers(1, 5)))
+            preds.append(pred)
+            gts.append(gt)
+        if trial % 5 == 0:
+            preds.pop()  # a video without predictions
+        report = ap_m(preds, gts, iou_thresholds=iou_thresholds, meteor_thresholds=meteor_thresholds)
+        expected = apm_grid_oracle(preds, gts, iou_thresholds, meteor_thresholds)
+        assert np.array_equal(report.grid, expected), trial
 
 
 def test_average_precision_all_points_interpolation() -> None:
