@@ -167,14 +167,6 @@ class VideoRecord:
                 frames[det.frame].append((track.track_id, det))
         return frames
 
-    def flatten(self) -> list[tuple[int, int, Detection]]:
-        """All detections as (frame, track_id, detection), frame-major order."""
-        out = []
-        for frame, dets in enumerate(self.detections_by_frame()):
-            for track_id, det in dets:
-                out.append((frame, track_id, det))
-        return out
-
     @classmethod
     def regroup(
         cls,

@@ -49,19 +49,27 @@ def _require(obj: dict, key: str, kind, where: str):
     if kind is int:
         if not _is_int(value):
             raise FormatError(f"{where}.{key}: expected an integer, got {type(value).__name__}")
+        if not -(2**63) <= value < 2**63:
+            raise FormatError(f"{where}.{key}: integer {value} is out of the 64-bit range")
         return value
     if not isinstance(value, kind):
         raise FormatError(f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}")
     return value
 
 
-def _read_json(path: Path) -> Any:
+def _read_text(path: Path) -> str:
     try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+        return path.read_text()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+
+
+def _read_json(path: Path) -> Any:
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
 
 
 def _check_unknown(obj: dict, allowed: set[str], where: str, strict: bool) -> None:
@@ -193,12 +201,21 @@ def load_matrix(path: str | Path) -> AssocMatrix | FeatureFile:
         raise FormatError(f"{path}: top level: expected an object")
     where = str(path)
     video_id = _require(data, "video_id", str, where)
-    frame_of = np.asarray(_require(data, "frame_of", list, where), dtype=int)
-    values = np.asarray(_require(data, "values", list, where), dtype=float)
+    frame_of = _require(data, "frame_of", list, where)
+    if not all(_is_int(v) for v in frame_of):
+        raise FormatError(f"{where}.frame_of: expected a list of integers")
+    values = _require(data, "values", list, where)
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        raise FormatError(f"{where}.values: expected a flat list of numbers")
+    try:
+        frame_of = np.asarray(frame_of, dtype=int)
+        values = np.asarray(values, dtype=float)
+    except OverflowError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
     if not np.isfinite(values).all():
         raise FormatError(f"{where}: matrix values must all be finite")
     dim = data.get("dim")
-    if isinstance(dim, int):
+    if _is_int(dim):
         m = dim
         if values.size != m * m:
             raise FormatError(f"{where}: expected {m}x{m} values, got {values.size}")
@@ -208,8 +225,8 @@ def load_matrix(path: str | Path) -> AssocMatrix | FeatureFile:
             return AssocMatrix(values=values.reshape(m, m), frame_of=frame_of)
         except ValidationError as exc:
             raise FormatError(f"{where}: {exc}") from exc
-    if isinstance(dim, list) and len(dim) == 2:
-        m, d = int(dim[0]), int(dim[1])
+    if isinstance(dim, list) and len(dim) == 2 and all(_is_int(v) and v >= 0 for v in dim):
+        m, d = dim
         if values.size != m * d:
             raise FormatError(f"{where}: expected {m}x{d} values, got {values.size}")
         if len(frame_of) != m:
@@ -369,7 +386,7 @@ def load_flat_records(
     path = Path(path)
     flat: list[tuple[int, int, Detection]] = []
     max_frame = -1
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -11,7 +11,6 @@ ineligible. Cross-video pooling is micro-averaged per threshold.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -66,46 +65,45 @@ class ScorerConfig:
 
 
 @dataclass
-class MatchSet:
-    """Per-frame bijective prediction/ground-truth matching at one threshold."""
+class _FrameTable:
+    """One record's detections in frames 0..num_frames-1, one row each.
 
-    video_id: str
-    alpha: float
-    pairs_by_frame: list[list[tuple[int, int]]]  # (pred_track_id, gt_track_id)
-    fp_by_frame: list[list[int]]  # unmatched pred track ids
-    fn_by_frame: list[list[int]]  # unmatched gt track ids
-    pred_track_sizes: dict[int, int]
-    gt_track_sizes: dict[int, int]
-
-    @property
-    def tp(self) -> int:
-        return sum(len(p) for p in self.pairs_by_frame)
-
-    @property
-    def fp(self) -> int:
-        return sum(len(p) for p in self.fp_by_frame)
-
-    @property
-    def fn(self) -> int:
-        return sum(len(p) for p in self.fn_by_frame)
-
-
-def _frames(
-    record: VideoRecord, num_frames: int
-) -> tuple[list[list[tuple[int, Detection]]], list[np.ndarray]]:
-    """Per-frame (track_id, detection) lists of frames 0..num_frames-1, and their corners.
-
-    Frames past the record's end are empty. The per-frame (n, 4) corner
-    arrays are views of one array built for the whole video.
+    Rows are in observation order: frame-major, then trajectory order within
+    a frame, so a prediction row's index is its sidecar
+    ``pred_observation_index`` (detections in later frames, dropped here,
+    come last in that order).
     """
-    by_frame = record.detections_by_frame()[:num_frames]
-    by_frame += [[] for _ in range(num_frames - len(by_frame))]
-    corners = corner_array(d.box for dets in by_frame for _, d in dets)
-    return by_frame, np.split(corners, np.cumsum([len(dets) for dets in by_frame[:-1]]))
+
+    dets: list[Detection]
+    track: np.ndarray  # trajectory index of each row
+    corners: np.ndarray  # (n, 4)
+    offsets: np.ndarray  # frame f holds rows offsets[f]:offsets[f + 1]
+
+    def rows(self, frame: int) -> slice:
+        return slice(self.offsets[frame], self.offsets[frame + 1])
+
+
+def _frames(record: VideoRecord, num_frames: int) -> _FrameTable:
+    """The observation table of ``record`` over frames 0..num_frames-1."""
+    rows = sorted(
+        (
+            (d.frame, k, d)
+            for k, t in enumerate(record.trajectories)
+            for d in t.detections
+            if d.frame < num_frames
+        ),
+        key=lambda row: row[0],  # stable: trajectory order within a frame
+    )
+    return _FrameTable(
+        dets=[d for _, _, d in rows],
+        track=np.array([k for _, k, _ in rows], dtype=int),
+        corners=corner_array(d.box for _, _, d in rows),
+        offsets=np.searchsorted([f for f, _, _ in rows], np.arange(num_frames + 1)),
+    )
 
 
 class _VideoPrep:
-    """Per-frame similarity structure plus pass-1 association strengths."""
+    """Observation tables, per-frame similarities and pass-1 association strengths."""
 
     def __init__(self, pred: VideoRecord, gt: VideoRecord):
         if pred.video_id != gt.video_id:
@@ -113,38 +111,24 @@ class _VideoPrep:
                 f"video ids differ: {pred.video_id!r} vs {gt.video_id!r}"
             )
         self.video_id = gt.video_id
-        self.num_frames = gt.num_frames
-        self.pred_tracks = list(pred.trajectories)
-        self.gt_tracks = list(gt.trajectories)
-        self.pred_ids = [t.track_id for t in self.pred_tracks]
-        self.gt_ids = [t.track_id for t in self.gt_tracks]
-        n_pred, n_gt = len(self.pred_tracks), len(self.gt_tracks)
+        self.pred_tracks = pred.trajectories
+        self.gt_tracks = gt.trajectories
+        self.gt = _frames(gt, gt.num_frames)
+        self.pred = _frames(pred, gt.num_frames)
+        n_gt, n_pred = len(self.gt_tracks), len(self.pred_tracks)
+        self.gt_count = np.bincount(self.gt.track, minlength=n_gt)
+        self.pred_count = np.bincount(self.pred.track, minlength=n_pred)
 
-        self.frame_gt: list[np.ndarray] = []
-        self.frame_pred: list[np.ndarray] = []
         self.frame_sim: list[np.ndarray] = []
-        gt_by_frame, gt_corners = _frames(gt, self.num_frames)
-        pred_by_frame, pred_corners = _frames(pred, self.num_frames)
-        gt_index = {tid: k for k, tid in enumerate(self.gt_ids)}
-        pred_index = {tid: k for k, tid in enumerate(self.pred_ids)}
-
-        self.gt_count = np.zeros(n_gt)
-        self.pred_count = np.zeros(n_pred)
         potential = np.zeros((n_gt, n_pred))
-        for frame in range(self.num_frames):
-            gt_here, pred_here = gt_by_frame[frame], pred_by_frame[frame]
-            g_idx = np.array([gt_index[tid] for tid, _ in gt_here], dtype=int)
-            p_idx = np.array([pred_index[tid] for tid, _ in pred_here], dtype=int)
-            sim = iou_matrix(gt_corners[frame], pred_corners[frame])
-            self.frame_gt.append(g_idx)
-            self.frame_pred.append(p_idx)
+        for frame in range(gt.num_frames):
+            gs, ps = self.gt.rows(frame), self.pred.rows(frame)
+            sim = iou_matrix(self.gt.corners[gs], self.pred.corners[ps])
             self.frame_sim.append(sim)
-            self.gt_count[g_idx] += 1
-            self.pred_count[p_idx] += 1
-            if len(gt_here) and len(pred_here):
+            if sim.size:
                 denom = sim.sum(0)[None, :] + sim.sum(1)[:, None] - sim
                 sim_iou = np.divide(sim, denom, out=np.zeros_like(sim), where=denom > 1e-12)
-                potential[np.ix_(g_idx, p_idx)] += sim_iou
+                potential[np.ix_(self.gt.track[gs], self.pred.track[ps])] += sim_iou
 
         denom = self.gt_count[:, None] + self.pred_count[None, :] - potential
         self.global_ass = np.divide(
@@ -166,32 +150,56 @@ def _match_frame(sim: np.ndarray, ass: np.ndarray, alpha: float) -> tuple[np.nda
 
 def _sweep(
     prep: _VideoPrep, alphas: tuple[float, ...]
-) -> list[tuple[int, int, int, np.ndarray, np.ndarray]]:
+) -> tuple[list[tuple[int, int, np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
     """Per-frame matchings over an increasing threshold grid, in bands.
 
-    Returns records (frame, first_alpha, last_alpha, gt_rows, pred_cols):
-    the matching solved at alphas[first_alpha] pairs track indices gt_rows
-    and pred_cols, and stays optimal up to alphas[last_alpha], the last
-    threshold its weakest pair still passes.
+    Returns records (first_alpha, last_alpha, gt_rows, pred_rows): the
+    matching of one frame solved at alphas[first_alpha] pairs observation
+    rows gt_rows of ``prep.gt`` with pred_rows of ``prep.pred``, and stays
+    optimal up to alphas[last_alpha], the last threshold its weakest pair
+    still passes. Also returns the match counts mc[alpha, gt track, pred
+    track], whose total per threshold is its true positive count, and the
+    AssA numerators per threshold.
     """
     alpha_arr = np.asarray(alphas)
     records = []
-    for frame in range(prep.num_frames):
-        g_idx = prep.frame_gt[frame]
-        p_idx = prep.frame_pred[frame]
-        if len(g_idx) == 0 or len(p_idx) == 0:
+    mc = np.zeros((len(alphas), len(prep.gt_tracks), len(prep.pred_tracks)))
+    for frame, sim in enumerate(prep.frame_sim):
+        if sim.size == 0:
             continue
-        sim = prep.frame_sim[frame]
-        ass = prep.global_ass[np.ix_(g_idx, p_idx)]
+        gs, ps = prep.gt.rows(frame), prep.pred.rows(frame)
+        g_track, p_track = prep.gt.track[gs], prep.pred.track[ps]
+        ass = prep.global_ass[np.ix_(g_track, p_track)]
         a = 0
         while a < len(alphas):
             rows, cols = _match_frame(sim, ass, alphas[a])
             if rows.size == 0:
                 break  # stays empty for every higher threshold
             end = int(np.searchsorted(alpha_arr, sim[rows, cols].min(), side="right") - 1)
-            records.append((frame, a, end, g_idx[rows], p_idx[cols]))
+            records.append((a, end, gs.start + rows, ps.start + cols))
+            mc[a : end + 1, g_track[rows], p_track[cols]] += 1.0
             a = end + 1
-    return records
+    denom = prep.gt_count[None, :, None] + prep.pred_count[None, None, :] - mc
+    ass_iou = np.divide(mc, denom, out=np.zeros_like(mc), where=denom > 1e-12)
+    return records, mc, (mc * ass_iou).sum(axis=(1, 2))
+
+
+@dataclass
+class MatchSet:
+    """Per-frame bijective prediction/ground-truth matching at one threshold.
+
+    ``records`` are the sweep records at ``alpha`` over the observation
+    tables of ``prep``; ``ass_iou_sum`` is the AssA numerator.
+    """
+
+    video_id: str
+    alpha: float
+    tp: int
+    fp: int
+    fn: int
+    ass_iou_sum: float
+    records: list[tuple[int, int, np.ndarray, np.ndarray]] = field(repr=False)
+    prep: _VideoPrep = field(repr=False)
 
 
 @dataclass
@@ -258,18 +266,8 @@ def _evaluate_video(
 ) -> _VideoStats:
     prep = _VideoPrep(pred, gt)
     n_alpha = len(alphas)
-    n_gt, n_pred = len(prep.gt_ids), len(prep.pred_ids)
-    records = _sweep(prep, alphas)
-
-    tp = np.zeros(n_alpha)
-    mc = np.zeros((n_alpha, n_gt, n_pred))
-    for _, a, end, g_rows, p_cols in records:
-        tp[a : end + 1] += len(g_rows)
-        mc[a : end + 1, g_rows, p_cols] += 1.0
-
-    denom = prep.gt_count[None, :, None] + prep.pred_count[None, None, :] - mc
-    ass_iou = np.divide(mc, denom, out=np.zeros_like(mc), where=denom > 1e-12)
-    ass_iou_sum = (mc * ass_iou).sum(axis=(1, 2))
+    records, mc, ass_iou_sum = _sweep(prep, alphas)
+    tp = mc.sum(axis=(1, 2))
 
     track_caps = [t.caption for t in prep.gt_tracks]
     gt_caption_count = sum(1 for c in track_caps if c is not None)
@@ -282,14 +280,14 @@ def _evaluate_video(
             d.caption is not None for t in prep.pred_tracks for d in t.detections
         )
         if "external" in config.metrics or has_det_caps:
-            cap_sum, tp_prime = _caption_sums(records, n_alpha, pred, gt, scorer)
+            cap_sum, tp_prime = _caption_sums(records, n_alpha, prep, scorer)
         else:
             # Track captions only: one score per matched track pair, weighted
             # by its match count per threshold. This sum rounds differently
             # from the per-match sum of _caption_sums, and reports on
             # track-captioned data are pinned to it.
             captioned = np.array([c is not None for c in track_caps])
-            scores = np.zeros((n_gt, n_pred))
+            scores = np.zeros(mc.shape[1:])
             for g, p in zip(*np.nonzero((mc.sum(axis=0) > 0) & captioned[:, None])):
                 pred_cap = _effective_caption(None, prep.pred_tracks[p].caption)
                 scores[g, p] = scorer.intrinsic(pred_cap, track_caps[g]) / config.divisor
@@ -315,33 +313,27 @@ def _evaluate_video(
 
 
 def _caption_sums(
-    records: Sequence[tuple], n_alpha: int, pred: VideoRecord, gt: VideoRecord, scorer: _PairScorer
+    records: Sequence[tuple], n_alpha: int, prep: _VideoPrep, scorer: _PairScorer
 ) -> tuple[np.ndarray, np.ndarray]:
     """Caption score sums and caption-annotated match counts per threshold.
 
-    Scores every matched detection of the sweep records (track indices into
-    ``pred.trajectories`` and ``gt.trajectories``) on its own caption,
-    falling back to its track caption, plus the external score if enabled.
+    Scores every matched detection of the sweep records on its own caption,
+    falling back to its track caption, plus the external score of its
+    observation row if enabled.
     """
     config = scorer.config
-    # Observation index: frame-major position among the prediction's detections.
-    obs_index = {(frame, tid): k for k, (frame, tid, _) in enumerate(pred.flatten())}
-    det_lookup = {(d.frame, t.track_id): d for t in pred.trajectories for d in t.detections}
     cap_sum = np.zeros(n_alpha)
     tp_prime = np.zeros(n_alpha)
-    for frame, a, end, g_rows, p_cols in records:
-        for g, p in zip(g_rows, p_cols):
-            gt_track = gt.trajectories[g]
+    for a, end, g_rows, p_rows in records:
+        for g, p in zip(g_rows.tolist(), p_rows.tolist()):
+            gt_track = prep.gt_tracks[prep.gt.track[g]]
             if gt_track.caption is None:
                 continue
-            pred_track = pred.trajectories[p]
-            det = det_lookup[(frame, pred_track.track_id)]
-            pred_cap = _effective_caption(det.caption, pred_track.caption)
+            det_cap = prep.pred.dets[p].caption
+            pred_cap = _effective_caption(det_cap, prep.pred_tracks[prep.pred.track[p]].caption)
             total = scorer.intrinsic(pred_cap, gt_track.caption)
             if "external" in config.metrics:
-                total += scorer.external(
-                    gt.video_id, obs_index[(frame, pred_track.track_id)], gt_track.track_id
-                )
+                total += scorer.external(prep.video_id, p, gt_track.track_id)
             cap_sum[a : end + 1] += total / config.divisor
             tp_prime[a : end + 1] += 1.0
     return cap_sum, tp_prime
@@ -352,21 +344,17 @@ def match_at_alpha(pred: VideoRecord, gt: VideoRecord, alpha: float) -> MatchSet
     if not (0.0 < alpha < 1.0):
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     prep = _VideoPrep(pred, gt)
-    matched = {frame: (g, p) for frame, _, _, g, p in _sweep(prep, (alpha,))}
-    pairs_by_frame, fp_by_frame, fn_by_frame = [], [], []
-    for frame in range(prep.num_frames):
-        g_rows, p_cols = matched.get(frame, ((), ()))
-        pairs_by_frame.append([(prep.pred_ids[p], prep.gt_ids[g]) for g, p in zip(g_rows, p_cols)])
-        fp_by_frame.append([prep.pred_ids[p] for p in prep.frame_pred[frame] if p not in p_cols])
-        fn_by_frame.append([prep.gt_ids[g] for g in prep.frame_gt[frame] if g not in g_rows])
+    records, mc, ass_iou_sum = _sweep(prep, (alpha,))
+    tp = int(mc.sum())
     return MatchSet(
         video_id=prep.video_id,
         alpha=alpha,
-        pairs_by_frame=pairs_by_frame,
-        fp_by_frame=fp_by_frame,
-        fn_by_frame=fn_by_frame,
-        pred_track_sizes={t.track_id: len(t) for t in prep.pred_tracks},
-        gt_track_sizes={t.track_id: len(t) for t in prep.gt_tracks},
+        tp=tp,
+        fp=int(prep.pred_count.sum()) - tp,
+        fn=int(prep.gt_count.sum()) - tp,
+        ass_iou_sum=float(ass_iou_sum[0]),
+        records=records,
+        prep=prep,
     )
 
 
@@ -378,13 +366,7 @@ def det_a(m: MatchSet) -> float:
 
 def ass_a(m: MatchSet) -> float:
     """Mean association IoU over true positives; 1 when there are none."""
-    mc = Counter(pair for pairs in m.pairs_by_frame for pair in pairs)
-    if not mc:
-        return 1.0
-    total = 0.0
-    for (pred_id, gt_id), count in mc.items():
-        total += count * (count / (m.gt_track_sizes[gt_id] + m.pred_track_sizes[pred_id] - count))
-    return total / m.tp
+    return 1.0 if m.tp == 0 else m.ass_iou_sum / m.tp
 
 
 def cap_a(
@@ -404,13 +386,7 @@ def cap_a(
         return None
     if idf is None:
         idf = IdfTable.build([t.caption for t in gt.trajectories if t.caption is not None])
-    gt_index = {t.track_id: k for k, t in enumerate(gt.trajectories)}
-    pred_index = {t.track_id: k for k, t in enumerate(pred.trajectories)}
-    records = [
-        (frame, 0, 0, [gt_index[g] for _, g in pairs], [pred_index[p] for p, _ in pairs])
-        for frame, pairs in enumerate(m.pairs_by_frame)
-    ]
-    total, count = _caption_sums(records, 1, pred, gt, _PairScorer(config, idf))
+    total, count = _caption_sums(m.records, 1, m.prep, _PairScorer(config, idf))
     return float(total[0] / count[0]) if count[0] else 0.0
 
 
@@ -649,8 +625,8 @@ def average_precision(tp_flags: Sequence[bool], n_gt: int) -> float:
     ranks = np.arange(1, len(tp_flags) + 1)
     recalls = np.concatenate(([0.0], tp_cum / n_gt, [1.0]))
     precisions = np.concatenate(([0.0], tp_cum / ranks, [0.0]))
-    for i in range(len(precisions) - 1, 0, -1):
-        precisions[i - 1] = max(precisions[i - 1], precisions[i])
+    # Envelope: each precision becomes the maximum at its rank or later.
+    precisions = np.maximum.accumulate(precisions[::-1])[::-1]
     steps = np.flatnonzero(recalls[1:] != recalls[:-1])
     return float(np.sum((recalls[steps + 1] - recalls[steps]) * precisions[steps + 1]))
 
@@ -707,27 +683,26 @@ def ap_m(
     scorer = _PairScorer(ScorerConfig(metrics=("meteor",)), IdfTable.build([]))
 
     for pred, gt in pairs:
-        gt_frames, gt_corners = _frames(gt, gt.num_frames)
-        pred_frames, pred_corners = _frames(pred, gt.num_frames)
-        gt_caps = {t.track_id: t.caption for t in gt.trajectories}
-        pred_caps = {t.track_id: t.caption for t in pred.trajectories}
+        gt_table, pred_table = _frames(gt, gt.num_frames), _frames(pred, gt.num_frames)
+        pred_scores = np.array([d.score for d in pred_table.dets])
         for frame in range(gt.num_frames):
-            gt_here = gt_frames[frame]
-            if not gt_here:
+            gs, ps = gt_table.rows(frame), pred_table.rows(frame)
+            n_gt_here = gs.stop - gs.start
+            if n_gt_here == 0:
                 continue
             n_frames += 1
-            pred_here = pred_frames[frame]
-            order = sorted(range(len(pred_here)), key=lambda k: -pred_here[k][1].score)
-            n_pred, n_gt_here = len(pred_here), len(gt_here)
-            # Rows in descending score order (stable).
-            iou_mat = iou_matrix(pred_corners[frame][order], gt_corners[frame])
+            # Prediction rows in descending score order (stable).
+            order = ps.start + np.argsort(-pred_scores[ps], kind="stable")
+            n_pred = len(order)
+            iou_mat = iou_matrix(pred_table.corners[order], gt_table.corners[gs])
             met_mat = np.ones((n_pred, n_gt_here))
             # Only pairs clearing the lowest IoU threshold can match in any cell.
             for k, g in zip(*np.nonzero(iou_mat >= min_iou)):
-                gt_cap = gt_caps[gt_here[g][0]]
+                gt_cap = gt.trajectories[gt_table.track[gs.start + g]].caption
                 if gt_cap is not None:
-                    p_tid, p_det = pred_here[order[k]]
-                    p_cap = _effective_caption(p_det.caption, pred_caps[p_tid])
+                    row = order[k]
+                    track_cap = pred.trajectories[pred_table.track[row]].caption
+                    p_cap = _effective_caption(pred_table.dets[row].caption, track_cap)
                     met_mat[k, g] = scorer.intrinsic(p_cap, gt_cap)
             eligible = ((iou_mat >= iou_cut) & (met_mat >= met_cut)).reshape(
                 n_cells, n_pred, n_gt_here

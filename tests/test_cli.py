@@ -333,6 +333,17 @@ def _span_query(span) -> list[dict]:
              "boxes": [{"frame": 0, "box": [0, 0, 10, 10]}]}]
 
 
+def _assoc_matrix_file(tmp_path, **edit) -> list[str]:
+    matrix = {"video_id": "v0", "frame_of": [0, 1], "dim": 2, "values": [1.0, 0.5, 0.5, 1.0]}
+    text = json.dumps(dict(matrix, **edit)).replace('"INF"', "1e400")
+    return ["track-assign", _write(tmp_path / "assoc.json", text)]
+
+
+def _flat_file(tmp_path, raw: bytes) -> list[str]:
+    (tmp_path / "flat.csv").write_bytes(raw)
+    return ["convert-flat", str(tmp_path / "flat.csv"), "--video-id", "v", "--out", str(tmp_path / "out.json")]
+
+
 _SYNTH_GT = str(FIXTURES / "synth20_gt.json")
 
 BAD_INPUTS = {
@@ -373,6 +384,15 @@ BAD_INPUTS = {
     "query-span-strings": lambda tmp: _ground_files(tmp, queries=_span_query(["a", "b"])),
     "query-span-floats": lambda tmp: _ground_files(tmp, queries=_span_query([0, 0.5])),
     "query-span-bools": lambda tmp: _ground_files(tmp, queries=_span_query([False, False])),
+    "matrix-dim-strings": lambda tmp: _assoc_matrix_file(tmp, dim=["a", 2]),
+    "matrix-frame-of-strings": lambda tmp: _assoc_matrix_file(tmp, frame_of=["x", "y"]),
+    "matrix-frame-of-floats": lambda tmp: _assoc_matrix_file(tmp, frame_of=[0.5, 1.7]),
+    "matrix-frame-of-infinite": lambda tmp: _assoc_matrix_file(tmp, frame_of=[0, "INF"]),
+    "matrix-frame-of-out-of-range": lambda tmp: _assoc_matrix_file(tmp, frame_of=[0, 10**30]),
+    "matrix-values-strings": lambda tmp: _assoc_matrix_file(tmp, values=["a", 0, 0, 1]),
+    "matrix-values-ragged": lambda tmp: _assoc_matrix_file(tmp, values=[[1, 0], [0]]),
+    "matrix-values-bool": lambda tmp: _assoc_matrix_file(tmp, values=[True, 0, 0, 1]),
+    "convert-flat-not-utf8": lambda tmp: _flat_file(tmp, b"1,7,10,20,30,40,0.9\xff\n"),
 }
 
 

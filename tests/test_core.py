@@ -168,10 +168,12 @@ def test_flatten_regroup_round_trip(rng) -> None:
         make_track(2, [(0, 2, 2, 3, 3), (1, 2, 2, 3, 3), (2, 2, 2, 3, 3)]),
     ]
     video = make_video("v", tracks, num_frames=3)
+    # Flat (frame, track_id, detection) rows in shuffled order.
+    rows = [(d.frame, t.track_id, d) for t in video.trajectories for d in t.detections]
     rebuilt = VideoRecord.regroup(
         video.video_id,
         video.num_frames,
-        video.flatten(),
+        [rows[k] for k in rng.permutation(len(rows))],
         captions={t.track_id: t.caption for t in tracks if t.caption},
     )
     assert {t.track_id for t in rebuilt.trajectories} == {2, 3, 7}

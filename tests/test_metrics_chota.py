@@ -129,6 +129,36 @@ def test_cap_a_mean_of_enabled_submetrics() -> None:
     assert cap_a(m, pred, gt, config) == pytest.approx(0.4, abs=1e-12)
 
 
+def test_external_scores_keyed_by_frame_major_file_order_index() -> None:
+    # Observation index = position among the prediction's detections in
+    # frame-major order, then trajectory order in the file (not id order).
+    boxes = {1: (0.0, 0.0, 10.0, 10.0), 2: (20.0, 0.0, 30.0, 10.0), 3: (40.0, 0.0, 50.0, 10.0)}
+    captions = {1: "dog", 2: "car", 3: "man"}
+    gt = make_video(
+        "v0", [make_track(g, [(f, *boxes[g]) for f in range(3)], captions[g]) for g in (1, 2, 3)], 3
+    )
+    # pred track id -> (gt track it covers, frames); listed out of id order.
+    layout = {7: (1, [0, 1, 2]), 2: (2, [1, 2, 3]), 4: (3, [0, 2])}
+    pred = make_video(
+        "v0",
+        [make_track(p, [(f, *boxes[g]) for f in frames], captions[g]) for p, (g, frames) in layout.items()],
+        num_frames=4,
+    )
+    # Frame 0: tracks 7, 4; frame 1: 7, 2; frame 2: 7, 2, 4; frame 3 (past the gt): 2.
+    matched = [(0, 1), (1, 3), (2, 1), (3, 2), (4, 1), (5, 2), (6, 3)]  # (index, gt track)
+    # Unrelated values per key, so a swapped index shows in the CapA sum.
+    draws = iter(np.random.default_rng(3).uniform(0.05, 0.95, size=24))
+    external = {("v0", k, g): float(next(draws)) for k in range(8) for g in (1, 2, 3)}
+    config = ScorerConfig(metrics=("meteor", "external"), external_scores=external)
+    # meteor of a one-word caption against itself is 0.5.
+    expected = (0.5 + np.mean([external[("v0", k, g)] for k, g in matched])) / 2
+
+    report = chota([pred], [gt], config=config)
+    assert report.cap_a == pytest.approx(np.full(len(DEFAULT_ALPHAS), expected), abs=1e-12)
+    assert not any("external score" in w for w in report.warnings)
+    assert cap_a(match_at_alpha(pred, gt, 0.5), pred, gt, config) == pytest.approx(expected, abs=1e-12)
+
+
 def test_cap_a_undefined_without_gt_captions() -> None:
     gt = _simple_video(caption=None)
     m = match_at_alpha(gt, gt, 0.5)
