@@ -9,9 +9,10 @@ values are not comparable to evaluations using the conventional scaling.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .core import Caption, tokenize
@@ -39,6 +40,7 @@ _STEM_RULES = (
 )
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def stem(token: str) -> str:
     """Tiny deterministic suffix-stripping stemmer for the METEOR stem stage."""
     if len(token) <= 3:
@@ -54,26 +56,6 @@ def stem(token: str) -> str:
     return token
 
 
-def _match_counts(pred: Sequence[str], ref: Sequence[str]) -> tuple[Counter, Counter, int, int]:
-    """Exact-stage quotas per token and stem-stage quotas per stem."""
-    pc, rc = Counter(pred), Counter(ref)
-    exact = Counter({t: min(pc[t], rc[t]) for t in pc if t in rc})
-    exact = +exact
-    pred_left = Counter({t: pc[t] - exact[t] for t in pc})
-    ref_left = Counter({t: rc[t] - exact[t] for t in rc})
-    pred_stem_left = Counter()
-    ref_stem_left = Counter()
-    for t, c in pred_left.items():
-        pred_stem_left[stem(t)] += c
-    for t, c in ref_left.items():
-        ref_stem_left[stem(t)] += c
-    stems = Counter(
-        {s: min(pred_stem_left[s], ref_stem_left[s]) for s in pred_stem_left if s in ref_stem_left}
-    )
-    stems = +stems
-    return exact, stems, sum(exact.values()), sum(stems.values())
-
-
 class _ChunkSearch:
     """Exact minimum-chunk alignment search over stagewise-maximum matchings.
 
@@ -84,54 +66,90 @@ class _ChunkSearch:
     exploration stops after the first finite branch, making the result an
     upper bound on the minimum (the score stays valid either way since chunks
     never exceed matches).
+
+    The state is integer: tokens and stems are numbered per pair, the exact
+    quotas (per token) and stem quotas (per stem) are int lists whose tuples
+    key the memo, and ``used`` is a bitmask of matched reference positions.
     """
 
     def __init__(self, pred: Sequence[str], ref: Sequence[str], budget: int = 20000):
-        self.pred = pred
-        self.ref = ref
         self.budget = budget
         self.nodes = 0
-        exact, stems, self.n_exact, self.n_stem = _match_counts(pred, ref)
-        self.exact_quota = exact
-        self.stem_quota = stems
-        self.ref_tokens = list(ref)
-        self.ref_stems = [stem(t) for t in ref]
-        self.pred_stems = [stem(t) for t in pred]
-        # Suffix counts for feasibility checks.
-        n = len(pred)
-        self.suffix_tok: list[Counter] = [Counter() for _ in range(n + 1)]
-        self.suffix_stem: list[Counter] = [Counter() for _ in range(n + 1)]
-        for i in range(n - 1, -1, -1):
-            self.suffix_tok[i] = self.suffix_tok[i + 1].copy()
-            self.suffix_tok[i][pred[i]] += 1
-            self.suffix_stem[i] = self.suffix_stem[i + 1].copy()
-            self.suffix_stem[i][self.pred_stems[i]] += 1
         self.memo: dict = {}
+        tok_id: dict[str, int] = {}
+        for t in (*pred, *ref):
+            tok_id.setdefault(t, len(tok_id))
+        stem_id: dict[str, int] = {}
+        tok_stem = [stem_id.setdefault(stem(t), len(stem_id)) for t in tok_id]
+        self.pred = [tok_id[t] for t in pred]
+        self.pred_stems = [tok_stem[t] for t in self.pred]
+        self.ref_tokens = [tok_id[u] for u in ref]
+        n_tok, n_stem = len(tok_id), len(stem_id)
 
-    def _stem_capacity_ok(self, i: int, s: str, exact_rem: Counter, demand: int) -> bool:
-        """Suffix i.. can still host ``demand`` stem-s matches after exact reservations."""
-        reserved = sum(exact_rem[u] for u in self.suffix_tok[i] if stem(u) == s)
-        return demand <= self.suffix_stem[i][s] - reserved
+        # Match counts: exact quotas first, stem quotas on the residue.
+        pc, rc = [0] * n_tok, [0] * n_tok
+        for t in self.pred:
+            pc[t] += 1
+        for u in self.ref_tokens:
+            rc[u] += 1
+        exact = [min(a, b) for a, b in zip(pc, rc)]
+        pred_left, ref_left = [0] * n_stem, [0] * n_stem
+        for t, s in enumerate(tok_stem):
+            pred_left[s] += pc[t] - exact[t]
+            ref_left[s] += rc[t] - exact[t]
+        self.exact_quota = exact
+        self.stem_quota = [min(a, b) for a, b in zip(pred_left, ref_left)]
+        self.n_exact, self.n_stem = sum(exact), sum(self.stem_quota)
+
+        # Tokens with an exact quota, per stem: the exact reservations a
+        # stem stage must leave room for.
+        self.stem_tokens: list[list[int]] = [[] for _ in range(n_stem)]
+        for t, s in enumerate(tok_stem):
+            if exact[t]:
+                self.stem_tokens[s].append(t)
+        # Reference positions per token and per stem, and per-token bitmasks.
+        self.ref_of_tok: list[list[int]] = [[] for _ in range(n_tok)]
+        self.ref_of_stem: list[list[int]] = [[] for _ in range(n_stem)]
+        self.ref_mask = [0] * n_tok
+        for j, u in enumerate(self.ref_tokens):
+            self.ref_of_tok[u].append(j)
+            self.ref_of_stem[tok_stem[u]].append(j)
+            self.ref_mask[u] |= 1 << j
+        # Suffix counts: occurrences of position i's token and stem after i.
+        n = len(self.pred)
+        self.tok_after = [0] * n
+        self.stem_after = [0] * n
+        tok_seen, stem_seen = [0] * n_tok, [0] * n_stem
+        for i in range(n - 1, -1, -1):
+            t, s = self.pred[i], self.pred_stems[i]
+            self.tok_after[i], self.stem_after[i] = tok_seen[t], stem_seen[s]
+            tok_seen[t] += 1
+            stem_seen[s] += 1
+
+    def _stem_capacity_ok(self, i: int, exact_rem: list[int], demand: int) -> bool:
+        """Whether the positions after i can host ``demand`` matches of i's stem.
+
+        The exact quotas of the stem's tokens are reserved first. Every
+        remaining exact quota fits in the positions after i (each branch
+        checks this for the token it moves past), so all of them are
+        reserved in that suffix.
+        """
+        reserved = sum(exact_rem[u] for u in self.stem_tokens[self.pred_stems[i]])
+        return demand <= self.stem_after[i] - reserved
 
     def run(self) -> int:
         if self.n_exact + self.n_stem == 0:
             return 0
-        result = self._go(0, 0, -2, Counter(self.exact_quota), Counter(self.stem_quota))
+        result = self._go(0, 0, -2, list(self.exact_quota), list(self.stem_quota))
         if not math.isfinite(result):
             return self.n_exact + self.n_stem  # worst legal chunk count
         return int(result)
 
-    def _go(self, i: int, used: int, prev: int, exact_rem: Counter, stem_rem: Counter) -> float:
+    def _go(self, i: int, used: int, prev: int, exact_rem: list[int], stem_rem: list[int]) -> float:
         # prev: ref index matched by pred position i-1, or -2 when i-1 unmatched.
         if i == len(self.pred):
-            return 0.0 if not +exact_rem and not +stem_rem else math.inf
-        key = (
-            i,
-            used,
-            prev,
-            tuple(sorted((+exact_rem).items())),
-            tuple(sorted((+stem_rem).items())),
-        )
+            return 0.0 if not any(exact_rem) and not any(stem_rem) else math.inf
+        key = (i, used, prev, tuple(exact_rem), tuple(stem_rem))
         hit = self.memo.get(key)
         if hit is not None:
             return hit
@@ -139,29 +157,25 @@ class _ChunkSearch:
         over_budget = self.nodes > self.budget
         t = self.pred[i]
         s = self.pred_stems[i]
+        t_after = self.tok_after[i]
         candidates: list[tuple[int, int, bool]] = []  # (order, ref_idx, is_exact)
         if exact_rem[t] > 0:
             exact_rem[t] -= 1
-            exact_ok = exact_rem[t] <= self.suffix_tok[i + 1][t] and self._stem_capacity_ok(
-                i + 1, s, exact_rem, stem_rem[s]
-            )
+            exact_ok = exact_rem[t] <= t_after and self._stem_capacity_ok(i, exact_rem, stem_rem[s])
             exact_rem[t] += 1
             if exact_ok:
-                for j, u in enumerate(self.ref_tokens):
-                    if u == t and not used >> j & 1:
+                for j in self.ref_of_tok[t]:
+                    if not used >> j & 1:
                         cont = j == prev + 1
                         candidates.append((0 if cont else 2, j, True))
-        if stem_rem[s] > 0 and exact_rem[t] <= self.suffix_tok[i + 1][t] and self._stem_capacity_ok(
-            i + 1, s, exact_rem, stem_rem[s] - 1
+        if stem_rem[s] > 0 and exact_rem[t] <= t_after and self._stem_capacity_ok(
+            i, exact_rem, stem_rem[s] - 1
         ):
             # A stem match must leave enough unused same-token refs for exact quotas.
-            unused_by_token = Counter()
-            for j, u in enumerate(self.ref_tokens):
-                if not used >> j & 1:
-                    unused_by_token[u] += 1
-            for j, u in enumerate(self.ref_tokens):
-                if self.ref_stems[j] == s and u != t and not used >> j & 1:
-                    if unused_by_token[u] - 1 < exact_rem[u]:
+            for j in self.ref_of_stem[s]:
+                u = self.ref_tokens[j]
+                if u != t and not used >> j & 1:
+                    if (self.ref_mask[u] & ~used).bit_count() - 1 < exact_rem[u]:
                         continue
                     cont = j == prev + 1
                     candidates.append((1 if cont else 3, j, False))
@@ -181,9 +195,7 @@ class _ChunkSearch:
             best = min(best, sub)
             if over_budget and math.isfinite(best):
                 break  # keep the first completed (continuation-preferring) dive
-        if exact_rem[t] <= self.suffix_tok[i + 1][t] and self._stem_capacity_ok(
-            i + 1, s, exact_rem, stem_rem[s]
-        ):
+        if exact_rem[t] <= t_after and self._stem_capacity_ok(i, exact_rem, stem_rem[s]):
             best = min(best, self._go(i + 1, used, -2, exact_rem, stem_rem))
         if not over_budget:
             self.memo[key] = best
@@ -207,11 +219,11 @@ def meteor_lite(pred: Caption | Sequence[str], ref: Caption | Sequence[str]) -> 
     p, r = _tokens(pred), _tokens(ref)
     if not p or not r:
         return 0.0
-    _, _, n_exact, n_stem = _match_counts(p, r)
-    matches = n_exact + n_stem
+    search = _ChunkSearch(p, r)
+    matches = search.n_exact + search.n_stem
     if matches == 0:
         return 0.0
-    chunks = _ChunkSearch(p, r).run()
+    chunks = search.run()
     precision = matches / len(p)
     recall = matches / len(r)
     f_mean = 10.0 * precision * recall / (recall + 9.0 * precision)
@@ -225,30 +237,50 @@ def _ngrams(tokens: Sequence[str], n: int) -> Counter:
 
 @dataclass
 class IdfTable:
-    """Corpus n-gram document frequencies; one caption = one document."""
+    """Corpus n-gram document frequencies; one caption = one document.
+
+    ``build`` also keeps every corpus document's TF-IDF vectors and norms,
+    so a pair scored against a corpus caption computes only its prediction
+    side; other references are vectorized on each call.
+    """
 
     n_docs: int
     df: dict[tuple[str, ...], int]
     max_n: int = 4
+    _refs: dict[tuple[str, ...], list[tuple[dict, float]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def build(cls, documents: Iterable[Caption | Sequence[str]], max_n: int = 4) -> "IdfTable":
         df: Counter = Counter()
-        n_docs = 0
+        docs = []
         for doc in documents:
             tokens = _tokens(doc)
-            n_docs += 1
+            docs.append(tokens)
             seen: set = set()
             for n in range(1, max_n + 1):
                 seen.update(_ngrams(tokens, n))
             df.update(seen)
-        return cls(n_docs=n_docs, df=dict(df), max_n=max_n)
+        table = cls(n_docs=len(docs), df=dict(df), max_n=max_n)
+        for tokens in docs:
+            if tokens not in table._refs:
+                table._refs[tokens] = table._vectors(tokens)
+        return table
 
     def idf(self, gram: tuple[str, ...]) -> float:
         """log(N / df); unseen n-grams take the maximum weight log(N)."""
         if self.n_docs < 1:
             return 0.0
         return math.log(self.n_docs / max(self.df.get(gram, 0), 1))
+
+    def _vectors(self, tokens: tuple[str, ...]) -> list[tuple[dict, float]]:
+        """(TF-IDF vector, its L2 norm) for n = 1..max_n."""
+        out = []
+        for n in range(1, self.max_n + 1):
+            vec = {g: c * self.idf(g) for g, c in _ngrams(tokens, n).items()}
+            out.append((vec, math.sqrt(sum(v * v for v in vec.values()))))
+        return out
 
 
 def cider_pair(
@@ -263,12 +295,9 @@ def cider_pair(
     either side contributes 0.
     """
     p, r = _tokens(pred), _tokens(ref)
+    refs = idf._refs.get(r) or idf._vectors(r)
     sims = []
-    for n in range(1, idf.max_n + 1):
-        pv = {g: c * idf.idf(g) for g, c in _ngrams(p, n).items()}
-        rv = {g: c * idf.idf(g) for g, c in _ngrams(r, n).items()}
-        norm_p = math.sqrt(sum(v * v for v in pv.values()))
-        norm_r = math.sqrt(sum(v * v for v in rv.values()))
+    for (pv, norm_p), (rv, norm_r) in zip(idf._vectors(p), refs):
         if norm_p == 0.0 or norm_r == 0.0:
             sims.append(0.0)
             continue

@@ -71,16 +71,14 @@ class _FrameTable:
     Rows are in observation order: frame-major, then trajectory order within
     a frame, so a prediction row's index is its sidecar
     ``pred_observation_index`` (detections in later frames, dropped here,
-    come last in that order).
+    come last in that order). ``spans`` maps each frame holding rows, in
+    increasing order, to its rows; frames without rows cost nothing.
     """
 
     dets: list[Detection]
     track: np.ndarray  # trajectory index of each row
     corners: np.ndarray  # (n, 4)
-    offsets: np.ndarray  # frame f holds rows offsets[f]:offsets[f + 1]
-
-    def rows(self, frame: int) -> slice:
-        return slice(self.offsets[frame], self.offsets[frame + 1])
+    spans: dict[int, slice]
 
 
 def _frames(record: VideoRecord, num_frames: int) -> _FrameTable:
@@ -94,11 +92,17 @@ def _frames(record: VideoRecord, num_frames: int) -> _FrameTable:
         ),
         key=lambda row: row[0],  # stable: trajectory order within a frame
     )
+    spans: dict[int, slice] = {}
+    start = 0
+    for end, (frame, _, _) in enumerate(rows, 1):
+        if end == len(rows) or rows[end][0] != frame:
+            spans[frame] = slice(start, end)
+            start = end
     return _FrameTable(
         dets=[d for _, _, d in rows],
         track=np.array([k for _, k, _ in rows], dtype=int),
         corners=corner_array(d.box for _, _, d in rows),
-        offsets=np.searchsorted([f for f, _, _ in rows], np.arange(num_frames + 1)),
+        spans=spans,
     )
 
 
@@ -119,16 +123,18 @@ class _VideoPrep:
         self.gt_count = np.bincount(self.gt.track, minlength=n_gt)
         self.pred_count = np.bincount(self.pred.track, minlength=n_pred)
 
-        self.frame_sim: list[np.ndarray] = []
+        # (gt rows, pred rows, IoU block) of each frame holding both, in order.
+        self.frame_sim: list[tuple[slice, slice, np.ndarray]] = []
         potential = np.zeros((n_gt, n_pred))
-        for frame in range(gt.num_frames):
-            gs, ps = self.gt.rows(frame), self.pred.rows(frame)
+        for frame, gs in self.gt.spans.items():
+            ps = self.pred.spans.get(frame)
+            if ps is None:
+                continue
             sim = iou_matrix(self.gt.corners[gs], self.pred.corners[ps])
-            self.frame_sim.append(sim)
-            if sim.size:
-                denom = sim.sum(0)[None, :] + sim.sum(1)[:, None] - sim
-                sim_iou = np.divide(sim, denom, out=np.zeros_like(sim), where=denom > 1e-12)
-                potential[np.ix_(self.gt.track[gs], self.pred.track[ps])] += sim_iou
+            self.frame_sim.append((gs, ps, sim))
+            denom = sim.sum(0)[None, :] + sim.sum(1)[:, None] - sim
+            sim_iou = np.divide(sim, denom, out=np.zeros_like(sim), where=denom > 1e-12)
+            potential[np.ix_(self.gt.track[gs], self.pred.track[ps])] += sim_iou
 
         denom = self.gt_count[:, None] + self.pred_count[None, :] - potential
         self.global_ass = np.divide(
@@ -164,10 +170,7 @@ def _sweep(
     alpha_arr = np.asarray(alphas)
     records = []
     mc = np.zeros((len(alphas), len(prep.gt_tracks), len(prep.pred_tracks)))
-    for frame, sim in enumerate(prep.frame_sim):
-        if sim.size == 0:
-            continue
-        gs, ps = prep.gt.rows(frame), prep.pred.rows(frame)
+    for gs, ps, sim in prep.frame_sim:
         g_track, p_track = prep.gt.track[gs], prep.pred.track[ps]
         ass = prep.global_ass[np.ix_(g_track, p_track)]
         a = 0
@@ -685,11 +688,9 @@ def ap_m(
     for pred, gt in pairs:
         gt_table, pred_table = _frames(gt, gt.num_frames), _frames(pred, gt.num_frames)
         pred_scores = np.array([d.score for d in pred_table.dets])
-        for frame in range(gt.num_frames):
-            gs, ps = gt_table.rows(frame), pred_table.rows(frame)
+        for frame, gs in gt_table.spans.items():
+            ps = pred_table.spans.get(frame, slice(0, 0))
             n_gt_here = gs.stop - gs.start
-            if n_gt_here == 0:
-                continue
             n_frames += 1
             # Prediction rows in descending score order (stable).
             order = ps.start + np.argsort(-pred_scores[ps], kind="stable")

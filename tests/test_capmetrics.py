@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from densevoc.capmetrics import IdfTable, cider_pair, exact_match, meteor_lite, stem
+from densevoc.capmetrics import IdfTable, _ChunkSearch, cider_pair, exact_match, meteor_lite, stem
 from densevoc.core import Caption, tokenize
+from oracles import ChunkSearchOracle, cider_oracle, meteor_oracle
 
-FIXTURE = json.loads((Path(__file__).parent / "fixtures" / "caption_pairs.json").read_text())
+FIXTURE_PATH = Path(__file__).parent / "fixtures" / "caption_pairs.json"
+FIXTURE = json.loads(FIXTURE_PATH.read_text())
+FIXTURE_TOOL = Path(__file__).parent.parent / "tools" / "make_caption_fixture.py"
 
 
 def _cap(text: str) -> Caption:
@@ -98,16 +102,20 @@ def test_bounds_fuzz(rng) -> None:
         assert 0.0 <= c <= 1.0
 
 
-def test_meteor_matches_bruteforce_on_random_pairs(rng) -> None:
-    import importlib.util
-    from pathlib import Path
-
-    spec = importlib.util.spec_from_file_location(
-        "caption_reference", Path(__file__).parent.parent / "tools" / "make_caption_fixture.py"
-    )
+def _fixture_tool():
+    spec = importlib.util.spec_from_file_location("caption_reference", FIXTURE_TOOL)
     reference = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(reference)
+    return reference
 
+
+def test_fixture_tool_reproduces_committed_fixture() -> None:
+    reference = _fixture_tool()
+    assert reference.render(reference.build_fixture()) == FIXTURE_PATH.read_text()
+
+
+def test_meteor_matches_bruteforce_on_random_pairs(rng) -> None:
+    reference = _fixture_tool()
     vocab = ["a", "dog", "dogs", "run", "running", "red", "cat"]
     for _ in range(200):
         x = " ".join(vocab[int(rng.integers(len(vocab)))] for _ in range(int(rng.integers(1, 8))))
@@ -137,3 +145,42 @@ def test_stemmer_examples() -> None:
 def test_exact_match() -> None:
     assert exact_match(_cap("A dog!"), _cap("a dog")) == 1.0
     assert exact_match(_cap("a dog"), _cap("a cat")) == 0.0
+
+
+# Repeated tokens and stem collisions (walk/walked/walking, dog/dogs, fly/flies).
+_COLLIDING_VOCAB = ["a", "the", "red", "dog", "dogs", "walk", "walked", "walking", "fly", "flies"]
+
+
+def _random_caption(rng, max_len=14) -> tuple[str, ...]:
+    n = int(rng.integers(0, max_len + 1))
+    return tuple(_COLLIDING_VOCAB[int(rng.integers(len(_COLLIDING_VOCAB)))] for _ in range(n))
+
+
+def test_chunk_search_equals_counter_oracle(rng) -> None:
+    over_budget = dict.fromkeys((1, 3, 20, 20000), 0)
+    for _ in range(300):
+        x, y = _random_caption(rng), _random_caption(rng)
+        for budget in over_budget:
+            search, oracle = _ChunkSearch(x, y, budget), ChunkSearchOracle(x, y, budget)
+            assert (search.n_exact, search.n_stem) == (oracle.n_exact, oracle.n_stem), (x, y)
+            assert search.run() == oracle.run(), (x, y, budget)
+            assert search.nodes == oracle.nodes, (x, y, budget)
+            over_budget[budget] += oracle.nodes > budget
+        assert meteor_lite(x, y) == meteor_oracle(x, y), (x, y)
+    # The small budgets run out, so the upper-bound branch is compared too.
+    assert over_budget[1] > 0 and over_budget[3] > 0 and over_budget[20] > 0
+
+
+def test_cider_equals_per_call_oracle(rng) -> None:
+    docs = [_random_caption(rng, 8) for _ in range(12)]
+    built = IdfTable.build([Caption(" ".join(d)) for d in docs])
+    direct = IdfTable(n_docs=built.n_docs, df=dict(built.df))
+    for _ in range(300):
+        x = _random_caption(rng, 8)
+        inside = docs[int(rng.integers(len(docs)))]
+        outside = _random_caption(rng, 8)
+        for ref in (inside, outside):
+            expected = cider_oracle(x, ref, built)
+            assert cider_pair(x, ref, built) == expected, (x, ref)
+            assert cider_pair(Caption(" ".join(x)), Caption(" ".join(ref)), built) == expected
+            assert cider_pair(x, ref, direct) == expected, (x, ref)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +294,20 @@ def test_jobs_env_default(monkeypatch, capsys) -> None:
         ["eval-chota", "a.json", "b.json"]
     )
     assert args.jobs == 3
+
+
+@pytest.mark.parametrize("command", ["eval-chota", "eval-apm"])
+def test_huge_num_frames_costs_only_frames_with_boxes(tmp_path, capsys, command) -> None:
+    # One box in a 2**40-frame video: evaluation must not allocate or loop per frame.
+    video = [{"video_id": "v0", "num_frames": 2**40, "tracks": [
+        {"track_id": 1, "caption": "a dog runs", "boxes": [{"frame": 7, "box": [0, 0, 10, 10]}]},
+    ]}]
+    path = _write(tmp_path / "huge.json", video)
+    start = time.perf_counter()
+    assert main([command, path, path]) == 0
+    assert time.perf_counter() - start < 5.0
+    out = capsys.readouterr().out
+    assert ("tp@0.5=1" in out) if command == "eval-chota" else ("ap_m=1.0" in out and "frames=1" in out)
 
 
 def _write(path: Path, obj) -> str:

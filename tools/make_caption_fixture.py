@@ -203,7 +203,8 @@ THREE_DOC_CORPUS = [
 ]
 
 
-def main():
+def build_fixture():
+    """The fixture document: brute-force scores of every pair and the example."""
     idf_corpus = sorted({ref for _, ref in PAIRS})
     records = []
     for pred, ref in PAIRS:
@@ -215,7 +216,7 @@ def main():
                 "cider": cider_bruteforce(pred, ref, idf_corpus),
             }
         )
-    fixture = {
+    return {
         "idf_corpus": idf_corpus,
         "pairs": records,
         "three_doc_example": {
@@ -225,9 +226,19 @@ def main():
             "cider": cider_bruteforce("a red car", "a blue car", THREE_DOC_CORPUS),
         },
     }
+
+
+def render(fixture):
+    """The fixture file's exact text."""
+    return json.dumps(fixture, indent=2) + "\n"
+
+
+def main():
+    fixture = build_fixture()
     out = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "caption_pairs.json"
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(fixture, indent=2) + "\n")
+    out.write_text(render(fixture))
+    records = fixture["pairs"]
     print(f"wrote {out} ({len(records)} pairs)")
     for rec in records:
         print(f"  meteor={rec['meteor']:.6f} cider={rec['cider']:.6f}  {rec['pred']!r} / {rec['ref']!r}")
