@@ -68,8 +68,11 @@ class _ChunkSearch:
     never exceed matches).
 
     The state is integer: tokens and stems are numbered per pair, the exact
-    quotas (per token) and stem quotas (per stem) are int lists whose tuples
-    key the memo, and ``used`` is a bitmask of matched reference positions.
+    quotas (per token) and stem quotas (per stem) are int lists, and ``used``
+    is a bitmask of matched reference positions. The memo is keyed without the
+    stem quotas: per stem they are the stem's quota minus its matched
+    reference positions in ``used`` plus the exact matches of its tokens, so
+    ``used`` and the exact quotas determine them.
     """
 
     def __init__(self, pred: Sequence[str], ref: Sequence[str], budget: int = 20000):
@@ -149,7 +152,7 @@ class _ChunkSearch:
         # prev: ref index matched by pred position i-1, or -2 when i-1 unmatched.
         if i == len(self.pred):
             return 0.0 if not any(exact_rem) and not any(stem_rem) else math.inf
-        key = (i, used, prev, tuple(exact_rem), tuple(stem_rem))
+        key = (i, used, prev, tuple(exact_rem))
         hit = self.memo.get(key)
         if hit is not None:
             return hit

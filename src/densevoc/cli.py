@@ -27,14 +27,29 @@ def _jobs_default() -> int:
         return 1
 
 
-def _number(text: str, flag: str) -> float:
-    """A finite float from a command-line value; malformed input is a ValidationError."""
+def _number(text: str, flag: str, low: float = -math.inf, high: float = math.inf) -> float:
+    """A finite float in [low, high] from a command-line value; else a ValidationError."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
         raise ValidationError(f"{flag}: expected a finite number, got {text!r}")
+    return _in_range(value, flag, low, high)
+
+
+def _integer(text: str, flag: str, low: float, high: float) -> int:
+    """An integer in [low, high] from a command-line value; else a ValidationError."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValidationError(f"{flag}: expected an integer, got {text!r}") from None
+    return _in_range(value, flag, low, high)
+
+
+def _in_range(value, flag: str, low: float, high: float):
+    if not low <= value <= high:
+        raise ValidationError(f"{flag}: {value} is outside [{low}, {high}]")
     return value
 
 
@@ -136,11 +151,12 @@ def cmd_track_assign(args) -> int:
 def cmd_track_iou(args) -> int:
     from dataclasses import replace
 
+    thresh = _number(args.thresh, "--thresh", 0.0, 1.0)
     records = formats.load_dataset(args.pred, strict=args.strict)
     out_records = []
     for record in records:
         frames = [[det for _, det in dets] for dets in record.detections_by_frame()]
-        ids = assoc.iou_tracker(frames, match_thresh=args.thresh)
+        ids = assoc.iou_tracker(frames, match_thresh=thresh)
         flat = []
         k = 0
         for frame, dets in enumerate(frames):
@@ -270,10 +286,14 @@ def cmd_synth(args) -> int:
 
 
 def cmd_convert_flat(args) -> int:
+    num_frames = args.num_frames
+    if num_frames is not None:
+        # The range a dataset file may hold (formats reads 64-bit integers).
+        num_frames = _integer(num_frames, "--num-frames", 1, 2**63 - 1)
     record = formats.load_flat_records(
         args.flat,
         video_id=args.video_id,
-        num_frames=args.num_frames,
+        num_frames=num_frames,
         one_based_frames=args.one_based,
     )
     formats.save_dataset([record], args.out)
@@ -283,8 +303,8 @@ def cmd_convert_flat(args) -> int:
 
 
 def cmd_verify_losses(args) -> int:
+    seeds = _integer(args.seeds, "--seeds", 1, math.inf)
     rng = np.random.default_rng(7)
-    seeds = args.seeds
     checks = []
 
     def check_heatmap(r: np.random.Generator) -> float:
@@ -375,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("track-iou", help="baseline IoU linker over a detection file")
     p.add_argument("pred")
-    p.add_argument("--thresh", type=float, default=0.5)
+    p.add_argument("--thresh", default="0.5")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_track_iou)
@@ -418,13 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("flat", help="CSV-style flat records")
     p.add_argument("--video-id", required=True)
-    p.add_argument("--num-frames", type=int, default=None, help="default: max frame + 1")
+    p.add_argument("--num-frames", default=None, help="default: max frame + 1")
     p.add_argument("--one-based", action="store_true", help="frames in the input start at 1")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_convert_flat)
 
     p = sub.add_parser("verify-losses", help="finite-difference gradient table")
-    p.add_argument("--seeds", type=int, default=100)
+    p.add_argument("--seeds", default="100")
     p.set_defaults(func=cmd_verify_losses)
 
     return parser

@@ -204,17 +204,18 @@ def corner_array(boxes: Iterable[Box]) -> np.ndarray:
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of every (row of a, row of b) pair of (n, 4) and (m, 4) corner arrays.
+    """IoU of every (row of a, row of b) pair of (..., n, 4) and (..., m, 4) corner arrays.
 
+    Leading axes broadcast, so stacks of frames give (..., n, m) blocks.
     Repeats the operations of ``iou`` in the same order, so each entry equals
     ``iou`` of the two boxes exactly.
     """
-    ix = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    iy = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    ix = np.minimum(a[..., :, None, 2], b[..., None, :, 2]) - np.maximum(a[..., :, None, 0], b[..., None, :, 0])
+    iy = np.minimum(a[..., :, None, 3], b[..., None, :, 3]) - np.maximum(a[..., :, None, 1], b[..., None, :, 1])
     inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    union = area_a[..., :, None] + area_b[..., None, :] - inter
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
 
 

@@ -11,6 +11,7 @@ ineligible. Cross-video pooling is micro-averaged per threshold.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -107,7 +108,16 @@ def _frames(record: VideoRecord, num_frames: int) -> _FrameTable:
 
 
 class _VideoPrep:
-    """Observation tables, per-frame similarities and pass-1 association strengths."""
+    """Observation tables, per-frame similarities and pass-1 association strengths.
+
+    Frames holding both ground truth and predictions are grouped by their
+    exact (n_gt, n_pred) shape. ``buckets`` holds per shape, in increasing
+    frame order, the frame numbers ``(F,)``, gt and pred observation rows
+    ``(F, n_gt)`` and ``(F, n_pred)``, and the IoU blocks ``(F, n_gt, n_pred)``.
+    Shapes are kept exact, not zero-padded: numpy's pairwise summation depends
+    on the row length, and exact shapes keep every row and column sum equal
+    to the one of a single frame's block.
+    """
 
     def __init__(self, pred: VideoRecord, gt: VideoRecord):
         if pred.video_id != gt.video_id:
@@ -123,18 +133,36 @@ class _VideoPrep:
         self.gt_count = np.bincount(self.gt.track, minlength=n_gt)
         self.pred_count = np.bincount(self.pred.track, minlength=n_pred)
 
-        # (gt rows, pred rows, IoU block) of each frame holding both, in order.
-        self.frame_sim: list[tuple[slice, slice, np.ndarray]] = []
-        potential = np.zeros((n_gt, n_pred))
+        by_shape: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
         for frame, gs in self.gt.spans.items():
             ps = self.pred.spans.get(frame)
-            if ps is None:
-                continue
-            sim = iou_matrix(self.gt.corners[gs], self.pred.corners[ps])
-            self.frame_sim.append((gs, ps, sim))
-            denom = sim.sum(0)[None, :] + sim.sum(1)[:, None] - sim
-            sim_iou = np.divide(sim, denom, out=np.zeros_like(sim), where=denom > 1e-12)
-            potential[np.ix_(self.gt.track[gs], self.pred.track[ps])] += sim_iou
+            if ps is not None:
+                shape = (gs.stop - gs.start, ps.stop - ps.start)
+                by_shape.setdefault(shape, []).append((frame, gs.start, ps.start))
+        self.buckets: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+        pair_frame, pair_cell, pair_iou = [], [], []
+        for (n_g, n_p), starts in by_shape.items():
+            frames, g_start, p_start = np.array(starts).T
+            g_rows = g_start[:, None] + np.arange(n_g)
+            p_rows = p_start[:, None] + np.arange(n_p)
+            sim = iou_matrix(self.gt.corners[g_rows], self.pred.corners[p_rows])
+            self.buckets.append((frames, g_rows, p_rows, sim))
+            denom = sim.sum(1)[:, None, :] + sim.sum(2)[:, :, None] - sim
+            pair_iou.append(np.divide(sim, denom, out=np.zeros_like(sim), where=denom > 1e-12).ravel())
+            cell = self.gt.track[g_rows][:, :, None] * n_pred + self.pred.track[p_rows][:, None, :]
+            pair_cell.append(cell.ravel())
+            pair_frame.append(np.repeat(frames, n_g * n_p))
+        # Each cell occurs once per frame, and bincount adds in input order, so
+        # summing in frame order repeats the per-frame accumulation exactly.
+        potential = np.zeros(n_gt * n_pred)
+        if pair_frame:
+            order = np.argsort(np.concatenate(pair_frame), kind="stable")
+            potential = np.bincount(
+                np.concatenate(pair_cell)[order],
+                weights=np.concatenate(pair_iou)[order],
+                minlength=n_gt * n_pred,
+            )
+        potential = potential.reshape(n_gt, n_pred)
 
         denom = self.gt_count[:, None] + self.pred_count[None, :] - potential
         self.global_ass = np.divide(
@@ -142,46 +170,104 @@ class _VideoPrep:
         )
 
 
-def _match_frame(sim: np.ndarray, ass: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal frame matching: rows are gt, cols are pred; ineligible pairs excluded."""
-    eligible = sim >= alpha
-    if not eligible.any():
-        empty = np.array([], dtype=int)
-        return empty, empty
-    score = np.where(eligible, ass + _TIE_EPS * sim, 0.0)
-    rows, cols = linear_sum_assignment(-score)
-    keep = eligible[rows, cols]
-    return rows[keep], cols[keep]
+_Records = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _sweep(
-    prep: _VideoPrep, alphas: tuple[float, ...]
-) -> tuple[list[tuple[int, int, np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
+def _sweep(prep: _VideoPrep, alphas: tuple[float, ...]) -> tuple[_Records, np.ndarray, np.ndarray]:
     """Per-frame matchings over an increasing threshold grid, in bands.
 
-    Returns records (first_alpha, last_alpha, gt_rows, pred_rows): the
-    matching of one frame solved at alphas[first_alpha] pairs observation
-    rows gt_rows of ``prep.gt`` with pred_rows of ``prep.pred``, and stays
-    optimal up to alphas[last_alpha], the last threshold its weakest pair
-    still passes. Also returns the match counts mc[alpha, gt track, pred
-    track], whose total per threshold is its true positive count, and the
-    AssA numerators per threshold.
+    Each frame is matched at alphas[0]; the matching stays in use up to the
+    last threshold its weakest pair still passes, and the frame is matched
+    again at the next one. Returns the records as four int arrays (first
+    alpha, last alpha, gt row, pred row), one entry per matched pair of a
+    band over the observation tables of ``prep``, ordered by frame, band and
+    gt row. Also returns the match counts mc[alpha, gt track, pred track],
+    whose total per threshold is its true positive count, and the AssA
+    numerators per threshold.
+
+    Above the frame's largest second-highest IoU of any row or column, its
+    eligible pairs are one-to-one, and the optimal matching is exactly those
+    pairs, since each scores above 0. Only bands starting at or below that
+    cutoff are solved; every later band follows from the sorted IoUs.
     """
+    n_alpha = len(alphas)
     alpha_arr = np.asarray(alphas)
-    records = []
-    mc = np.zeros((len(alphas), len(prep.gt_tracks), len(prep.pred_tracks)))
-    for gs, ps, sim in prep.frame_sim:
-        g_track, p_track = prep.gt.track[gs], prep.pred.track[ps]
-        ass = prep.global_ass[np.ix_(g_track, p_track)]
-        a = 0
-        while a < len(alphas):
-            rows, cols = _match_frame(sim, ass, alphas[a])
-            if rows.size == 0:
-                break  # stays empty for every higher threshold
-            end = int(np.searchsorted(alpha_arr, sim[rows, cols].min(), side="right") - 1)
-            records.append((a, end, gs.start + rows, ps.start + cols))
-            mc[a : end + 1, g_track[rows], p_track[cols]] += 1.0
-            a = end + 1
+    n_gt, n_pred = len(prep.gt_tracks), len(prep.pred_tracks)
+    entries = []  # (frame, first alpha, last alpha, gt row, pred row) arrays
+    for frames, g_rows, p_rows, sim in prep.buckets:
+        n_frames, n_g, n_p = sim.shape
+        cutoff = np.full(n_frames, -np.inf)
+        if n_p > 1:
+            cutoff = np.maximum(cutoff, np.sort(sim, axis=2)[:, :, -2].max(axis=1))
+        if n_g > 1:
+            cutoff = np.maximum(cutoff, np.sort(sim, axis=1)[:, -2, :].max(axis=1))
+        solved = np.searchsorted(alpha_arr, cutoff, side="right")  # bands starting below it are solved
+
+        # Solved head: every band here has an eligible conflict, so it is non-empty.
+        ass = prep.global_ass[prep.gt.track[g_rows][:, :, None], prep.pred.track[p_rows][:, None, :]]
+        cost = -(ass + _TIE_EPS * sim)
+        tail_start = np.zeros(n_frames, dtype=int)
+        band_f, band_first, band_last, band_rows, band_cols = [], [], [], [], []
+        for f in np.flatnonzero(solved).tolist():
+            s, c, k = sim[f], cost[f], solved[f]
+            a = 0
+            while a < k:
+                alpha = alphas[a]
+                rows, cols = linear_sum_assignment(np.where(s >= alpha, c, 0.0))
+                weakest = min(x for x in s[rows, cols].tolist() if x >= alpha)
+                end = bisect_right(alphas, weakest) - 1
+                band_f.append(f)
+                band_first.append(a)
+                band_last.append(end)
+                band_rows.append(rows)
+                band_cols.append(cols)
+                a = end + 1
+            tail_start[f] = a
+        if band_f:
+            counts = [len(r) for r in band_rows]
+            f = np.repeat(band_f, counts)
+            rows, cols = np.concatenate(band_rows), np.concatenate(band_cols)
+            first = np.repeat(band_first, counts)
+            keep = sim[f, rows, cols] >= alpha_arr[first]  # drop solver pairs of score 0
+            f, rows, cols = f[keep], rows[keep], cols[keep]
+            entries.append(
+                (frames[f], first[keep], np.repeat(band_last, counts)[keep], g_rows[f, rows], p_rows[f, cols])
+            )
+
+        # Closed-form tail: from the frame's first band start at or above the
+        # cutoff, a pair stays matched up to its own last threshold. The
+        # distinct last thresholds of a frame end its bands, and each next
+        # band starts one threshold later.
+        last = np.searchsorted(alpha_arr, sim, side="right") - 1
+        f, i, j = np.nonzero(last >= tail_start[:, None, None])
+        if f.size:
+            pair_last = last[f, i, j]
+            ends = np.zeros((n_frames, n_alpha), dtype=bool)
+            ends[f, pair_last] = True
+            index = np.where(ends, np.arange(n_alpha), n_alpha)
+            next_end = np.minimum.accumulate(index[:, ::-1], axis=1)[:, ::-1]
+            starts = np.arange(n_alpha) == tail_start[:, None]
+            starts[:, 1:] |= ends[:, :-1]
+            entry, first = np.nonzero(starts[f] & (np.arange(n_alpha) <= pair_last[:, None]))
+            f = f[entry]
+            entries.append((frames[f], first, next_end[f, first], g_rows[f, i[entry]], p_rows[f, j[entry]]))
+
+    if entries:
+        frame, first, last, g, p = (np.concatenate(c) for c in zip(*entries))
+    else:
+        frame = first = last = g = p = np.zeros(0, dtype=int)
+    order = np.lexsort((g, first, frame))
+    records = (first[order], last[order], g[order], p[order])
+
+    # Match counts: +1 at each band start, -1 past its end, summed over alpha.
+    size = n_gt * n_pred
+    cell = prep.gt.track[g] * n_pred + prep.pred.track[p]
+    diff = np.bincount(
+        np.concatenate([first * size + cell, (last + 1) * size + cell]),
+        weights=np.repeat([1.0, -1.0], len(cell)),
+        minlength=(n_alpha + 1) * size,
+    )
+    mc = diff.reshape(n_alpha + 1, n_gt, n_pred).cumsum(axis=0, dtype=float)[:n_alpha]
     denom = prep.gt_count[None, :, None] + prep.pred_count[None, None, :] - mc
     ass_iou = np.divide(mc, denom, out=np.zeros_like(mc), where=denom > 1e-12)
     return records, mc, (mc * ass_iou).sum(axis=(1, 2))
@@ -201,7 +287,7 @@ class MatchSet:
     fp: int
     fn: int
     ass_iou_sum: float
-    records: list[tuple[int, int, np.ndarray, np.ndarray]] = field(repr=False)
+    records: _Records = field(repr=False)
     prep: _VideoPrep = field(repr=False)
 
 
@@ -316,7 +402,7 @@ def _evaluate_video(
 
 
 def _caption_sums(
-    records: Sequence[tuple], n_alpha: int, prep: _VideoPrep, scorer: _PairScorer
+    records: _Records, n_alpha: int, prep: _VideoPrep, scorer: _PairScorer
 ) -> tuple[np.ndarray, np.ndarray]:
     """Caption score sums and caption-annotated match counts per threshold.
 
@@ -327,18 +413,17 @@ def _caption_sums(
     config = scorer.config
     cap_sum = np.zeros(n_alpha)
     tp_prime = np.zeros(n_alpha)
-    for a, end, g_rows, p_rows in records:
-        for g, p in zip(g_rows.tolist(), p_rows.tolist()):
-            gt_track = prep.gt_tracks[prep.gt.track[g]]
-            if gt_track.caption is None:
-                continue
-            det_cap = prep.pred.dets[p].caption
-            pred_cap = _effective_caption(det_cap, prep.pred_tracks[prep.pred.track[p]].caption)
-            total = scorer.intrinsic(pred_cap, gt_track.caption)
-            if "external" in config.metrics:
-                total += scorer.external(prep.video_id, p, gt_track.track_id)
-            cap_sum[a : end + 1] += total / config.divisor
-            tp_prime[a : end + 1] += 1.0
+    for a, end, g, p in zip(*(column.tolist() for column in records)):
+        gt_track = prep.gt_tracks[prep.gt.track[g]]
+        if gt_track.caption is None:
+            continue
+        det_cap = prep.pred.dets[p].caption
+        pred_cap = _effective_caption(det_cap, prep.pred_tracks[prep.pred.track[p]].caption)
+        total = scorer.intrinsic(pred_cap, gt_track.caption)
+        if "external" in config.metrics:
+            total += scorer.external(prep.video_id, p, gt_track.track_id)
+        cap_sum[a : end + 1] += total / config.divisor
+        tp_prime[a : end + 1] += 1.0
     return cap_sum, tp_prime
 
 
@@ -527,13 +612,14 @@ def chota(
     if jobs > 1 and len(pairs) > 1:
         import multiprocessing as mp
 
+        processes = min(jobs, len(pairs))
         _PARALLEL_CTX.update(pairs=pairs, alphas=alphas, config=config, idf=idf)
         try:
-            with mp.get_context("fork").Pool(processes=jobs) as pool:
+            with mp.get_context("fork").Pool(processes=processes) as pool:
                 stats = pool.map(
                     _eval_indexed,
                     range(len(pairs)),
-                    chunksize=max(1, len(pairs) // (jobs * 4)),
+                    chunksize=max(1, len(pairs) // (processes * 4)),
                 )
         finally:
             _PARALLEL_CTX.clear()

@@ -53,8 +53,8 @@ class SynthConfig:
             rate = getattr(self, name)
             if not (0.0 <= rate <= 1.0):
                 raise ValidationError(f"{name} must be in [0, 1], got {rate}")
-        if self.box_jitter_sigma < 0.0:
-            raise ValidationError("box_jitter_sigma must be >= 0")
+        if not (self.box_jitter_sigma >= 0.0):
+            raise ValidationError(f"box_jitter_sigma must be >= 0, got {self.box_jitter_sigma}")
 
 
 def _random_caption(rng: np.random.Generator) -> Caption:

@@ -1,8 +1,10 @@
 """Independent brute-force oracles the production code is checked against.
 
-Everything here is written as plain straight-line Python against the stated
+The definition oracles are plain straight-line Python against the stated
 definitions: no scipy assignment solver, no banding or caching tricks, no
-shared helpers with the library beyond the basic domain types.
+shared helpers with the library beyond the basic domain types. The sections
+marked "as first written" keep earlier library code that a faster rewrite
+must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -12,9 +14,11 @@ from collections import Counter
 from typing import Sequence
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from densevoc.capmetrics import stem
-from densevoc.core import Caption, VideoRecord
+from densevoc.core import Caption, ValidationError, VideoRecord, iou_matrix
+from densevoc.metrics import _TIE_EPS, _frames
 
 
 def box_iou(a, b) -> float:
@@ -482,3 +486,86 @@ def cider_oracle(pred, ref, idf, sigma: float = 6.0) -> float:
         sims.append(dot / (norm_p * norm_r))
     penalty = math.exp(-((len(p) - len(r)) ** 2) / (2.0 * sigma**2))
     return min(1.0, sum(sims) / len(sims) * penalty)
+
+
+# The CHOTA matching engine as first written: per-frame IoU blocks, one
+# assignment solve per band, match counts added band by band. The library's
+# shape-bucketed prep and closed-form sweep tail must agree with it exactly
+# (same records in the same order, same counts, same sums). The observation
+# table, IoU kernel and matching objective are the library's; IoU is pinned
+# to scalar IoU by tests/test_core.py.
+
+
+class _VideoPrepOracle:
+    """Observation tables, per-frame similarities and pass-1 association strengths."""
+
+    def __init__(self, pred: VideoRecord, gt: VideoRecord):
+        if pred.video_id != gt.video_id:
+            raise ValidationError(
+                f"video ids differ: {pred.video_id!r} vs {gt.video_id!r}"
+            )
+        self.video_id = gt.video_id
+        self.pred_tracks = pred.trajectories
+        self.gt_tracks = gt.trajectories
+        self.gt = _frames(gt, gt.num_frames)
+        self.pred = _frames(pred, gt.num_frames)
+        n_gt, n_pred = len(self.gt_tracks), len(self.pred_tracks)
+        self.gt_count = np.bincount(self.gt.track, minlength=n_gt)
+        self.pred_count = np.bincount(self.pred.track, minlength=n_pred)
+
+        # (gt rows, pred rows, IoU block) of each frame holding both, in order.
+        self.frame_sim: list[tuple[slice, slice, np.ndarray]] = []
+        potential = np.zeros((n_gt, n_pred))
+        for frame, gs in self.gt.spans.items():
+            ps = self.pred.spans.get(frame)
+            if ps is None:
+                continue
+            sim = iou_matrix(self.gt.corners[gs], self.pred.corners[ps])
+            self.frame_sim.append((gs, ps, sim))
+            denom = sim.sum(0)[None, :] + sim.sum(1)[:, None] - sim
+            sim_iou = np.divide(sim, denom, out=np.zeros_like(sim), where=denom > 1e-12)
+            potential[np.ix_(self.gt.track[gs], self.pred.track[ps])] += sim_iou
+
+        denom = self.gt_count[:, None] + self.pred_count[None, :] - potential
+        self.global_ass = np.divide(
+            potential, denom, out=np.zeros_like(potential), where=denom > 1e-12
+        )
+
+
+def _match_frame_oracle(sim: np.ndarray, ass: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal frame matching: rows are gt, cols are pred; ineligible pairs excluded."""
+    eligible = sim >= alpha
+    if not eligible.any():
+        empty = np.array([], dtype=int)
+        return empty, empty
+    score = np.where(eligible, ass + _TIE_EPS * sim, 0.0)
+    rows, cols = linear_sum_assignment(-score)
+    keep = eligible[rows, cols]
+    return rows[keep], cols[keep]
+
+
+def sweep_oracle(pred: VideoRecord, gt: VideoRecord, alphas):
+    """Band records, match counts, AssA numerators and association strengths.
+
+    Records are (first_alpha, last_alpha, gt_rows, pred_rows) per solved
+    band, in frame order, rows as the solver returns them.
+    """
+    prep = _VideoPrepOracle(pred, gt)
+    alpha_arr = np.asarray(alphas)
+    records = []
+    mc = np.zeros((len(alphas), len(prep.gt_tracks), len(prep.pred_tracks)))
+    for gs, ps, sim in prep.frame_sim:
+        g_track, p_track = prep.gt.track[gs], prep.pred.track[ps]
+        ass = prep.global_ass[np.ix_(g_track, p_track)]
+        a = 0
+        while a < len(alphas):
+            rows, cols = _match_frame_oracle(sim, ass, alphas[a])
+            if rows.size == 0:
+                break  # stays empty for every higher threshold
+            end = int(np.searchsorted(alpha_arr, sim[rows, cols].min(), side="right") - 1)
+            records.append((a, end, gs.start + rows, ps.start + cols))
+            mc[a : end + 1, g_track[rows], p_track[cols]] += 1.0
+            a = end + 1
+    denom = prep.gt_count[None, :, None] + prep.pred_count[None, None, :] - mc
+    ass_iou = np.divide(mc, denom, out=np.zeros_like(mc), where=denom > 1e-12)
+    return records, mc, (mc * ass_iou).sum(axis=(1, 2)), prep.global_ass

@@ -408,6 +408,13 @@ BAD_INPUTS = {
     "matrix-values-ragged": lambda tmp: _assoc_matrix_file(tmp, values=[[1, 0], [0]]),
     "matrix-values-bool": lambda tmp: _assoc_matrix_file(tmp, values=[True, 0, 0, 1]),
     "convert-flat-not-utf8": lambda tmp: _flat_file(tmp, b"1,7,10,20,30,40,0.9\xff\n"),
+    "convert-flat-num-frames-out-of-range": lambda tmp: _flat_file(tmp, b"1,7,10,20,30,40,0.9\n")
+    + ["--num-frames", str(10**20)],
+    "verify-losses-zero-seeds": lambda tmp: ["verify-losses", "--seeds", "0"],
+    "track-iou-thresh-nan": lambda tmp: ["track-iou", _SYNTH_GT, "--thresh", "nan"],
+    "synth-box-jitter-nan": lambda tmp: [
+        "synth", "--box-jitter", "nan", "--out-gt", str(tmp / "gt.json"), "--out-pred", str(tmp / "pred.json")
+    ],
 }
 
 

@@ -7,6 +7,8 @@ from densevoc.core import Detection, Trajectory, ValidationError, VideoRecord
 from densevoc.metrics import (
     DEFAULT_ALPHAS,
     ScorerConfig,
+    _sweep,
+    _VideoPrep,
     ap_m,
     ass_a,
     cap_a,
@@ -16,9 +18,10 @@ from densevoc.metrics import (
     hota_from_components,
     match_at_alpha,
 )
+from densevoc.synth import SynthConfig, generate
 
 from conftest import make_track, make_video, random_tiny_instance, tie_heavy_instance
-from oracles import hota_oracle
+from oracles import hota_oracle, sweep_oracle
 
 
 def _simple_video(caption: str | None = "a red car crosses") -> VideoRecord:
@@ -219,6 +222,90 @@ def test_match_at_alpha_agrees_with_banded_sweep(rng) -> None:
             assert m.tp == report.tp[k], (trial, alpha)
             assert det_a(m) == pytest.approx(report.det_a[k], abs=1e-12), (trial, alpha)
             assert ass_a(m) == pytest.approx(report.ass_a[k], abs=1e-12), (trial, alpha)
+
+
+def _shaped_instance(rng, shapes, grid: bool):
+    """Prediction and gt records whose frame f holds shapes[f] = (n_gt, n_pred) boxes.
+
+    Boxes crowd a small canvas (snapped to a coarse grid when ``grid``, so
+    IoUs tie); tracks are listed in a shuffled order.
+    """
+
+    def record(counts):
+        boxes: dict[int, list] = {}
+        for frame, n in enumerate(counts):
+            for k in range(n):
+                if grid:
+                    x, y = (float(v) for v in rng.integers(0, 4, size=2) * 5)
+                    w, h = (float(v) for v in rng.integers(1, 3, size=2) * 10)
+                else:
+                    x, y, w, h = (float(v) for v in rng.uniform([0, 0, 10, 10], [40, 40, 40, 40]))
+                boxes.setdefault(k, []).append((frame, x, y, x + w, y + h))
+        tracks = [make_track(k + 1, b) for k, b in boxes.items()]
+        return make_video("v", [tracks[i] for i in rng.permutation(len(tracks))], len(counts))
+
+    return record([p for _, p in shapes]), record([g for g, _ in shapes])
+
+
+def _oracle_columns(records) -> list[np.ndarray]:
+    """Band records as (first, last, gt row, pred row) entries, one per matched pair."""
+    entries = [(a, end, g, p) for a, end, gs, ps in records for g, p in zip(gs.tolist(), ps.tolist())]
+    return [np.array(column, dtype=int) for column in zip(*entries)] if entries else [np.zeros(0, int)] * 4
+
+
+@pytest.mark.parametrize("alphas", [DEFAULT_ALPHAS, (0.5,), (0.2, 0.25, 0.5, 0.55, 0.95)])
+def test_sweep_equals_per_frame_oracle(rng, alphas) -> None:
+    # Crowded frames (9+ and 17+ boxes a side) reach numpy's unrolled pairwise
+    # sums, whose rounding depends on the row length; edge shapes cover
+    # gt-only and prediction-only frames and 1 x n and n x 1 blocks.
+    instances = [random_tiny_instance(rng) for _ in range(20)]
+    instances += [tie_heavy_instance(rng) for _ in range(200)]
+    for n in (9, 17):
+        cfg = SynthConfig(seed=n, num_videos=2, frames_per_video=4, objects_per_video=n, box_jitter_sigma=4.0,
+                          drop_rate=0.2, false_positive_rate=0.3, id_switch_rate=0.2)
+        instances += [(p, g) for g, p in zip(*generate(cfg))]
+    edges = [(0, 3), (3, 0), (1, 4), (4, 1), (1, 1), (2, 1), (1, 2), (0, 0)]
+    for trial in range(30):
+        crowded = [tuple(rng.integers(9, 21, size=2)) for _ in range(3)]
+        shapes = [edges[i] for i in rng.choice(len(edges), size=4)] + crowded * 2
+        instances.append(_shaped_instance(rng, [shapes[i] for i in rng.permutation(len(shapes))], trial % 2 == 0))
+    for trial, (pred, gt) in enumerate(instances):
+        records, mc, ass_sum, global_ass = sweep_oracle(pred, gt, alphas)
+        prep = _VideoPrep(pred, gt)
+        got_records, got_mc, got_ass_sum = _sweep(prep, alphas)
+        for got, expected in zip(got_records, _oracle_columns(records)):
+            assert np.array_equal(got, expected), trial
+        assert np.array_equal(got_mc, mc), trial
+        assert np.array_equal(got_ass_sum, ass_sum), trial
+        assert np.array_equal(prep.global_ass, global_ass), trial
+
+
+def test_worker_pool_capped_at_video_count(rng, monkeypatch) -> None:
+    import multiprocessing as mp
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(mp.get_context("fork"), "Pool", SerialPool)
+    videos = [random_tiny_instance(rng) for _ in range(2)]
+    preds = [VideoRecord(f"v{k}", p.num_frames, p.trajectories) for k, (p, _) in enumerate(videos)]
+    gts = [VideoRecord(f"v{k}", g.num_frames, g.trajectories) for k, (_, g) in enumerate(videos)]
+    config = ScorerConfig(metrics=("exact",))
+    report = chota(preds, gts, config=config, jobs=64)
+    assert started == [2]
+    assert report.to_dict() == chota(preds, gts, config=config, jobs=1).to_dict()
 
 
 def test_tp_monotone_in_alpha(rng) -> None:
