@@ -286,7 +286,10 @@ def load_external_scores(path: str | Path) -> dict[tuple[str, int, int], float]:
         score = _require(rec, "score", float, where)
         if not (0.0 <= score <= 1.0):
             raise FormatError(f"{where}: score must be in [0, 1], got {score}")
-        out[(video_id, obs, gt_track)] = score
+        key = (video_id, obs, gt_track)
+        if key in out:
+            raise FormatError(f"{where}: duplicate (video_id, pred_observation_index, gt_track_id) {key}")
+        out[key] = score
     return out
 
 
@@ -314,11 +317,14 @@ def load_likelihoods(
         if nll < 0.0:
             raise FormatError(f"{where}: nll must be >= 0, got {nll}")
         if "track_id" in rec:
-            per_track[(video_id, _require(rec, "track_id", int, where), query_id)] = nll
+            table, key = per_track, (video_id, _require(rec, "track_id", int, where), query_id)
         else:
             frame = _require(rec, "frame", int, where)
             obs = _require(rec, "observation_index", int, where)
-            per_frame[(video_id, frame, obs, query_id)] = nll
+            table, key = per_frame, (video_id, frame, obs, query_id)
+        if key in table:
+            raise FormatError(f"{where}: duplicate likelihood record {key}")
+        table[key] = nll
     return per_frame, per_track
 
 
@@ -342,6 +348,8 @@ def load_queries(path: str | Path) -> list[dict]:
             if not isinstance(entry, dict):
                 raise FormatError(f"{bwhere}: expected an object")
             frame = _require(entry, "frame", int, bwhere)
+            if frame in boxes:
+                raise FormatError(f"{bwhere}: duplicate box for frame {frame}")
             boxes[frame] = _parse_box(entry.get("box"), bwhere)
         queries.append(
             {

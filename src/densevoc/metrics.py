@@ -20,7 +20,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .capmetrics import IdfTable, cider_pair, exact_match, meteor_lite
 from .core import Box, Caption, Detection, ValidationError, VideoRecord
-from .core import corner_array, iou, iou_matrix
+from .core import corner_array, iou_matrix
 
 DEFAULT_ALPHAS: tuple[float, ...] = tuple(round(0.05 * k, 2) for k in range(1, 20))
 APM_IOU_THRESHOLDS: tuple[float, ...] = (0.3, 0.4, 0.5, 0.6, 0.7)
@@ -72,39 +72,55 @@ class _FrameTable:
     Rows are in observation order: frame-major, then trajectory order within
     a frame, so a prediction row's index is its sidecar
     ``pred_observation_index`` (detections in later frames, dropped here,
-    come last in that order). ``spans`` maps each frame holding rows, in
-    increasing order, to its rows; frames without rows cost nothing.
+    come last in that order). Frames without rows cost nothing.
     """
 
     dets: list[Detection]
     track: np.ndarray  # trajectory index of each row
     corners: np.ndarray  # (n, 4)
-    spans: dict[int, slice]
+    frame: np.ndarray  # frame of each row, non-decreasing
 
 
 def _frames(record: VideoRecord, num_frames: int) -> _FrameTable:
     """The observation table of ``record`` over frames 0..num_frames-1."""
-    rows = sorted(
-        (
-            (d.frame, k, d)
-            for k, t in enumerate(record.trajectories)
-            for d in t.detections
-            if d.frame < num_frames
-        ),
-        key=lambda row: row[0],  # stable: trajectory order within a frame
-    )
-    spans: dict[int, slice] = {}
-    start = 0
-    for end, (frame, _, _) in enumerate(rows, 1):
-        if end == len(rows) or rows[end][0] != frame:
-            spans[frame] = slice(start, end)
-            start = end
+    dets, track, frame, corners = [], [], [], []
+    for k, t in enumerate(record.trajectories):
+        for d in t.detections:
+            if d.frame < num_frames:
+                b = d.box
+                dets.append(d)
+                track.append(k)
+                frame.append(d.frame)
+                corners.append((b.x1, b.y1, b.x2, b.y2))
+    frame = np.array(frame, dtype=np.int64)
+    order = np.argsort(frame, kind="stable")  # stable: trajectory order within a frame
     return _FrameTable(
-        dets=[d for _, _, d in rows],
-        track=np.array([k for _, k, _ in rows], dtype=int),
-        corners=corner_array(d.box for _, _, d in rows),
-        spans=spans,
+        dets=[dets[i] for i in order.tolist()],
+        track=np.array(track, dtype=int)[order],
+        corners=np.array(corners, dtype=float).reshape(-1, 4)[order],
+        frame=frame[order],
     )
+
+
+def _shape_groups(gt: _FrameTable, pred: _FrameTable) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The frames holding ground truth, grouped by their exact (n_gt, n_pred) shape.
+
+    Each group is, in increasing frame order, its frame numbers ``(F,)`` and
+    its gt and pred observation rows ``(F, n_gt)`` and ``(F, n_pred)``;
+    ``n_pred`` may be 0.
+    """
+    frames, g_start, n_g = np.unique(gt.frame, return_index=True, return_counts=True)
+    p_start = np.searchsorted(pred.frame, frames)
+    n_p = np.searchsorted(pred.frame, frames, side="right") - p_start
+    shape = n_g * (n_p.max(initial=0) + 1) + n_p
+    groups = []
+    for key in np.unique(shape).tolist():
+        sel = shape == key
+        n_gt, n_pred = int(n_g[sel][0]), int(n_p[sel][0])
+        groups.append(
+            (frames[sel], g_start[sel, None] + np.arange(n_gt), p_start[sel, None] + np.arange(n_pred))
+        )
+    return groups
 
 
 class _VideoPrep:
@@ -133,18 +149,12 @@ class _VideoPrep:
         self.gt_count = np.bincount(self.gt.track, minlength=n_gt)
         self.pred_count = np.bincount(self.pred.track, minlength=n_pred)
 
-        by_shape: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        for frame, gs in self.gt.spans.items():
-            ps = self.pred.spans.get(frame)
-            if ps is not None:
-                shape = (gs.stop - gs.start, ps.stop - ps.start)
-                by_shape.setdefault(shape, []).append((frame, gs.start, ps.start))
         self.buckets: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
         pair_frame, pair_cell, pair_iou = [], [], []
-        for (n_g, n_p), starts in by_shape.items():
-            frames, g_start, p_start = np.array(starts).T
-            g_rows = g_start[:, None] + np.arange(n_g)
-            p_rows = p_start[:, None] + np.arange(n_p)
+        for frames, g_rows, p_rows in _shape_groups(self.gt, self.pred):
+            n_g, n_p = g_rows.shape[1], p_rows.shape[1]
+            if n_p == 0:
+                continue
             sim = iou_matrix(self.gt.corners[g_rows], self.pred.corners[p_rows])
             self.buckets.append((frames, g_rows, p_rows, sim))
             denom = sim.sum(1)[:, None, :] + sim.sum(2)[:, :, None] - sim
@@ -754,6 +764,12 @@ def ap_m(
     (caption score pinned to 1). METEOR is computed only for pairs that clear
     the lowest IoU threshold, since no other pair can match in any cell; this
     changes no result.
+
+    A video's frames are grouped by their exact (n_pred, n_gt) shape, and
+    each group is matched in every grid cell at once. AP is computed once per
+    distinct (n_gt, ranked flags) over the collection. Per-frame APs are
+    added in (video, frame) order, so the grid is the same as a frame-by-frame
+    sum.
     """
     iou_thresholds = tuple(iou_thresholds)
     meteor_thresholds = tuple(meteor_thresholds)
@@ -761,60 +777,79 @@ def ap_m(
         if not grid or any(not (0.0 <= t <= 1.0) for t in grid):
             raise ValidationError(f"{name} thresholds must be non-empty and in [0, 1], got {grid}")
     pairs, _ = _pair_records(preds, gts)
-    grid_sum = np.zeros((len(iou_thresholds), len(meteor_thresholds)))
-    n_cells = grid_sum.size
-    # Broadcast to (iou cell, meteor cell, pred, gt); row-major cell order.
-    iou_cut = np.asarray(iou_thresholds)[:, None, None, None]
-    met_cut = np.asarray(meteor_thresholds)[None, :, None, None]
+    shape = (len(iou_thresholds), len(meteor_thresholds))
+    n_cells = shape[0] * shape[1]
+    cell_sum = np.zeros(n_cells)
+    # Broadcast to (frame, iou cell, meteor cell, gt); row-major cell order.
+    iou_cut = np.asarray(iou_thresholds)[:, None, None]
+    met_cut = np.asarray(meteor_thresholds)[:, None]
     min_iou = min(iou_thresholds)
     n_frames = 0
-    # One scorer for every video, so its METEOR cache spans the collection.
+    # One scorer and one AP table for every video, so both span the collection.
     scorer = _PairScorer(ScorerConfig(metrics=("meteor",)), IdfTable.build([]))
+    ap_by_flags: dict[tuple[int, bytes], float] = {}
 
     for pred, gt in pairs:
         gt_table, pred_table = _frames(gt, gt.num_frames), _frames(pred, gt.num_frames)
         pred_scores = np.array([d.score for d in pred_table.dets])
-        for frame, gs in gt_table.spans.items():
-            ps = pred_table.spans.get(frame, slice(0, 0))
-            n_gt_here = gs.stop - gs.start
-            n_frames += 1
+        pred_caps = [
+            _effective_caption(d.caption, pred.trajectories[k].caption)
+            for d, k in zip(pred_table.dets, pred_table.track.tolist())
+        ]
+        gt_caps = [gt.trajectories[k].caption for k in gt_table.track.tolist()]
+        captioned = np.array([c is not None for c in gt_caps], dtype=bool)
+        video_frames, video_ap = [], []
+        for frames, g_rows, p_rows in _shape_groups(gt_table, pred_table):
+            n_f, n_gt = g_rows.shape
+            n_pred = p_rows.shape[1]
+            video_frames.append(frames)
+            if n_pred == 0:
+                video_ap.append(np.zeros((n_f, n_cells)))  # AP 0 in every cell
+                continue
             # Prediction rows in descending score order (stable).
-            order = ps.start + np.argsort(-pred_scores[ps], kind="stable")
-            n_pred = len(order)
-            iou_mat = iou_matrix(pred_table.corners[order], gt_table.corners[gs])
-            met_mat = np.ones((n_pred, n_gt_here))
-            # Only pairs clearing the lowest IoU threshold can match in any cell.
-            for k, g in zip(*np.nonzero(iou_mat >= min_iou)):
-                gt_cap = gt.trajectories[gt_table.track[gs.start + g]].caption
-                if gt_cap is not None:
-                    row = order[k]
-                    track_cap = pred.trajectories[pred_table.track[row]].caption
-                    p_cap = _effective_caption(pred_table.dets[row].caption, track_cap)
-                    met_mat[k, g] = scorer.intrinsic(p_cap, gt_cap)
-            eligible = ((iou_mat >= iou_cut) & (met_mat >= met_cut)).reshape(
-                n_cells, n_pred, n_gt_here
+            p_rows = np.take_along_axis(
+                p_rows, np.argsort(-pred_scores[p_rows], axis=1, kind="stable"), axis=1
             )
-            # Greedy match in every cell at once: each prediction takes the
-            # first highest-IoU eligible ground truth not yet taken.
-            taken = np.zeros((n_cells, n_gt_here), dtype=bool)
-            flags = np.zeros((n_cells, n_pred), dtype=bool)
+            iou_mat = iou_matrix(pred_table.corners[p_rows], gt_table.corners[g_rows])
+            met_mat = np.ones_like(iou_mat)
+            # Only pairs clearing the lowest IoU threshold can match in any cell.
+            f, i, j = np.nonzero((iou_mat >= min_iou) & captioned[g_rows][:, None, :])
+            met_mat[f, i, j] = [
+                scorer.intrinsic(pred_caps[p], gt_caps[g])
+                for p, g in zip(p_rows[f, i].tolist(), g_rows[f, j].tolist())
+            ]
+            # Greedy match in every frame and cell at once: each prediction
+            # takes the first highest-IoU eligible ground truth not yet taken.
+            taken = np.zeros((n_f, n_cells, n_gt), dtype=bool)
+            flags = np.zeros((n_f, n_cells, n_pred), dtype=bool)
             for k in range(n_pred):
-                ok = eligible[:, k] & ~taken
-                hit = ok.any(axis=1)
-                best = np.argmax(np.where(ok, iou_mat[k], -1.0), axis=1)
+                eligible = (iou_mat[:, None, None, k] >= iou_cut) & (met_mat[:, None, None, k] >= met_cut)
+                ok = eligible.reshape(n_f, n_cells, n_gt) & ~taken
+                hit = ok.any(axis=2)
+                best = np.argmax(np.where(ok, iou_mat[:, None, k], -1.0), axis=2)
                 taken[hit, best[hit]] = True
-                flags[:, k] = hit
-            ap_by_flags: dict[bytes, float] = {}
-            cell_ap = np.empty(n_cells)
-            for c, row in enumerate(flags):
-                key = row.tobytes()
+                flags[:, :, k] = hit
+            # AP once per distinct flag row, each row viewed as one bytes value.
+            flags = flags.reshape(-1, n_pred)
+            _, first, inverse = np.unique(
+                flags.view(np.dtype((np.void, n_pred))).ravel(), return_index=True, return_inverse=True
+            )
+            ap = np.empty(len(first))
+            for u, row in enumerate(flags[first]):
+                key = (n_gt, row.tobytes())
                 if key not in ap_by_flags:
-                    ap_by_flags[key] = average_precision(row, n_gt_here)
-                cell_ap[c] = ap_by_flags[key]
-            grid_sum += cell_ap.reshape(grid_sum.shape)
+                    ap_by_flags[key] = average_precision(row, n_gt)
+                ap[u] = ap_by_flags[key]
+            video_ap.append(ap[inverse].reshape(n_f, n_cells))
+        if video_frames:
+            order = np.argsort(np.concatenate(video_frames))
+            # cumsum adds one frame at a time, in frame order, as a per-frame
+            # += would; a sum over the frames would regroup the additions.
+            cell_sum = np.cumsum(np.vstack([cell_sum, np.concatenate(video_ap)[order]]), axis=0)[-1]
+            n_frames += len(order)
 
     if n_frames == 0:
-        grid = np.full_like(grid_sum, np.nan)
+        grid = np.full(shape, np.nan)
         return ApmReport(
             overall=float("nan"),
             grid=grid,
@@ -822,7 +857,7 @@ def ap_m(
             meteor_thresholds=meteor_thresholds,
             num_frames=0,
         )
-    grid = grid_sum / n_frames
+    grid = cell_sum.reshape(shape) / n_frames
     return ApmReport(
         overall=float(grid.mean()),
         grid=grid,
@@ -851,12 +886,19 @@ def grounding_ious(
         raise ValidationError("spans must satisfy start <= end")
 
     gt_len = ge - gs + 1
-    s_total = 0.0
+    held = []  # span frames with a predicted box; the others score 0
     for frame in range(gs, ge + 1):
         if frame not in gt_boxes:
             raise ValidationError(f"ground truth box missing for frame {frame} in its own span")
-        box = pred_boxes.get(frame)
-        s_total += iou(box, gt_boxes[frame]) if box is not None else 0.0
+        if pred_boxes.get(frame) is not None:
+            held.append(frame)
+    pred_corners = corner_array(pred_boxes[f] for f in held)[:, None]
+    gt_corners = corner_array(gt_boxes[f] for f in held)[:, None]
+    box_iou = dict(zip(held, iou_matrix(pred_corners, gt_corners)[:, 0, 0].tolist()))
+    # Added frame by frame, in span order.
+    s_total = 0.0
+    for frame in range(gs, ge + 1):
+        s_total += box_iou.get(frame, 0.0)
     s_iou = s_total / gt_len
 
     inter_start, inter_end = max(ps, gs), min(pe, ge)
@@ -866,7 +908,6 @@ def grounding_ious(
 
     v_total = 0.0
     for frame in range(inter_start, inter_end + 1):
-        box = pred_boxes.get(frame)
-        v_total += iou(box, gt_boxes[frame]) if box is not None else 0.0
+        v_total += box_iou.get(frame, 0.0)
     v_iou = v_total / union if union else 0.0
     return (s_iou, t_iou, v_iou)

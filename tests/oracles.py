@@ -496,6 +496,12 @@ def cider_oracle(pred, ref, idf, sigma: float = 6.0) -> float:
 # to scalar IoU by tests/test_core.py.
 
 
+def _spans(table) -> dict[int, slice]:
+    """Each frame holding rows of an observation table, in order, mapped to its rows."""
+    frames, starts, counts = np.unique(table.frame, return_index=True, return_counts=True)
+    return {f: slice(s, s + n) for f, s, n in zip(frames.tolist(), starts.tolist(), counts.tolist())}
+
+
 class _VideoPrepOracle:
     """Observation tables, per-frame similarities and pass-1 association strengths."""
 
@@ -516,8 +522,9 @@ class _VideoPrepOracle:
         # (gt rows, pred rows, IoU block) of each frame holding both, in order.
         self.frame_sim: list[tuple[slice, slice, np.ndarray]] = []
         potential = np.zeros((n_gt, n_pred))
-        for frame, gs in self.gt.spans.items():
-            ps = self.pred.spans.get(frame)
+        pred_spans = _spans(self.pred)
+        for frame, gs in _spans(self.gt).items():
+            ps = pred_spans.get(frame)
             if ps is None:
                 continue
             sim = iou_matrix(self.gt.corners[gs], self.pred.corners[ps])

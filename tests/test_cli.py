@@ -384,6 +384,20 @@ BAD_INPUTS = {
         tmp, queries=[{"video_id": "v0", "query_id": "q1", "text": "x", "span": [0, 0], "boxes": [7]}]
     ),
     "likelihood-record-missing": lambda tmp: _ground_files(tmp, likelihoods=[]),
+    "likelihood-record-repeated": lambda tmp: _ground_files(tmp, likelihoods=[
+        {"video_id": "v0", "frame": 0, "observation_index": 0, "query_id": "q1", "nll": 0.1},
+        {"video_id": "v0", "frame": 0, "observation_index": 0, "query_id": "q1", "nll": 0.7},
+    ]),
+    "query-box-frame-repeated": lambda tmp: _ground_files(tmp, queries=[
+        {"video_id": "v0", "query_id": "q1", "text": "x", "span": [0, 0],
+         "boxes": [{"frame": 0, "box": [0, 0, 10, 10]}, {"frame": 0, "box": [5, 5, 20, 20]}]},
+    ]),
+    "external-score-repeated": lambda tmp: [
+        "eval-chota", _SYNTH_GT, _SYNTH_GT, "--cap-metrics", "meteor,external",
+        "--external-scores", _write(tmp / "scores.json", [
+            {"video_id": "v0", "pred_observation_index": 0, "gt_track_id": 1, "score": s} for s in (0.2, 0.9)
+        ]),
+    ],
     "box-coordinate-infinite": lambda tmp: [
         "eval-chota", _SYNTH_GT,
         _gt_with(tmp, lambda d: d[0]["tracks"][0]["boxes"][0].update(box=[0, 0, float("inf"), 10])),

@@ -169,6 +169,63 @@ def test_apm_grid_equals_per_cell_oracle(rng, iou_thresholds, meteor_thresholds)
         assert np.array_equal(report.grid, expected), trial
 
 
+def _long_apm_scene(rng, video_id):
+    """20-40 frames and 1-9 objects on an integer grid, so one shape holds many frames.
+
+    A few ground-truth frames get no predictions at all, and the prediction
+    record runs past the ground truth's last frame with boxes there.
+    """
+    num_frames = int(rng.integers(20, 41))
+    blank = set(rng.choice(num_frames, size=3, replace=False).tolist())
+    gt_tracks, pred_tracks = [], []
+    for k in range(int(rng.integers(1, 10))):
+        frames = [f for f in range(num_frames) if rng.random() < 0.7] or [0]
+        boxes = []
+        for f in frames:
+            x, y = (float(v) for v in rng.integers(0, 6, size=2) * 5)
+            w, h = (float(v) for v in rng.integers(1, 4, size=2) * 10)
+            boxes.append((f, x, y, x + w, y + h))
+        caption = _random_caption(rng) if rng.random() < 0.8 else None
+        gt_tracks.append(make_track(k + 1, boxes, caption=caption))
+        for _ in range(int(rng.integers(1, 3))):
+            dx = float(rng.choice([0.0, 2.5, 5.0]))
+            shifted = [(f, x1 + dx, y1, x2 + dx, y2) for f, x1, y1, x2, y2 in boxes
+                       if f not in blank and rng.random() < 0.9]
+            shifted += [(num_frames + j, 0.0, 0.0, 10.0, 10.0) for j in range(int(rng.integers(0, 3)))]
+            if not shifted:
+                continue
+            scores = [float(rng.choice([0.3, 0.6, 0.9])) for _ in shifted]
+            det_caps = [_random_caption(rng) if rng.random() < 0.2 else None for _ in shifted]
+            track_cap = caption if rng.random() < 0.6 else _random_caption(rng)
+            pred_tracks.append(
+                make_track(len(pred_tracks) + 1, shifted, caption=track_cap, scores=scores,
+                           det_captions=det_caps)
+            )
+    return make_video(video_id, pred_tracks, num_frames + 3), make_video(video_id, gt_tracks, num_frames)
+
+
+@pytest.mark.parametrize(
+    "iou_thresholds, meteor_thresholds",
+    [((0.3, 0.4, 0.5, 0.6, 0.7), (0.0, 0.05, 0.1, 0.15, 0.2)), ((0.0, 0.3, 0.5), (0.1, 0.3))],
+)
+def test_apm_long_videos_equal_per_cell_oracle(rng, iou_thresholds, meteor_thresholds) -> None:
+    for trial in range(6):
+        preds, gts = [], []
+        for v in range(3):
+            pred, gt = _long_apm_scene(rng, f"v{trial}_{v}")
+            preds.append(pred)
+            gts.append(gt)
+        # A copy of the first video under a new id repeats its AP inputs exactly.
+        preds.append(make_video(f"v{trial}_copy", preds[0].trajectories, preds[0].num_frames))
+        gts.append(make_video(f"v{trial}_copy", gts[0].trajectories, gts[0].num_frames))
+        report = ap_m(preds, gts, iou_thresholds=iou_thresholds, meteor_thresholds=meteor_thresholds)
+        expected = apm_grid_oracle(preds, gts, iou_thresholds, meteor_thresholds)
+        assert np.array_equal(report.grid, expected), trial
+        assert report.num_frames == sum(
+            len({d.frame for t in gt.trajectories for d in t.detections}) for gt in gts
+        )
+
+
 def test_average_precision_all_points_interpolation() -> None:
     # Ranked flags TP, FP, TP over 2 gt: precision envelope gives 1*0.5 + (2/3)*0.5.
     value = average_precision([True, False, True], n_gt=2)
