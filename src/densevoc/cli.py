@@ -278,7 +278,7 @@ def cmd_synth(args) -> int:
         id_switch_rate=args.id_switch_rate,
         caption_corruption_rate=args.caption_corruption_rate,
     )
-    gts, preds = synth.generate(cfg)
+    gts, preds = synth.generate_tables(cfg)
     formats.save_dataset(gts, args.out_gt)
     formats.save_dataset(preds, args.out_pred)
     print(f"videos={len(gts)} gt={args.out_gt} pred={args.out_pred}")

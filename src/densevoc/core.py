@@ -187,6 +187,142 @@ class VideoRecord:
         return cls(video_id=video_id, num_frames=num_frames, trajectories=tuple(tracks))
 
 
+_INT64_MAX = 2**63 - 1
+
+
+def _int_column(values, what: str) -> np.ndarray:
+    """A 1-D int64 column; a ValidationError unless every value is a 64-bit integer."""
+    column = np.asarray(values)
+    if column.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if column.dtype.kind not in "iu" or (column.dtype.kind == "u" and column.max() > _INT64_MAX):
+        raise ValidationError(f"{what} must be integers in the 64-bit range")
+    return column.astype(np.int64).reshape(-1)
+
+
+@dataclass(frozen=True, eq=False)
+class VideoTable:
+    """All trajectories of one video as columns, in file order.
+
+    Per track: ``track_ids`` and ``track_captions``. Per row: ``frames``,
+    ``(n, 4)`` ``corners``, ``scores`` and, when any box has one,
+    ``box_captions``. Rows run track by track, each track's in increasing
+    frame order; track ``t`` owns rows ``offsets[t]:offsets[t + 1]``.
+    Captions are raw strings. The invariants of ``VideoRecord`` and its
+    dataclasses are checked by column, and integers must fit 64 bits, as
+    dataset files require.
+    """
+
+    video_id: str
+    num_frames: int
+    track_ids: np.ndarray
+    track_captions: tuple[str | None, ...]
+    offsets: np.ndarray
+    frames: np.ndarray
+    corners: np.ndarray
+    scores: np.ndarray
+    box_captions: tuple[str | None, ...] | None = None
+
+    def __post_init__(self) -> None:
+        where = f"video {self.video_id!r}"
+        if not (isinstance(self.num_frames, (int, np.integer)) and 1 <= self.num_frames <= _INT64_MAX):
+            raise ValidationError(
+                f"{where}: num_frames must be an integer in [1, 2**63 - 1], got {self.num_frames}"
+            )
+        track_ids = _int_column(self.track_ids, f"{where}: track ids")
+        offsets = _int_column(self.offsets, f"{where}: row offsets")
+        frames = _int_column(self.frames, f"{where}: frames")
+        corners = np.asarray(self.corners, dtype=float)
+        corners = corners.reshape(0, 4) if corners.size == 0 else corners
+        scores = np.asarray(self.scores, dtype=float).reshape(-1)
+        n = len(frames)
+        if not (
+            len(self.track_captions) == len(track_ids)
+            and len(offsets) == len(track_ids) + 1
+            and offsets[0] == 0
+            and offsets[-1] == n
+            and (np.diff(offsets) >= 0).all()
+            and corners.shape == (n, 4)
+            and len(scores) == n
+            and (self.box_captions is None or len(self.box_captions) == n)
+        ):
+            raise ValidationError(f"{where}: column lengths disagree")
+        if (track_ids < 1).any():
+            raise ValidationError(f"{where}: track_id must be positive, got {track_ids[track_ids < 1][0]}")
+        unique, counts = np.unique(track_ids, return_counts=True)
+        if (counts > 1).any():
+            raise ValidationError(f"{where}: duplicate track_id {unique[counts > 1][0]}")
+        bad = ~np.isfinite(corners).all(axis=1)
+        if bad.any():
+            raise ValidationError(f"box coordinates must be finite, got {tuple(corners[bad][0].tolist())}")
+        bad = (corners[:, 0] > corners[:, 2]) | (corners[:, 1] > corners[:, 3])
+        if bad.any():
+            raise ValidationError(f"box corners out of order: {tuple(corners[bad][0].tolist())}")
+        bad = ~((scores >= 0.0) & (scores <= 1.0))
+        if bad.any():
+            raise ValidationError(f"score must be in [0, 1], got {scores[bad][0]}")
+        if (frames < 0).any():
+            raise ValidationError(f"frame index must be >= 0, got {frames[frames < 0][0]}")
+        if (frames >= self.num_frames).any():
+            raise ValidationError(
+                f"{where}: frame {frames[frames >= self.num_frames][0]} >= num_frames {self.num_frames}"
+            )
+        track_start = np.zeros(n, dtype=bool)
+        track_start[offsets[:-1][offsets[:-1] < n]] = True
+        bad = (np.diff(frames) <= 0) & ~track_start[1:]
+        if bad.any():
+            track = int(np.searchsorted(offsets, np.flatnonzero(bad)[0] + 1, side="right")) - 1
+            raise ValidationError(
+                f"{where}: track {track_ids[track]}: frames must be strictly increasing"
+            )
+        for name, value in (("num_frames", int(self.num_frames)), ("track_ids", track_ids),
+                            ("track_captions", tuple(self.track_captions)), ("offsets", offsets),
+                            ("frames", frames), ("corners", corners), ("scores", scores)):
+            object.__setattr__(self, name, value)
+        if self.box_captions is not None:
+            object.__setattr__(self, "box_captions", tuple(self.box_captions))
+
+    @classmethod
+    def from_record(cls, record: VideoRecord) -> "VideoTable":
+        """The table of a record, checked by column."""
+        tracks = record.trajectories
+        dets = [d for t in tracks for d in t.detections]
+        captions = [None if d.caption is None else d.caption.raw for d in dets]
+        return cls(
+            video_id=record.video_id,
+            num_frames=record.num_frames,
+            track_ids=[t.track_id for t in tracks],
+            track_captions=tuple(None if t.caption is None else t.caption.raw for t in tracks),
+            offsets=np.cumsum([0] + [len(t.detections) for t in tracks]),
+            frames=[d.frame for d in dets],
+            corners=[d.box.as_tuple() for d in dets],
+            scores=[d.score for d in dets],
+            box_captions=None if all(c is None for c in captions) else tuple(captions),
+        )
+
+    def to_record(self, detection_track_ids: bool = True) -> VideoRecord:
+        """The record of this table; detections carry their track id unless told not to."""
+        frames, corners, scores = self.frames.tolist(), self.corners.tolist(), self.scores.tolist()
+        box_captions = self.box_captions or (None,) * len(frames)
+        offsets = self.offsets.tolist()
+        tracks = []
+        for t, (track_id, caption) in enumerate(zip(self.track_ids.tolist(), self.track_captions)):
+            det_id = track_id if detection_track_ids else None
+            dets = tuple(
+                Detection(
+                    frame=frames[i],
+                    box=Box(*corners[i]),
+                    score=scores[i],
+                    track_id=det_id,
+                    caption=None if box_captions[i] is None else Caption.from_text(box_captions[i]),
+                )
+                for i in range(offsets[t], offsets[t + 1])
+            )
+            track_caption = None if caption is None else Caption.from_text(caption)
+            tracks.append(Trajectory(track_id=track_id, detections=dets, caption=track_caption))
+        return VideoRecord(video_id=self.video_id, num_frames=self.num_frames, trajectories=tuple(tracks))
+
+
 def iou(a: Box, b: Box) -> float:
     """Intersection over union; 0 by convention when the union has zero area."""
     ix = min(a.x2, b.x2) - max(a.x1, b.x1)

@@ -22,12 +22,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
 from .assoc import AssocMatrix
-from .core import Box, Caption, Detection, Trajectory, ValidationError, VideoRecord
+from .core import Box, Caption, Detection, Trajectory, ValidationError, VideoRecord, VideoTable
 
 
 class FormatError(ValueError):
@@ -156,34 +156,36 @@ def load_dataset(path: str | Path, strict: bool = False) -> list[VideoRecord]:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def dataset_to_obj(records: list[VideoRecord]) -> list[dict]:
-    out = []
-    for record in records:
-        tracks = []
-        for track in record.trajectories:
-            boxes = []
-            for det in track.detections:
-                entry: dict[str, Any] = {
-                    "frame": det.frame,
-                    "box": [det.box.x1, det.box.y1, det.box.x2, det.box.y2],
-                    "score": det.score,
-                }
-                if det.caption is not None:
-                    entry["caption"] = det.caption.raw
-                boxes.append(entry)
-            track_obj: dict[str, Any] = {"track_id": track.track_id, "boxes": boxes}
-            if track.caption is not None:
-                track_obj["caption"] = track.caption.raw
-            tracks.append(track_obj)
-        out.append(
-            {"video_id": record.video_id, "num_frames": record.num_frames, "tracks": tracks}
-        )
-    return out
+_BOX_JSON = '{"frame":%d,"box":[%r,%r,%r,%r],"score":%r}'
 
 
-def save_dataset(records: list[VideoRecord], path: str | Path) -> None:
-    # Compact form: dataset files can hold hundreds of thousands of boxes.
-    Path(path).write_text(json.dumps(dataset_to_obj(records), separators=(",", ":")) + "\n")
+def _video_json(table: VideoTable) -> str:
+    """One video object, as ``json.dumps`` writes it with ``separators=(",", ":")``."""
+    quote = json.encoder.encode_basestring_ascii
+    corners = table.corners.T.tolist()
+    boxes = list(map(_BOX_JSON.__mod__, zip(table.frames.tolist(), *corners, table.scores.tolist())))
+    if table.box_captions is not None:
+        boxes = [
+            b if c is None else f'{b[:-1]},"caption":{quote(c)}}}' for b, c in zip(boxes, table.box_captions)
+        ]
+    offsets = table.offsets.tolist()
+    tracks = []
+    for t, (track_id, caption) in enumerate(zip(table.track_ids.tolist(), table.track_captions)):
+        track_boxes = ",".join(boxes[offsets[t] : offsets[t + 1]])
+        tail = "" if caption is None else f',"caption":{quote(caption)}'
+        tracks.append(f'{{"track_id":{track_id},"boxes":[{track_boxes}]{tail}}}')
+    head = f'"video_id":{quote(table.video_id)},"num_frames":{table.num_frames}'
+    return f'{{{head},"tracks":[{",".join(tracks)}]}}'
+
+
+def save_dataset(videos: Sequence[VideoTable | VideoRecord], path: str | Path) -> None:
+    """Write a dataset file in compact JSON; dataset files can hold hundreds of thousands of boxes.
+
+    Records are converted to tables, and so checked, before the file is
+    opened. Coordinates and scores are always written as JSON floats.
+    """
+    tables = [v if isinstance(v, VideoTable) else VideoTable.from_record(v) for v in videos]
+    Path(path).write_text("[" + ",".join(map(_video_json, tables)) + "]\n")
 
 
 @dataclass
@@ -351,6 +353,13 @@ def load_queries(path: str | Path) -> list[dict]:
             if frame in boxes:
                 raise FormatError(f"{bwhere}: duplicate box for frame {frame}")
             boxes[frame] = _parse_box(entry.get("box"), bwhere)
+        # Every span frame needs a box, so a span is bounded by the size of the
+        # file: a span longer than the box list misses a frame among its first
+        # len(boxes) + 1.
+        end = min(span[1], span[0] + len(boxes))
+        missing = next((f for f in range(span[0], end + 1) if f not in boxes), None)
+        if missing is not None:
+            raise FormatError(f"{where}: span {span} has no box for frame {missing}")
         queries.append(
             {
                 "video_id": _require(rec, "video_id", str, where),

@@ -7,7 +7,9 @@ false-positive injection, identity switches, and caption corruption.
 
 All randomness flows through one numpy PCG64 generator seeded from the
 config, and every draw happens in a fixed order, so output is reproducible
-bit-for-bit for a given seed and configuration.
+bit-for-bit for a given seed and configuration. Draws go straight into
+per-video column tables (``core.VideoTable``), which ``formats.save_dataset``
+writes without building a box object; ``generate`` builds records from them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Box, Caption, Detection, Trajectory, ValidationError, VideoRecord
+from .core import ValidationError, VideoRecord, VideoTable
 
 CANVAS = 256.0
 
@@ -47,23 +49,24 @@ class SynthConfig:
     caption_corruption_rate: float = 0.0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.num_videos < 1 or self.frames_per_video < 1 or self.objects_per_video < 1:
             raise ValidationError("video, frame and object counts must be >= 1")
         for name in ("drop_rate", "false_positive_rate", "id_switch_rate", "caption_corruption_rate"):
             rate = getattr(self, name)
             if not (0.0 <= rate <= 1.0):
                 raise ValidationError(f"{name} must be in [0, 1], got {rate}")
-        if not (self.box_jitter_sigma >= 0.0):
-            raise ValidationError(f"box_jitter_sigma must be >= 0, got {self.box_jitter_sigma}")
+        if not (0.0 <= self.box_jitter_sigma < np.inf):
+            raise ValidationError(f"box_jitter_sigma must be finite and >= 0, got {self.box_jitter_sigma}")
 
 
-def _random_caption(rng: np.random.Generator) -> Caption:
-    parts = (
+def _random_caption(rng: np.random.Generator) -> str:
+    return " ".join((
         SUBJECTS[int(rng.integers(len(SUBJECTS)))],
         VERBS[int(rng.integers(len(VERBS)))],
         OBJECTS[int(rng.integers(len(OBJECTS)))],
-    )
-    return Caption.from_text(" ".join(parts))
+    ))
 
 
 def _random_box(rng: np.random.Generator) -> tuple[float, float, float, float]:
@@ -75,88 +78,111 @@ def _random_box(rng: np.random.Generator) -> tuple[float, float, float, float]:
     return x, y, w, h
 
 
-def _gt_video(rng: np.random.Generator, video_id: str, cfg: SynthConfig) -> VideoRecord:
-    tracks = []
-    for k in range(cfg.objects_per_video):
+def _gt_table(rng: np.random.Generator, video_id: str, cfg: SynthConfig) -> VideoTable:
+    n_tracks, n_frames = cfg.objects_per_video, cfg.frames_per_video
+    t = np.arange(n_frames)
+    corners = np.empty((n_tracks, n_frames, 4))
+    captions = []
+    for k in range(n_tracks):
         x, y, w, h = _random_box(rng)
         vx, vy = rng.uniform(-3.0, 3.0, size=2)
-        caption = _random_caption(rng)
-        t = np.arange(cfg.frames_per_video)
+        captions.append(_random_caption(rng))
         xs = np.clip(x + vx * t, 0.0, CANVAS - w)
         ys = np.clip(y + vy * t, 0.0, CANVAS - h)
-        dets = tuple(
-            Detection(
-                frame=int(frame),
-                box=Box(float(xs[frame]), float(ys[frame]), float(xs[frame] + w), float(ys[frame] + h)),
-                score=1.0,
-                track_id=k + 1,
-            )
-            for frame in range(cfg.frames_per_video)
-        )
-        tracks.append(Trajectory(track_id=k + 1, detections=dets, caption=caption))
-    return VideoRecord(video_id=video_id, num_frames=cfg.frames_per_video, trajectories=tuple(tracks))
+        corners[k] = np.stack((xs, ys, xs + w, ys + h), axis=1)
+    return VideoTable(
+        video_id=video_id,
+        num_frames=n_frames,
+        track_ids=np.arange(1, n_tracks + 1),
+        track_captions=tuple(captions),
+        offsets=np.arange(n_tracks + 1) * n_frames,
+        frames=np.tile(t, n_tracks),
+        corners=corners.reshape(-1, 4),
+        scores=np.ones(n_tracks * n_frames),
+    )
 
 
-def _perturb_video(rng: np.random.Generator, gt: VideoRecord, cfg: SynthConfig) -> VideoRecord:
-    n_tracks = len(gt.trajectories)
+def _perturb_table(rng: np.random.Generator, gt: VideoTable, cfg: SynthConfig) -> VideoTable:
+    """Predictions from a ground truth that holds every frame of every track, as ``_gt_table`` builds it."""
+    n_tracks, n_frames = len(gt.track_ids), gt.num_frames
+    random, uniform = rng.random, rng.uniform
     # Identity relabeling; id switches swap two entries from a frame onward.
-    relabel = {t.track_id: t.track_id for t in gt.trajectories}
-    flat: list[tuple[int, int, Detection]] = []
-    captions: dict[int, Caption] = {}
+    relabel = gt.track_ids.tolist()
+    switch_schedule: dict[int, np.ndarray] = {}
+    for frame in range(1, n_frames):
+        if random() < cfg.id_switch_rate and n_tracks >= 2:
+            switch_schedule[frame] = rng.choice(n_tracks, size=2, replace=False)
 
-    switch_schedule: dict[int, tuple[int, int]] = {}
-    for frame in range(1, gt.num_frames):
-        if rng.random() < cfg.id_switch_rate and n_tracks >= 2:
-            a, b = rng.choice(n_tracks, size=2, replace=False)
-            switch_schedule[frame] = (
-                gt.trajectories[int(a)].track_id,
-                gt.trajectories[int(b)].track_id,
-            )
-
-    gt_by_frame = gt.detections_by_frame()
+    # One row per kept or false-positive box, in draw order: (frame, label,
+    # ground-truth row or -1, score); jitter and FP corners in side lists.
+    rows: list[tuple[int, int, int, float]] = []
+    jitters: list[np.ndarray] = []
+    fp_corners: list[tuple[float, float, float, float]] = []
+    captions: dict[int, str] = {}
+    sigma, drop_rate, fp_rate = cfg.box_jitter_sigma, cfg.drop_rate, cfg.false_positive_rate
+    no_jitter = np.zeros(4)
     fp_id = 1000
-    for frame in range(gt.num_frames):
+    for frame in range(n_frames):
         if frame in switch_schedule:
             a, b = switch_schedule[frame]
             relabel[a], relabel[b] = relabel[b], relabel[a]
-        for track_id, det in gt_by_frame[frame]:
-            dropped = rng.random() < cfg.drop_rate
-            jitter = rng.normal(0.0, cfg.box_jitter_sigma, size=4) if cfg.box_jitter_sigma > 0 else np.zeros(4)
-            score = float(rng.uniform(0.6, 1.0))
-            make_fp = rng.random() < cfg.false_positive_rate
+        for k in range(n_tracks):
+            dropped = random() < drop_rate
+            jitter = rng.normal(0.0, sigma, size=4) if sigma > 0 else no_jitter
+            score = float(uniform(0.6, 1.0))
+            make_fp = random() < fp_rate
             if not dropped:
-                x1, x2 = sorted((det.box.x1 + jitter[0], det.box.x2 + jitter[2]))
-                y1, y2 = sorted((det.box.y1 + jitter[1], det.box.y2 + jitter[3]))
-                flat.append(
-                    (frame, relabel[track_id], Detection(frame=frame, box=Box(x1, y1, x2, y2), score=score))
-                )
+                rows.append((frame, relabel[k], k * n_frames + frame, score))
+                jitters.append(jitter)
             if make_fp:
                 x, y, w, h = _random_box(rng)
-                fp_score = float(rng.uniform(0.2, 0.6))
-                fp_caption = _random_caption(rng)
-                flat.append(
-                    (frame, fp_id, Detection(frame=frame, box=Box(x, y, x + w, y + h), score=fp_score))
-                )
-                captions[fp_id] = fp_caption
+                rows.append((frame, fp_id, -1, float(uniform(0.2, 0.6))))
+                fp_corners.append((x, y, x + w, y + h))
+                captions[fp_id] = _random_caption(rng)
                 fp_id += 1
 
     # Captions attach to the persistent pred labels 1..K; after a switch a
     # label carries detections from more than one source track, as intended.
-    for track in gt.trajectories:
-        label = track.track_id
-        if rng.random() < cfg.caption_corruption_rate:
-            captions[label] = _random_caption(rng)
-        else:
-            captions[label] = track.caption
+    for label, caption in zip(gt.track_ids.tolist(), gt.track_captions):
+        captions[label] = _random_caption(rng) if random() < cfg.caption_corruption_rate else caption
 
-    present = {track_id for _, track_id, _ in flat}
-    captions = {tid: cap for tid, cap in captions.items() if tid in present and cap is not None}
-    return VideoRecord.regroup(gt.video_id, gt.num_frames, flat, captions)
+    empty = np.zeros((4, 0), dtype=np.int64)
+    frames, labels, sources, scores = (np.array(c) for c in zip(*rows)) if rows else empty
+    corners = np.empty((len(rows), 4))
+    kept = sources >= 0
+    moved = gt.corners[sources[kept]] + np.array(jitters).reshape(-1, 4)
+    # sorted() of each corner pair, as a Box needs its corners in order.
+    for lo, hi in ((0, 2), (1, 3)):
+        swap = moved[:, hi] < moved[:, lo]
+        corners[kept, lo] = np.where(swap, moved[:, hi], moved[:, lo])
+        corners[kept, hi] = np.where(swap, moved[:, lo], moved[:, hi])
+    corners[~kept] = np.array(fp_corners).reshape(-1, 4)
+    order = np.lexsort((frames, labels))
+    track_ids, starts = np.unique(labels[order], return_index=True)
+    return VideoTable(
+        video_id=gt.video_id,
+        num_frames=n_frames,
+        track_ids=track_ids,
+        track_captions=tuple(captions[label] for label in track_ids.tolist()),
+        offsets=np.append(starts, len(rows)),
+        frames=frames[order],
+        corners=corners[order],
+        scores=scores[order],
+    )
+
+
+def generate_tables(cfg: SynthConfig) -> tuple[list[VideoTable], list[VideoTable]]:
+    """Ground truth plus perturbed predictions for every configured video, as tables."""
+    rng = np.random.default_rng(cfg.seed)
+    gts = [_gt_table(rng, f"synth-{cfg.seed:04d}-{v:03d}", cfg) for v in range(cfg.num_videos)]
+    preds = [_perturb_table(rng, gt, cfg) for gt in gts]
+    return gts, preds
 
 
 def generate(cfg: SynthConfig) -> tuple[list[VideoRecord], list[VideoRecord]]:
-    """Ground truth plus perturbed predictions for every configured video."""
-    rng = np.random.default_rng(cfg.seed)
-    gts = [_gt_video(rng, f"synth-{cfg.seed:04d}-{v:03d}", cfg) for v in range(cfg.num_videos)]
-    preds = [_perturb_video(rng, gt, cfg) for gt in gts]
-    return gts, preds
+    """Ground truth plus perturbed predictions for every configured video.
+
+    Prediction detections leave ``track_id`` unset; the enclosing trajectory carries it.
+    """
+    gts, preds = generate_tables(cfg)
+    return [t.to_record() for t in gts], [t.to_record(detection_track_ids=False) for t in preds]

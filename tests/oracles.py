@@ -9,6 +9,7 @@ must reproduce exactly.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from typing import Sequence
@@ -17,8 +18,9 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from densevoc.capmetrics import stem
-from densevoc.core import Caption, ValidationError, VideoRecord, iou_matrix
+from densevoc.core import Box, Caption, Detection, Trajectory, ValidationError, VideoRecord, iou_matrix
 from densevoc.metrics import _TIE_EPS, _frames
+from densevoc.synth import CANVAS, OBJECTS, SUBJECTS, VERBS
 
 
 def box_iou(a, b) -> float:
@@ -576,3 +578,155 @@ def sweep_oracle(pred: VideoRecord, gt: VideoRecord, alphas):
     denom = prep.gt_count[None, :, None] + prep.pred_count[None, None, :] - mc
     ass_iou = np.divide(mc, denom, out=np.zeros_like(mc), where=denom > 1e-12)
     return records, mc, (mc * ass_iou).sum(axis=(1, 2)), prep.global_ass
+
+
+# The synthetic generator and the dataset writer as first written: one
+# dataclass per box, predictions regrouped from flat rows, and the file as
+# ``json.dumps`` of a nested object. ``synth.generate`` must equal the
+# generator with ``==``, and ``formats.save_dataset`` must write the writer's
+# bytes for records whose coordinates and scores are floats.
+
+
+def _random_caption_oracle(rng: np.random.Generator) -> Caption:
+    parts = (
+        SUBJECTS[int(rng.integers(len(SUBJECTS)))],
+        VERBS[int(rng.integers(len(VERBS)))],
+        OBJECTS[int(rng.integers(len(OBJECTS)))],
+    )
+    return Caption.from_text(" ".join(parts))
+
+
+def _random_box_oracle(rng: np.random.Generator) -> tuple[float, float, float, float]:
+    w = float(rng.uniform(25.0, 60.0))
+    h = float(rng.uniform(25.0, 60.0))
+    x = float(rng.uniform(0.0, CANVAS - w))
+    y = float(rng.uniform(0.0, CANVAS - h))
+    return x, y, w, h
+
+
+def _gt_video_oracle(rng: np.random.Generator, video_id: str, cfg) -> VideoRecord:
+    tracks = []
+    for k in range(cfg.objects_per_video):
+        x, y, w, h = _random_box_oracle(rng)
+        vx, vy = rng.uniform(-3.0, 3.0, size=2)
+        caption = _random_caption_oracle(rng)
+        t = np.arange(cfg.frames_per_video)
+        xs = np.clip(x + vx * t, 0.0, CANVAS - w)
+        ys = np.clip(y + vy * t, 0.0, CANVAS - h)
+        dets = tuple(
+            Detection(
+                frame=int(frame),
+                box=Box(float(xs[frame]), float(ys[frame]), float(xs[frame] + w), float(ys[frame] + h)),
+                score=1.0,
+                track_id=k + 1,
+            )
+            for frame in range(cfg.frames_per_video)
+        )
+        tracks.append(Trajectory(track_id=k + 1, detections=dets, caption=caption))
+    return VideoRecord(video_id=video_id, num_frames=cfg.frames_per_video, trajectories=tuple(tracks))
+
+
+def _regroup_oracle(video_id, num_frames, detections, captions) -> VideoRecord:
+    by_track: dict[int, list] = {}
+    for frame, track_id, det in detections:
+        by_track.setdefault(track_id, []).append((frame, det))
+    tracks = []
+    for track_id in sorted(by_track):
+        dets = tuple(d for _, d in sorted(by_track[track_id], key=lambda x: x[0]))
+        cap = captions.get(track_id) if captions else None
+        tracks.append(Trajectory(track_id=track_id, detections=dets, caption=cap))
+    return VideoRecord(video_id=video_id, num_frames=num_frames, trajectories=tuple(tracks))
+
+
+def _perturb_video_oracle(rng: np.random.Generator, gt: VideoRecord, cfg) -> VideoRecord:
+    n_tracks = len(gt.trajectories)
+    relabel = {t.track_id: t.track_id for t in gt.trajectories}
+    flat = []
+    captions: dict[int, Caption] = {}
+
+    switch_schedule: dict[int, tuple[int, int]] = {}
+    for frame in range(1, gt.num_frames):
+        if rng.random() < cfg.id_switch_rate and n_tracks >= 2:
+            a, b = rng.choice(n_tracks, size=2, replace=False)
+            switch_schedule[frame] = (
+                gt.trajectories[int(a)].track_id,
+                gt.trajectories[int(b)].track_id,
+            )
+
+    gt_by_frame: list[list] = [[] for _ in range(gt.num_frames)]
+    for track in gt.trajectories:
+        for det in track.detections:
+            gt_by_frame[det.frame].append((track.track_id, det))
+    fp_id = 1000
+    for frame in range(gt.num_frames):
+        if frame in switch_schedule:
+            a, b = switch_schedule[frame]
+            relabel[a], relabel[b] = relabel[b], relabel[a]
+        for track_id, det in gt_by_frame[frame]:
+            dropped = rng.random() < cfg.drop_rate
+            jitter = rng.normal(0.0, cfg.box_jitter_sigma, size=4) if cfg.box_jitter_sigma > 0 else np.zeros(4)
+            score = float(rng.uniform(0.6, 1.0))
+            make_fp = rng.random() < cfg.false_positive_rate
+            if not dropped:
+                x1, x2 = sorted((det.box.x1 + jitter[0], det.box.x2 + jitter[2]))
+                y1, y2 = sorted((det.box.y1 + jitter[1], det.box.y2 + jitter[3]))
+                flat.append(
+                    (frame, relabel[track_id], Detection(frame=frame, box=Box(x1, y1, x2, y2), score=score))
+                )
+            if make_fp:
+                x, y, w, h = _random_box_oracle(rng)
+                fp_score = float(rng.uniform(0.2, 0.6))
+                fp_caption = _random_caption_oracle(rng)
+                flat.append(
+                    (frame, fp_id, Detection(frame=frame, box=Box(x, y, x + w, y + h), score=fp_score))
+                )
+                captions[fp_id] = fp_caption
+                fp_id += 1
+
+    for track in gt.trajectories:
+        label = track.track_id
+        if rng.random() < cfg.caption_corruption_rate:
+            captions[label] = _random_caption_oracle(rng)
+        else:
+            captions[label] = track.caption
+
+    present = {track_id for _, track_id, _ in flat}
+    captions = {tid: cap for tid, cap in captions.items() if tid in present and cap is not None}
+    return _regroup_oracle(gt.video_id, gt.num_frames, flat, captions)
+
+
+def generate_oracle(cfg) -> tuple[list[VideoRecord], list[VideoRecord]]:
+    rng = np.random.default_rng(cfg.seed)
+    gts = [_gt_video_oracle(rng, f"synth-{cfg.seed:04d}-{v:03d}", cfg) for v in range(cfg.num_videos)]
+    preds = [_perturb_video_oracle(rng, gt, cfg) for gt in gts]
+    return gts, preds
+
+
+def dataset_to_obj(records: list[VideoRecord]) -> list[dict]:
+    out = []
+    for record in records:
+        tracks = []
+        for track in record.trajectories:
+            boxes = []
+            for det in track.detections:
+                entry: dict = {
+                    "frame": det.frame,
+                    "box": [det.box.x1, det.box.y1, det.box.x2, det.box.y2],
+                    "score": det.score,
+                }
+                if det.caption is not None:
+                    entry["caption"] = det.caption.raw
+                boxes.append(entry)
+            track_obj: dict = {"track_id": track.track_id, "boxes": boxes}
+            if track.caption is not None:
+                track_obj["caption"] = track.caption.raw
+            tracks.append(track_obj)
+        out.append(
+            {"video_id": record.video_id, "num_frames": record.num_frames, "tracks": tracks}
+        )
+    return out
+
+
+def dataset_json_oracle(records: list[VideoRecord]) -> str:
+    """The text of a dataset file holding ``records``."""
+    return json.dumps(dataset_to_obj(records), separators=(",", ":")) + "\n"

@@ -429,6 +429,16 @@ BAD_INPUTS = {
     "synth-box-jitter-nan": lambda tmp: [
         "synth", "--box-jitter", "nan", "--out-gt", str(tmp / "gt.json"), "--out-pred", str(tmp / "pred.json")
     ],
+    "synth-infinite-jitter": lambda tmp: [
+        "synth", "--box-jitter", "inf", "--out-gt", str(tmp / "gt.json"), "--out-pred", str(tmp / "pred.json")
+    ],
+    "synth-negative-seed": lambda tmp: [
+        "synth", "--seed", "-1", "--out-gt", str(tmp / "gt.json"), "--out-pred", str(tmp / "pred.json")
+    ],
+    "query-span-frame-without-box": lambda tmp: _ground_files(tmp, queries=[
+        {"video_id": "v0", "query_id": "q1", "text": "x", "span": [0, 1],
+         "boxes": [{"frame": 0, "box": [0, 0, 10, 10]}]},
+    ]),
 }
 
 

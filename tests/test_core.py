@@ -10,6 +10,7 @@ from densevoc.core import (
     Trajectory,
     ValidationError,
     VideoRecord,
+    VideoTable,
     corner_array,
     giou,
     iou,
@@ -194,3 +195,57 @@ def test_caption_tokens_must_match_raw() -> None:
     assert Caption.from_text("A dog!").tokens == ("a", "dog")
     with pytest.raises(ValidationError):
         Caption(raw="a dog", tokens=("dog",))
+
+
+def _table(**edit) -> VideoTable:
+    """Two tracks: id 4 on frames 0 and 2, id 9 on frame 1."""
+    columns = dict(
+        video_id="v", num_frames=3, track_ids=[4, 9], track_captions=("a dog", None), offsets=[0, 2, 3],
+        frames=[0, 2, 1], corners=[[0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 2.0, 3.0], [5.0, 5.0, 5.0, 6.0]],
+        scores=[0.5, 1.0, 0.0], box_captions=(None, "a big dog", None),
+    )
+    return VideoTable(**dict(columns, **edit))
+
+
+def test_video_table_round_trips_records() -> None:
+    record = _table().to_record()
+    assert [t.track_id for t in record.trajectories] == [4, 9]
+    assert record.trajectories[0].detections[1].caption.raw == "a big dog"
+    assert record.trajectories[1].caption is None
+    again = VideoTable.from_record(record)
+    assert again.to_record() == record
+    assert again.box_captions == (None, "a big dog", None)
+    assert VideoTable.from_record(VideoRecord("e", 1, ())).to_record() == VideoRecord("e", 1, ())
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (dict(num_frames=0), "num_frames"),
+        (dict(num_frames=2**63), "num_frames"),
+        (dict(track_ids=[4, 2**63]), "64-bit"),
+        (dict(track_ids=[4, 2**64]), "64-bit"),
+        (dict(frames=[0.0, 2.0, 1.0]), "integers"),
+        (dict(track_ids=[4, 0]), "positive"),
+        (dict(track_ids=[4, 4]), "duplicate track_id 4"),
+        (dict(offsets=[0, 1, 2]), "lengths"),
+        (dict(scores=[0.5, 1.0]), "lengths"),
+        (dict(box_captions=(None,)), "lengths"),
+        (dict(corners=[[0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 2.0, np.inf], [5.0, 5.0, 5.0, 6.0]]), "finite"),
+        (dict(corners=[[0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 2.0, 3.0], [5.0, 5.0, 4.0, 6.0]]), "out of order"),
+        (dict(scores=[0.5, np.nan, 0.0]), "score"),
+        (dict(scores=[0.5, 1.5, 0.0]), "score"),
+        (dict(frames=[0, 2, -1]), ">= 0"),
+        (dict(frames=[0, 3, 1]), "num_frames"),
+        (dict(frames=[2, 2, 1]), "track 4: frames must be strictly increasing"),
+        (dict(frames=[2, 0, 1]), "track 4: frames must be strictly increasing"),
+    ],
+)
+def test_video_table_checks_columns(edit, message) -> None:
+    with pytest.raises(ValidationError, match=message):
+        _table(**edit)
+
+
+def test_video_table_frames_restart_at_track_boundary() -> None:
+    table = _table(frames=[1, 2, 0], offsets=[0, 2, 3])
+    assert table.to_record().trajectories[1].frames == (0,)

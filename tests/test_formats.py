@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from densevoc.assoc import AssocMatrix
 from densevoc.formats import (
     FeatureFile,
     FormatError,
-    dataset_to_obj,
     load_dataset,
     load_external_scores,
     load_likelihoods,
@@ -19,6 +19,11 @@ from densevoc.formats import (
     save_dataset,
     save_matrix,
 )
+from densevoc.core import Box, Caption, Detection, Trajectory, ValidationError, VideoRecord, VideoTable
+from densevoc.synth import SynthConfig, generate
+from oracles import dataset_json_oracle, dataset_to_obj
+
+FIXTURES = Path(__file__).parent.parent / "fixtures"
 
 GOOD = [
     {
@@ -60,9 +65,7 @@ def test_round_trip_identity(tmp_path) -> None:
 
 
 def test_round_trip_on_all_fixture_files(tmp_path) -> None:
-    from pathlib import Path
-
-    fixtures = Path(__file__).parent.parent / "fixtures"
+    fixtures = FIXTURES
     for name in ("synth20_gt.json", "golden_seed42_gt.json", "golden_seed42_pred.json"):
         records = load_dataset(fixtures / name)
         out = tmp_path / name
@@ -183,7 +186,7 @@ def test_queries_file(tmp_path) -> None:
                     "query_id": "q1",
                     "text": "the red car",
                     "span": [2, 5],
-                    "boxes": [{"frame": 2, "box": [0, 0, 10, 10]}],
+                    "boxes": [{"frame": f, "box": [f, 0, f + 10, 10]} for f in range(2, 6)],
                 }
             ]
         )
@@ -194,3 +197,81 @@ def test_queries_file(tmp_path) -> None:
     path.write_text(json.dumps([{"video_id": "v", "query_id": "q", "text": "t", "span": [5, 2], "boxes": []}]))
     with pytest.raises(FormatError, match="span"):
         load_queries(path)
+
+
+
+def test_query_span_needs_a_box_per_frame(tmp_path) -> None:
+    path = tmp_path / "queries.json"
+    boxes = [{"frame": 0, "box": [0, 0, 10, 10]}, {"frame": 2, "box": [0, 0, 10, 10]}]
+    path.write_text(json.dumps([{"video_id": "v", "query_id": "q", "text": "t", "span": [0, 2], "boxes": boxes}]))
+    with pytest.raises(FormatError, match="no box for frame 1"):
+        load_queries(path)
+    # A span far longer than its box list is refused after len(boxes) + 1 frames.
+    path.write_text(json.dumps([{"video_id": "v", "query_id": "q", "text": "t", "span": [0, 2**62], "boxes": boxes}]))
+    with pytest.raises(FormatError, match="no box for frame 1"):
+        load_queries(path)
+
+
+def _saved(records, tmp_path) -> str:
+    path = tmp_path / "out.json"
+    save_dataset(records, path)
+    return path.read_text()
+
+
+def test_writer_equals_json_oracle_on_fixtures(tmp_path) -> None:
+    for name in ("synth20_gt.json", "golden_seed42_gt.json", "golden_seed42_pred.json"):
+        records = load_dataset(FIXTURES / name)
+        assert _saved(records, tmp_path) == dataset_json_oracle(records), name
+
+
+def test_writer_equals_json_oracle_on_box_captions(tmp_path) -> None:
+    _, preds = generate(SynthConfig(seed=4, num_videos=2, frames_per_video=10, box_jitter_sigma=2.0,
+                                    false_positive_rate=0.2, drop_rate=0.1))
+    rng = np.random.default_rng(0)
+    captioned = [
+        VideoRecord(record.video_id, record.num_frames, tuple(
+            Trajectory(t.track_id, tuple(
+                Detection(d.frame, d.box, d.score, caption=Caption.from_text(f"{t.caption.raw} {k}"))
+                if rng.random() < 0.7 else d
+                for k, d in enumerate(t.detections)
+            ), t.caption)
+            for t in record.trajectories
+        ))
+        for record in preds
+    ]
+    assert _saved(captioned, tmp_path) == dataset_json_oracle(captioned)
+
+
+def test_writer_equals_json_oracle_on_hand_built_records(tmp_path) -> None:
+    def det(frame, caption=None, score=0.5):
+        return Detection(frame, Box(-2.25, 1e-7, 1.5, 3e5), score,
+                         caption=None if caption is None else Caption.from_text(caption))
+
+    records = [
+        VideoRecord('a "quoted" \\ id', 4, (
+            Trajectory(3, (det(0, 'say "hi" \\ back'), det(2, "")), Caption.from_text("café naïve 東京 ☃")),
+            Trajectory(7, (), Caption.from_text("a track with no boxes")),
+            Trajectory(9, (det(1, "\u2028 line\nbreak\ttab", score=1.0), det(3)), None),
+        )),
+        VideoRecord("no tracks", 1, ()),
+        VideoRecord("ünïcode-id", 2, (Trajectory(1, (det(1, "ok"),), Caption.from_text("")),)),
+    ]
+    assert _saved(records, tmp_path) == dataset_json_oracle(records)
+    assert load_dataset(tmp_path / "out.json") == [VideoTable.from_record(r).to_record() for r in records]
+    assert _saved([], tmp_path) == dataset_json_oracle([]) == "[]\n"
+
+
+def test_writer_writes_floats_and_reloads_equal(tmp_path) -> None:
+    record = VideoRecord("v", 1, (Trajectory(1, (Detection(0, Box(0, 0, 10, 10), score=1, track_id=1),)),))
+    assert _saved([record], tmp_path) == (
+        '[{"video_id":"v","num_frames":1,"tracks":[{"track_id":1,"boxes":'
+        '[{"frame":0,"box":[0.0,0.0,10.0,10.0],"score":1.0}]}]}]\n'
+    )
+    assert load_dataset(tmp_path / "out.json") == [record]
+
+
+def test_writer_rejects_integers_outside_64_bits(tmp_path) -> None:
+    record = VideoRecord("v", 1, (Trajectory(2**63, (Detection(0, Box(0, 0, 1, 1)),)),))
+    with pytest.raises(ValidationError, match="64-bit"):
+        save_dataset([record], tmp_path / "out.json")
+    assert not (tmp_path / "out.json").exists()

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 
 import pytest
 
 from densevoc.core import ValidationError
-from densevoc.formats import dataset_to_obj, save_dataset
+from densevoc.formats import save_dataset
 from densevoc.synth import SynthConfig, generate
+from oracles import dataset_to_obj, generate_oracle
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -70,6 +72,11 @@ def test_config_validation() -> None:
         SynthConfig(box_jitter_sigma=-1.0)
     with pytest.raises(ValidationError):
         SynthConfig(num_videos=0)
+    with pytest.raises(ValidationError, match="seed"):
+        SynthConfig(seed=-1)
+    for sigma in (float("inf"), float("nan")):
+        with pytest.raises(ValidationError, match="box_jitter_sigma"):
+            SynthConfig(box_jitter_sigma=sigma)
 
 
 def test_boxes_stay_on_canvas_and_valid() -> None:
@@ -78,3 +85,22 @@ def test_boxes_stay_on_canvas_and_valid() -> None:
         for track in record.trajectories:
             for det in track.detections:
                 assert det.box.x1 <= det.box.x2 and det.box.y1 <= det.box.y2
+
+
+# objects, frames, drop, FP, id switch, jitter: every combination of the
+# values that change which draws happen, with a seed of its own each.
+ORACLE_GRID = list(itertools.product((1, 3), (1, 20), (0.0, 1.0), (0.0, 1.0), (0.0, 0.5), (0.0, 2.0, 30.0)))
+
+
+def test_generate_equals_generator_oracle() -> None:
+    for seed, (objects, frames, drop, fp, switch, jitter) in enumerate(ORACLE_GRID):
+        cfg = SynthConfig(seed=seed, num_videos=2, frames_per_video=frames, objects_per_video=objects,
+                          box_jitter_sigma=jitter, drop_rate=drop, false_positive_rate=fp,
+                          id_switch_rate=switch, caption_corruption_rate=0.5)
+        assert generate(cfg) == generate_oracle(cfg), cfg
+
+
+def test_synth20_fixture_matches_bytewise(tmp_path) -> None:
+    gts, _ = generate(SynthConfig(seed=20, num_videos=20, frames_per_video=20, objects_per_video=4))
+    save_dataset(gts, tmp_path / "gt.json")
+    assert (tmp_path / "gt.json").read_bytes() == (FIXTURES / "synth20_gt.json").read_bytes()
