@@ -17,7 +17,7 @@ import numpy as np
 
 from . import aggregate as agg
 from . import assoc, formats, ground, losses, metrics, synth
-from .core import Caption, ValidationError, VideoRecord
+from .core import Box, Caption, ValidationError, VideoRecord, VideoTable
 
 
 def _jobs_default() -> int:
@@ -152,9 +152,9 @@ def cmd_track_iou(args) -> int:
     from dataclasses import replace
 
     thresh = _number(args.thresh, "--thresh", 0.0, 1.0)
-    records = formats.load_dataset(args.pred, strict=args.strict)
     out_records = []
-    for record in records:
+    for table in formats.load_dataset(args.pred, strict=args.strict):
+        record = table.to_record()
         frames = [[det for _, det in dets] for dets in record.detections_by_frame()]
         ids = assoc.iou_tracker(frames, match_thresh=thresh)
         flat = []
@@ -208,11 +208,30 @@ def cmd_aggregate(args) -> int:
     return 0
 
 
+def _ground_candidates(video: VideoTable) -> tuple[dict, dict]:
+    """Per frame holding boxes, its (box, score) candidates in track order, and each candidate's track id.
+
+    Frames without boxes get no entry, so the cost follows the boxes, not
+    ``num_frames``.
+    """
+    order = np.argsort(video.frames, kind="stable")  # stable: track order within a frame
+    track_ids = np.repeat(video.track_ids, np.diff(video.offsets))[order].tolist()
+    corners, scores = video.corners[order].tolist(), video.scores[order].tolist()
+    candidates: dict[int, list[tuple[Box, float]]] = {}
+    track_of: dict[tuple[str, int, int], int] = {}
+    for frame, track_id, box, score in zip(video.frames[order].tolist(), track_ids, corners, scores):
+        here = candidates.setdefault(frame, [])
+        track_of[(video.video_id, frame, len(here))] = track_id
+        here.append((Box(*box), score))
+    return candidates, track_of
+
+
 def cmd_ground(args) -> int:
-    records = formats.load_dataset(args.pred, strict=args.strict)
-    by_id = {r.video_id: r for r in records}
+    by_id = {t.video_id: t for t in formats.load_dataset(args.pred, strict=args.strict)}
     queries = formats.load_queries(args.queries)
     per_frame, per_track = formats.load_likelihoods(args.likelihoods)
+    # Per video, built on its first query: the candidates and the scorer, which checks every NLL.
+    scorers: dict[str, tuple[dict, ground.TableScorer]] = {}
 
     results = []
     sious, tious, vious = [], [], []
@@ -221,15 +240,13 @@ def cmd_ground(args) -> int:
         if video is None:
             print(f"warning: no predictions for video {query['video_id']!r}", file=sys.stderr)
             continue
-        candidates: dict[int, list[tuple]] = {}
-        track_of: dict[tuple[str, int, int], int] = {}
-        for frame, dets in enumerate(video.detections_by_frame()):
-            candidates[frame] = [(det.box, det.score) for _, det in dets]
-            for k, (track_id, _) in enumerate(dets):
-                track_of[(video.video_id, frame, k)] = track_id
-        scorer = ground.TableScorer(
-            per_frame=per_frame, per_track=per_track, mode=args.mode, track_of=track_of
-        )
+        if video.video_id not in scorers:
+            candidates, track_of = _ground_candidates(video)
+            scorer = ground.TableScorer(
+                per_frame=per_frame, per_track=per_track, mode=args.mode, track_of=track_of
+            )
+            scorers[video.video_id] = candidates, scorer
+        candidates, scorer = scorers[video.video_id]
         result, (s_iou, t_iou, v_iou) = ground.ground_and_score(
             video.video_id,
             candidates,

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -210,7 +211,8 @@ class VideoTable:
     frame order; track ``t`` owns rows ``offsets[t]:offsets[t + 1]``.
     Captions are raw strings. The invariants of ``VideoRecord`` and its
     dataclasses are checked by column, and integers must fit 64 bits, as
-    dataset files require.
+    dataset files require. ``trajectories`` is the record view, built on
+    first use and shared by ``to_record``.
     """
 
     video_id: str
@@ -300,8 +302,17 @@ class VideoTable:
             box_captions=None if all(c is None for c in captions) else tuple(captions),
         )
 
+    @cached_property
+    def trajectories(self) -> tuple[Trajectory, ...]:
+        """The record view of the table, built on first use; detections carry their track id."""
+        return self._trajectories(detection_track_ids=True)
+
     def to_record(self, detection_track_ids: bool = True) -> VideoRecord:
         """The record of this table; detections carry their track id unless told not to."""
+        tracks = self.trajectories if detection_track_ids else self._trajectories(detection_track_ids=False)
+        return VideoRecord(video_id=self.video_id, num_frames=self.num_frames, trajectories=tracks)
+
+    def _trajectories(self, detection_track_ids: bool) -> tuple[Trajectory, ...]:
         frames, corners, scores = self.frames.tolist(), self.corners.tolist(), self.scores.tolist()
         box_captions = self.box_captions or (None,) * len(frames)
         offsets = self.offsets.tolist()
@@ -320,7 +331,12 @@ class VideoTable:
             )
             track_caption = None if caption is None else Caption.from_text(caption)
             tracks.append(Trajectory(track_id=track_id, detections=dets, caption=track_caption))
-        return VideoRecord(video_id=self.video_id, num_frames=self.num_frames, trajectories=tuple(tracks))
+        return tuple(tracks)
+
+
+def as_tables(videos: Sequence[VideoTable | VideoRecord]) -> list[VideoTable]:
+    """Tables as given; records converted, and so checked, by ``VideoTable.from_record``."""
+    return [v if isinstance(v, VideoTable) else VideoTable.from_record(v) for v in videos]
 
 
 def iou(a: Box, b: Box) -> float:

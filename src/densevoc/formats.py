@@ -21,21 +21,36 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
 
 from .assoc import AssocMatrix
-from .core import Box, Caption, Detection, Trajectory, ValidationError, VideoRecord, VideoTable
+from .core import Box, Detection, Trajectory, ValidationError, VideoRecord, VideoTable, as_tables
 
 
 class FormatError(ValueError):
     """Malformed input file; message carries the offending location."""
 
 
+_VIDEO_KEYS = {"video_id", "num_frames", "tracks"}
+_TRACK_KEYS = {"track_id", "caption", "boxes"}
+_BOX_KEYS = {"frame", "box", "score", "caption"}
+
+
 def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _float(value: Any, where: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise FormatError(f"{where}: expected a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise FormatError(f"{where}: integer is too large for a float") from None
 
 
 def _require(obj: dict, key: str, kind, where: str):
@@ -43,9 +58,7 @@ def _require(obj: dict, key: str, kind, where: str):
         raise FormatError(f"{where}: missing required field {key!r}")
     value = obj[key]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise FormatError(f"{where}.{key}: expected a number, got {type(value).__name__}")
-        return float(value)
+        return _float(value, f"{where}.{key}")
     if kind is int:
         if not _is_int(value):
             raise FormatError(f"{where}.{key}: expected an integer, got {type(value).__name__}")
@@ -70,6 +83,8 @@ def _read_json(path: Path) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal longer than Python converts
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def _check_unknown(obj: dict, allowed: set[str], where: str, strict: bool) -> None:
@@ -83,71 +98,139 @@ def _parse_box(raw: Any, where: str) -> Box:
     if not isinstance(raw, list) or len(raw) != 4:
         raise FormatError(f"{where}: box must be a list [x1, y1, x2, y2]")
     try:
-        return Box(*(float(v) for v in raw))
-    except (TypeError, ValueError, ValidationError) as exc:
+        return Box(*(_float(v, f"{where}.box[{k}]") for k, v in enumerate(raw)))
+    except ValidationError as exc:
         raise FormatError(f"{where}: {exc}") from exc
 
 
-def parse_dataset(data: Any, strict: bool = False) -> list[VideoRecord]:
+def _all_of(values: list, *kinds: type) -> bool:
+    """Whether every value is an instance of one of ``kinds`` and not a bool (a bool is never a number).
+
+    Values of exactly those types pass without a per-value check.
+    """
+    return set(map(type, values)) <= set(kinds) or all(isinstance(v, kinds) and not isinstance(v, bool) for v in values)
+
+
+def _track_fields(track: Any, where: str, strict: bool) -> tuple[int, str | None, list]:
+    """A track object's id, caption and box list, checked in document order."""
+    if not isinstance(track, dict):
+        raise FormatError(f"{where}: expected an object")
+    _check_unknown(track, _TRACK_KEYS, where, strict)
+    track_id = _require(track, "track_id", int, where)
+    caption = None
+    if track.get("caption") is not None:
+        caption = _require(track, "caption", str, where)
+    return track_id, caption, _require(track, "boxes", list, where)
+
+
+def _video_table(video_id: str, num_frames: int, tracks: list, where: str, strict: bool) -> VideoTable:
+    """One video's boxes gathered into columns and checked by column.
+
+    Raises on the first check that fails, which need not be the check of
+    the first bad element in document order.
+    """
+    malformed = FormatError(f"{where}: a box does not match the schema")
+    track_ids, track_captions, counts, entries = [], [], [0], []
+    for ti, track in enumerate(tracks):
+        track_id, caption, boxes = _track_fields(track, f"{where}.tracks[{ti}]", strict)
+        track_ids.append(track_id)
+        track_captions.append(caption)
+        counts.append(len(boxes))
+        entries.extend(boxes)
+    if not _all_of(entries, dict) or (strict and not set().union(*entries) <= _BOX_KEYS):
+        raise malformed
+    frames = [e.get("frame") for e in entries]
+    boxes = [e.get("box") for e in entries]
+    scores = [e.get("score", 1.0) for e in entries]
+    captions = [e.get("caption") for e in entries]
+    if not (_all_of(boxes, list) and set(map(len, boxes)) <= {4}):
+        raise malformed
+    coords = list(chain.from_iterable(boxes))
+    if not (
+        _all_of(frames, int)
+        and _all_of(coords, int, float)
+        and _all_of(scores, int, float)
+        and _all_of(captions, str, type(None))
+    ):
+        raise malformed
+    return VideoTable(
+        video_id=video_id,
+        num_frames=num_frames,
+        track_ids=np.array(track_ids, dtype=np.int64),
+        track_captions=tuple(track_captions),
+        offsets=np.cumsum(counts),
+        frames=np.array(frames, dtype=np.int64),  # OverflowError beyond 64 bits
+        corners=np.array(coords, dtype=float).reshape(-1, 4),  # OverflowError beyond the float range
+        scores=np.array(scores, dtype=float),
+        box_captions=None if captions.count(None) == len(captions) else tuple(captions),
+    )
+
+
+def _first_error(video_id: str, num_frames: int, tracks: list, where: str, strict: bool) -> None:
+    """Raise the first error of a video in document order, with its JSON path.
+
+    Walks the tracks and boxes one at a time, with the checks of the record
+    dataclasses; only a video that failed its column checks gets here.
+    """
+
+    def checked(where, make, **fields):
+        try:
+            return make(**fields)
+        except ValidationError as exc:
+            raise FormatError(f"{where}: {exc}") from exc
+
+    trajectories = []
+    for ti, track in enumerate(tracks):
+        twhere = f"{where}.tracks[{ti}]"
+        track_id, _, boxes = _track_fields(track, twhere, strict)
+        dets = []
+        for bi, entry in enumerate(boxes):
+            bwhere = f"{twhere}.boxes[{bi}]"
+            if not isinstance(entry, dict):
+                raise FormatError(f"{bwhere}: expected an object")
+            _check_unknown(entry, _BOX_KEYS, bwhere, strict)
+            frame = _require(entry, "frame", int, bwhere)
+            box = _parse_box(entry.get("box"), bwhere)
+            score = _require(entry, "score", float, bwhere) if "score" in entry else 1.0
+            if entry.get("caption") is not None:
+                _require(entry, "caption", str, bwhere)
+            dets.append(checked(bwhere, Detection, frame=frame, box=box, score=score, track_id=track_id))
+        trajectories.append(checked(twhere, Trajectory, track_id=track_id, detections=dets))
+    checked(where, VideoRecord, video_id=video_id, num_frames=num_frames, trajectories=trajectories)
+
+
+def parse_dataset(data: Any, strict: bool = False) -> list[VideoTable]:
+    """The videos of a dataset file's JSON value, one ``VideoTable`` each.
+
+    Box values are gathered into columns and checked by column. A video that
+    fails a check is walked again box by box, so the error names the first
+    bad element in document order.
+    """
     if not isinstance(data, list):
         raise FormatError("top level: expected a list of video objects")
-    records = []
+    tables = []
     seen_ids: set[str] = set()
     for vi, video in enumerate(data):
         where = f"video[{vi}]"
         if not isinstance(video, dict):
             raise FormatError(f"{where}: expected an object")
-        _check_unknown(video, {"video_id", "num_frames", "tracks"}, where, strict)
+        _check_unknown(video, _VIDEO_KEYS, where, strict)
         video_id = _require(video, "video_id", str, where)
         if video_id in seen_ids:
             raise FormatError(f"{where}: duplicate video_id {video_id!r}")
         seen_ids.add(video_id)
         num_frames = _require(video, "num_frames", int, where)
-        tracks_raw = _require(video, "tracks", list, where)
-        tracks = []
-        for ti, track in enumerate(tracks_raw):
-            twhere = f"{where}.tracks[{ti}]"
-            if not isinstance(track, dict):
-                raise FormatError(f"{twhere}: expected an object")
-            _check_unknown(track, {"track_id", "caption", "boxes"}, twhere, strict)
-            track_id = _require(track, "track_id", int, twhere)
-            caption = None
-            if track.get("caption") is not None:
-                caption = Caption.from_text(_require(track, "caption", str, twhere))
-            dets = []
-            for bi, entry in enumerate(_require(track, "boxes", list, twhere)):
-                bwhere = f"{twhere}.boxes[{bi}]"
-                if not isinstance(entry, dict):
-                    raise FormatError(f"{bwhere}: expected an object")
-                _check_unknown(entry, {"frame", "box", "score", "caption"}, bwhere, strict)
-                frame = _require(entry, "frame", int, bwhere)
-                box = _parse_box(entry.get("box"), bwhere)
-                score = _require(entry, "score", float, bwhere) if "score" in entry else 1.0
-                det_cap = None
-                if entry.get("caption") is not None:
-                    det_cap = Caption.from_text(_require(entry, "caption", str, bwhere))
-                try:
-                    dets.append(
-                        Detection(frame=frame, box=box, score=score, track_id=track_id, caption=det_cap)
-                    )
-                except ValidationError as exc:
-                    raise FormatError(f"{bwhere}: {exc}") from exc
-            try:
-                tracks.append(
-                    Trajectory(track_id=track_id, detections=tuple(dets), caption=caption)
-                )
-            except ValidationError as exc:
-                raise FormatError(f"{twhere}: {exc}") from exc
+        tracks = _require(video, "tracks", list, where)
         try:
-            records.append(
-                VideoRecord(video_id=video_id, num_frames=num_frames, trajectories=tuple(tracks))
-            )
-        except ValidationError as exc:
+            tables.append(_video_table(video_id, num_frames, tracks, where, strict))
+        except (FormatError, ValidationError, OverflowError) as exc:
+            _first_error(video_id, num_frames, tracks, where, strict)
             raise FormatError(f"{where}: {exc}") from exc
-    return records
+    return tables
 
 
-def load_dataset(path: str | Path, strict: bool = False) -> list[VideoRecord]:
+def load_dataset(path: str | Path, strict: bool = False) -> list[VideoTable]:
+    """The videos of a dataset file as tables; ``VideoTable.trajectories`` is the record view."""
     path = Path(path)
     data = _read_json(path)
     try:
@@ -184,8 +267,7 @@ def save_dataset(videos: Sequence[VideoTable | VideoRecord], path: str | Path) -
     Records are converted to tables, and so checked, before the file is
     opened. Coordinates and scores are always written as JSON floats.
     """
-    tables = [v if isinstance(v, VideoTable) else VideoTable.from_record(v) for v in videos]
-    Path(path).write_text("[" + ",".join(map(_video_json, tables)) + "]\n")
+    Path(path).write_text("[" + ",".join(map(_video_json, as_tables(videos))) + "]\n")
 
 
 @dataclass

@@ -19,8 +19,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .capmetrics import IdfTable, cider_pair, exact_match, meteor_lite
-from .core import Box, Caption, Detection, ValidationError, VideoRecord
-from .core import corner_array, iou_matrix
+from .core import Box, Caption, ValidationError, VideoRecord, VideoTable
+from .core import as_tables, corner_array, iou_matrix, tokenize
 
 DEFAULT_ALPHAS: tuple[float, ...] = tuple(round(0.05 * k, 2) for k in range(1, 20))
 APM_IOU_THRESHOLDS: tuple[float, ...] = (0.3, 0.4, 0.5, 0.6, 0.7)
@@ -67,38 +67,51 @@ class ScorerConfig:
 
 @dataclass
 class _FrameTable:
-    """One record's detections in frames 0..num_frames-1, one row each.
+    """One table's rows in frames 0..num_frames-1, in observation order.
 
-    Rows are in observation order: frame-major, then trajectory order within
-    a frame, so a prediction row's index is its sidecar
-    ``pred_observation_index`` (detections in later frames, dropped here,
-    come last in that order). Frames without rows cost nothing.
+    Rows are frame-major, then trajectory order within a frame, so a
+    prediction row's index is its sidecar ``pred_observation_index`` (rows in
+    later frames, dropped here, come last in that order). Frames without
+    rows cost nothing.
     """
 
-    dets: list[Detection]
     track: np.ndarray  # trajectory index of each row
     corners: np.ndarray  # (n, 4)
     frame: np.ndarray  # frame of each row, non-decreasing
+    score: np.ndarray
+    caption: np.ndarray | None  # caption id of each row, when asked for (see _frames)
 
 
-def _frames(record: VideoRecord, num_frames: int) -> _FrameTable:
-    """The observation table of ``record`` over frames 0..num_frames-1."""
-    dets, track, frame, corners = [], [], [], []
-    for k, t in enumerate(record.trajectories):
-        for d in t.detections:
-            if d.frame < num_frames:
-                b = d.box
-                dets.append(d)
-                track.append(k)
-                frame.append(d.frame)
-                corners.append((b.x1, b.y1, b.x2, b.y2))
-    frame = np.array(frame, dtype=np.int64)
-    order = np.argsort(frame, kind="stable")  # stable: trajectory order within a frame
+def _intern(texts, ids: dict[str, int], default: str | None = None) -> np.ndarray:
+    """The id of each text in ``ids``, adding new texts; None stands for ``default``, and -1 for None."""
+    out = []
+    for text in texts:
+        text = default if text is None else text
+        out.append(-1 if text is None else ids.setdefault(text, len(ids)))
+    return np.array(out, dtype=np.int64)
+
+
+def _frames(table: VideoTable, num_frames: int, caption_ids: dict[str, int] | None = None) -> _FrameTable:
+    """The observation table of ``table`` over frames 0..num_frames-1.
+
+    With ``caption_ids``, each row gets the id of its effective caption
+    there: its box caption, else its track caption, else the empty caption.
+    """
+    rows = np.flatnonzero(table.frames < num_frames)
+    rows = rows[np.argsort(table.frames[rows], kind="stable")]  # stable: file order within a frame
+    track = np.repeat(np.arange(len(table.track_ids)), np.diff(table.offsets))[rows]
+    caption = None
+    if caption_ids is not None:
+        caption = _intern(table.track_captions, caption_ids, "")[track]
+        if table.box_captions is not None:
+            box = _intern([table.box_captions[i] for i in rows.tolist()], caption_ids)
+            caption = np.where(box >= 0, box, caption)
     return _FrameTable(
-        dets=[dets[i] for i in order.tolist()],
-        track=np.array(track, dtype=int)[order],
-        corners=np.array(corners, dtype=float).reshape(-1, 4)[order],
-        frame=frame[order],
+        track=track,
+        corners=table.corners[rows],
+        frame=table.frames[rows],
+        score=table.scores[rows],
+        caption=caption,
     )
 
 
@@ -135,17 +148,20 @@ class _VideoPrep:
     to the one of a single frame's block.
     """
 
-    def __init__(self, pred: VideoRecord, gt: VideoRecord):
+    def __init__(self, pred: VideoTable, gt: VideoTable):
         if pred.video_id != gt.video_id:
             raise ValidationError(
                 f"video ids differ: {pred.video_id!r} vs {gt.video_id!r}"
             )
         self.video_id = gt.video_id
-        self.pred_tracks = pred.trajectories
-        self.gt_tracks = gt.trajectories
+        self.gt_track_ids = gt.track_ids
+        # Captions by id: gt tracks' own (-1 for none) and each prediction row's effective one.
+        self.caption_ids: dict[str, int] = {}
+        self.gt_caption = _intern(gt.track_captions, self.caption_ids)
+        self.pred_track_caption = _intern(pred.track_captions, self.caption_ids, "")
         self.gt = _frames(gt, gt.num_frames)
-        self.pred = _frames(pred, gt.num_frames)
-        n_gt, n_pred = len(self.gt_tracks), len(self.pred_tracks)
+        self.pred = _frames(pred, gt.num_frames, self.caption_ids)
+        self.n_gt, self.n_pred = n_gt, n_pred = len(gt.track_ids), len(pred.track_ids)
         self.gt_count = np.bincount(self.gt.track, minlength=n_gt)
         self.pred_count = np.bincount(self.pred.track, minlength=n_pred)
 
@@ -202,7 +218,7 @@ def _sweep(prep: _VideoPrep, alphas: tuple[float, ...]) -> tuple[_Records, np.nd
     """
     n_alpha = len(alphas)
     alpha_arr = np.asarray(alphas)
-    n_gt, n_pred = len(prep.gt_tracks), len(prep.pred_tracks)
+    n_gt, n_pred = prep.n_gt, prep.n_pred
     entries = []  # (frame, first alpha, last alpha, gt row, pred row) arrays
     for frames, g_rows, p_rows, sim in prep.buckets:
         n_frames, n_g, n_p = sim.shape
@@ -316,11 +332,6 @@ class _VideoStats:
     warnings: list[str] = field(default_factory=list)
 
 
-def _effective_caption(det_caption: Caption | None, track_caption: Caption | None) -> Caption:
-    cap = det_caption if det_caption is not None else track_caption
-    return cap if cap is not None else Caption.from_text("")
-
-
 class _PairScorer:
     """Caption pair scoring with memoization over token sequences."""
 
@@ -347,6 +358,14 @@ class _PairScorer:
         self.cache[key] = total
         return total
 
+    def pairs(self, caption_ids: dict[str, int], pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
+        """``intrinsic`` of each (pred, gt) pair of caption ids; each distinct pair is scored once."""
+        captions = [Caption.from_text(text) for text in caption_ids]
+        n = len(captions)
+        keys, inverse = np.unique(pred * n + gt, return_inverse=True)
+        values = [self.intrinsic(captions[k // n], captions[k % n]) for k in keys.tolist()]
+        return np.array(values, dtype=float)[inverse.reshape(-1)]
+
     def external(self, video_id: str, pred_obs_index: int, gt_track_id: int) -> float:
         scores = self.config.external_scores or {}
         value = scores.get((video_id, pred_obs_index, gt_track_id))
@@ -357,8 +376,8 @@ class _PairScorer:
 
 
 def _evaluate_video(
-    pred: VideoRecord,
-    gt: VideoRecord,
+    pred: VideoTable,
+    gt: VideoTable,
     alphas: tuple[float, ...],
     config: ScorerConfig,
     idf: IdfTable,
@@ -368,28 +387,24 @@ def _evaluate_video(
     records, mc, ass_iou_sum = _sweep(prep, alphas)
     tp = mc.sum(axis=(1, 2))
 
-    track_caps = [t.caption for t in prep.gt_tracks]
-    gt_caption_count = sum(1 for c in track_caps if c is not None)
+    captioned = prep.gt_caption >= 0
+    gt_caption_count = int(captioned.sum())
     cap_sum = np.zeros(n_alpha)
     tp_prime = np.zeros(n_alpha)
     warnings: list[str] = []
     if gt_caption_count > 0:
         scorer = _PairScorer(config, idf)
-        has_det_caps = any(
-            d.caption is not None for t in prep.pred_tracks for d in t.detections
-        )
-        if "external" in config.metrics or has_det_caps:
+        if "external" in config.metrics or pred.box_captions is not None:
             cap_sum, tp_prime = _caption_sums(records, n_alpha, prep, scorer)
         else:
             # Track captions only: one score per matched track pair, weighted
             # by its match count per threshold. This sum rounds differently
             # from the per-match sum of _caption_sums, and reports on
             # track-captioned data are pinned to it.
-            captioned = np.array([c is not None for c in track_caps])
             scores = np.zeros(mc.shape[1:])
-            for g, p in zip(*np.nonzero((mc.sum(axis=0) > 0) & captioned[:, None])):
-                pred_cap = _effective_caption(None, prep.pred_tracks[p].caption)
-                scores[g, p] = scorer.intrinsic(pred_cap, track_caps[g]) / config.divisor
+            g, p = np.nonzero((mc.sum(axis=0) > 0) & captioned[:, None])
+            pair_scores = scorer.pairs(prep.caption_ids, prep.pred_track_caption[p], prep.gt_caption[g])
+            scores[g, p] = pair_scores / config.divisor
             cap_mc = mc * captioned[None, :, None]
             cap_sum = (cap_mc * scores[None, :, :]).sum(axis=(1, 2))
             tp_prime = cap_mc.sum(axis=(1, 2))
@@ -421,27 +436,28 @@ def _caption_sums(
     observation row if enabled.
     """
     config = scorer.config
-    cap_sum = np.zeros(n_alpha)
-    tp_prime = np.zeros(n_alpha)
-    for a, end, g, p in zip(*(column.tolist() for column in records)):
-        gt_track = prep.gt_tracks[prep.gt.track[g]]
-        if gt_track.caption is None:
-            continue
-        det_cap = prep.pred.dets[p].caption
-        pred_cap = _effective_caption(det_cap, prep.pred_tracks[prep.pred.track[p]].caption)
-        total = scorer.intrinsic(pred_cap, gt_track.caption)
-        if "external" in config.metrics:
-            total += scorer.external(prep.video_id, p, gt_track.track_id)
-        cap_sum[a : end + 1] += total / config.divisor
-        tp_prime[a : end + 1] += 1.0
-    return cap_sum, tp_prime
+    first, last, g, p = records
+    gt_track = prep.gt.track[g]
+    keep = prep.gt_caption[gt_track] >= 0
+    first, last, gt_track, p = first[keep], last[keep], gt_track[keep], p[keep]
+    total = scorer.pairs(prep.caption_ids, prep.pred.caption[p], prep.gt_caption[gt_track])
+    if "external" in config.metrics:
+        gt_ids = prep.gt_track_ids[gt_track].tolist()
+        total += [scorer.external(prep.video_id, obs, track_id) for obs, track_id in zip(p.tolist(), gt_ids)]
+    alpha = np.arange(n_alpha)
+    covered = (alpha >= first[:, None]) & (alpha <= last[:, None])
+    # cumsum adds one matched entry at a time, in record order, as a
+    # per-entry += over its thresholds would.
+    added = np.where(covered, (total / config.divisor)[:, None], 0.0)
+    cap_sum = np.cumsum(np.vstack([np.zeros(n_alpha), added]), axis=0)[-1]
+    return cap_sum, covered.sum(axis=0).astype(float)
 
 
-def match_at_alpha(pred: VideoRecord, gt: VideoRecord, alpha: float) -> MatchSet:
+def match_at_alpha(pred: VideoTable | VideoRecord, gt: VideoTable | VideoRecord, alpha: float) -> MatchSet:
     """Bijective per-frame matching at a single localization threshold."""
     if not (0.0 < alpha < 1.0):
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    prep = _VideoPrep(pred, gt)
+    prep = _VideoPrep(*as_tables([pred, gt]))
     records, mc, ass_iou_sum = _sweep(prep, (alpha,))
     tp = int(mc.sum())
     return MatchSet(
@@ -469,8 +485,8 @@ def ass_a(m: MatchSet) -> float:
 
 def cap_a(
     m: MatchSet,
-    pred: VideoRecord,
-    gt: VideoRecord,
+    pred: VideoTable | VideoRecord,
+    gt: VideoTable | VideoRecord,
     config: ScorerConfig = ScorerConfig(),
     idf: IdfTable | None = None,
 ) -> float | None:
@@ -480,10 +496,11 @@ def cap_a(
     undefined and the combined metric falls back to its caption-free form);
     returns 0.0 when captions exist but no true positive pair has one.
     """
-    if all(t.caption is None for t in gt.trajectories):
+    captions = _idf_documents(as_tables([gt]))
+    if not captions:
         return None
     if idf is None:
-        idf = IdfTable.build([t.caption for t in gt.trajectories if t.caption is not None])
+        idf = IdfTable.build(captions)
     total, count = _caption_sums(m.records, 1, m.prep, _PairScorer(config, idf))
     return float(total[0] / count[0]) if count[0] else 0.0
 
@@ -567,8 +584,10 @@ def hota_from_components(det_a_value: float, ass_a_value: float) -> float:
 
 
 def _pair_records(
-    preds: Sequence[VideoRecord], gts: Sequence[VideoRecord]
-) -> tuple[list[tuple[VideoRecord, VideoRecord]], list[str]]:
+    preds: Sequence[VideoTable | VideoRecord], gts: Sequence[VideoTable | VideoRecord]
+) -> tuple[list[tuple[VideoTable, VideoTable]], list[str]]:
+    """(pred, gt) tables per gt video, in gt order; a missing prediction is an empty table."""
+    preds, gts = as_tables(preds), as_tables(gts)
     warnings = []
     pred_by_id = {r.video_id: r for r in preds}
     extra = set(pred_by_id) - {g.video_id for g in gts}
@@ -579,9 +598,14 @@ def _pair_records(
         pred = pred_by_id.get(gt.video_id)
         if pred is None:
             warnings.append(f"no predictions for video {gt.video_id!r}; counting all-FN")
-            pred = VideoRecord(video_id=gt.video_id, num_frames=gt.num_frames, trajectories=())
+            pred = VideoTable(gt.video_id, gt.num_frames, [], (), [0], [], [], [])  # no tracks
         pairs.append((pred, gt))
     return pairs, warnings
+
+
+def _idf_documents(gts: Sequence[VideoTable]) -> list[tuple[str, ...]]:
+    """The token sequences of the ground-truth track captions, one per captioned track."""
+    return [tokenize(c) for gt in gts for c in gt.track_captions if c is not None]
 
 
 # Worker context for fork-based pools: records are inherited by the child
@@ -598,8 +622,8 @@ def _eval_indexed(index: int) -> _VideoStats:
 
 
 def chota(
-    preds: Sequence[VideoRecord],
-    gts: Sequence[VideoRecord],
+    preds: Sequence[VideoTable | VideoRecord],
+    gts: Sequence[VideoTable | VideoRecord],
     alphas: Sequence[float] = DEFAULT_ALPHAS,
     config: ScorerConfig = ScorerConfig(),
     jobs: int = 1,
@@ -616,9 +640,7 @@ def chota(
             f"capa_alpha {config.capa_alpha} must be one of the evaluated thresholds"
         )
     pairs, warnings = _pair_records(preds, gts)
-    idf = IdfTable.build(
-        [t.caption for _, gt in pairs for t in gt.trajectories if t.caption is not None]
-    )
+    idf = IdfTable.build(_idf_documents([gt for _, gt in pairs]))
     if jobs > 1 and len(pairs) > 1:
         import multiprocessing as mp
 
@@ -749,8 +771,8 @@ class ApmReport:
 
 
 def ap_m(
-    preds: Sequence[VideoRecord],
-    gts: Sequence[VideoRecord],
+    preds: Sequence[VideoTable | VideoRecord],
+    gts: Sequence[VideoTable | VideoRecord],
     iou_thresholds: Sequence[float] = APM_IOU_THRESHOLDS,
     meteor_thresholds: Sequence[float] = APM_METEOR_THRESHOLDS,
 ) -> ApmReport:
@@ -790,34 +812,36 @@ def ap_m(
     ap_by_flags: dict[tuple[int, bytes], float] = {}
 
     for pred, gt in pairs:
-        gt_table, pred_table = _frames(gt, gt.num_frames), _frames(pred, gt.num_frames)
-        pred_scores = np.array([d.score for d in pred_table.dets])
-        pred_caps = [
-            _effective_caption(d.caption, pred.trajectories[k].caption)
-            for d, k in zip(pred_table.dets, pred_table.track.tolist())
-        ]
-        gt_caps = [gt.trajectories[k].caption for k in gt_table.track.tolist()]
-        captioned = np.array([c is not None for c in gt_caps], dtype=bool)
-        video_frames, video_ap = [], []
+        caption_ids: dict[str, int] = {}
+        gt_table, pred_table = _frames(gt, gt.num_frames), _frames(pred, gt.num_frames, caption_ids)
+        gt_caption = _intern(gt.track_captions, caption_ids)[gt_table.track]  # -1: accepts any caption
+        # Per shape group with predictions: its rows in descending score order
+        # (stable), IoU, and the pairs that clear the lowest IoU threshold
+        # against a captioned ground truth, since no other pair needs METEOR.
+        video_frames, video_ap, groups = [], [], []
         for frames, g_rows, p_rows in _shape_groups(gt_table, pred_table):
+            if p_rows.shape[1] == 0:
+                video_frames.append(frames)
+                video_ap.append(np.zeros((len(frames), n_cells)))  # AP 0 in every cell
+                continue
+            p_rows = np.take_along_axis(
+                p_rows, np.argsort(-pred_table.score[p_rows], axis=1, kind="stable"), axis=1
+            )
+            iou_mat = iou_matrix(pred_table.corners[p_rows], gt_table.corners[g_rows])
+            candidates = np.nonzero((iou_mat >= min_iou) & (gt_caption[g_rows] >= 0)[:, None, :])
+            groups.append((frames, g_rows, p_rows, iou_mat, candidates))
+        # METEOR once per distinct (pred caption, gt caption) pair of the video.
+        none = [np.zeros(0, dtype=np.int64)]
+        pred_ids = [pred_table.caption[p_rows[f, i]] for _, _, p_rows, _, (f, i, _) in groups]
+        gt_ids = [gt_caption[g_rows[f, j]] for _, g_rows, _, _, (f, _, j) in groups]
+        meteor = scorer.pairs(caption_ids, np.concatenate(none + pred_ids), np.concatenate(none + gt_ids))
+        meteor = np.split(meteor, np.cumsum([len(ids) for ids in pred_ids])[:-1])
+        for (frames, g_rows, p_rows, iou_mat, (f, i, j)), met in zip(groups, meteor):
             n_f, n_gt = g_rows.shape
             n_pred = p_rows.shape[1]
             video_frames.append(frames)
-            if n_pred == 0:
-                video_ap.append(np.zeros((n_f, n_cells)))  # AP 0 in every cell
-                continue
-            # Prediction rows in descending score order (stable).
-            p_rows = np.take_along_axis(
-                p_rows, np.argsort(-pred_scores[p_rows], axis=1, kind="stable"), axis=1
-            )
-            iou_mat = iou_matrix(pred_table.corners[p_rows], gt_table.corners[g_rows])
             met_mat = np.ones_like(iou_mat)
-            # Only pairs clearing the lowest IoU threshold can match in any cell.
-            f, i, j = np.nonzero((iou_mat >= min_iou) & captioned[g_rows][:, None, :])
-            met_mat[f, i, j] = [
-                scorer.intrinsic(pred_caps[p], gt_caps[g])
-                for p, g in zip(p_rows[f, i].tolist(), g_rows[f, j].tolist())
-            ]
+            met_mat[f, i, j] = met
             # Greedy match in every frame and cell at once: each prediction
             # takes the first highest-IoU eligible ground truth not yet taken.
             taken = np.zeros((n_f, n_cells, n_gt), dtype=bool)

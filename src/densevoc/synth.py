@@ -121,7 +121,7 @@ def _perturb_table(rng: np.random.Generator, gt: VideoTable, cfg: SynthConfig) -
     captions: dict[int, str] = {}
     sigma, drop_rate, fp_rate = cfg.box_jitter_sigma, cfg.drop_rate, cfg.false_positive_rate
     no_jitter = np.zeros(4)
-    fp_id = 1000
+    fp_id = max(1000, n_tracks + 1)  # above the labels 1..K, so a false positive never joins a track
     for frame in range(n_frames):
         if frame in switch_schedule:
             a, b = switch_schedule[frame]

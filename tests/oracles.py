@@ -12,13 +12,14 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from densevoc.capmetrics import stem
-from densevoc.core import Box, Caption, Detection, Trajectory, ValidationError, VideoRecord, iou_matrix
+from densevoc.core import Box, Caption, Detection, Trajectory, ValidationError, VideoRecord, VideoTable, iou_matrix
+from densevoc.formats import FormatError, _check_unknown, _parse_box, _require
 from densevoc.metrics import _TIE_EPS, _frames
 from densevoc.synth import CANVAS, OBJECTS, SUBJECTS, VERBS
 
@@ -515,8 +516,8 @@ class _VideoPrepOracle:
         self.video_id = gt.video_id
         self.pred_tracks = pred.trajectories
         self.gt_tracks = gt.trajectories
-        self.gt = _frames(gt, gt.num_frames)
-        self.pred = _frames(pred, gt.num_frames)
+        self.gt = _frames(VideoTable.from_record(gt), gt.num_frames)
+        self.pred = _frames(VideoTable.from_record(pred), gt.num_frames)
         n_gt, n_pred = len(self.gt_tracks), len(self.pred_tracks)
         self.gt_count = np.bincount(self.gt.track, minlength=n_gt)
         self.pred_count = np.bincount(self.pred.track, minlength=n_pred)
@@ -578,6 +579,37 @@ def sweep_oracle(pred: VideoRecord, gt: VideoRecord, alphas):
     denom = prep.gt_count[None, :, None] + prep.pred_count[None, None, :] - mc
     ass_iou = np.divide(mc, denom, out=np.zeros_like(mc), where=denom > 1e-12)
     return records, mc, (mc * ass_iou).sum(axis=(1, 2)), prep.global_ass
+
+
+def caption_sums_oracle(pred: VideoRecord, gt: VideoRecord, records, n_alpha: int, scorer):
+    """CapA sums as first written: one matched entry at a time, over the dataclasses.
+
+    ``records`` are sweep records over the observation rows of ``pred`` and
+    ``gt`` in frames below ``gt.num_frames``: frame-major, then trajectory
+    order. A prediction's caption is its box caption, else its track
+    caption, else the empty caption.
+    """
+
+    def rows(record):
+        obs = [(d.frame, k, d) for k, t in enumerate(record.trajectories) for d in t.detections]
+        return sorted((o for o in obs if o[0] < gt.num_frames), key=lambda o: o[:2])
+
+    gt_rows, pred_rows = rows(gt), rows(pred)
+    config = scorer.config
+    cap_sum = np.zeros(n_alpha)
+    tp_prime = np.zeros(n_alpha)
+    for a, end, g, p in zip(*(column.tolist() for column in records)):
+        gt_track = gt.trajectories[gt_rows[g][1]]
+        if gt_track.caption is None:
+            continue
+        _, k, det = pred_rows[p]
+        caption = det.caption if det.caption is not None else pred.trajectories[k].caption
+        total = scorer.intrinsic(caption if caption is not None else Caption.from_text(""), gt_track.caption)
+        if "external" in config.metrics:
+            total += scorer.external(gt.video_id, p, gt_track.track_id)
+        cap_sum[a : end + 1] += total / config.divisor
+        tp_prime[a : end + 1] += 1.0
+    return cap_sum, tp_prime
 
 
 # The synthetic generator and the dataset writer as first written: one
@@ -730,3 +762,69 @@ def dataset_to_obj(records: list[VideoRecord]) -> list[dict]:
 def dataset_json_oracle(records: list[VideoRecord]) -> str:
     """The text of a dataset file holding ``records``."""
     return json.dumps(dataset_to_obj(records), separators=(",", ":")) + "\n"
+
+
+# The dataset parser as first written: every box checked by building its
+# Box and Detection, every track its Trajectory, in document order. The
+# column parser of ``formats.parse_dataset`` must accept the same values,
+# give the same records (through ``VideoTable.to_record``) and reject with
+# the same message. The field helpers are the library's.
+
+
+def parse_dataset_oracle(data: Any, strict: bool = False) -> list[VideoRecord]:
+    if not isinstance(data, list):
+        raise FormatError("top level: expected a list of video objects")
+    records = []
+    seen_ids: set[str] = set()
+    for vi, video in enumerate(data):
+        where = f"video[{vi}]"
+        if not isinstance(video, dict):
+            raise FormatError(f"{where}: expected an object")
+        _check_unknown(video, {"video_id", "num_frames", "tracks"}, where, strict)
+        video_id = _require(video, "video_id", str, where)
+        if video_id in seen_ids:
+            raise FormatError(f"{where}: duplicate video_id {video_id!r}")
+        seen_ids.add(video_id)
+        num_frames = _require(video, "num_frames", int, where)
+        tracks_raw = _require(video, "tracks", list, where)
+        tracks = []
+        for ti, track in enumerate(tracks_raw):
+            twhere = f"{where}.tracks[{ti}]"
+            if not isinstance(track, dict):
+                raise FormatError(f"{twhere}: expected an object")
+            _check_unknown(track, {"track_id", "caption", "boxes"}, twhere, strict)
+            track_id = _require(track, "track_id", int, twhere)
+            caption = None
+            if track.get("caption") is not None:
+                caption = Caption.from_text(_require(track, "caption", str, twhere))
+            dets = []
+            for bi, entry in enumerate(_require(track, "boxes", list, twhere)):
+                bwhere = f"{twhere}.boxes[{bi}]"
+                if not isinstance(entry, dict):
+                    raise FormatError(f"{bwhere}: expected an object")
+                _check_unknown(entry, {"frame", "box", "score", "caption"}, bwhere, strict)
+                frame = _require(entry, "frame", int, bwhere)
+                box = _parse_box(entry.get("box"), bwhere)
+                score = _require(entry, "score", float, bwhere) if "score" in entry else 1.0
+                det_cap = None
+                if entry.get("caption") is not None:
+                    det_cap = Caption.from_text(_require(entry, "caption", str, bwhere))
+                try:
+                    dets.append(
+                        Detection(frame=frame, box=box, score=score, track_id=track_id, caption=det_cap)
+                    )
+                except ValidationError as exc:
+                    raise FormatError(f"{bwhere}: {exc}") from exc
+            try:
+                tracks.append(
+                    Trajectory(track_id=track_id, detections=tuple(dets), caption=caption)
+                )
+            except ValidationError as exc:
+                raise FormatError(f"{twhere}: {exc}") from exc
+        try:
+            records.append(
+                VideoRecord(video_id=video_id, num_frames=num_frames, trajectories=tuple(tracks))
+            )
+        except ValidationError as exc:
+            raise FormatError(f"{where}: {exc}") from exc
+    return records

@@ -296,18 +296,26 @@ def test_jobs_env_default(monkeypatch, capsys) -> None:
     assert args.jobs == 3
 
 
-@pytest.mark.parametrize("command", ["eval-chota", "eval-apm"])
+@pytest.mark.parametrize("command", ["eval-chota", "eval-apm", "ground"])
 def test_huge_num_frames_costs_only_frames_with_boxes(tmp_path, capsys, command) -> None:
-    # One box in a 2**40-frame video: evaluation must not allocate or loop per frame.
+    # One box in a 2**40-frame video: no command may allocate or loop per frame.
     video = [{"video_id": "v0", "num_frames": 2**40, "tracks": [
         {"track_id": 1, "caption": "a dog runs", "boxes": [{"frame": 7, "box": [0, 0, 10, 10]}]},
     ]}]
     path = _write(tmp_path / "huge.json", video)
+    argv = [command, path, path]
+    if command == "ground":
+        queries = [{"video_id": "v0", "query_id": "q1", "text": "a dog", "span": [7, 7],
+                    "boxes": [{"frame": 7, "box": [0, 0, 10, 10]}]}]
+        likelihoods = [{"video_id": "v0", "frame": 7, "observation_index": 0, "query_id": "q1", "nll": 0.1}]
+        argv = [command, path, "--queries", _write(tmp_path / "queries.json", queries),
+                "--likelihoods", _write(tmp_path / "nll.json", likelihoods)]
     start = time.perf_counter()
-    assert main([command, path, path]) == 0
+    assert main(argv) == 0
     assert time.perf_counter() - start < 5.0
     out = capsys.readouterr().out
-    assert ("tp@0.5=1" in out) if command == "eval-chota" else ("ap_m=1.0" in out and "frames=1" in out)
+    expected = {"eval-chota": ["tp@0.5=1"], "eval-apm": ["ap_m=1.0", "frames=1"], "ground": ["s_iou=1.0"]}
+    assert all(line in out for line in expected[command])
 
 
 def _write(path: Path, obj) -> str:
@@ -335,6 +343,11 @@ def _gt_with(tmp_path, edit) -> str:
     data = json.loads((FIXTURES / "synth20_gt.json").read_text())
     edit(data)
     return _write(tmp_path / "gt.json", json.dumps(data, allow_nan=True))
+
+
+def _huge_coordinate_gt(tmp_path) -> str:
+    """The synth20 gt with a 401-digit box coordinate, too large for a float."""
+    return _gt_with(tmp_path, lambda d: d[0]["tracks"][0]["boxes"][0].update(box=[0, 0, 10**400, 10]))
 
 
 def _aggregate_ids_files(tmp_path, ids) -> list[str]:
@@ -435,6 +448,29 @@ BAD_INPUTS = {
     "synth-negative-seed": lambda tmp: [
         "synth", "--seed", "-1", "--out-gt", str(tmp / "gt.json"), "--out-pred", str(tmp / "pred.json")
     ],
+    "box-coordinate-beyond-float-range": lambda tmp: ["eval-chota", _SYNTH_GT, _huge_coordinate_gt(tmp)],
+    "apm-box-coordinate-beyond-float-range": lambda tmp: ["eval-apm", _SYNTH_GT, _huge_coordinate_gt(tmp)],
+    "track-iou-box-coordinate-beyond-float-range": lambda tmp: ["track-iou", _huge_coordinate_gt(tmp)],
+    "box-score-beyond-float-range": lambda tmp: [
+        "eval-chota", _SYNTH_GT, _gt_with(tmp, lambda d: d[0]["tracks"][0]["boxes"][0].update(score=10**400)),
+    ],
+    "integer-literal-too-long": lambda tmp: [
+        "eval-chota", _SYNTH_GT,
+        _write(tmp / "gt.json", '[{"video_id": "v", "num_frames": 1%s, "tracks": []}]' % ("0" * 5000)),
+    ],
+    "external-score-beyond-float-range": lambda tmp: [
+        "eval-chota", _SYNTH_GT, _SYNTH_GT, "--cap-metrics", "meteor,external",
+        "--external-scores", _write(tmp / "scores.json", [
+            {"video_id": "v0", "pred_observation_index": 0, "gt_track_id": 1, "score": 10**400}
+        ]),
+    ],
+    "likelihood-nll-beyond-float-range": lambda tmp: _ground_files(tmp, likelihoods=[
+        {"video_id": "v0", "frame": 0, "observation_index": 0, "query_id": "q1", "nll": 10**400},
+    ]),
+    "query-box-beyond-float-range": lambda tmp: _ground_files(tmp, queries=[
+        {"video_id": "v0", "query_id": "q1", "text": "x", "span": [0, 0],
+         "boxes": [{"frame": 0, "box": [0, 0, 10**400, 10]}]},
+    ]),
     "query-span-frame-without-box": lambda tmp: _ground_files(tmp, queries=[
         {"video_id": "v0", "query_id": "q1", "text": "x", "span": [0, 1],
          "boxes": [{"frame": 0, "box": [0, 0, 10, 10]}]},

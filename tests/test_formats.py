@@ -21,7 +21,8 @@ from densevoc.formats import (
 )
 from densevoc.core import Box, Caption, Detection, Trajectory, ValidationError, VideoRecord, VideoTable
 from densevoc.synth import SynthConfig, generate
-from oracles import dataset_json_oracle, dataset_to_obj
+from oracles import dataset_json_oracle, dataset_to_obj, parse_dataset_oracle
+from test_fuzz import _DELETE, _REPLACEMENTS, _mutate, _paths, _valid_files
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -52,6 +53,81 @@ def test_parse_good_dataset() -> None:
     assert video.trajectories[0].caption.tokens == ("a", "red", "car", "crosses")
     assert video.trajectories[0].detections[1].caption.raw == "a red car"
     assert video.trajectories[1].detections[0].score == 1.0
+
+
+def _outcome(parse, data, strict: bool):
+    """The records a parser gives, or its error message."""
+    try:
+        return [v if isinstance(v, VideoRecord) else v.to_record() for v in parse(data, strict=strict)]
+    except FormatError as exc:
+        return f"error: {exc}"
+
+
+def test_load_dataset_equals_parser_oracle_on_fixtures() -> None:
+    loaded = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        data = json.loads(path.read_text())
+        for strict in (False, True):
+            try:
+                got = [t.to_record() for t in load_dataset(path, strict=strict)]
+            except FormatError as exc:
+                got = f"error: {exc}"
+            expected = _outcome(parse_dataset_oracle, data, strict)
+            if isinstance(expected, str):
+                expected = expected.replace("error: ", f"error: {path}: ", 1)
+            assert got == expected, path.name
+        loaded += [path.name] if isinstance(got, list) else []
+    assert {"synth20_gt.json", "golden_seed42_gt.json", "golden_seed42_pred.json"} <= set(loaded)
+
+
+def _mutations(obj):
+    """Every single-field mutation of ``obj``.
+
+    Each value is replaced by each of the fuzz replacements or, for a key,
+    deleted; and each object gets an unknown key.
+    """
+    for path in _paths(obj):
+        options = _REPLACEMENTS + ((_DELETE,) if isinstance(path[-1], str) else ())
+        for replacement in options:
+            yield json.loads(_mutate(obj, path, replacement))
+    for path in [()] + list(_paths(obj)):
+        extra = json.loads(json.dumps(obj))
+        node = extra
+        for key in path:
+            node = node[key]
+        if isinstance(node, dict):
+            node["extra"] = 1
+            yield extra
+
+
+def test_parser_agrees_with_oracle_on_every_single_field_mutation() -> None:
+    files = _valid_files()
+    cases = 0
+    for kind in ("gt", "pred"):
+        for data in _mutations(files[kind]):
+            for strict in (False, True):
+                got = _outcome(parse_dataset, data, strict)
+                assert got == _outcome(parse_dataset_oracle, data, strict), (kind, data, strict)
+                cases += isinstance(got, str)
+    assert cases > 500  # most mutations are rejected
+
+
+def test_parser_reports_first_error_in_document_order() -> None:
+    # Two mutations at once: the message must name the one the oracle's
+    # walk meets first, whichever column check fails first.
+    rng = np.random.default_rng(9)
+    for kind in ("gt", "pred"):
+        base = _valid_files()[kind]
+        singles = list(_mutations(base))
+        for trial in range(400):
+            first = singles[rng.integers(len(singles))]
+            paths = list(_paths(first))
+            path = paths[rng.integers(len(paths))]
+            options = _REPLACEMENTS + ((_DELETE,) if isinstance(path[-1], str) else ())
+            data = json.loads(_mutate(first, path, options[rng.integers(len(options))]))
+            for strict in (False, True):
+                expected = _outcome(parse_dataset_oracle, data, strict)
+                assert _outcome(parse_dataset, data, strict) == expected, (kind, trial, data, strict)
 
 
 def test_round_trip_identity(tmp_path) -> None:
@@ -257,7 +333,8 @@ def test_writer_equals_json_oracle_on_hand_built_records(tmp_path) -> None:
         VideoRecord("ünïcode-id", 2, (Trajectory(1, (det(1, "ok"),), Caption.from_text("")),)),
     ]
     assert _saved(records, tmp_path) == dataset_json_oracle(records)
-    assert load_dataset(tmp_path / "out.json") == [VideoTable.from_record(r).to_record() for r in records]
+    reloaded = [t.to_record() for t in load_dataset(tmp_path / "out.json")]
+    assert reloaded == [VideoTable.from_record(r).to_record() for r in records]
     assert _saved([], tmp_path) == dataset_json_oracle([]) == "[]\n"
 
 
@@ -267,7 +344,7 @@ def test_writer_writes_floats_and_reloads_equal(tmp_path) -> None:
         '[{"video_id":"v","num_frames":1,"tracks":[{"track_id":1,"boxes":'
         '[{"frame":0,"box":[0.0,0.0,10.0,10.0],"score":1.0}]}]}]\n'
     )
-    assert load_dataset(tmp_path / "out.json") == [record]
+    assert [t.to_record() for t in load_dataset(tmp_path / "out.json")] == [record]
 
 
 def test_writer_rejects_integers_outside_64_bits(tmp_path) -> None:

@@ -2,8 +2,9 @@
 
 Small valid files of every kind the CLI reads are corrupted one field at a
 time (a key deleted, or a value replaced by null, a bool, a string, a list,
-an object, NaN, 1e400 or an integer beyond int64); every command that reads
-the file must then exit 0 or 2 without raising.
+an object, NaN, 1e400, an integer beyond int64 or one beyond the float
+range); every command that reads the file must then exit 0 or 2 without
+raising.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from densevoc.cli import main
 
 _INF_TOKEN = "__1e400__"
-_REPLACEMENTS = (None, True, "x", [], {}, float("nan"), _INF_TOKEN, 10**30)
+_REPLACEMENTS = (None, True, "x", [], {}, float("nan"), _INF_TOKEN, 10**30, 10**400)
 _DELETE = object()
 
 

@@ -3,10 +3,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from densevoc.core import Detection, Trajectory, ValidationError, VideoRecord
+from densevoc.capmetrics import IdfTable
+from densevoc.core import Box, Caption, Detection, Trajectory, ValidationError, VideoRecord, VideoTable
+from densevoc.formats import load_dataset, save_dataset
 from densevoc.metrics import (
     DEFAULT_ALPHAS,
     ScorerConfig,
+    _caption_sums,
+    _idf_documents,
+    _PairScorer,
     _sweep,
     _VideoPrep,
     ap_m,
@@ -21,7 +26,7 @@ from densevoc.metrics import (
 from densevoc.synth import SynthConfig, generate
 
 from conftest import make_track, make_video, random_tiny_instance, tie_heavy_instance
-from oracles import hota_oracle, sweep_oracle
+from oracles import caption_sums_oracle, hota_oracle, sweep_oracle
 
 
 def _simple_video(caption: str | None = "a red car crosses") -> VideoRecord:
@@ -271,7 +276,7 @@ def test_sweep_equals_per_frame_oracle(rng, alphas) -> None:
         instances.append(_shaped_instance(rng, [shapes[i] for i in rng.permutation(len(shapes))], trial % 2 == 0))
     for trial, (pred, gt) in enumerate(instances):
         records, mc, ass_sum, global_ass = sweep_oracle(pred, gt, alphas)
-        prep = _VideoPrep(pred, gt)
+        prep = _VideoPrep(VideoTable.from_record(pred), VideoTable.from_record(gt))
         got_records, got_mc, got_ass_sum = _sweep(prep, alphas)
         for got, expected in zip(got_records, _oracle_columns(records)):
             assert np.array_equal(got, expected), trial
@@ -401,3 +406,93 @@ def test_missing_video_counts_all_fn() -> None:
     assert any("no predictions" in w for w in report.warnings)
     assert report.fn[0] == 1  # the single gt detection of v1
     assert report.det_a_mean < 1.0
+
+
+def _mixed_collection():
+    """Synth gt and predictions covering the table paths.
+
+    Video 0 has a caption on about half of its predicted boxes, video 1
+    only track captions, and both have prediction boxes at and past the
+    gt's ``num_frames``; video 2 has no predictions. Prediction track 1
+    has no caption, so it takes the empty caption, which gt track 1 has;
+    gt track 2 has no caption.
+    """
+    cfg = SynthConfig(seed=11, num_videos=3, frames_per_video=12, objects_per_video=3, box_jitter_sigma=3.0,
+                      drop_rate=0.1, false_positive_rate=0.2, id_switch_rate=0.1, caption_corruption_rate=0.3)
+    gts, preds = generate(cfg)
+
+    def recaption(record, captions):
+        return VideoRecord(record.video_id, record.num_frames, tuple(
+            Trajectory(t.track_id, t.detections, captions.get(t.track_id, t.caption))
+            for t in record.trajectories
+        ))
+
+    gts = [recaption(g, {1: Caption.from_text(""), 2: None}) for g in gts]
+    rng = np.random.default_rng(11)
+    out = []
+    for v, record in enumerate(preds[:2]):
+        tracks = []
+        for t in recaption(record, {1: None}).trajectories:
+            dets = [
+                Detection(d.frame, d.box, d.score, caption=Caption.from_text(f"box {k}"))
+                if v == 0 and rng.random() < 0.5 else d
+                for k, d in enumerate(t.detections)
+            ]
+            dets += [Detection(record.num_frames + j, Box(0.0, 0.0, 40.0, 40.0), 0.9) for j in range(2)]
+            tracks.append(Trajectory(t.track_id, tuple(dets), t.caption))
+        out.append(VideoRecord(record.video_id, record.num_frames + 2, tuple(tracks)))
+    external = {
+        (r.video_id, obs, g): float(rng.uniform())
+        for r in out for obs in range(40) for g in (1, 2, 3) if rng.random() < 0.5
+    }
+    return out, gts, external
+
+
+def _configs(external):
+    return [
+        ScorerConfig(),
+        ScorerConfig(metrics=("meteor", "external"), external_scores=external),
+        ScorerConfig(metrics=("exact", "cider"), capa_alpha=0.5),
+    ]
+
+
+def test_table_and_record_paths_agree(tmp_path) -> None:
+    preds, gts, external = _mixed_collection()
+    # Tables by the file route: written, then parsed by column.
+    save_dataset(preds, tmp_path / "pred.json")
+    save_dataset(gts, tmp_path / "gt.json")
+    pred_tables, gt_tables = load_dataset(tmp_path / "pred.json"), load_dataset(tmp_path / "gt.json")
+    for config in _configs(external):
+        expected = chota(preds, gts, config=config).to_dict()
+        assert chota(pred_tables, gt_tables, config=config).to_dict() == expected
+        assert chota(pred_tables, gts, config=config).to_dict() == expected
+        # Every prediction box below the gt's num_frames is a TP or an FP; the ones past it are dropped.
+        in_range = sum(d.frame < g.num_frames for p, g in zip(preds, gts) for t in p.trajectories
+                       for d in t.detections)
+        assert (np.add(expected["per_alpha"]["tp"], expected["per_alpha"]["fp"]) == in_range).all()
+    warnings = chota(pred_tables, gt_tables, config=_configs(external)[1]).warnings
+    assert any("no external score" in w for w in warnings)
+    assert ap_m(pred_tables, gt_tables).to_dict() == ap_m(preds, gts).to_dict()
+    for (pred, gt), (pred_table, gt_table) in zip(zip(preds, gts), zip(pred_tables, gt_tables)):
+        for alpha in (0.05, 0.5, 0.8):
+            m, m_table = match_at_alpha(pred, gt, alpha), match_at_alpha(pred_table, gt_table, alpha)
+            assert (m.tp, m.fp, m.fn, m.ass_iou_sum) == (m_table.tp, m_table.fp, m_table.fn, m_table.ass_iou_sum)
+            assert all(np.array_equal(a, b) for a, b in zip(m.records, m_table.records))
+            for config in _configs(external):
+                assert cap_a(m, pred, gt, config) == cap_a(m_table, pred_table, gt_table, config)
+                assert cap_a(m, pred, gt, config) == cap_a(m_table, pred, gt, config)
+
+
+def test_caption_sums_equal_per_match_oracle() -> None:
+    preds, gts, external = _mixed_collection()
+    idf = IdfTable.build(_idf_documents([VideoTable.from_record(g) for g in gts]))
+    for pred, gt in zip(preds, gts):
+        prep = _VideoPrep(VideoTable.from_record(pred), VideoTable.from_record(gt))
+        for alphas in (DEFAULT_ALPHAS, (0.5,)):
+            records = _sweep(prep, alphas)[0]
+            for config in _configs(external):
+                scorer, oracle_scorer = _PairScorer(config, idf), _PairScorer(config, idf)
+                got = _caption_sums(records, len(alphas), prep, scorer)
+                expected = caption_sums_oracle(pred, gt, records, len(alphas), oracle_scorer)
+                assert all(np.array_equal(a, b) for a, b in zip(got, expected)), (pred.video_id, config)
+                assert scorer.missing_external == oracle_scorer.missing_external

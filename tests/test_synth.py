@@ -3,11 +3,12 @@ from __future__ import annotations
 import itertools
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from densevoc.core import ValidationError
 from densevoc.formats import save_dataset
-from densevoc.synth import SynthConfig, generate
+from densevoc.synth import SynthConfig, generate, generate_tables
 from oracles import dataset_to_obj, generate_oracle
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -104,3 +105,16 @@ def test_synth20_fixture_matches_bytewise(tmp_path) -> None:
     gts, _ = generate(SynthConfig(seed=20, num_videos=20, frames_per_video=20, objects_per_video=4))
     save_dataset(gts, tmp_path / "gt.json")
     assert (tmp_path / "gt.json").read_bytes() == (FIXTURES / "synth20_gt.json").read_bytes()
+
+
+def test_false_positives_never_join_a_track() -> None:
+    # With 1000 objects the prediction labels reach 1000, where false
+    # positive ids used to start.
+    objects, frames = 1000, 2
+    _, (pred,) = generate_tables(SynthConfig(seed=5, num_videos=1, frames_per_video=frames,
+                                             objects_per_video=objects, false_positive_rate=1.0))
+    fp = pred.track_ids > objects
+    assert fp.sum() == objects * frames  # one false positive per object and frame
+    assert (np.diff(pred.offsets)[fp] == 1).all()
+    assert len(np.unique(pred.track_ids)) == len(pred.track_ids)
+    assert (np.diff(pred.offsets)[~fp] == frames).all()  # the real tracks keep their boxes only
