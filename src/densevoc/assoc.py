@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import Box, Detection, ValidationError, VideoRecord, corner_array, iou_matrix
+from .core import Box, Detection, ValidationError, VideoRecord, VideoTable, as_tables, corner_array, iou_matrix
 
 
 @dataclass(frozen=True)
@@ -127,28 +127,31 @@ def match_boxes(
 
 
 def build_gt_association(
-    pred_frames: list[list[Box]], gt: VideoRecord, iou_thresh: float = 0.5
+    pred_frames: list[list[Box]], gt: VideoTable | VideoRecord, iou_thresh: float = 0.5
 ) -> AssocMatrix:
     """Binary ground-truth association matrix for predicted boxes.
 
-    Each frame's predictions are matched to the ground-truth boxes of that
-    frame by optimal bipartite IoU matching (pairs under ``iou_thresh``
-    forbidden); two observations associate iff they matched the same
-    ground-truth trajectory. Unmatched observations associate only with
-    themselves.
+    ``gt`` is a table or a record. Each frame's predictions are matched to
+    the ground-truth boxes of that frame by optimal bipartite IoU matching
+    (pairs under ``iou_thresh`` forbidden); two observations associate iff
+    they matched the same ground-truth trajectory. Unmatched observations
+    associate only with themselves.
     """
+    (gt,) = as_tables([gt])
     if len(pred_frames) > gt.num_frames:
         raise ValidationError(
             f"{len(pred_frames)} prediction frames exceed num_frames {gt.num_frames}"
         )
-    gt_by_frame = gt.detections_by_frame()
+    rows, track = gt.frame_order()
+    bounds = np.searchsorted(gt.frames[rows], np.arange(len(pred_frames) + 1)).tolist()
+    gt_boxes = [Box(*c) for c in gt.corners[rows].tolist()]
+    gt_ids = gt.track_ids[track].tolist()
 
     frame_of: list[int] = []
     matched_track: list[int | None] = []
     for frame, boxes in enumerate(pred_frames):
-        gt_here = gt_by_frame[frame] if frame < len(gt_by_frame) else []
-        gt_boxes = [det.box for _, det in gt_here]
-        assignment = {r: gt_here[c][0] for r, c, _ in match_boxes(boxes, gt_boxes, iou_thresh)}
+        lo, hi = bounds[frame], bounds[frame + 1]
+        assignment = {r: gt_ids[lo + c] for r, c, _ in match_boxes(boxes, gt_boxes[lo:hi], iou_thresh)}
         for k in range(len(boxes)):
             frame_of.append(frame)
             matched_track.append(assignment.get(k))
@@ -167,7 +170,8 @@ def iou_tracker(frames: list[list[Detection]], match_thresh: float) -> IdentityA
 
     Each frame's detections are matched to the previous frame's active tracks
     by optimal bipartite IoU matching; unmatched detections open new ids and
-    unmatched tracks terminate. No re-identification.
+    unmatched tracks terminate. No re-identification. An empty frame list
+    ends every track, so consecutive empty lists act as one.
     """
     ids: list[int] = []
     next_id = 1

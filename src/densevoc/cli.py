@@ -17,7 +17,7 @@ import numpy as np
 
 from . import aggregate as agg
 from . import assoc, formats, ground, losses, metrics, synth
-from .core import Box, Caption, ValidationError, VideoRecord, VideoTable
+from .core import Box, Caption, Detection, ValidationError, VideoTable
 
 
 def _jobs_default() -> int:
@@ -149,25 +149,27 @@ def cmd_track_assign(args) -> int:
 
 
 def cmd_track_iou(args) -> int:
-    from dataclasses import replace
-
     thresh = _number(args.thresh, "--thresh", 0.0, 1.0)
-    out_records = []
+    out_tables = []
     for table in formats.load_dataset(args.pred, strict=args.strict):
-        record = table.to_record()
-        frames = [[det for _, det in dets] for dets in record.detections_by_frame()]
-        ids = assoc.iou_tracker(frames, match_thresh=thresh)
-        flat = []
-        k = 0
-        for frame, dets in enumerate(frames):
-            for det in dets:
-                new_id = int(ids.ids[k])
-                flat.append((frame, new_id, replace(det, track_id=new_id)))
-                k += 1
-        out_records.append(VideoRecord.regroup(record.video_id, record.num_frames, flat))
+        rows, _ = table.frame_order()
+        # One list per frame holding boxes, and one empty list per gap, which ends every track.
+        frame_lists: list[list[Detection]] = []
+        previous = -1
+        for frame, box in zip(table.frames[rows].tolist(), table.corners[rows].tolist()):
+            if frame > previous + 1:
+                frame_lists.append([])
+            if frame != previous:
+                frame_lists.append([])
+                previous = frame
+            frame_lists[-1].append(Detection(frame=frame, box=Box(*box)))
+        ids = np.empty_like(rows)
+        ids[rows] = assoc.iou_tracker(frame_lists, match_thresh=thresh).ids
+        out_tables.append(VideoTable.from_rows(table.video_id, table.num_frames, ids, table.frames, table.corners,
+                                               table.scores, box_captions=table.box_captions))
     if args.out:
-        formats.save_dataset(out_records, args.out)
-    print(f"videos={len(out_records)}")
+        formats.save_dataset(out_tables, args.out)
+    print(f"videos={len(out_tables)}")
     return 0
 
 
@@ -214,8 +216,8 @@ def _ground_candidates(video: VideoTable) -> tuple[dict, dict]:
     Frames without boxes get no entry, so the cost follows the boxes, not
     ``num_frames``.
     """
-    order = np.argsort(video.frames, kind="stable")  # stable: track order within a frame
-    track_ids = np.repeat(video.track_ids, np.diff(video.offsets))[order].tolist()
+    order, track = video.frame_order()
+    track_ids = video.track_ids[track].tolist()
     corners, scores = video.corners[order].tolist(), video.scores[order].tolist()
     candidates: dict[int, list[tuple[Box, float]]] = {}
     track_of: dict[tuple[str, int, int], int] = {}
@@ -307,15 +309,14 @@ def cmd_convert_flat(args) -> int:
     if num_frames is not None:
         # The range a dataset file may hold (formats reads 64-bit integers).
         num_frames = _integer(num_frames, "--num-frames", 1, 2**63 - 1)
-    record = formats.load_flat_records(
+    table = formats.load_flat_records(
         args.flat,
         video_id=args.video_id,
         num_frames=num_frames,
         one_based_frames=args.one_based,
     )
-    formats.save_dataset([record], args.out)
-    n_dets = sum(len(t) for t in record.trajectories)
-    print(f"tracks={len(record.trajectories)} detections={n_dets} out={args.out}")
+    formats.save_dataset([table], args.out)
+    print(f"tracks={len(table.track_ids)} detections={len(table.frames)} out={args.out}")
     return 0
 
 

@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -160,33 +160,6 @@ class VideoRecord:
                         f"video {self.video_id!r}: frame {det.frame} >= num_frames {self.num_frames}"
                     )
 
-    def detections_by_frame(self) -> list[list[tuple[int, Detection]]]:
-        """Per-frame lists of (track_id, detection), tracks in record order."""
-        frames: list[list[tuple[int, Detection]]] = [[] for _ in range(self.num_frames)]
-        for track in self.trajectories:
-            for det in track.detections:
-                frames[det.frame].append((track.track_id, det))
-        return frames
-
-    @classmethod
-    def regroup(
-        cls,
-        video_id: str,
-        num_frames: int,
-        detections: list[tuple[int, int, Detection]],
-        captions: dict[int, Caption] | None = None,
-    ) -> "VideoRecord":
-        """Rebuild trajectories from flat (frame, track_id, detection) rows."""
-        by_track: dict[int, list[tuple[int, Detection]]] = {}
-        for frame, track_id, det in detections:
-            by_track.setdefault(track_id, []).append((frame, det))
-        tracks = []
-        for track_id in sorted(by_track):
-            dets = tuple(d for _, d in sorted(by_track[track_id], key=lambda x: x[0]))
-            cap = captions.get(track_id) if captions else None
-            tracks.append(Trajectory(track_id=track_id, detections=dets, caption=cap))
-        return cls(video_id=video_id, num_frames=num_frames, trajectories=tuple(tracks))
-
 
 _INT64_MAX = 2**63 - 1
 
@@ -213,6 +186,10 @@ class VideoTable:
     dataclasses are checked by column, and integers must fit 64 bits, as
     dataset files require. ``trajectories`` is the record view, built on
     first use and shared by ``to_record``.
+
+    ``frame_order`` is the one definition of observation order, the order
+    that sidecar files index; ``from_rows`` is the one regroup of rows into
+    file order.
     """
 
     video_id: str
@@ -301,6 +278,37 @@ class VideoTable:
             scores=[d.score for d in dets],
             box_captions=None if all(c is None for c in captions) else tuple(captions),
         )
+
+    @classmethod
+    def from_rows(cls, video_id: str, num_frames: int, track_ids, frames, corners, scores,
+                  track_captions: Mapping[int, str] | None = None, box_captions=None) -> "VideoTable":
+        """The table of rows given in any order, regrouped by track id, then by frame.
+
+        ``track_captions`` maps track ids to captions; ``box_captions`` holds
+        one caption or None per row.
+        """
+        where = f"video {video_id!r}"
+        track_ids, frames = _int_column(track_ids, f"{where}: track ids"), _int_column(frames, f"{where}: frames")
+        if not len(track_ids) == len(frames) == len(corners) == len(scores) == len(box_captions or frames):
+            raise ValidationError(f"{where}: column lengths disagree")
+        order = np.lexsort((frames, track_ids))
+        ids, starts = np.unique(track_ids[order], return_index=True)
+        return cls(video_id=video_id, num_frames=num_frames, track_ids=ids,
+                   track_captions=tuple(map((track_captions or {}).get, ids.tolist())),
+                   offsets=np.append(starts, len(order)), frames=frames[order],
+                   corners=np.asarray(corners, dtype=float).reshape(-1, 4)[order],
+                   scores=np.asarray(scores, dtype=float)[order],
+                   box_captions=None if box_captions is None else [box_captions[i] for i in order.tolist()])
+
+    def frame_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows in observation order, and the track index of each.
+
+        Observation order is frame-major and keeps file order within a frame,
+        so a prediction row's position in it is its sidecar
+        ``pred_observation_index``. Frames without rows cost nothing.
+        """
+        rows = np.argsort(self.frames, kind="stable")
+        return rows, np.repeat(np.arange(len(self.track_ids)), np.diff(self.offsets))[rows]
 
     @cached_property
     def trajectories(self) -> tuple[Trajectory, ...]:

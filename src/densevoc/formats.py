@@ -14,7 +14,8 @@ Matrix files hold one matrix per file::
 for association matrices, with ``"dim": [M, D]`` for feature matrices.
 Schema violations are errors with a JSON-path diagnostic; unknown fields are
 errors only under strict mode. Predicted-observation indices used by sidecar
-files count detections in frame-major order, within a frame in track order.
+files count detections in frame-major order, within a frame in track order:
+``VideoTable.frame_order`` defines that order.
 """
 
 from __future__ import annotations
@@ -474,8 +475,8 @@ def load_flat_records(
     video_id: str,
     num_frames: int | None = None,
     one_based_frames: bool = False,
-) -> VideoRecord:
-    """Convert flat per-frame CSV rows into a track-grouped record.
+) -> VideoTable:
+    """Convert flat per-frame CSV rows into a track-grouped table.
 
     Rows are ``frame,track_id,x,y,w,h[,score]`` (the common tracking-bench
     layout: top-left corner plus width and height). Lines starting with '#'
@@ -483,8 +484,7 @@ def load_flat_records(
     down by one on ingestion.
     """
     path = Path(path)
-    flat: list[tuple[int, int, Detection]] = []
-    max_frame = -1
+    dets: list[Detection] = []
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -500,17 +500,15 @@ def load_flat_records(
         except ValueError as exc:
             raise FormatError(f"{path}: line {lineno}: {exc}") from exc
         try:
-            det = Detection(
-                frame=frame, box=Box.from_xywh(x, y, w, h), score=score, track_id=track_id
-            )
+            dets.append(Detection(frame=frame, box=Box.from_xywh(x, y, w, h), score=score, track_id=track_id))
         except ValidationError as exc:
             raise FormatError(f"{path}: line {lineno}: {exc}") from exc
-        flat.append((frame, track_id, det))
-        max_frame = max(max_frame, frame)
+    frames = [d.frame for d in dets]
     if num_frames is None:
-        num_frames = max_frame + 1 if max_frame >= 0 else 1
+        num_frames = max(frames, default=0) + 1
     try:
-        return VideoRecord.regroup(video_id, num_frames, flat)
+        return VideoTable.from_rows(video_id, num_frames, [d.track_id for d in dets], frames,
+                                    [d.box.as_tuple() for d in dets], [d.score for d in dets])
     except ValidationError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

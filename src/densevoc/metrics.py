@@ -67,12 +67,10 @@ class ScorerConfig:
 
 @dataclass
 class _FrameTable:
-    """One table's rows in frames 0..num_frames-1, in observation order.
+    """One table's rows in frames 0..num_frames-1, in ``VideoTable.frame_order``.
 
-    Rows are frame-major, then trajectory order within a frame, so a
-    prediction row's index is its sidecar ``pred_observation_index`` (rows in
-    later frames, dropped here, come last in that order). Frames without
-    rows cost nothing.
+    A prediction row's index is its sidecar ``pred_observation_index``: rows
+    in later frames, dropped here, come last in that order.
     """
 
     track: np.ndarray  # trajectory index of each row
@@ -97,9 +95,9 @@ def _frames(table: VideoTable, num_frames: int, caption_ids: dict[str, int] | No
     With ``caption_ids``, each row gets the id of its effective caption
     there: its box caption, else its track caption, else the empty caption.
     """
-    rows = np.flatnonzero(table.frames < num_frames)
-    rows = rows[np.argsort(table.frames[rows], kind="stable")]  # stable: file order within a frame
-    track = np.repeat(np.arange(len(table.track_ids)), np.diff(table.offsets))[rows]
+    rows, track = table.frame_order()
+    kept = table.frames[rows] < num_frames
+    rows, track = rows[kept], track[kept]
     caption = None
     if caption_ids is not None:
         caption = _intern(table.track_captions, caption_ids, "")[track]

@@ -157,18 +157,7 @@ def _perturb_table(rng: np.random.Generator, gt: VideoTable, cfg: SynthConfig) -
         corners[kept, lo] = np.where(swap, moved[:, hi], moved[:, lo])
         corners[kept, hi] = np.where(swap, moved[:, lo], moved[:, hi])
     corners[~kept] = np.array(fp_corners).reshape(-1, 4)
-    order = np.lexsort((frames, labels))
-    track_ids, starts = np.unique(labels[order], return_index=True)
-    return VideoTable(
-        video_id=gt.video_id,
-        num_frames=n_frames,
-        track_ids=track_ids,
-        track_captions=tuple(captions[label] for label in track_ids.tolist()),
-        offsets=np.append(starts, len(rows)),
-        frames=frames[order],
-        corners=corners[order],
-        scores=scores[order],
-    )
+    return VideoTable.from_rows(gt.video_id, n_frames, labels, frames, corners, scores, track_captions=captions)
 
 
 def generate_tables(cfg: SynthConfig) -> tuple[list[VideoTable], list[VideoTable]]:

@@ -12,11 +12,13 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 from typing import Any, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from densevoc.assoc import iou_tracker
 from densevoc.capmetrics import stem
 from densevoc.core import Box, Caption, Detection, Trajectory, ValidationError, VideoRecord, VideoTable, iou_matrix
 from densevoc.formats import FormatError, _check_unknown, _parse_box, _require
@@ -828,3 +830,28 @@ def parse_dataset_oracle(data: Any, strict: bool = False) -> list[VideoRecord]:
         except ValidationError as exc:
             raise FormatError(f"{where}: {exc}") from exc
     return records
+
+
+# ``densevoc track-iou`` as first written: one detection list per frame of
+# ``num_frames``, the tracker's ids in that frame-major order, and the
+# relabelled detections regrouped by track, then frame. The command must
+# write the same file.
+
+
+def track_iou_oracle(records: Sequence[VideoRecord], thresh: float) -> list[VideoRecord]:
+    out = []
+    for record in records:
+        frames: list[list[Detection]] = [[] for _ in range(record.num_frames)]
+        for track in record.trajectories:
+            for det in track.detections:
+                frames[det.frame].append(det)
+        ids = iou_tracker(frames, match_thresh=thresh)
+        flat = []
+        k = 0
+        for frame, dets in enumerate(frames):
+            for det in dets:
+                new_id = int(ids.ids[k])
+                flat.append((frame, new_id, replace(det, track_id=new_id)))
+                k += 1
+        out.append(_regroup_oracle(record.video_id, record.num_frames, flat, None))
+    return out

@@ -12,7 +12,7 @@ from densevoc.assoc import (
     match_boxes,
     preprocess,
 )
-from densevoc.core import Box, Detection, ValidationError, iou
+from densevoc.core import Box, Detection, ValidationError, VideoTable, iou
 
 from conftest import make_track, make_video
 from oracles import greedy_assignment_oracle
@@ -160,6 +160,8 @@ def test_gt_association_shuffled_predictions_block_structure() -> None:
     expected[0, 3] = expected[3, 0] = 1.0  # observations 0 and 3 are track A
     expected[1, 2] = expected[2, 1] = 1.0  # observations 1 and 2 are track B
     assert m.values == pytest.approx(expected)
+    from_table = build_gt_association(pred, VideoTable.from_record(gt))
+    assert np.array_equal(from_table.values, m.values) and np.array_equal(from_table.frame_of, m.frame_of)
 
 
 def test_gt_association_is_equivalence_like(rng) -> None:

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from densevoc.cli import main
-from densevoc.formats import load_dataset, save_matrix
+from densevoc.formats import load_dataset, save_dataset, save_matrix
+
+from oracles import track_iou_oracle
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -104,6 +106,39 @@ def test_track_iou_assigns_ids(tmp_path) -> None:
     linked = load_dataset(out)
     assert len(linked[0].trajectories) == 1
     assert linked[0].trajectories[0].frames == (0, 1, 2)
+
+
+def _tracking_input(rng: np.random.Generator, video_id: str) -> dict:
+    """Drifting and jumping boxes in 40 frames: frames 0-1, 9, 15-18 and 36-39 hold none."""
+    holding = [f for f in range(2, 36) if f != 9 and not 15 <= f <= 18]
+    tracks = []
+    for k in range(int(rng.integers(2, 6))):
+        x, y = rng.uniform(0, 300, size=2)
+        boxes = []
+        for frame in holding:
+            if rng.random() < 0.1:
+                x, y = rng.uniform(0, 300, size=2)  # a jump, which opens a new track
+            else:
+                x, y = x + rng.uniform(-3, 3), y + rng.uniform(-3, 3)
+            if k == 0 or rng.random() < 0.8:
+                box = {"frame": frame, "box": [x, y, x + 30, y + 30], "score": rng.random()}
+                if rng.random() < 0.3:
+                    box["caption"] = ["a dog runs", "a red car", "someone waves"][int(rng.integers(3))]
+                boxes.append(box)
+        tracks.append({"track_id": int(rng.integers(1, 10**6)) * 8 + k, "caption": "a track caption", "boxes": boxes})
+    tracks = [tracks[i] for i in rng.permutation(len(tracks))]  # file order within a frame is not id order
+    return {"video_id": video_id, "num_frames": 40, "tracks": tracks}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_track_iou_matches_oracle_bytes(tmp_path, seed) -> None:
+    rng = np.random.default_rng(seed)
+    src = _write(tmp_path / "dets.json", [_tracking_input(rng, f"v{v}") for v in range(3)])
+    for thresh in ("0.3", "0.6"):
+        out, expected = tmp_path / "linked.json", tmp_path / "expected.json"
+        assert main(["track-iou", src, "--thresh", thresh, "--out", str(out)]) == 0
+        save_dataset(track_iou_oracle([t.to_record() for t in load_dataset(src)], float(thresh)), expected)
+        assert out.read_bytes() == expected.read_bytes()
 
 
 def test_aggregate_soft_and_hard(tmp_path) -> None:
@@ -296,7 +331,7 @@ def test_jobs_env_default(monkeypatch, capsys) -> None:
     assert args.jobs == 3
 
 
-@pytest.mark.parametrize("command", ["eval-chota", "eval-apm", "ground"])
+@pytest.mark.parametrize("command", ["eval-chota", "eval-apm", "ground", "track-iou"])
 def test_huge_num_frames_costs_only_frames_with_boxes(tmp_path, capsys, command) -> None:
     # One box in a 2**40-frame video: no command may allocate or loop per frame.
     video = [{"video_id": "v0", "num_frames": 2**40, "tracks": [
@@ -310,11 +345,14 @@ def test_huge_num_frames_costs_only_frames_with_boxes(tmp_path, capsys, command)
         likelihoods = [{"video_id": "v0", "frame": 7, "observation_index": 0, "query_id": "q1", "nll": 0.1}]
         argv = [command, path, "--queries", _write(tmp_path / "queries.json", queries),
                 "--likelihoods", _write(tmp_path / "nll.json", likelihoods)]
+    if command == "track-iou":
+        argv = [command, path, "--out", str(tmp_path / "linked.json")]
     start = time.perf_counter()
     assert main(argv) == 0
     assert time.perf_counter() - start < 5.0
     out = capsys.readouterr().out
-    expected = {"eval-chota": ["tp@0.5=1"], "eval-apm": ["ap_m=1.0", "frames=1"], "ground": ["s_iou=1.0"]}
+    expected = {"eval-chota": ["tp@0.5=1"], "eval-apm": ["ap_m=1.0", "frames=1"], "ground": ["s_iou=1.0"],
+                "track-iou": ["videos=1"]}
     assert all(line in out for line in expected[command])
 
 
@@ -435,6 +473,7 @@ BAD_INPUTS = {
     "matrix-values-ragged": lambda tmp: _assoc_matrix_file(tmp, values=[[1, 0], [0]]),
     "matrix-values-bool": lambda tmp: _assoc_matrix_file(tmp, values=[True, 0, 0, 1]),
     "convert-flat-not-utf8": lambda tmp: _flat_file(tmp, b"1,7,10,20,30,40,0.9\xff\n"),
+    "convert-flat-duplicate-frame": lambda tmp: _flat_file(tmp, b"1,7,10,20,30,40,0.9\n1,7,12,20,30,40,0.8\n"),
     "convert-flat-num-frames-out-of-range": lambda tmp: _flat_file(tmp, b"1,7,10,20,30,40,0.9\n")
     + ["--num-frames", str(10**20)],
     "verify-losses-zero-seeds": lambda tmp: ["verify-losses", "--seeds", "0"],

@@ -162,22 +162,26 @@ def test_video_rejects_frame_out_of_range() -> None:
         make_video("v", [make_track(1, [(5, 0, 0, 1, 1)])], num_frames=3)
 
 
-def test_flatten_regroup_round_trip(rng) -> None:
+def test_from_rows_regroups_shuffled_rows(rng) -> None:
     tracks = [
         make_track(3, [(0, 0, 0, 1, 1), (2, 1, 1, 2, 2)], caption="a red car crosses"),
         make_track(7, [(1, 4, 4, 6, 6)], caption="a dog waits"),
         make_track(2, [(0, 2, 2, 3, 3), (1, 2, 2, 3, 3), (2, 2, 2, 3, 3)]),
     ]
     video = make_video("v", tracks, num_frames=3)
-    # Flat (frame, track_id, detection) rows in shuffled order.
-    rows = [(d.frame, t.track_id, d) for t in video.trajectories for d in t.detections]
-    rebuilt = VideoRecord.regroup(
+    # Flat (track_id, frame, corners, score) rows in shuffled order.
+    rows = [(t.track_id, d.frame, d.box.as_tuple(), d.score) for t in video.trajectories for d in t.detections]
+    track_ids, frames, corners, scores = zip(*(rows[k] for k in rng.permutation(len(rows))))
+    rebuilt = VideoTable.from_rows(
         video.video_id,
         video.num_frames,
-        [rows[k] for k in rng.permutation(len(rows))],
-        captions={t.track_id: t.caption for t in tracks if t.caption},
+        track_ids,
+        frames,
+        corners,
+        scores,
+        track_captions={t.track_id: t.caption.raw for t in tracks if t.caption},
     )
-    assert {t.track_id for t in rebuilt.trajectories} == {2, 3, 7}
+    assert rebuilt.track_ids.tolist() == [2, 3, 7]
     for original in tracks:
         twin = next(t for t in rebuilt.trajectories if t.track_id == original.track_id)
         assert twin.frames == original.frames
