@@ -43,12 +43,18 @@ gt = VideoRecord(
         Trajectory(1, (Detection(0, Box(0, 0, 10, 10)), Detection(1, Box(2, 0, 12, 10)))),
     ),
 )
-pred_boxes = [[Box(0, 0, 10, 10)], [Box(2, 0, 12, 10)]]
-print("gt association:\n", build_gt_association(pred_boxes, gt).values)
+# Predictions are columns: a frame per row and its (x1, y1, x2, y2) corners,
+# rows in non-decreasing frame order.
+pred_frames = np.array([0, 1])
+pred_corners = np.array([[0, 0, 10, 10], [2, 0, 12, 10]], dtype=float)
+print("gt association:\n", build_gt_association(pred_frames, pred_corners, gt).values)
 
 # The online IoU tracker is the floor baseline: link frame to frame, no
-# re-identification. A static box keeps its id; a teleporting one does not.
-static = [[Detection(f, Box(0, 0, 10, 10))] for f in range(4)]
-jumpy = [[Detection(f, Box(100.0 * f, 0, 100.0 * f + 10, 10))] for f in range(4)]
-print("static ids:", iou_tracker(static, match_thresh=0.5).ids)
-print("jumpy ids: ", iou_tracker(jumpy, match_thresh=0.5).ids)
+# re-identification. A static box keeps its id; a teleporting one does not,
+# and a frame without boxes ends every track.
+frames = np.arange(4)
+static = np.tile([0.0, 0.0, 10.0, 10.0], (4, 1))
+jumpy = np.array([[100.0 * f, 0, 100.0 * f + 10, 10] for f in range(4)])
+print("static ids:", iou_tracker(frames, static, match_thresh=0.5).ids)
+print("jumpy ids: ", iou_tracker(frames, jumpy, match_thresh=0.5).ids)
+print("gap ids:   ", iou_tracker([0, 1, 3], static[:3], match_thresh=0.5).ids)

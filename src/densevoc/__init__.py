@@ -36,17 +36,12 @@ from .metrics import (
     DEFAULT_ALPHAS,
     ApmReport,
     EvalReport,
-    MatchSet,
     ScorerConfig,
     ap_m,
-    ass_a,
-    cap_a,
     chota,
     chota_from_components,
-    det_a,
     grounding_ious,
     hota_from_components,
-    match_at_alpha,
 )
 from .synth import SynthConfig, generate
 

@@ -4,6 +4,10 @@ The association matrix is a square real matrix over every per-frame object
 observation in a video; entry (i, j) scores whether observations i and j
 belong to the same trajectory. Identity assignment greedily extracts the
 longest remaining track until the binarized matrix is empty.
+
+Ground-truth association and the IoU tracker baseline take predictions as
+columns: one observation per row, a frame column and ``(n, 4)`` corners, in
+the non-decreasing frame order of ``AssocMatrix.frame_of``.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import Box, Detection, ValidationError, VideoRecord, VideoTable, as_tables, corner_array, iou_matrix
+from .core import ValidationError, VideoRecord, VideoTable, _int_column, as_tables, iou_matrix
 
 
 @dataclass(frozen=True)
@@ -105,17 +109,15 @@ def assign_identities(a: AssocMatrix, theta: float = 0.5) -> IdentityAssignment:
     return IdentityAssignment(ids=ids)
 
 
-def match_boxes(
-    left: list[Box], right: list[Box], min_iou: float
-) -> list[tuple[int, int, float]]:
-    """Optimal bipartite IoU matching; pairs below ``min_iou`` are forbidden.
+def match_boxes(left: np.ndarray, right: np.ndarray, min_iou: float) -> list[tuple[int, int, float]]:
+    """Optimal bipartite IoU matching of two (n, 4) corner arrays; pairs below ``min_iou`` are forbidden.
 
     Returns (left_index, right_index, iou) triples. The assignment maximizes
     total IoU over admissible pairs.
     """
-    if not left or not right:
+    if not len(left) or not len(right):
         return []
-    sim = iou_matrix(corner_array(left), corner_array(right))
+    sim = iou_matrix(left, right)
     eligible = sim >= min_iou
     score = np.where(eligible, sim, 0.0)
     rows, cols = linear_sum_assignment(-score)
@@ -126,10 +128,26 @@ def match_boxes(
     ]
 
 
+def _frame_runs(frame_of, corners) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
+    """The checked ``frame_of`` and ``(n, 4)`` corner columns, and (frame, first row, end row) per frame holding rows.
+
+    Rows are observations in non-decreasing frame order, as in ``AssocMatrix.frame_of``.
+    """
+    frame_of = _int_column(frame_of, "frame_of")
+    corners = np.asarray(corners, dtype=float).reshape(-1, 4)
+    if len(corners) != len(frame_of) or (np.diff(frame_of) < 0).any():
+        raise ValidationError(f"frame_of must be non-decreasing with one box per entry, got {len(frame_of)} "
+                              f"frames for {len(corners)} boxes")
+    if not (np.isfinite(corners).all() and (corners[:, :2] <= corners[:, 2:]).all()):
+        raise ValidationError("box corners must be finite, with x1 <= x2 and y1 <= y2")
+    frames, starts = np.unique(frame_of, return_index=True)
+    return frame_of, corners, list(zip(frames.tolist(), starts.tolist(), starts[1:].tolist() + [len(frame_of)]))
+
+
 def build_gt_association(
-    pred_frames: list[list[Box]], gt: VideoTable | VideoRecord, iou_thresh: float = 0.5
+    frame_of, corners, gt: VideoTable | VideoRecord, iou_thresh: float = 0.5
 ) -> AssocMatrix:
-    """Binary ground-truth association matrix for predicted boxes.
+    """Binary ground-truth association matrix for predicted boxes, as columns below ``gt.num_frames``.
 
     ``gt`` is a table or a record. Each frame's predictions are matched to
     the ground-truth boxes of that frame by optimal bipartite IoU matching
@@ -137,59 +155,38 @@ def build_gt_association(
     they matched the same ground-truth trajectory. Unmatched observations
     associate only with themselves.
     """
+    frame_of, corners, runs = _frame_runs(frame_of, corners)
     (gt,) = as_tables([gt])
-    if len(pred_frames) > gt.num_frames:
-        raise ValidationError(
-            f"{len(pred_frames)} prediction frames exceed num_frames {gt.num_frames}"
-        )
+    if runs and not 0 <= runs[0][0] <= runs[-1][0] < gt.num_frames:
+        raise ValidationError(f"prediction frames must lie in [0, {gt.num_frames}), got {runs[0][0]}..{runs[-1][0]}")
     rows, track = gt.frame_order()
-    bounds = np.searchsorted(gt.frames[rows], np.arange(len(pred_frames) + 1)).tolist()
-    gt_boxes = [Box(*c) for c in gt.corners[rows].tolist()]
-    gt_ids = gt.track_ids[track].tolist()
-
-    frame_of: list[int] = []
-    matched_track: list[int | None] = []
-    for frame, boxes in enumerate(pred_frames):
-        lo, hi = bounds[frame], bounds[frame + 1]
-        assignment = {r: gt_ids[lo + c] for r, c, _ in match_boxes(boxes, gt_boxes[lo:hi], iou_thresh)}
-        for k in range(len(boxes)):
-            frame_of.append(frame)
-            matched_track.append(assignment.get(k))
-
-    m = len(frame_of)
-    values = np.zeros((m, m))
-    track_arr = np.array([-1 if t is None else t for t in matched_track])
-    same = (track_arr[:, None] == track_arr[None, :]) & (track_arr[:, None] >= 0)
-    values[same] = 1.0
+    gt_frames, gt_corners, gt_ids = gt.frames[rows], gt.corners[rows], gt.track_ids[track]
+    matched = np.full(len(frame_of), -1, dtype=np.int64)
+    for frame, lo, hi in runs:
+        g_lo, g_hi = np.searchsorted(gt_frames, [frame, frame + 1]).tolist()
+        for r, c, _ in match_boxes(corners[lo:hi], gt_corners[g_lo:g_hi], iou_thresh):
+            matched[lo + r] = gt_ids[g_lo + c]
+    values = ((matched[:, None] == matched[None, :]) & (matched[:, None] >= 0)).astype(float)
     np.fill_diagonal(values, 1.0)
-    return AssocMatrix(values=values, frame_of=np.array(frame_of, dtype=int))
+    return AssocMatrix(values=values, frame_of=frame_of)
 
 
-def iou_tracker(frames: list[list[Detection]], match_thresh: float) -> IdentityAssignment:
-    """Online greedy IoU linker, the floor baseline for comparisons.
+def iou_tracker(frame_of, corners, match_thresh: float) -> IdentityAssignment:
+    """Online greedy IoU linker, the floor baseline for comparisons; one id per detection row.
 
     Each frame's detections are matched to the previous frame's active tracks
-    by optimal bipartite IoU matching; unmatched detections open new ids and
-    unmatched tracks terminate. No re-identification. An empty frame list
-    ends every track, so consecutive empty lists act as one.
+    by optimal bipartite IoU matching; unmatched detections open new ids in
+    row order and unmatched tracks terminate. No re-identification. A frame
+    without rows ends every track, and frames without rows cost nothing.
     """
-    ids: list[int] = []
+    frame_of, corners, runs = _frame_runs(frame_of, corners)
+    ids = np.zeros(len(frame_of), dtype=np.int64)
     next_id = 1
-    prev_boxes: list[Box] = []
-    prev_ids: list[int] = []
-    for dets in frames:
-        boxes = [d.box for d in dets]
-        assigned = [0] * len(dets)
-        matches = match_boxes(prev_boxes, boxes, match_thresh)
-        taken = set()
-        for r, c, _ in matches:
-            assigned[c] = prev_ids[r]
-            taken.add(c)
-        for k in range(len(dets)):
-            if k not in taken:
-                assigned[k] = next_id
-                next_id += 1
-        ids.extend(assigned)
-        prev_boxes = boxes
-        prev_ids = assigned
-    return IdentityAssignment(ids=np.array(ids, dtype=int))
+    for (previous, p_lo, _), (frame, lo, hi) in zip([(None, 0, 0)] + runs, runs):
+        if previous == frame - 1:
+            for r, c, _ in match_boxes(corners[p_lo:lo], corners[lo:hi], match_thresh):
+                ids[lo + c] = ids[p_lo + r]
+        fresh = lo + np.flatnonzero(ids[lo:hi] == 0)
+        ids[fresh] = np.arange(next_id, next_id + len(fresh))
+        next_id += len(fresh)
+    return IdentityAssignment(ids=ids)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import aggregate as agg
 from . import assoc, formats, ground, losses, metrics, synth
-from .core import Box, Caption, Detection, ValidationError, VideoTable
+from .core import Box, Caption, ValidationError, VideoTable
 
 
 def _jobs_default() -> int:
@@ -152,21 +152,16 @@ def cmd_track_iou(args) -> int:
     thresh = _number(args.thresh, "--thresh", 0.0, 1.0)
     out_tables = []
     for table in formats.load_dataset(args.pred, strict=args.strict):
-        rows, _ = table.frame_order()
-        # One list per frame holding boxes, and one empty list per gap, which ends every track.
-        frame_lists: list[list[Detection]] = []
-        previous = -1
-        for frame, box in zip(table.frames[rows].tolist(), table.corners[rows].tolist()):
-            if frame > previous + 1:
-                frame_lists.append([])
-            if frame != previous:
-                frame_lists.append([])
-                previous = frame
-            frame_lists[-1].append(Detection(frame=frame, box=Box(*box)))
-        ids = np.empty_like(rows)
-        ids[rows] = assoc.iou_tracker(frame_lists, match_thresh=thresh).ids
-        out_tables.append(VideoTable.from_rows(table.video_id, table.num_frames, ids, table.frames, table.corners,
-                                               table.scores, box_captions=table.box_captions))
+        rows, track = table.frame_order()
+        frames, corners = table.frames[rows], table.corners[rows]
+        ids = assoc.iou_tracker(frames, corners, match_thresh=thresh).ids
+        # Each row keeps its effective caption, its own or else its track's, as a box caption.
+        box = table.box_captions or (None,) * len(rows)
+        captions = [table.track_captions[t] if box[r] is None else box[r]
+                    for r, t in zip(rows.tolist(), track.tolist())]
+        out_tables.append(VideoTable.from_rows(
+            table.video_id, table.num_frames, ids, frames, corners, table.scores[rows],
+            box_captions=None if all(c is None for c in captions) else captions))
     if args.out:
         formats.save_dataset(out_tables, args.out)
     print(f"videos={len(out_tables)}")

@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -313,26 +313,17 @@ class VideoTable:
     @cached_property
     def trajectories(self) -> tuple[Trajectory, ...]:
         """The record view of the table, built on first use; detections carry their track id."""
-        return self._trajectories(detection_track_ids=True)
-
-    def to_record(self, detection_track_ids: bool = True) -> VideoRecord:
-        """The record of this table; detections carry their track id unless told not to."""
-        tracks = self.trajectories if detection_track_ids else self._trajectories(detection_track_ids=False)
-        return VideoRecord(video_id=self.video_id, num_frames=self.num_frames, trajectories=tracks)
-
-    def _trajectories(self, detection_track_ids: bool) -> tuple[Trajectory, ...]:
         frames, corners, scores = self.frames.tolist(), self.corners.tolist(), self.scores.tolist()
         box_captions = self.box_captions or (None,) * len(frames)
         offsets = self.offsets.tolist()
         tracks = []
         for t, (track_id, caption) in enumerate(zip(self.track_ids.tolist(), self.track_captions)):
-            det_id = track_id if detection_track_ids else None
             dets = tuple(
                 Detection(
                     frame=frames[i],
                     box=Box(*corners[i]),
                     score=scores[i],
-                    track_id=det_id,
+                    track_id=track_id,
                     caption=None if box_captions[i] is None else Caption.from_text(box_captions[i]),
                 )
                 for i in range(offsets[t], offsets[t + 1])
@@ -340,6 +331,10 @@ class VideoTable:
             track_caption = None if caption is None else Caption.from_text(caption)
             tracks.append(Trajectory(track_id=track_id, detections=dets, caption=track_caption))
         return tuple(tracks)
+
+    def to_record(self) -> VideoRecord:
+        """The record of this table, built from ``trajectories``."""
+        return VideoRecord(video_id=self.video_id, num_frames=self.num_frames, trajectories=self.trajectories)
 
 
 def as_tables(videos: Sequence[VideoTable | VideoRecord]) -> list[VideoTable]:
@@ -356,11 +351,6 @@ def iou(a: Box, b: Box) -> float:
     if union <= 0.0:
         return 0.0
     return inter / union
-
-
-def corner_array(boxes: Iterable[Box]) -> np.ndarray:
-    """(n, 4) float array of the boxes' (x1, y1, x2, y2) corners."""
-    return np.array([b.as_tuple() for b in boxes], dtype=float).reshape(-1, 4)
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

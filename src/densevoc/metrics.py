@@ -20,7 +20,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .capmetrics import IdfTable, cider_pair, exact_match, meteor_lite
 from .core import Box, Caption, ValidationError, VideoRecord, VideoTable
-from .core import as_tables, corner_array, iou_matrix, tokenize
+from .core import as_tables, iou_matrix, tokenize
 
 DEFAULT_ALPHAS: tuple[float, ...] = tuple(round(0.05 * k, 2) for k in range(1, 20))
 APM_IOU_THRESHOLDS: tuple[float, ...] = (0.3, 0.4, 0.5, 0.6, 0.7)
@@ -147,10 +147,6 @@ class _VideoPrep:
     """
 
     def __init__(self, pred: VideoTable, gt: VideoTable):
-        if pred.video_id != gt.video_id:
-            raise ValidationError(
-                f"video ids differ: {pred.video_id!r} vs {gt.video_id!r}"
-            )
         self.video_id = gt.video_id
         self.gt_track_ids = gt.track_ids
         # Captions by id: gt tracks' own (-1 for none) and each prediction row's effective one.
@@ -298,24 +294,6 @@ def _sweep(prep: _VideoPrep, alphas: tuple[float, ...]) -> tuple[_Records, np.nd
 
 
 @dataclass
-class MatchSet:
-    """Per-frame bijective prediction/ground-truth matching at one threshold.
-
-    ``records`` are the sweep records at ``alpha`` over the observation
-    tables of ``prep``; ``ass_iou_sum`` is the AssA numerator.
-    """
-
-    video_id: str
-    alpha: float
-    tp: int
-    fp: int
-    fn: int
-    ass_iou_sum: float
-    records: _Records = field(repr=False)
-    prep: _VideoPrep = field(repr=False)
-
-
-@dataclass
 class _VideoStats:
     """Per-video pooled statistics over the alpha grid (picklable)."""
 
@@ -449,58 +427,6 @@ def _caption_sums(
     added = np.where(covered, (total / config.divisor)[:, None], 0.0)
     cap_sum = np.cumsum(np.vstack([np.zeros(n_alpha), added]), axis=0)[-1]
     return cap_sum, covered.sum(axis=0).astype(float)
-
-
-def match_at_alpha(pred: VideoTable | VideoRecord, gt: VideoTable | VideoRecord, alpha: float) -> MatchSet:
-    """Bijective per-frame matching at a single localization threshold."""
-    if not (0.0 < alpha < 1.0):
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    prep = _VideoPrep(*as_tables([pred, gt]))
-    records, mc, ass_iou_sum = _sweep(prep, (alpha,))
-    tp = int(mc.sum())
-    return MatchSet(
-        video_id=prep.video_id,
-        alpha=alpha,
-        tp=tp,
-        fp=int(prep.pred_count.sum()) - tp,
-        fn=int(prep.gt_count.sum()) - tp,
-        ass_iou_sum=float(ass_iou_sum[0]),
-        records=records,
-        prep=prep,
-    )
-
-
-def det_a(m: MatchSet) -> float:
-    """|TP| / (|TP| + |FP| + |FN|); 1 on an empty video by convention."""
-    total = m.tp + m.fp + m.fn
-    return 1.0 if total == 0 else m.tp / total
-
-
-def ass_a(m: MatchSet) -> float:
-    """Mean association IoU over true positives; 1 when there are none."""
-    return 1.0 if m.tp == 0 else m.ass_iou_sum / m.tp
-
-
-def cap_a(
-    m: MatchSet,
-    pred: VideoTable | VideoRecord,
-    gt: VideoTable | VideoRecord,
-    config: ScorerConfig = ScorerConfig(),
-    idf: IdfTable | None = None,
-) -> float | None:
-    """Mean caption score over caption-annotated true positives.
-
-    Returns None when the ground truth carries no captions at all (CapA is
-    undefined and the combined metric falls back to its caption-free form);
-    returns 0.0 when captions exist but no true positive pair has one.
-    """
-    captions = _idf_documents(as_tables([gt]))
-    if not captions:
-        return None
-    if idf is None:
-        idf = IdfTable.build(captions)
-    total, count = _caption_sums(m.records, 1, m.prep, _PairScorer(config, idf))
-    return float(total[0] / count[0]) if count[0] else 0.0
 
 
 @dataclass
@@ -914,8 +840,8 @@ def grounding_ious(
             raise ValidationError(f"ground truth box missing for frame {frame} in its own span")
         if pred_boxes.get(frame) is not None:
             held.append(frame)
-    pred_corners = corner_array(pred_boxes[f] for f in held)[:, None]
-    gt_corners = corner_array(gt_boxes[f] for f in held)[:, None]
+    pred_corners = np.array([pred_boxes[f].as_tuple() for f in held], dtype=float).reshape(-1, 1, 4)
+    gt_corners = np.array([gt_boxes[f].as_tuple() for f in held], dtype=float).reshape(-1, 1, 4)
     box_iou = dict(zip(held, iou_matrix(pred_corners, gt_corners)[:, 0, 0].tolist()))
     # Added frame by frame, in span order.
     s_total = 0.0

@@ -169,9 +169,6 @@ def generate_tables(cfg: SynthConfig) -> tuple[list[VideoTable], list[VideoTable
 
 
 def generate(cfg: SynthConfig) -> tuple[list[VideoRecord], list[VideoRecord]]:
-    """Ground truth plus perturbed predictions for every configured video.
-
-    Prediction detections leave ``track_id`` unset; the enclosing trajectory carries it.
-    """
+    """``generate_tables`` as records; every detection carries its track id, as loaded records do."""
     gts, preds = generate_tables(cfg)
-    return [t.to_record() for t in gts], [t.to_record(detection_track_ids=False) for t in preds]
+    return [t.to_record() for t in gts], [t.to_record() for t in preds]

@@ -18,7 +18,7 @@ from typing import Any, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from densevoc.assoc import iou_tracker
+from densevoc.assoc import IdentityAssignment
 from densevoc.capmetrics import stem
 from densevoc.core import Box, Caption, Detection, Trajectory, ValidationError, VideoRecord, VideoTable, iou_matrix
 from densevoc.formats import FormatError, _check_unknown, _parse_box, _require
@@ -704,15 +704,16 @@ def _perturb_video_oracle(rng: np.random.Generator, gt: VideoRecord, cfg) -> Vid
             if not dropped:
                 x1, x2 = sorted((det.box.x1 + jitter[0], det.box.x2 + jitter[2]))
                 y1, y2 = sorted((det.box.y1 + jitter[1], det.box.y2 + jitter[3]))
+                label = relabel[track_id]
                 flat.append(
-                    (frame, relabel[track_id], Detection(frame=frame, box=Box(x1, y1, x2, y2), score=score))
+                    (frame, label, Detection(frame=frame, box=Box(x1, y1, x2, y2), score=score, track_id=label))
                 )
             if make_fp:
                 x, y, w, h = _random_box_oracle(rng)
                 fp_score = float(rng.uniform(0.2, 0.6))
                 fp_caption = _random_caption_oracle(rng)
                 flat.append(
-                    (frame, fp_id, Detection(frame=frame, box=Box(x, y, x + w, y + h), score=fp_score))
+                    (frame, fp_id, Detection(frame=frame, box=Box(x, y, x + w, y + h), score=fp_score, track_id=fp_id))
                 )
                 captions[fp_id] = fp_caption
                 fp_id += 1
@@ -832,10 +833,82 @@ def parse_dataset_oracle(data: Any, strict: bool = False) -> list[VideoRecord]:
     return records
 
 
+# The IoU tracker and ground-truth association as first written, on one
+# list of ``Box``es (``Detection``s for the tracker) per frame; a gap in the
+# frames is an empty list. The column versions in ``densevoc.assoc`` must give
+# the same ids and matrices.
+
+
+def _match_boxes_oracle(
+    left: list[Box], right: list[Box], min_iou: float
+) -> list[tuple[int, int, float]]:
+    if not left or not right:
+        return []
+    corners = [np.array([b.as_tuple() for b in side], dtype=float).reshape(-1, 4) for side in (left, right)]
+    sim = iou_matrix(*corners)
+    eligible = sim >= min_iou
+    score = np.where(eligible, sim, 0.0)
+    rows, cols = linear_sum_assignment(-score)
+    return [
+        (int(r), int(c), float(sim[r, c]))
+        for r, c in zip(rows, cols)
+        if eligible[r, c]
+    ]
+
+
+def iou_tracker_oracle(frames: list[list[Detection]], match_thresh: float) -> IdentityAssignment:
+    ids: list[int] = []
+    next_id = 1
+    prev_boxes: list[Box] = []
+    prev_ids: list[int] = []
+    for dets in frames:
+        boxes = [d.box for d in dets]
+        assigned = [0] * len(dets)
+        matches = _match_boxes_oracle(prev_boxes, boxes, match_thresh)
+        taken = set()
+        for r, c, _ in matches:
+            assigned[c] = prev_ids[r]
+            taken.add(c)
+        for k in range(len(dets)):
+            if k not in taken:
+                assigned[k] = next_id
+                next_id += 1
+        ids.extend(assigned)
+        prev_boxes = boxes
+        prev_ids = assigned
+    return IdentityAssignment(ids=np.array(ids, dtype=int))
+
+
+def build_gt_association_oracle(pred_frames: list[list[Box]], gt: VideoRecord, iou_thresh: float = 0.5):
+    """(values, frame_of) of the ground-truth association matrix; gt boxes per frame in file order."""
+    gt_frames: list[list[tuple[int, Box]]] = [[] for _ in pred_frames]
+    for track in gt.trajectories:
+        for det in track.detections:
+            if det.frame < len(pred_frames):
+                gt_frames[det.frame].append((track.track_id, det.box))
+    frame_of: list[int] = []
+    matched: list[int | None] = []
+    for frame, boxes in enumerate(pred_frames):
+        candidates = gt_frames[frame]
+        pairs = _match_boxes_oracle(boxes, [b for _, b in candidates], iou_thresh)
+        assignment = {r: candidates[c][0] for r, c, _ in pairs}
+        for k in range(len(boxes)):
+            frame_of.append(frame)
+            matched.append(assignment.get(k))
+    m = len(frame_of)
+    values = np.zeros((m, m))
+    for i in range(m):
+        for j in range(m):
+            if i == j or (matched[i] is not None and matched[i] == matched[j]):
+                values[i, j] = 1.0
+    return values, frame_of
+
+
 # ``densevoc track-iou`` as first written: one detection list per frame of
 # ``num_frames``, the tracker's ids in that frame-major order, and the
-# relabelled detections regrouped by track, then frame. The command must
-# write the same file.
+# relabelled detections regrouped by track, then frame. Each detection keeps
+# its effective caption, its own or else its track's, as its box caption.
+# The command must write the same file.
 
 
 def track_iou_oracle(records: Sequence[VideoRecord], thresh: float) -> list[VideoRecord]:
@@ -844,8 +917,9 @@ def track_iou_oracle(records: Sequence[VideoRecord], thresh: float) -> list[Vide
         frames: list[list[Detection]] = [[] for _ in range(record.num_frames)]
         for track in record.trajectories:
             for det in track.detections:
-                frames[det.frame].append(det)
-        ids = iou_tracker(frames, match_thresh=thresh)
+                caption = track.caption if det.caption is None else det.caption
+                frames[det.frame].append(replace(det, caption=caption))
+        ids = iou_tracker_oracle(frames, match_thresh=thresh)
         flat = []
         k = 0
         for frame, dets in enumerate(frames):

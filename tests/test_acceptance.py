@@ -20,7 +20,7 @@ from densevoc.capmetrics import IdfTable, cider_pair, meteor_lite
 from densevoc.core import Box, Detection, Trajectory, VideoRecord, tokenize
 from densevoc.formats import load_dataset
 from densevoc.ground import select_boxes
-from densevoc.metrics import ScorerConfig, ap_m, ass_a, chota, chota_from_components, match_at_alpha
+from densevoc.metrics import ScorerConfig, ap_m, chota, chota_from_components
 
 from conftest import make_track, make_video, random_tiny_instance
 from oracles import (
@@ -119,8 +119,7 @@ def test_criterion_05_known_answer_trajectory_splits() -> None:
         ],
         num_frames=4,
     )
-    m = match_at_alpha(split_pred, gt, 0.5)
-    assert ass_a(m) == 0.5
+    assert chota([split_pred], [gt], alphas=(0.5,)).ass_a[0] == 0.5
 
     two_track_gt = make_video(
         "v0",
@@ -334,7 +333,7 @@ def _mean_over_seeds(field: str, **kw) -> float:
         cfg = synth.SynthConfig(
             seed=seed, num_videos=4, frames_per_video=30, objects_per_video=4, **kw
         )
-        gts, preds = synth.generate(cfg)
+        gts, preds = synth.generate_tables(cfg)
         values.append(getattr(chota(preds, gts, jobs=1), field))
     return float(np.mean(values))
 
@@ -361,7 +360,7 @@ def perf_run():
         id_switch_rate=0.02,
         caption_corruption_rate=0.2,
     )
-    gts, preds = synth.generate(cfg)
+    gts, preds = synth.generate_tables(cfg)
     start = time.perf_counter()
     report_1 = chota(preds, gts, jobs=1)
     elapsed_1 = time.perf_counter() - start

@@ -15,7 +15,7 @@ from densevoc.assoc import (
 from densevoc.core import Box, Detection, ValidationError, VideoTable, iou
 
 from conftest import make_track, make_video
-from oracles import greedy_assignment_oracle
+from oracles import build_gt_association_oracle, greedy_assignment_oracle, iou_tracker_oracle
 
 
 def test_preprocess_forces_diagonal() -> None:
@@ -130,19 +130,23 @@ def test_assign_recovers_block_diagonal_components(rng) -> None:
                 assert (ids[i] == ids[j]) == (labels[i] == labels[j])
 
 
+def _columns(frames: list[list[Box]]) -> tuple[list[int], np.ndarray]:
+    """frame_of and (n, 4) corners of one list of boxes per frame."""
+    frame_of = [f for f, boxes in enumerate(frames) for _ in boxes]
+    return frame_of, np.array([b.as_tuple() for boxes in frames for b in boxes], dtype=float).reshape(-1, 4)
+
+
 def test_gt_association_perfect_trajectory_all_ones() -> None:
     gt = make_video(
         "v", [make_track(1, [(0, 0, 0, 10, 10), (1, 1, 0, 11, 10), (2, 2, 0, 12, 10)])], 3
     )
-    pred = [[Box(0, 0, 10, 10)], [Box(1, 0, 11, 10)], [Box(2, 0, 12, 10)]]
-    m = build_gt_association(pred, gt)
+    m = build_gt_association([0, 1, 2], [[0, 0, 10, 10], [1, 0, 11, 10], [2, 0, 12, 10]], gt)
     assert m.values == pytest.approx(np.ones((3, 3)))
 
 
 def test_gt_association_background_only_identity() -> None:
     gt = make_video("v", [make_track(1, [(0, 0, 0, 10, 10)])], 1)
-    pred = [[Box(50, 50, 60, 60), Box(80, 80, 90, 90)]]
-    m = build_gt_association(pred, gt)
+    m = build_gt_association([0, 0], [[50, 50, 60, 60], [80, 80, 90, 90]], gt)
     assert m.values == pytest.approx(np.eye(2))
 
 
@@ -151,16 +155,14 @@ def test_gt_association_shuffled_predictions_block_structure() -> None:
     track_b = make_track(2, [(0, 40, 40, 50, 50), (1, 40, 40, 50, 50)])
     gt = make_video("v", [track_a, track_b], 2)
     # Frame 0 lists track A first; frame 1 lists track B first.
-    pred = [
-        [Box(0, 0, 10, 10), Box(40, 40, 50, 50)],
-        [Box(40, 40, 50, 50), Box(0, 0, 10, 10)],
-    ]
-    m = build_gt_association(pred, gt)
+    frame_of = [0, 0, 1, 1]
+    corners = [[0, 0, 10, 10], [40, 40, 50, 50], [40, 40, 50, 50], [0, 0, 10, 10]]
+    m = build_gt_association(frame_of, corners, gt)
     expected = np.eye(4)
     expected[0, 3] = expected[3, 0] = 1.0  # observations 0 and 3 are track A
     expected[1, 2] = expected[2, 1] = 1.0  # observations 1 and 2 are track B
     assert m.values == pytest.approx(expected)
-    from_table = build_gt_association(pred, VideoTable.from_record(gt))
+    from_table = build_gt_association(frame_of, corners, VideoTable.from_record(gt))
     assert np.array_equal(from_table.values, m.values) and np.array_equal(from_table.frame_of, m.frame_of)
 
 
@@ -175,7 +177,7 @@ def test_gt_association_is_equivalence_like(rng) -> None:
         boxes = [Box(30.0 * k + rng.uniform(-1, 1), 0, 30.0 * k + 10, 10) for k in range(3)]
         boxes.append(Box(200, 200, 210, 210))  # never matches
         pred.append(boxes)
-    m = build_gt_association(pred, gt)
+    m = build_gt_association(*_columns(pred), gt)
     v = m.values
     assert np.array_equal(v, v.T)
     assert set(np.unique(v)) <= {0.0, 1.0}
@@ -188,35 +190,105 @@ def test_gt_association_is_equivalence_like(rng) -> None:
                     assert v[i, k]
 
 
-def _det(frame, x, y=0.0, size=10.0) -> Detection:
-    return Detection(frame=frame, box=Box(x, y, x + size, y + size))
+def _square(x, y=0.0, size=10.0) -> list[float]:
+    return [x, y, x + size, y + size]
 
 
 def test_iou_tracker_static_box_single_id() -> None:
-    frames = [[_det(f, 0.0)] for f in range(5)]
-    assert iou_tracker(frames, match_thresh=0.5).ids.tolist() == [1, 1, 1, 1, 1]
+    assert iou_tracker(range(5), [_square(0.0)] * 5, match_thresh=0.5).ids.tolist() == [1, 1, 1, 1, 1]
 
 
 def test_iou_tracker_teleporting_box_new_ids() -> None:
-    frames = [[_det(f, 100.0 * f)] for f in range(5)]
-    assert iou_tracker(frames, match_thresh=0.5).ids.tolist() == [1, 2, 3, 4, 5]
+    corners = [_square(100.0 * f) for f in range(5)]
+    assert iou_tracker(range(5), corners, match_thresh=0.5).ids.tolist() == [1, 2, 3, 4, 5]
 
 
 def test_iou_tracker_crossing_boxes_follow_best_overlap() -> None:
     # Two boxes moving toward each other at 2px/frame, 10px wide: the best
     # continuation is always the box's own previous position.
-    frames = []
+    frame_of, corners = [], []
     for f in range(6):
-        left = _det(f, 0.0 + 2.0 * f)
-        right = _det(f, 20.0 - 2.0 * f)
-        frames.append([left, right])
-    ids = iou_tracker(frames, match_thresh=0.1).ids
+        frame_of += [f, f]
+        corners += [_square(0.0 + 2.0 * f), _square(20.0 - 2.0 * f)]
+    ids = iou_tracker(frame_of, corners, match_thresh=0.1).ids
     assert ids.tolist() == [1, 2] * 6
 
 
 def test_iou_tracker_track_termination_no_reid() -> None:
-    frames = [[_det(0, 0.0)], [], [_det(2, 0.0)]]
-    assert iou_tracker(frames, match_thresh=0.5).ids.tolist() == [1, 2]
+    # Frame 1 holds no box, which ends the track.
+    assert iou_tracker([0, 2], [_square(0.0)] * 2, match_thresh=0.5).ids.tolist() == [1, 2]
+
+
+def _random_frames(rng, num_frames: int, grid: bool, empty_first: bool) -> list[list[Box]]:
+    """Boxes per frame: some frames empty (frame 0 when ``empty_first``), some with one box."""
+    frames = []
+    for f in range(num_frames):
+        n = 0 if f == 0 and empty_first else int(rng.choice([0, 1, 1, 2, 3, 4]))
+        boxes = []
+        for _ in range(n):
+            if grid:  # integer grid: many tied IoUs
+                x, y = (float(v) for v in rng.integers(0, 4, size=2) * 5)
+                w, h = (float(v) for v in rng.integers(1, 3, size=2) * 10)
+            else:
+                x, y = (float(v) for v in rng.uniform(0, 40, size=2))
+                w, h = (float(v) for v in rng.uniform(5, 25, size=2))
+            boxes.append(Box(x, y, x + w, y + h))
+        frames.append(boxes)
+    return frames
+
+
+def test_column_tracker_and_gt_association_equal_list_oracles(rng) -> None:
+    seen = {"gap": 0, "empty first frame": 0, "one-box frame": 0, "empty video": 0}
+    for trial in range(300):
+        num_frames = int(rng.integers(1, 9))
+        grid, empty_first = trial % 2 == 1, trial % 3 == 0
+        pred = _random_frames(rng, num_frames, grid, empty_first)
+        if trial % 25 == 0:
+            pred = [[] for _ in pred]
+        frame_of, corners = _columns(pred)
+        seen["gap"] += any(not boxes for boxes in pred[1:])
+        seen["empty first frame"] += not pred[0]
+        seen["one-box frame"] += any(len(boxes) == 1 for boxes in pred)
+        seen["empty video"] += not frame_of
+        for thresh in (0.0, 0.3, 0.5):
+            detections = [[Detection(f, b) for b in boxes] for f, boxes in enumerate(pred)]
+            expected = iou_tracker_oracle(detections, thresh)
+            assert iou_tracker(frame_of, corners, thresh).ids.tolist() == expected.ids.tolist(), (trial, thresh)
+
+        gt_frames = _random_frames(rng, num_frames, grid, empty_first=False)
+        tracks = [
+            make_track(k + 1, [(f, *boxes[k].as_tuple()) for f, boxes in enumerate(gt_frames) if len(boxes) > k])
+            for k in range(4)
+        ]
+        gt = make_video("v", [t for t in tracks if len(t)], num_frames)
+        for thresh in (0.3, 0.5):
+            values, expected_frames = build_gt_association_oracle(pred, gt, thresh)
+            for gt_view in (gt, VideoTable.from_record(gt)):
+                m = build_gt_association(frame_of, corners, gt_view, thresh)
+                assert np.array_equal(m.values, values) and m.frame_of.tolist() == expected_frames, (trial, thresh)
+    assert all(seen.values()), seen
+
+
+def test_malformed_columns_rejected() -> None:
+    gt = make_video("v", [make_track(1, [(0, 0, 0, 10, 10), (1, 0, 0, 10, 10)])], 2)
+    boxes = [_square(0.0)] * 2
+    with pytest.raises(ValidationError, match="non-decreasing"):
+        iou_tracker([1, 0], boxes, match_thresh=0.5)
+    with pytest.raises(ValidationError, match="non-decreasing"):
+        build_gt_association([1, 0], boxes, gt)
+    with pytest.raises(ValidationError, match="one box per entry"):
+        iou_tracker([0, 1, 2], boxes, match_thresh=0.5)
+    with pytest.raises(ValidationError, match="integers"):
+        iou_tracker([0.5, 1.0], boxes, match_thresh=0.5)
+    for bad in ([0, 0, np.nan, 10], [10, 0, 0, 10]):
+        with pytest.raises(ValidationError, match="corners"):
+            iou_tracker([0, 1], [_square(0.0), bad], match_thresh=0.5)
+        with pytest.raises(ValidationError, match="corners"):
+            build_gt_association([0, 1], [_square(0.0), bad], gt)
+    for frames in ([0, 2], [2, 3], [-1, 0]):
+        with pytest.raises(ValidationError, match=r"must lie in \[0, 2\)"):
+            build_gt_association(frames, boxes, gt)
+    assert build_gt_association([0, 1], boxes, gt).values.tolist() == [[1.0, 1.0], [1.0, 1.0]]
 
 
 def _scalar_match_boxes(left, right, min_iou):
@@ -242,5 +314,7 @@ def test_match_boxes_equals_scalar_iou_reference(rng) -> None:
             boxes.append(Box(x, y, x + w, y + h))
         cut = int(rng.integers(0, len(boxes) + 1))
         left, right = boxes[:cut], boxes[cut:]
+        corners = _columns([boxes])[1]
         for thresh in (0.0, 0.3, 0.5):
-            assert match_boxes(left, right, thresh) == _scalar_match_boxes(left, right, thresh)
+            got = match_boxes(corners[:cut], corners[cut:], thresh)
+            assert got == _scalar_match_boxes(left, right, thresh)

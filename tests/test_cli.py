@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from densevoc.cli import main
+from densevoc.core import Box, Detection, Trajectory, VideoRecord
 from densevoc.formats import load_dataset, save_dataset, save_matrix
 
 from oracles import track_iou_oracle
@@ -139,6 +140,52 @@ def test_track_iou_matches_oracle_bytes(tmp_path, seed) -> None:
         assert main(["track-iou", src, "--thresh", thresh, "--out", str(out)]) == 0
         save_dataset(track_iou_oracle([t.to_record() for t in load_dataset(src)], float(thresh)), expected)
         assert out.read_bytes() == expected.read_bytes()
+
+
+def _rows_with_effective_caption(path) -> list:
+    """(video, frame, box, caption) per row of a dataset file; the caption is the box's own, else its track's."""
+    rows = []
+    for video in json.loads(Path(path).read_text()):
+        for track in video["tracks"]:
+            for box in track["boxes"]:
+                caption = track.get("caption") if box.get("caption") is None else box["caption"]
+                rows.append((video["video_id"], box["frame"], box["box"], caption))
+    return sorted(rows)
+
+
+def test_track_iou_keeps_every_input_caption(tmp_path) -> None:
+    rng = np.random.default_rng(5)
+    videos = [_tracking_input(rng, f"v{v}") for v in range(3)]
+    src, out = _write(tmp_path / "dets.json", videos), tmp_path / "linked.json"
+    assert main(["track-iou", src, "--out", str(out)]) == 0
+    assert _rows_with_effective_caption(out) == _rows_with_effective_caption(src)
+    assert {caption for *_, caption in _rows_with_effective_caption(out)} == {
+        "a track caption", "a dog runs", "a red car", "someone waves"}
+    # Without captions in, none come out.
+    for video in videos:
+        for track in video["tracks"]:
+            track.pop("caption")
+            for box in track["boxes"]:
+                box.pop("caption", None)
+    assert main(["track-iou", _write(tmp_path / "bare.json", videos), "--out", str(out)]) == 0
+    assert "caption" not in out.read_text()
+
+
+def test_commands_build_no_record_objects(tmp_path, monkeypatch) -> None:
+    # These commands run on column tables, so none of them builds a Box or a record.
+    def built(self) -> None:
+        raise AssertionError(f"built {type(self).__name__}")
+
+    for cls in (Box, Detection, Trajectory, VideoRecord):
+        monkeypatch.setattr(cls, "__post_init__", built)
+    gt, pred = str(tmp_path / "gt.json"), str(tmp_path / "pred.json")
+    assert main(["synth", "--seed", "3", "--num-videos", "2", "--frames", "12", "--box-jitter", "2",
+                 "--fp-rate", "0.1", "--out-gt", gt, "--out-pred", pred]) == 0
+    assert main(["eval-chota", gt, pred]) == 0
+    assert main(["eval-apm", gt, pred]) == 0
+    dets = _write(tmp_path / "dets.json", [_tracking_input(np.random.default_rng(0), "v0")])
+    for src in (pred, dets):
+        assert main(["track-iou", src, "--out", str(tmp_path / "linked.json")]) == 0
 
 
 def test_aggregate_soft_and_hard(tmp_path) -> None:

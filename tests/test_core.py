@@ -11,7 +11,6 @@ from densevoc.core import (
     ValidationError,
     VideoRecord,
     VideoTable,
-    corner_array,
     giou,
     iou,
     iou_matrix,
@@ -81,7 +80,7 @@ def test_zero_area_box_is_legal_and_scores_zero() -> None:
 
 
 def _assert_kernel_equals_scalar(rows: list[Box], cols: list[Box]) -> None:
-    got = iou_matrix(corner_array(rows), corner_array(cols))
+    got = iou_matrix(np.array([b.as_tuple() for b in rows]), np.array([b.as_tuple() for b in cols]))
     assert got.shape == (len(rows), len(cols))
     for r, a in enumerate(rows):
         for c, b in enumerate(cols):
@@ -121,8 +120,8 @@ def test_iou_matrix_equals_scalar_iou_on_degenerate_boxes() -> None:
 
 
 def test_iou_matrix_empty_sides() -> None:
-    boxes = corner_array([Box(0, 0, 1, 1), Box(0, 0, 2, 2)])
-    empty = corner_array([])
+    boxes = np.array([Box(0, 0, 1, 1).as_tuple(), Box(0, 0, 2, 2).as_tuple()])
+    empty = np.array([], dtype=float).reshape(0, 4)
     assert empty.shape == (0, 4)
     assert iou_matrix(empty, boxes).shape == (0, 2)
     assert iou_matrix(boxes, empty).shape == (2, 0)

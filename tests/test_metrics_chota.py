@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,13 +17,9 @@ from densevoc.metrics import (
     _sweep,
     _VideoPrep,
     ap_m,
-    ass_a,
-    cap_a,
     chota,
     chota_from_components,
-    det_a,
     hota_from_components,
-    match_at_alpha,
 )
 from densevoc.synth import SynthConfig, generate
 
@@ -34,31 +32,29 @@ def _simple_video(caption: str | None = "a red car crosses") -> VideoRecord:
     return make_video("v0", [track], num_frames=5)
 
 
+def _at(pred, gt, alpha: float, config: ScorerConfig = ScorerConfig()):
+    """The report of one video at the single threshold ``alpha``."""
+    return chota([pred], [gt], alphas=(alpha,), config=config)
+
+
 def test_match_perfect_prediction_all_alphas() -> None:
     gt = _simple_video()
     for alpha in (0.05, 0.5, 0.95):
-        m = match_at_alpha(gt, gt, alpha)
-        assert m.tp == 5 and m.fp == 0 and m.fn == 0
+        report = _at(gt, gt, alpha)
+        assert report.tp[0] == 5 and report.fp[0] == 0 and report.fn[0] == 0
 
 
 def test_match_empty_prediction_all_fn() -> None:
     gt = _simple_video()
     pred = make_video("v0", [], num_frames=5)
-    m = match_at_alpha(pred, gt, 0.5)
-    assert m.tp == 0 and m.fp == 0 and m.fn == 5
+    report = _at(pred, gt, 0.5)
+    assert report.tp[0] == 0 and report.fp[0] == 0 and report.fn[0] == 5
 
 
 def test_match_alpha_validation() -> None:
     gt = _simple_video()
     with pytest.raises(ValidationError):
-        match_at_alpha(gt, gt, 0.0)
-
-
-def test_match_video_id_mismatch() -> None:
-    gt = _simple_video()
-    other = make_video("different", [], num_frames=5)
-    with pytest.raises(ValidationError):
-        match_at_alpha(other, gt, 0.5)
+        _at(gt, gt, 0.0)
 
 
 def test_det_a_direct_counts() -> None:
@@ -70,23 +66,23 @@ def test_det_a_direct_counts() -> None:
     # 3 matched frames, one drifted box (FP+FN), frame 3 missing from pred.
     pred_track = make_track(1, [(0, 0, 0, 10, 10), (1, 0, 0, 10, 10), (2, 100, 100, 110, 110)])
     pred = make_video("v0", [pred_track], num_frames=4)
-    m = match_at_alpha(pred, gt, 0.5)
-    assert (m.tp, m.fp, m.fn) == (2, 1, 2)
-    assert det_a(m) == pytest.approx(2 / 5)
+    report = _at(pred, gt, 0.5)
+    assert (report.tp[0], report.fp[0], report.fn[0]) == (2, 1, 2)
+    assert report.det_a[0] == pytest.approx(2 / 5)
 
 
 def test_det_a_conventions() -> None:
     gt = _simple_video()
-    assert det_a(match_at_alpha(gt, gt, 0.5)) == 1.0
+    assert _at(gt, gt, 0.5).det_a[0] == 1.0
     empty_pred = make_video("v0", [], num_frames=5)
-    assert det_a(match_at_alpha(empty_pred, gt, 0.5)) == 0.0
+    assert _at(empty_pred, gt, 0.5).det_a[0] == 0.0
     empty_both = make_video("v0", [], num_frames=5)
-    assert det_a(match_at_alpha(empty_both, empty_both, 0.5)) == 1.0
+    assert _at(empty_both, empty_both, 0.5).det_a[0] == 1.0
 
 
 def test_ass_a_single_perfect_track() -> None:
     gt = _simple_video()
-    assert ass_a(match_at_alpha(gt, gt, 0.5)) == 1.0
+    assert _at(gt, gt, 0.5).ass_a[0] == 1.0
 
 
 def test_ass_a_split_track_exactly_half() -> None:
@@ -101,15 +97,14 @@ def test_ass_a_split_track_exactly_half() -> None:
         ],
         num_frames=4,
     )
-    m = match_at_alpha(pred, gt, 0.5)
-    assert m.tp == 4
-    assert ass_a(m) == pytest.approx(0.5, abs=1e-12)
+    report = _at(pred, gt, 0.5)
+    assert report.tp[0] == 4
+    assert report.ass_a[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_cap_a_identical_captions_meteor_only() -> None:
     gt = _simple_video("a red car crosses")
-    m = match_at_alpha(gt, gt, 0.5)
-    value = cap_a(m, gt, gt, ScorerConfig(metrics=("meteor",)))
+    value = _at(gt, gt, 0.5, ScorerConfig(metrics=("meteor",))).cap_a[0]
     # Self-comparison of a 4-token caption, one chunk.
     assert value == pytest.approx(1 - 0.5 * (1 / 4) ** 3, abs=1e-12)
 
@@ -120,21 +115,20 @@ def test_cap_a_no_captioned_tp_is_zero() -> None:
     gt = make_video("v0", [captioned, uncaptioned], num_frames=1)
     # Prediction only finds the caption-less object.
     pred = make_video("v0", [make_track(2, [(0, 40.0, 40.0, 50.0, 50.0)])], num_frames=1)
-    m = match_at_alpha(pred, gt, 0.5)
-    assert m.tp == 1
-    assert cap_a(m, pred, gt) == 0.0
+    report = _at(pred, gt, 0.5)
+    assert report.tp[0] == 1
+    assert report.capa_defined and report.cap_a[0] == 0.0
 
 
 def test_cap_a_mean_of_enabled_submetrics() -> None:
     gt = make_video("v0", [make_track(1, [(0, 0.0, 0.0, 10.0, 10.0)], caption="dog")], 1)
     pred = make_video("v0", [make_track(1, [(0, 0.0, 0.0, 10.0, 10.0)], caption="dog")], 1)
-    m = match_at_alpha(pred, gt, 0.5)
     # meteor("dog","dog") = 0.5 and a supplied external score of 0.3 -> 0.4.
     config = ScorerConfig(
         metrics=("meteor", "external"),
         external_scores={("v0", 0, 1): 0.3},
     )
-    assert cap_a(m, pred, gt, config) == pytest.approx(0.4, abs=1e-12)
+    assert _at(pred, gt, 0.5, config).cap_a[0] == pytest.approx(0.4, abs=1e-12)
 
 
 def test_external_scores_keyed_by_frame_major_file_order_index() -> None:
@@ -164,13 +158,12 @@ def test_external_scores_keyed_by_frame_major_file_order_index() -> None:
     report = chota([pred], [gt], config=config)
     assert report.cap_a == pytest.approx(np.full(len(DEFAULT_ALPHAS), expected), abs=1e-12)
     assert not any("external score" in w for w in report.warnings)
-    assert cap_a(match_at_alpha(pred, gt, 0.5), pred, gt, config) == pytest.approx(expected, abs=1e-12)
+    assert _at(pred, gt, 0.5, config).cap_a[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_cap_a_undefined_without_gt_captions() -> None:
     gt = _simple_video(caption=None)
-    m = match_at_alpha(gt, gt, 0.5)
-    assert cap_a(m, gt, gt) is None
+    assert not _at(gt, gt, 0.5).capa_defined
 
 
 def test_chota_perfect_prediction_with_exact_scorer() -> None:
@@ -215,18 +208,19 @@ def test_matching_matches_enumeration_oracle(rng) -> None:
 
 
 def test_match_at_alpha_agrees_with_banded_sweep(rng) -> None:
-    # The pooled report reuses one matching across a band of thresholds;
-    # match_at_alpha solves each threshold on its own. Tie-heavy instances
-    # (grid boxes, duplicated tracks) give many equal-score matchings.
+    # The full-grid report reuses one matching across a band of thresholds;
+    # a one-threshold report solves that threshold on its own. Tie-heavy
+    # instances (grid boxes, duplicated tracks) give many equal-score matchings.
     instances = [random_tiny_instance(rng) for _ in range(20)]
     instances += [tie_heavy_instance(rng) for _ in range(200)]
+    config = ScorerConfig(metrics=("exact",))
     for trial, (pred, gt) in enumerate(instances):
-        report = chota([pred], [gt], config=ScorerConfig(metrics=("exact",)))
+        report = chota([pred], [gt], config=config)
         for k, alpha in enumerate(DEFAULT_ALPHAS):
-            m = match_at_alpha(pred, gt, alpha)
-            assert m.tp == report.tp[k], (trial, alpha)
-            assert det_a(m) == pytest.approx(report.det_a[k], abs=1e-12), (trial, alpha)
-            assert ass_a(m) == pytest.approx(report.ass_a[k], abs=1e-12), (trial, alpha)
+            one = _at(pred, gt, alpha, config)
+            assert one.tp[0] == report.tp[k], (trial, alpha)
+            assert one.det_a[0] == pytest.approx(report.det_a[k], abs=1e-12), (trial, alpha)
+            assert one.ass_a[0] == pytest.approx(report.ass_a[k], abs=1e-12), (trial, alpha)
 
 
 def _shaped_instance(rng, shapes, grid: bool):
@@ -319,7 +313,7 @@ def test_tp_monotone_in_alpha(rng) -> None:
         report = chota([pred], [gt], config=ScorerConfig(metrics=("exact",)))
         assert np.all(np.diff(report.tp) <= 0)
         for k, alpha in enumerate(DEFAULT_ALPHAS):
-            assert match_at_alpha(pred, gt, alpha).tp == report.tp[k]
+            assert _at(pred, gt, alpha, ScorerConfig(metrics=("exact",))).tp[0] == report.tp[k]
 
 
 def test_relabeling_and_order_invariance(rng) -> None:
@@ -475,12 +469,16 @@ def test_table_and_record_paths_agree(tmp_path) -> None:
     assert ap_m(pred_tables, gt_tables).to_dict() == ap_m(preds, gts).to_dict()
     for (pred, gt), (pred_table, gt_table) in zip(zip(preds, gts), zip(pred_tables, gt_tables)):
         for alpha in (0.05, 0.5, 0.8):
-            m, m_table = match_at_alpha(pred, gt, alpha), match_at_alpha(pred_table, gt_table, alpha)
-            assert (m.tp, m.fp, m.fn, m.ass_iou_sum) == (m_table.tp, m_table.fp, m_table.fn, m_table.ass_iou_sum)
-            assert all(np.array_equal(a, b) for a, b in zip(m.records, m_table.records))
-            for config in _configs(external):
-                assert cap_a(m, pred, gt, config) == cap_a(m_table, pred_table, gt_table, config)
-                assert cap_a(m, pred, gt, config) == cap_a(m_table, pred, gt, config)
+            (records, mc, ass), (t_records, t_mc, t_ass) = (
+                _sweep(_VideoPrep(VideoTable.from_record(pred), VideoTable.from_record(gt)), (alpha,)),
+                _sweep(_VideoPrep(pred_table, gt_table), (alpha,)),
+            )
+            assert all(np.array_equal(a, b) for a, b in zip((*records, mc, ass), (*t_records, t_mc, t_ass)))
+            # chota rejects a capa_alpha off its grid; on a one-threshold grid CapA is the value there anyway.
+            for config in (replace(c, capa_alpha=None) for c in _configs(external)):
+                expected = _at(pred, gt, alpha, config).to_dict()
+                assert _at(pred_table, gt_table, alpha, config).to_dict() == expected
+                assert _at(pred_table, gt, alpha, config).to_dict() == expected
 
 
 def test_caption_sums_equal_per_match_oracle() -> None:
