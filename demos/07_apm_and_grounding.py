@@ -32,22 +32,21 @@ print("wrong words:", ap_m([one_frame_video("some thing", Box(0.5, 0, 10, 10))],
 
 # Spatial grounding: per frame, pick the candidate maximizing detection
 # score times query likelihood exp(-NLL).
-candidates = {0: [(Box(0, 0, 10, 10), 0.9), (Box(50, 50, 60, 60), 0.5)]}
+candidates = {0: [((0, 0, 10, 10), 0.9), ((50, 50, 60, 60), 0.5)]}
 nlls = {0: [2.0, 0.1]}  # the second candidate explains the query far better
 result = select_boxes(candidates, nlls)
 print("selected:", result.selections[0], "weighted values:", result.values[0])
 
 # Grounding over a span, scored with spatial / temporal / volumetric IoU.
-gt_boxes = {f: Box(0, 0, 10, 10) for f in range(3)}
+# Candidates and query boxes are (x1, y1, x2, y2) corner rows.
+gt_boxes = {f: (0, 0, 10, 10) for f in range(3)}
 per_frame = {("demo", f, k, "q1"): (0.1 if k == 0 else 4.0) for f in range(3) for k in range(2)}
 scorer = TableScorer(per_frame=per_frame)
-span_candidates = {f: [(Box(0, 0, 10, 10), 0.5), (Box(80, 80, 90, 90), 0.9)] for f in range(3)}
-_, (s_iou, t_iou, v_iou) = ground_and_score(
-    "demo", span_candidates, gt_boxes, (0, 2), scorer, Caption.from_text("the box"), "q1"
-)
+span_candidates = {f: [((0, 0, 10, 10), 0.5), ((80, 80, 90, 90), 0.9)] for f in range(3)}
+_, (s_iou, t_iou, v_iou) = ground_and_score("demo", span_candidates, gt_boxes, (0, 2), scorer, "q1")
 print(f"grounded: sIoU={s_iou:.2f} tIoU={t_iou:.2f} vIoU={v_iou:.2f}")
 
 # The three IoUs respond differently to span misalignment.
-pred_boxes = {f: Box(0, 0, 10, 10) for f in range(2, 7)}
-gt_span_boxes = {f: Box(0, 0, 10, 10) for f in range(4, 9)}
+pred_boxes = {f: (0, 0, 10, 10) for f in range(2, 7)}
+gt_span_boxes = {f: (0, 0, 10, 10) for f in range(4, 9)}
 print("span shift:", grounding_ious(pred_boxes, (2, 6), gt_span_boxes, (4, 8)))

@@ -18,7 +18,6 @@ from .core import (
     ValidationError,
     VideoRecord,
     giou,
-    iou,
     tokenize,
 )
 from .ground import GroundingResult, TableScorer, UniformScorer, ground_and_score, select_boxes

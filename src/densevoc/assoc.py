@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import ValidationError, VideoRecord, VideoTable, _int_column, as_tables, iou_matrix
+from .core import ValidationError, VideoRecord, VideoTable, _int_column, as_tables, check_corners, iou_matrix
 
 
 @dataclass(frozen=True)
@@ -134,12 +134,10 @@ def _frame_runs(frame_of, corners) -> tuple[np.ndarray, np.ndarray, list[tuple[i
     Rows are observations in non-decreasing frame order, as in ``AssocMatrix.frame_of``.
     """
     frame_of = _int_column(frame_of, "frame_of")
-    corners = np.asarray(corners, dtype=float).reshape(-1, 4)
+    corners = check_corners(corners)
     if len(corners) != len(frame_of) or (np.diff(frame_of) < 0).any():
         raise ValidationError(f"frame_of must be non-decreasing with one box per entry, got {len(frame_of)} "
                               f"frames for {len(corners)} boxes")
-    if not (np.isfinite(corners).all() and (corners[:, :2] <= corners[:, 2:]).all()):
-        raise ValidationError("box corners must be finite, with x1 <= x2 and y1 <= y2")
     frames, starts = np.unique(frame_of, return_index=True)
     return frame_of, corners, list(zip(frames.tolist(), starts.tolist(), starts[1:].tolist() + [len(frame_of)]))
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import aggregate as agg
 from . import assoc, formats, ground, losses, metrics, synth
-from .core import Box, Caption, ValidationError, VideoTable
+from .core import ValidationError, VideoTable
 
 
 def _jobs_default() -> int:
@@ -205,30 +205,29 @@ def cmd_aggregate(args) -> int:
     return 0
 
 
-def _ground_candidates(video: VideoTable) -> tuple[dict, dict]:
-    """Per frame holding boxes, its (box, score) candidates in track order, and each candidate's track id.
+def _ground_candidates(video: VideoTable, track_of: dict[tuple[str, int, int], int]) -> dict:
+    """Per frame holding boxes, its (corner row, score) candidates in track order.
 
-    Frames without boxes get no entry, so the cost follows the boxes, not
-    ``num_frames``.
+    Adds each candidate's track id to ``track_of``, keyed (video id, frame, index).
+    Frames without boxes get no entry, so the cost follows the boxes, not ``num_frames``.
     """
     order, track = video.frame_order()
     track_ids = video.track_ids[track].tolist()
     corners, scores = video.corners[order].tolist(), video.scores[order].tolist()
-    candidates: dict[int, list[tuple[Box, float]]] = {}
-    track_of: dict[tuple[str, int, int], int] = {}
+    candidates: dict[int, list[tuple[list[float], float]]] = {}
     for frame, track_id, box, score in zip(video.frames[order].tolist(), track_ids, corners, scores):
         here = candidates.setdefault(frame, [])
         track_of[(video.video_id, frame, len(here))] = track_id
-        here.append((Box(*box), score))
-    return candidates, track_of
+        here.append((box, score))
+    return candidates
 
 
 def cmd_ground(args) -> int:
     by_id = {t.video_id: t for t in formats.load_dataset(args.pred, strict=args.strict)}
     queries = formats.load_queries(args.queries)
     per_frame, per_track = formats.load_likelihoods(args.likelihoods)
-    # Per video, built on its first query: the candidates and the scorer, which checks every NLL.
-    scorers: dict[str, tuple[dict, ground.TableScorer]] = {}
+    scorer = ground.TableScorer(per_frame=per_frame, per_track=per_track, mode=args.mode)
+    candidates: dict[str, dict] = {}  # per video, built on its first query
 
     results = []
     sious, tious, vious = [], [], []
@@ -237,20 +236,14 @@ def cmd_ground(args) -> int:
         if video is None:
             print(f"warning: no predictions for video {query['video_id']!r}", file=sys.stderr)
             continue
-        if video.video_id not in scorers:
-            candidates, track_of = _ground_candidates(video)
-            scorer = ground.TableScorer(
-                per_frame=per_frame, per_track=per_track, mode=args.mode, track_of=track_of
-            )
-            scorers[video.video_id] = candidates, scorer
-        candidates, scorer = scorers[video.video_id]
+        if video.video_id not in candidates:
+            candidates[video.video_id] = _ground_candidates(video, scorer.track_of)
         result, (s_iou, t_iou, v_iou) = ground.ground_and_score(
             video.video_id,
-            candidates,
+            candidates[video.video_id],
             query["boxes"],
             query["span"],
             scorer,
-            Caption.from_text(query["text"]),
             query_id=query["query_id"],
         )
         sious.append(s_iou)
@@ -264,7 +257,7 @@ def cmd_ground(args) -> int:
                 "t_iou": t_iou,
                 "v_iou": v_iou,
                 "selections": {
-                    str(frame): {"index": index, "box": list(box.as_tuple())}
+                    str(frame): {"index": index, "box": list(box)}
                     for frame, (index, box) in sorted(result.selections.items())
                 },
                 "values": {str(f): vals for f, vals in sorted(result.values.items())},

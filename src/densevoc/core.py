@@ -31,11 +31,7 @@ class Box:
     def __post_init__(self) -> None:
         inf = math.inf
         if not (-inf < self.x1 <= self.x2 < inf and -inf < self.y1 <= self.y2 < inf):
-            if not all(math.isfinite(v) for v in self.as_tuple()):
-                raise ValidationError(f"box coordinates must be finite, got {self.as_tuple()}")
-            raise ValidationError(
-                f"box corners out of order: ({self.x1}, {self.y1}, {self.x2}, {self.y2})"
-            )
+            check_corners([self.as_tuple()])
 
     @classmethod
     def from_xywh(cls, x: float, y: float, w: float, h: float) -> "Box":
@@ -161,6 +157,21 @@ class VideoRecord:
                     )
 
 
+def check_corners(corners) -> np.ndarray:
+    """Corner rows ``(x1, y1, x2, y2)`` as an ``(n, 4)`` float array, each row finite with x1 <= x2 and y1 <= y2.
+
+    The one definition of the box invariant; its ValidationError names the first bad row.
+    """
+    corners = np.asarray(corners, dtype=float).reshape(-1, 4)
+    bad = ~np.isfinite(corners).all(axis=1)
+    if bad.any():
+        raise ValidationError(f"box corners must be finite, got {tuple(corners[bad][0].tolist())}")
+    bad = (corners[:, 0] > corners[:, 2]) | (corners[:, 1] > corners[:, 3])
+    if bad.any():
+        raise ValidationError(f"box corners out of order: {tuple(corners[bad][0].tolist())}")
+    return corners
+
+
 _INT64_MAX = 2**63 - 1
 
 
@@ -231,12 +242,7 @@ class VideoTable:
         unique, counts = np.unique(track_ids, return_counts=True)
         if (counts > 1).any():
             raise ValidationError(f"{where}: duplicate track_id {unique[counts > 1][0]}")
-        bad = ~np.isfinite(corners).all(axis=1)
-        if bad.any():
-            raise ValidationError(f"box coordinates must be finite, got {tuple(corners[bad][0].tolist())}")
-        bad = (corners[:, 0] > corners[:, 2]) | (corners[:, 1] > corners[:, 3])
-        if bad.any():
-            raise ValidationError(f"box corners out of order: {tuple(corners[bad][0].tolist())}")
+        check_corners(corners)
         bad = ~((scores >= 0.0) & (scores <= 1.0))
         if bad.any():
             raise ValidationError(f"score must be in [0, 1], got {scores[bad][0]}")
@@ -342,23 +348,12 @@ def as_tables(videos: Sequence[VideoTable | VideoRecord]) -> list[VideoTable]:
     return [v if isinstance(v, VideoTable) else VideoTable.from_record(v) for v in videos]
 
 
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union; 0 by convention when the union has zero area."""
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
-    inter = max(ix, 0.0) * max(iy, 0.0)
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of every (row of a, row of b) pair of (..., n, 4) and (..., m, 4) corner arrays.
 
-    Leading axes broadcast, so stacks of frames give (..., n, m) blocks.
-    Repeats the operations of ``iou`` in the same order, so each entry equals
-    ``iou`` of the two boxes exactly.
+    Leading axes broadcast, so stacks of frames give (..., n, m) blocks. An
+    entry is 0 when the union has zero area; it repeats the operations of the
+    scalar ``iou`` of ``tests/oracles.py`` in order, so it equals it exactly.
     """
     ix = np.minimum(a[..., :, None, 2], b[..., None, :, 2]) - np.maximum(a[..., :, None, 0], b[..., None, :, 0])
     iy = np.minimum(a[..., :, None, 3], b[..., None, :, 3]) - np.maximum(a[..., :, None, 1], b[..., None, :, 1])

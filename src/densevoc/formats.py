@@ -21,6 +21,7 @@ files count detections in frame-major order, within a frame in track order:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -29,7 +30,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .assoc import AssocMatrix
-from .core import Box, Detection, Trajectory, ValidationError, VideoRecord, VideoTable, as_tables
+from .core import Box, Detection, Trajectory, ValidationError, VideoRecord, VideoTable, as_tables, check_corners
 
 
 class FormatError(ValueError):
@@ -95,13 +96,21 @@ def _check_unknown(obj: dict, allowed: set[str], where: str, strict: bool) -> No
             raise FormatError(f"{where}: unknown fields {sorted(unknown)}")
 
 
-def _parse_box(raw: Any, where: str) -> Box:
+def _box_floats(raw: Any, where: str) -> tuple[float, float, float, float]:
+    """The four numbers of a box value, not yet checked as corners."""
     if not isinstance(raw, list) or len(raw) != 4:
         raise FormatError(f"{where}: box must be a list [x1, y1, x2, y2]")
+    return tuple(_float(v, f"{where}.box[{k}]") for k, v in enumerate(raw))
+
+
+def _parse_box(raw: Any, where: str) -> tuple[float, float, float, float]:
+    """The corner row of a box value, checked by ``check_corners``."""
+    corners = _box_floats(raw, where)
     try:
-        return Box(*(_float(v, f"{where}.box[{k}]") for k, v in enumerate(raw)))
+        check_corners([corners])
     except ValidationError as exc:
         raise FormatError(f"{where}: {exc}") from exc
+    return corners
 
 
 def _all_of(values: list, *kinds: type) -> bool:
@@ -191,7 +200,7 @@ def _first_error(video_id: str, num_frames: int, tracks: list, where: str, stric
                 raise FormatError(f"{bwhere}: expected an object")
             _check_unknown(entry, _BOX_KEYS, bwhere, strict)
             frame = _require(entry, "frame", int, bwhere)
-            box = _parse_box(entry.get("box"), bwhere)
+            box = Box(*_parse_box(entry.get("box"), bwhere))
             score = _require(entry, "score", float, bwhere) if "score" in entry else 1.0
             if entry.get("caption") is not None:
                 _require(entry, "caption", str, bwhere)
@@ -399,8 +408,8 @@ def load_likelihoods(
         video_id = _require(rec, "video_id", str, where)
         query_id = _require(rec, "query_id", str, where)
         nll = _require(rec, "nll", float, where)
-        if nll < 0.0:
-            raise FormatError(f"{where}: nll must be >= 0, got {nll}")
+        if not (math.isfinite(nll) and nll >= 0.0):
+            raise FormatError(f"{where}: nll must be finite and >= 0, got {nll}")
         if "track_id" in rec:
             table, key = per_track, (video_id, _require(rec, "track_id", int, where), query_id)
         else:
@@ -414,7 +423,7 @@ def load_likelihoods(
 
 
 def load_queries(path: str | Path) -> list[dict]:
-    """Grounding queries with their annotated spans and per-frame boxes."""
+    """Grounding queries with their annotated spans and per-frame ``(x1, y1, x2, y2)`` corner rows."""
     path = Path(path)
     data = _read_json(path)
     if not isinstance(data, list):
@@ -428,14 +437,20 @@ def load_queries(path: str | Path) -> list[dict]:
         if len(span) != 2 or not all(_is_int(v) for v in span) or span[0] > span[1]:
             raise FormatError(f"{where}: span must be integers [start, end] with start <= end")
         boxes = {}
-        for bi, entry in enumerate(_require(rec, "boxes", list, where)):
+        entries = _require(rec, "boxes", list, where)
+        for bi, entry in enumerate(entries):
             bwhere = f"{where}.boxes[{bi}]"
             if not isinstance(entry, dict):
                 raise FormatError(f"{bwhere}: expected an object")
             frame = _require(entry, "frame", int, bwhere)
             if frame in boxes:
                 raise FormatError(f"{bwhere}: duplicate box for frame {frame}")
-            boxes[frame] = _parse_box(entry.get("box"), bwhere)
+            boxes[frame] = _box_floats(entry.get("box"), bwhere)
+        try:
+            check_corners(list(boxes.values()))
+        except ValidationError:
+            for bi, entry in enumerate(entries):  # again box by box, to name the first bad one
+                _parse_box(entry["box"], f"{where}.boxes[{bi}]")
         # Every span frame needs a box, so a span is bounded by the size of the
         # file: a span longer than the box list misses a frame among its first
         # len(boxes) + 1.

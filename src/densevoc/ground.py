@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Protocol, Sequence
+from typing import Any, Mapping, Protocol, Sequence
 
-from .core import Box, Caption, ValidationError
+from .core import ValidationError
 from .metrics import grounding_ious
+
+Corners = Sequence[float]  # one box as its corner row (x1, y1, x2, y2)
 
 
 class GroundingError(RuntimeError):
@@ -42,7 +44,8 @@ class TableScorer:
 
     ``per_frame`` maps (video_id, frame, candidate_index, query_id) and
     ``per_track`` maps (video_id, track_id, query_id); ``track_of`` supplies
-    the candidate-to-track mapping needed by per-track mode.
+    the candidate-to-track mapping of per-track mode and may grow after the
+    NLLs are checked, at construction.
     """
 
     per_frame: dict[tuple[str, int, int, str], float] = field(default_factory=dict)
@@ -77,23 +80,23 @@ class TableScorer:
 class GroundingResult:
     """Per-frame selection plus the weighted-likelihood diagnostics."""
 
-    selections: dict[int, tuple[int, Box]]  # frame -> (candidate index, box)
+    selections: dict[int, tuple[int, Corners]]  # frame -> (candidate index, corner row)
     values: dict[int, list[float]]  # frame -> s_k * exp(-NLL_k) per candidate
 
-    def selected_boxes(self) -> dict[int, Box]:
+    def selected_boxes(self) -> dict[int, Corners]:
         return {frame: box for frame, (_, box) in self.selections.items()}
 
 
 def select_boxes(
-    candidates: Mapping[int, Sequence[tuple[Box, float]]],
+    candidates: Mapping[int, Sequence[tuple[Any, float]]],
     nlls: Mapping[int, Sequence[float]],
 ) -> GroundingResult:
     """Pick, per frame, the candidate maximizing score * exp(-NLL).
 
-    Ties break to the lowest candidate index; frames without candidates yield
-    no selection.
+    Boxes pass through as given. Ties break to the lowest candidate index;
+    frames without candidates yield no selection.
     """
-    selections: dict[int, tuple[int, Box]] = {}
+    selections: dict[int, tuple[int, Any]] = {}
     values: dict[int, list[float]] = {}
     for frame, cands in candidates.items():
         frame_nlls = nlls[frame]
@@ -113,11 +116,10 @@ def select_boxes(
 
 def ground_and_score(
     video_id: str,
-    candidates: Mapping[int, Sequence[tuple[Box, float]]],
-    gt_boxes: Mapping[int, Box],
+    candidates: Mapping[int, Sequence[tuple[Corners, float]]],
+    gt_boxes: Mapping[int, Corners],
     gt_span: tuple[int, int],
     scorer: CaptionScorer,
-    query: Caption,
     query_id: str = "",
 ) -> tuple[GroundingResult, tuple[float, float, float]]:
     """Ground a query over its annotated span and score the selection.
@@ -126,7 +128,7 @@ def ground_and_score(
     equals the ground-truth span and tIoU is 1 whenever the span is valid.
     """
     start, end = gt_span
-    span_candidates: dict[int, Sequence[tuple[Box, float]]] = {}
+    span_candidates: dict[int, Sequence[tuple[Corners, float]]] = {}
     span_nlls: dict[int, list[float]] = {}
     for frame in range(start, end + 1):
         cands = candidates.get(frame, [])

@@ -19,8 +19,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .capmetrics import IdfTable, cider_pair, exact_match, meteor_lite
-from .core import Box, Caption, ValidationError, VideoRecord, VideoTable
-from .core import as_tables, iou_matrix, tokenize
+from .core import Caption, ValidationError, VideoRecord, VideoTable
+from .core import as_tables, check_corners, iou_matrix, tokenize
 
 DEFAULT_ALPHAS: tuple[float, ...] = tuple(round(0.05 * k, 2) for k in range(1, 20))
 APM_IOU_THRESHOLDS: tuple[float, ...] = (0.3, 0.4, 0.5, 0.6, 0.7)
@@ -152,7 +152,6 @@ class _VideoPrep:
         # Captions by id: gt tracks' own (-1 for none) and each prediction row's effective one.
         self.caption_ids: dict[str, int] = {}
         self.gt_caption = _intern(gt.track_captions, self.caption_ids)
-        self.pred_track_caption = _intern(pred.track_captions, self.caption_ids, "")
         self.gt = _frames(gt, gt.num_frames)
         self.pred = _frames(pred, gt.num_frames, self.caption_ids)
         self.n_gt, self.n_pred = n_gt, n_pred = len(gt.track_ids), len(pred.track_ids)
@@ -363,27 +362,14 @@ def _evaluate_video(
     records, mc, ass_iou_sum = _sweep(prep, alphas)
     tp = mc.sum(axis=(1, 2))
 
-    captioned = prep.gt_caption >= 0
-    gt_caption_count = int(captioned.sum())
+    gt_caption_count = int((prep.gt_caption >= 0).sum())
     cap_sum = np.zeros(n_alpha)
     tp_prime = np.zeros(n_alpha)
     warnings: list[str] = []
     if gt_caption_count > 0:
         scorer = _PairScorer(config, idf)
-        if "external" in config.metrics or pred.box_captions is not None:
-            cap_sum, tp_prime = _caption_sums(records, n_alpha, prep, scorer)
-        else:
-            # Track captions only: one score per matched track pair, weighted
-            # by its match count per threshold. This sum rounds differently
-            # from the per-match sum of _caption_sums, and reports on
-            # track-captioned data are pinned to it.
-            scores = np.zeros(mc.shape[1:])
-            g, p = np.nonzero((mc.sum(axis=0) > 0) & captioned[:, None])
-            pair_scores = scorer.pairs(prep.caption_ids, prep.pred_track_caption[p], prep.gt_caption[g])
-            scores[g, p] = pair_scores / config.divisor
-            cap_mc = mc * captioned[None, :, None]
-            cap_sum = (cap_mc * scores[None, :, :]).sum(axis=(1, 2))
-            tp_prime = cap_mc.sum(axis=(1, 2))
+        track_captions_only = "external" not in config.metrics and pred.box_captions is None
+        cap_sum, tp_prime = _caption_sums(records, n_alpha, prep, scorer, mc if track_captions_only else None)
         if scorer.missing_external:
             warnings.append(
                 f"{prep.video_id}: {scorer.missing_external} matched pairs had no external score (scored 0)"
@@ -403,13 +389,17 @@ def _evaluate_video(
 
 
 def _caption_sums(
-    records: _Records, n_alpha: int, prep: _VideoPrep, scorer: _PairScorer
+    records: _Records, n_alpha: int, prep: _VideoPrep, scorer: _PairScorer, mc: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Caption score sums and caption-annotated match counts per threshold.
 
     Scores every matched detection of the sweep records on its own caption,
     falling back to its track caption, plus the external score of its
-    observation row if enabled.
+    observation row if enabled. Given the match counts ``mc`` of data with
+    track captions only, every match of a track pair has the same score,
+    which is weighted by the pair's match count per threshold. That sum
+    rounds differently from the per-match sum, and reports on
+    track-captioned data are pinned to it.
     """
     config = scorer.config
     first, last, g, p = records
@@ -420,6 +410,11 @@ def _caption_sums(
     if "external" in config.metrics:
         gt_ids = prep.gt_track_ids[gt_track].tolist()
         total += [scorer.external(prep.video_id, obs, track_id) for obs, track_id in zip(p.tolist(), gt_ids)]
+    if mc is not None:
+        scores = np.zeros(mc.shape[1:])
+        scores[gt_track, prep.pred.track[p]] = total / config.divisor
+        cap_mc = mc * (prep.gt_caption >= 0)[None, :, None]
+        return (cap_mc * scores[None, :, :]).sum(axis=(1, 2)), cap_mc.sum(axis=(1, 2))
     alpha = np.arange(n_alpha)
     covered = (alpha >= first[:, None]) & (alpha <= last[:, None])
     # cumsum adds one matched entry at a time, in record order, as a
@@ -816,12 +811,12 @@ def ap_m(
 
 
 def grounding_ious(
-    pred_boxes: Mapping[int, Box | None],
+    pred_boxes: Mapping[int, Sequence[float] | None],
     pred_span: tuple[int, int],
-    gt_boxes: Mapping[int, Box],
+    gt_boxes: Mapping[int, Sequence[float]],
     gt_span: tuple[int, int],
 ) -> tuple[float, float, float]:
-    """(sIoU, tIoU, vIoU) for one grounded query.
+    """(sIoU, tIoU, vIoU) for one grounded query, from ``(x1, y1, x2, y2)`` corner rows per frame.
 
     Spans are inclusive frame intervals. sIoU averages the per-frame box IoU
     over the ground-truth span (a missing predicted box scores 0); tIoU is
@@ -840,9 +835,10 @@ def grounding_ious(
             raise ValidationError(f"ground truth box missing for frame {frame} in its own span")
         if pred_boxes.get(frame) is not None:
             held.append(frame)
-    pred_corners = np.array([pred_boxes[f].as_tuple() for f in held], dtype=float).reshape(-1, 1, 4)
-    gt_corners = np.array([gt_boxes[f].as_tuple() for f in held], dtype=float).reshape(-1, 1, 4)
-    box_iou = dict(zip(held, iou_matrix(pred_corners, gt_corners)[:, 0, 0].tolist()))
+    gt_corners = check_corners([gt_boxes[f] for f in range(gs, ge + 1)])
+    pred_corners = check_corners([pred_boxes[f] for f in held])
+    ious = iou_matrix(pred_corners[:, None], gt_corners[[f - gs for f in held]][:, None])
+    box_iou = dict(zip(held, ious[:, 0, 0].tolist()))
     # Added frame by frame, in span order.
     s_total = 0.0
     for frame in range(gs, ge + 1):

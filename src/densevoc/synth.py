@@ -151,7 +151,7 @@ def _perturb_table(rng: np.random.Generator, gt: VideoTable, cfg: SynthConfig) -
     corners = np.empty((len(rows), 4))
     kept = sources >= 0
     moved = gt.corners[sources[kept]] + np.array(jitters).reshape(-1, 4)
-    # sorted() of each corner pair, as a Box needs its corners in order.
+    # sorted() of each corner pair, as check_corners needs x1 <= x2 and y1 <= y2.
     for lo, hi in ((0, 2), (1, 3)):
         swap = moved[:, hi] < moved[:, lo]
         corners[kept, lo] = np.where(swap, moved[:, hi], moved[:, lo])

@@ -26,14 +26,19 @@ from densevoc.metrics import _TIE_EPS, _frames
 from densevoc.synth import CANVAS, OBJECTS, SUBJECTS, VERBS
 
 
-def box_iou(a, b) -> float:
-    ix = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
-    iy = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
-    inter = ix * iy
-    area_a = (a.x2 - a.x1) * (a.y2 - a.y1)
-    area_b = (b.x2 - b.x1) * (b.y2 - b.y1)
-    union = area_a + area_b - inter
-    return inter / union if union > 0 else 0.0
+def iou(a: Box, b: Box) -> float:
+    """Intersection over union of two boxes; 0 by convention when the union has zero area.
+
+    The scalar reference of ``core.iou_matrix``, which repeats these
+    operations in this order and so equals it exactly.
+    """
+    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
+    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
+    inter = max(ix, 0.0) * max(iy, 0.0)
+    union = a.area + b.area - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
 
 
 def greedy_assignment_oracle(values, frame_of, theta):
@@ -131,7 +136,7 @@ def hota_oracle(pred: VideoRecord, gt: VideoRecord, alphas):
             pred_count[pred_pos[tid]] += 1
         if not g_here or not p_here:
             continue
-        sim = [[box_iou(gb, pb) for _, pb in p_here] for _, gb in g_here]
+        sim = [[iou(gb, pb) for _, pb in p_here] for _, gb in g_here]
         for i in range(len(g_here)):
             for j in range(len(p_here)):
                 denom = (
@@ -158,7 +163,7 @@ def hota_oracle(pred: VideoRecord, gt: VideoRecord, alphas):
             fp += len(p_here)
             if not g_here or not p_here:
                 continue
-            sim = [[box_iou(gb, pb) for _, pb in p_here] for _, gb in g_here]
+            sim = [[iou(gb, pb) for _, pb in p_here] for _, gb in g_here]
             eligible = [[sim[i][j] >= alpha for j in range(len(p_here))] for i in range(len(g_here))]
             best_value = -1.0
             best = []
@@ -205,7 +210,7 @@ def detection_ap_oracle(pred_dets, gt_boxes, iou_thresh) -> float:
         for g, gt_box in enumerate(gt_boxes):
             if taken[g]:
                 continue
-            value = box_iou(box, gt_box)
+            value = iou(box, gt_box)
             if value >= iou_thresh and value > best_iou:
                 best_iou = value
                 best = g
@@ -269,7 +274,7 @@ def apm_grid_oracle(preds, gts, iou_thresholds, meteor_thresholds):
                         cap = d.caption if d.caption is not None else t.caption
                         pred_here.append((cap if cap is not None else Caption(""), d.box, d.score))
             order = sorted(range(len(pred_here)), key=lambda k: -pred_here[k][2])
-            ious = [[box_iou(p[1], g[1]) for g in gt_here] for p in pred_here]
+            ious = [[iou(p[1], g[1]) for g in gt_here] for p in pred_here]
             mets = [
                 [1.0 if g[0] is None else meteor_lite(p[0], g[0]) for g in gt_here]
                 for p in pred_here
@@ -807,7 +812,7 @@ def parse_dataset_oracle(data: Any, strict: bool = False) -> list[VideoRecord]:
                     raise FormatError(f"{bwhere}: expected an object")
                 _check_unknown(entry, {"frame", "box", "score", "caption"}, bwhere, strict)
                 frame = _require(entry, "frame", int, bwhere)
-                box = _parse_box(entry.get("box"), bwhere)
+                box = Box(*_parse_box(entry.get("box"), bwhere))
                 score = _require(entry, "score", float, bwhere) if "score" in entry else 1.0
                 det_cap = None
                 if entry.get("caption") is not None:
@@ -929,3 +934,78 @@ def track_iou_oracle(records: Sequence[VideoRecord], thresh: float) -> list[Vide
                 k += 1
         out.append(_regroup_oracle(record.video_id, record.num_frames, flat, None))
     return out
+
+
+# ``densevoc ground`` as first written: a ``Box`` per candidate and query box,
+# one ``TableScorer`` per video, built on its first query, and the grounding
+# IoUs from scalar ``iou``. The command must write the same ``--out`` file and
+# stdout; both are returned as text.
+
+
+def _grounding_ious_oracle(pred_boxes: dict[int, Box], gt_boxes: dict[int, Box], span) -> tuple:
+    start, end = span
+    total = 0.0
+    for frame in range(start, end + 1):
+        if frame in pred_boxes:
+            total += iou(pred_boxes[frame], gt_boxes[frame])
+    s_iou = total / (end - start + 1)
+    return s_iou, 1.0, total / (end - start + 1)
+
+
+def ground_oracle(pred_path, queries_path, likelihoods_path, mode: str) -> tuple[str, str]:
+    from densevoc import formats, ground
+
+    by_id = {t.video_id: t for t in formats.load_dataset(pred_path)}
+    queries = formats.load_queries(queries_path)
+    per_frame, per_track = formats.load_likelihoods(likelihoods_path)
+    scorers = {}
+    results, ious = [], []
+    for query in queries:
+        video = by_id.get(query["video_id"])
+        if video is None:
+            continue
+        if video.video_id not in scorers:
+            candidates: dict[int, list[tuple[Box, float]]] = {}
+            track_of = {}
+            frames = [[] for _ in range(max(video.frames.tolist(), default=-1) + 1)]
+            for track in video.trajectories:
+                for det in track.detections:
+                    frames[det.frame].append((track.track_id, det))
+            for frame, here in enumerate(frames):
+                for k, (track_id, det) in enumerate(here):
+                    track_of[(video.video_id, frame, k)] = track_id
+                    candidates.setdefault(frame, []).append((det.box, det.score))
+            scorer = ground.TableScorer(per_frame=per_frame, per_track=per_track, mode=mode, track_of=track_of)
+            scorers[video.video_id] = candidates, scorer
+        candidates, scorer = scorers[video.video_id]
+        start, end = query["span"]
+        span_candidates = {f: candidates.get(f, []) for f in range(start, end + 1)}
+        nlls = {
+            f: [scorer.nll(video.video_id, f, k, query["query_id"]) for k in range(len(cands))]
+            for f, cands in span_candidates.items()
+        }
+        result = ground.select_boxes(span_candidates, nlls)
+        gt_boxes = {f: Box(*row) for f, row in query["boxes"].items()}
+        s_iou, t_iou, v_iou = _grounding_ious_oracle(
+            {f: box for f, (_, box) in result.selections.items()}, gt_boxes, query["span"]
+        )
+        ious.append((s_iou, t_iou, v_iou))
+        results.append(
+            {
+                "video_id": video.video_id,
+                "query_id": query["query_id"],
+                "s_iou": s_iou,
+                "t_iou": t_iou,
+                "v_iou": v_iou,
+                "selections": {
+                    str(frame): {"index": index, "box": list(box.as_tuple())}
+                    for frame, (index, box) in sorted(result.selections.items())
+                },
+                "values": {str(f): vals for f, vals in sorted(result.values.items())},
+            }
+        )
+    stdout = ""
+    if ious:
+        s, t, v = (float(np.mean(column)) for column in zip(*ious))
+        stdout = f"queries={len(ious)}\ns_iou={s}\nt_iou={t}\nv_iou={v}\n"
+    return json.dumps(results, indent=2) + "\n", stdout

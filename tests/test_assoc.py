@@ -12,10 +12,10 @@ from densevoc.assoc import (
     match_boxes,
     preprocess,
 )
-from densevoc.core import Box, Detection, ValidationError, VideoTable, iou
+from densevoc.core import Box, Detection, ValidationError, VideoTable
 
 from conftest import make_track, make_video
-from oracles import build_gt_association_oracle, greedy_assignment_oracle, iou_tracker_oracle
+from oracles import build_gt_association_oracle, greedy_assignment_oracle, iou, iou_tracker_oracle
 
 
 def test_preprocess_forces_diagonal() -> None:

@@ -11,7 +11,9 @@ from densevoc.cli import main
 from densevoc.core import Box, Detection, Trajectory, VideoRecord
 from densevoc.formats import load_dataset, save_dataset, save_matrix
 
-from oracles import track_iou_oracle
+from densevoc import ground
+
+from oracles import ground_oracle, track_iou_oracle
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -172,7 +174,7 @@ def test_track_iou_keeps_every_input_caption(tmp_path) -> None:
 
 
 def test_commands_build_no_record_objects(tmp_path, monkeypatch) -> None:
-    # These commands run on column tables, so none of them builds a Box or a record.
+    # These commands run on column tables and corner rows, so none of them builds a Box or a record.
     def built(self) -> None:
         raise AssertionError(f"built {type(self).__name__}")
 
@@ -186,6 +188,9 @@ def test_commands_build_no_record_objects(tmp_path, monkeypatch) -> None:
     dets = _write(tmp_path / "dets.json", [_tracking_input(np.random.default_rng(0), "v0")])
     for src in (pred, dets):
         assert main(["track-iou", src, "--out", str(tmp_path / "linked.json")]) == 0
+    pred, queries, likelihoods = _grounding_files(tmp_path, np.random.default_rng(0))
+    for mode in ("per-frame", "per-track"):
+        assert main(["ground", pred, "--queries", queries, "--likelihoods", likelihoods, "--mode", mode]) == 0
 
 
 def test_aggregate_soft_and_hard(tmp_path) -> None:
@@ -308,6 +313,67 @@ def test_ground_per_track_mode(tmp_path, capsys) -> None:
     )
     assert code == 0
     assert "s_iou=1.0" in capsys.readouterr().out
+
+
+def _grounding_files(tmp_path, rng: np.random.Generator, n_videos: int = 3) -> list[str]:
+    """Predictions, queries and likelihoods (per frame and per track) for ``ground``.
+
+    The videos have frames without boxes; query spans may cover them, query
+    boxes reach outside the spans, and one query names a video without
+    predictions.
+    """
+    videos = [_tracking_input(rng, f"v{v}") for v in range(n_videos)]
+    queries, likelihoods = [], []
+    for video in videos:
+        per_frame: dict[int, int] = {}
+        for track in video["tracks"]:
+            for box in track["boxes"]:
+                per_frame[box["frame"]] = per_frame.get(box["frame"], 0) + 1
+        for q in range(int(rng.integers(1, 4))):
+            start = int(rng.integers(0, 36))
+            end = int(rng.integers(start, 40))
+            # The query follows one track, shifted, with a fixed box where the track has none.
+            track = {b["frame"]: b["box"] for b in video["tracks"][q % len(video["tracks"])]["boxes"]}
+            frames = range(max(0, start - 2), min(40, end + 3))  # boxes beyond the span too
+            queries.append({"video_id": video["video_id"], "query_id": f"q{q}", "text": "a dog runs", "span": [start, end],
+                            "boxes": [{"frame": f, "box": [v + q for v in track.get(f, [0, 0, 30, 30])]}
+                                      for f in frames]})
+            likelihoods += [{"video_id": video["video_id"], "frame": f, "observation_index": k, "query_id": f"q{q}",
+                             "nll": rng.uniform(0, 5)} for f, n in per_frame.items() for k in range(n)]
+            likelihoods += [{"video_id": video["video_id"], "track_id": t["track_id"], "query_id": f"q{q}",
+                             "nll": rng.uniform(0, 5)} for t in video["tracks"]]
+    queries.insert(1, {"video_id": "missing", "query_id": "q0", "text": "x", "span": [0, 0],
+                       "boxes": [{"frame": 0, "box": [0, 0, 1, 1]}]})
+    return [_write(tmp_path / "pred.json", videos), _write(tmp_path / "queries.json", queries),
+            _write(tmp_path / "nll.json", likelihoods)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ground_matches_oracle_bytes(tmp_path, capsys, seed) -> None:
+    pred, queries, likelihoods = _grounding_files(tmp_path, np.random.default_rng(seed))
+    out = tmp_path / "grounded.json"
+    for mode in ("per-frame", "per-track"):
+        argv = ["ground", pred, "--queries", queries, "--likelihoods", likelihoods, "--mode", mode]
+        assert main(argv + ["--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        expected_out, expected_stdout = ground_oracle(pred, queries, likelihoods, mode)
+        assert out.read_text() == expected_out
+        assert captured.out == expected_stdout
+        assert captured.err == "warning: no predictions for video 'missing'\n"
+        # Some selections fall past the first candidate, and some span frames hold no boxes.
+        assert '"index": 1' in expected_out and '": []' in expected_out
+
+
+def test_ground_builds_one_scorer_per_run(tmp_path, monkeypatch) -> None:
+    built = []
+    check = ground.TableScorer.__post_init__
+    monkeypatch.setattr(ground.TableScorer, "__post_init__", lambda self: built.append(check(self)))
+    pred, queries, likelihoods = _grounding_files(tmp_path, np.random.default_rng(0), n_videos=4)
+    assert len({q["video_id"] for q in json.loads(Path(queries).read_text())}) == 5
+    for mode in ("per-frame", "per-track"):
+        built.clear()
+        assert main(["ground", pred, "--queries", queries, "--likelihoods", likelihoods, "--mode", mode]) == 0
+        assert len(built) == 1
 
 
 def test_synth_golden_files_bytewise(tmp_path) -> None:
@@ -556,6 +622,18 @@ BAD_INPUTS = {
     "query-box-beyond-float-range": lambda tmp: _ground_files(tmp, queries=[
         {"video_id": "v0", "query_id": "q1", "text": "x", "span": [0, 0],
          "boxes": [{"frame": 0, "box": [0, 0, 10**400, 10]}]},
+    ]),
+    "likelihood-nll-nan-and-no-query-on-a-predicted-video": lambda tmp: _ground_files(tmp, queries=[
+        {"video_id": "v9", "query_id": "q1", "text": "x", "span": [0, 0], "boxes": [{"frame": 0, "box": [0, 0, 1, 1]}]},
+    ], likelihoods=[
+        {"video_id": "v9", "frame": 0, "observation_index": 0, "query_id": "q1", "nll": float("nan")},
+    ]),
+    "likelihood-nll-infinite": lambda tmp: _ground_files(tmp, likelihoods=(
+        '[{"video_id": "v0", "frame": 0, "observation_index": 0, "query_id": "q1", "nll": 1e400}]'
+    )),
+    "query-box-corners-out-of-order": lambda tmp: _ground_files(tmp, queries=[
+        {"video_id": "v0", "query_id": "q1", "text": "x", "span": [0, 0],
+         "boxes": [{"frame": 0, "box": [10, 0, 0, 10]}]},
     ]),
     "query-span-frame-without-box": lambda tmp: _ground_files(tmp, queries=[
         {"video_id": "v0", "query_id": "q1", "text": "x", "span": [0, 1],

@@ -12,12 +12,12 @@ from densevoc.core import (
     VideoRecord,
     VideoTable,
     giou,
-    iou,
     iou_matrix,
     tokenize,
 )
 
 from conftest import make_track, make_video
+from oracles import iou
 
 
 def test_iou_identity() -> None:

@@ -252,6 +252,18 @@ def test_likelihood_table_both_record_shapes(tmp_path) -> None:
         load_likelihoods(path)
 
 
+@pytest.mark.parametrize("nll", ["NaN", "1e400"])
+def test_likelihood_nll_must_be_finite(tmp_path, nll) -> None:
+    # json reads NaN as a float NaN and 1e400 as inf.
+    path = tmp_path / "nll.json"
+    path.write_text(
+        '[{"video_id": "v0", "track_id": 4, "query_id": "q", "nll": 0.5},'
+        f' {{"video_id": "v9", "frame": 0, "observation_index": 0, "query_id": "q", "nll": {nll}}}]'
+    )
+    with pytest.raises(FormatError, match=r"nll\.json: record\[1\]: nll must be finite and >= 0"):
+        load_likelihoods(path)
+
+
 def test_queries_file(tmp_path) -> None:
     path = tmp_path / "queries.json"
     path.write_text(

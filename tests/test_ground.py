@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from densevoc.core import Box, Caption, ValidationError
+from densevoc.core import ValidationError
 from densevoc.ground import (
     GroundingError,
     TableScorer,
@@ -17,8 +17,8 @@ from densevoc.ground import (
 from oracles import argmax_selection_oracle
 
 
-def _box(x: float) -> Box:
-    return Box(x, 0.0, x + 10.0, 10.0)
+def _box(x: float) -> tuple[float, float, float, float]:
+    return (x, 0.0, x + 10.0, 10.0)
 
 
 def test_single_candidate_always_selected() -> None:
@@ -124,7 +124,7 @@ def test_ground_and_score_perfect_boxes() -> None:
         | {("v", f, 1, "q"): 5.0 for f in range(3)},
     )
     _, (s, t, v) = ground_and_score(
-        "v", candidates, gt_boxes, (0, 2), scorer, Caption.from_text("a dog"), "q"
+        "v", candidates, gt_boxes, (0, 2), scorer, "q"
     )
     assert s == pytest.approx(1.0)
     assert t == 1.0
@@ -135,7 +135,7 @@ def test_ground_and_score_uniform_scorer_uses_detection_scores() -> None:
     gt_boxes = {0: _box(0.0)}
     candidates = {0: [(_box(50.0), 0.9), (_box(0.0), 0.4)]}
     _, (s, _, _) = ground_and_score(
-        "v", candidates, gt_boxes, (0, 0), UniformScorer(), Caption.from_text("x"), "q"
+        "v", candidates, gt_boxes, (0, 0), UniformScorer(), "q"
     )
     assert s == 0.0  # the higher-scored wrong box wins under a uniform scorer
 
@@ -157,7 +157,7 @@ def test_ground_and_score_hand_built_table() -> None:
         }
     )
     _, (s, t, v) = ground_and_score(
-        "v", candidates, gt_boxes, (0, 1), scorer, Caption.from_text("x"), "q"
+        "v", candidates, gt_boxes, (0, 1), scorer, "q"
     )
     assert s == pytest.approx(0.5)
 

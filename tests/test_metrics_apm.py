@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from densevoc.core import Box
+from densevoc.core import Box, ValidationError
 from densevoc.metrics import ap_m, average_precision, grounding_ious
 
 from conftest import make_track, make_video
@@ -233,8 +233,8 @@ def test_average_precision_all_points_interpolation() -> None:
 
 
 def test_grounding_ious_simple_average() -> None:
-    gt_boxes = {0: Box(0, 0, 10, 10), 1: Box(0, 0, 10, 10)}
-    pred_boxes = {0: Box(0, 0, 10, 5), 1: Box(0, 0, 10, 10)}
+    gt_boxes = {0: (0, 0, 10, 10), 1: (0, 0, 10, 10)}
+    pred_boxes = {0: (0, 0, 10, 5), 1: (0, 0, 10, 10)}
     s, t, v = grounding_ious(pred_boxes, (0, 1), gt_boxes, (0, 1))
     assert s == pytest.approx(0.75)
     assert t == 1.0
@@ -242,8 +242,8 @@ def test_grounding_ious_simple_average() -> None:
 
 
 def test_grounding_ious_span_overlap_counting() -> None:
-    gt_boxes = {f: Box(0, 0, 10, 10) for f in range(4, 9)}
-    pred_boxes = {f: Box(0, 0, 10, 10) for f in range(2, 7)}
+    gt_boxes = {f: (0, 0, 10, 10) for f in range(4, 9)}
+    pred_boxes = {f: (0, 0, 10, 10) for f in range(2, 7)}
     s, t, v = grounding_ious(pred_boxes, (2, 6), gt_boxes, (4, 8))
     assert t == pytest.approx(3 / 7)
     assert v == pytest.approx(3 / 7)
@@ -252,9 +252,18 @@ def test_grounding_ious_span_overlap_counting() -> None:
 
 
 def test_grounding_ious_disjoint_spans() -> None:
-    gt_boxes = {f: Box(0, 0, 10, 10) for f in range(5, 8)}
-    pred_boxes = {f: Box(0, 0, 10, 10) for f in range(0, 3)}
+    gt_boxes = {f: (0, 0, 10, 10) for f in range(5, 8)}
+    pred_boxes = {f: (0, 0, 10, 10) for f in range(0, 3)}
     s, t, v = grounding_ious(pred_boxes, (0, 2), gt_boxes, (5, 7))
     assert t == 0.0
     assert v == 0.0
     assert s == 0.0
+
+
+def test_grounding_ious_rejects_bad_corner_rows() -> None:
+    gt_boxes = {0: (0, 0, 10, 10), 1: (0, 0, 10, 10)}
+    for bad, message in (((0, 0, float("nan"), 10), "finite"), ((10, 0, 0, 10), "out of order")):
+        with pytest.raises(ValidationError, match=message):
+            grounding_ious({0: bad}, (0, 1), gt_boxes, (0, 1))
+        with pytest.raises(ValidationError, match=message):
+            grounding_ious({0: (0, 0, 10, 10)}, (0, 1), {**gt_boxes, 1: bad}, (0, 1))
