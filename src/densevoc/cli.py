@@ -205,21 +205,22 @@ def cmd_aggregate(args) -> int:
     return 0
 
 
-def _ground_candidates(video: VideoTable, track_of: dict[tuple[str, int, int], int]) -> dict:
-    """Per frame holding boxes, its (corner row, score) candidates in track order.
+def _ground_candidates(video: VideoTable) -> tuple[dict, dict[tuple[str, int, int], int]]:
+    """Per frame holding boxes, its (corner row, score) candidates in track order,
+    and each candidate's track id keyed (video id, frame, index).
 
-    Adds each candidate's track id to ``track_of``, keyed (video id, frame, index).
     Frames without boxes get no entry, so the cost follows the boxes, not ``num_frames``.
     """
     order, track = video.frame_order()
     track_ids = video.track_ids[track].tolist()
     corners, scores = video.corners[order].tolist(), video.scores[order].tolist()
     candidates: dict[int, list[tuple[list[float], float]]] = {}
+    track_of: dict[tuple[str, int, int], int] = {}
     for frame, track_id, box, score in zip(video.frames[order].tolist(), track_ids, corners, scores):
         here = candidates.setdefault(frame, [])
         track_of[(video.video_id, frame, len(here))] = track_id
         here.append((box, score))
-    return candidates
+    return candidates, track_of
 
 
 def cmd_ground(args) -> int:
@@ -237,7 +238,8 @@ def cmd_ground(args) -> int:
             print(f"warning: no predictions for video {query['video_id']!r}", file=sys.stderr)
             continue
         if video.video_id not in candidates:
-            candidates[video.video_id] = _ground_candidates(video, scorer.track_of)
+            candidates[video.video_id], track_of = _ground_candidates(video)
+            scorer.track_of.update(track_of)
         result, (s_iou, t_iou, v_iou) = ground.ground_and_score(
             video.video_id,
             candidates[video.video_id],

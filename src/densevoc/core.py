@@ -32,6 +32,7 @@ class Box:
         inf = math.inf
         if not (-inf < self.x1 <= self.x2 < inf and -inf < self.y1 <= self.y2 < inf):
             check_corners([self.as_tuple()])
+            raise ValidationError(f"box corners out of order: {self.as_tuple()}")
 
     @classmethod
     def from_xywh(cls, x: float, y: float, w: float, h: float) -> "Box":

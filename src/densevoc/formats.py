@@ -96,16 +96,11 @@ def _check_unknown(obj: dict, allowed: set[str], where: str, strict: bool) -> No
             raise FormatError(f"{where}: unknown fields {sorted(unknown)}")
 
 
-def _box_floats(raw: Any, where: str) -> tuple[float, float, float, float]:
-    """The four numbers of a box value, not yet checked as corners."""
-    if not isinstance(raw, list) or len(raw) != 4:
-        raise FormatError(f"{where}: box must be a list [x1, y1, x2, y2]")
-    return tuple(_float(v, f"{where}.box[{k}]") for k, v in enumerate(raw))
-
-
 def _parse_box(raw: Any, where: str) -> tuple[float, float, float, float]:
     """The corner row of a box value, checked by ``check_corners``."""
-    corners = _box_floats(raw, where)
+    if not isinstance(raw, list) or len(raw) != 4:
+        raise FormatError(f"{where}: box must be a list [x1, y1, x2, y2]")
+    corners = tuple(_float(v, f"{where}.box[{k}]") for k, v in enumerate(raw))
     try:
         check_corners([corners])
     except ValidationError as exc:
@@ -445,12 +440,7 @@ def load_queries(path: str | Path) -> list[dict]:
             frame = _require(entry, "frame", int, bwhere)
             if frame in boxes:
                 raise FormatError(f"{bwhere}: duplicate box for frame {frame}")
-            boxes[frame] = _box_floats(entry.get("box"), bwhere)
-        try:
-            check_corners(list(boxes.values()))
-        except ValidationError:
-            for bi, entry in enumerate(entries):  # again box by box, to name the first bad one
-                _parse_box(entry["box"], f"{where}.boxes[{bi}]")
+            boxes[frame] = _parse_box(entry.get("box"), bwhere)
         # Every span frame needs a box, so a span is bounded by the size of the
         # file: a span longer than the box list misses a frame among its first
         # len(boxes) + 1.

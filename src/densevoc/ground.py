@@ -44,8 +44,7 @@ class TableScorer:
 
     ``per_frame`` maps (video_id, frame, candidate_index, query_id) and
     ``per_track`` maps (video_id, track_id, query_id); ``track_of`` supplies
-    the candidate-to-track mapping of per-track mode and may grow after the
-    NLLs are checked, at construction.
+    the candidate-to-track mapping needed by per-track mode.
     """
 
     per_frame: dict[tuple[str, int, int, str], float] = field(default_factory=dict)

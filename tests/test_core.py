@@ -132,6 +132,8 @@ def test_iou_matrix_empty_sides() -> None:
 def test_box_corner_order_enforced() -> None:
     with pytest.raises(ValidationError):
         Box(1, 0, 0, 1)
+    with pytest.raises(ValidationError, match="out of order"):  # equal once cast to float
+        Box(2**53 + 1, 0, 2**53, 1)
 
 
 def test_box_from_xywh() -> None:
