@@ -22,7 +22,6 @@ from .core import (
 )
 from .ground import GroundingResult, TableScorer, UniformScorer, ground_and_score, select_boxes
 from .losses import (
-    LossConfig,
     assoc_loss,
     caption_loss,
     finite_diff_check,

@@ -26,6 +26,10 @@ __all__ = [
     "exact_match",
 ]
 
+# CIDEr-D's n-gram orders 1..4 and length-penalty width (Vedantam et al., CVPR 2015).
+CIDER_MAX_N = 4
+CIDER_SIGMA = 6.0
+
 _VOWELS = set("aeiou")
 
 # Suffix-stripping rules, first match wins: (suffix, replacement, undouble).
@@ -249,23 +253,22 @@ class IdfTable:
 
     n_docs: int
     df: dict[tuple[str, ...], int]
-    max_n: int = 4
     _refs: dict[tuple[str, ...], list[tuple[dict, float]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     @classmethod
-    def build(cls, documents: Iterable[Caption | Sequence[str]], max_n: int = 4) -> "IdfTable":
+    def build(cls, documents: Iterable[Caption | Sequence[str]]) -> "IdfTable":
         df: Counter = Counter()
         docs = []
         for doc in documents:
             tokens = _tokens(doc)
             docs.append(tokens)
             seen: set = set()
-            for n in range(1, max_n + 1):
+            for n in range(1, CIDER_MAX_N + 1):
                 seen.update(_ngrams(tokens, n))
             df.update(seen)
-        table = cls(n_docs=len(docs), df=dict(df), max_n=max_n)
+        table = cls(n_docs=len(docs), df=dict(df))
         for tokens in docs:
             if tokens not in table._refs:
                 table._refs[tokens] = table._vectors(tokens)
@@ -278,21 +281,16 @@ class IdfTable:
         return math.log(self.n_docs / max(self.df.get(gram, 0), 1))
 
     def _vectors(self, tokens: tuple[str, ...]) -> list[tuple[dict, float]]:
-        """(TF-IDF vector, its L2 norm) for n = 1..max_n."""
+        """(TF-IDF vector, its L2 norm) for n = 1..CIDER_MAX_N."""
         out = []
-        for n in range(1, self.max_n + 1):
+        for n in range(1, CIDER_MAX_N + 1):
             vec = {g: c * self.idf(g) for g, c in _ngrams(tokens, n).items()}
             out.append((vec, math.sqrt(sum(v * v for v in vec.values()))))
         return out
 
 
-def cider_pair(
-    pred: Caption | Sequence[str],
-    ref: Caption | Sequence[str],
-    idf: IdfTable,
-    sigma: float = 6.0,
-) -> float:
-    """Mean TF-IDF n-gram cosine over n = 1..4, Gaussian length penalty.
+def cider_pair(pred: Caption | Sequence[str], ref: Caption | Sequence[str], idf: IdfTable) -> float:
+    """Mean TF-IDF n-gram cosine over n = 1..CIDER_MAX_N, Gaussian length penalty of width CIDER_SIGMA.
 
     Normalized to [0, 1] (no x10 scale). A level with an all-zero vector on
     either side contributes 0.
@@ -306,7 +304,7 @@ def cider_pair(
             continue
         dot = sum(v * rv[g] for g, v in pv.items() if g in rv)
         sims.append(dot / (norm_p * norm_r))
-    penalty = math.exp(-((len(p) - len(r)) ** 2) / (2.0 * sigma**2))
+    penalty = math.exp(-((len(p) - len(r)) ** 2) / (2.0 * CIDER_SIGMA**2))
     return min(1.0, sum(sims) / len(sims) * penalty)
 
 

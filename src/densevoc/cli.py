@@ -132,6 +132,8 @@ def cmd_eval_apm(args) -> int:
     )
     print(f"ap_m={report.overall}")
     print(f"frames={report.num_frames}")
+    for warning in report.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     if args.out:
         formats.write_json(report.to_dict(), args.out)
     return _apply_gates(gates, {"ap_m": report.overall})

@@ -62,17 +62,10 @@ class Caption:
     """A caption as its raw string plus the deterministic tokenization."""
 
     raw: str
-    tokens: tuple[str, ...] = field(default=None)  # type: ignore[assignment]
+    tokens: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.tokens is None:
-            object.__setattr__(self, "tokens", tokenize(self.raw))
-        else:
-            object.__setattr__(self, "tokens", tuple(self.tokens))
-            if self.tokens != tokenize(self.raw):
-                raise ValidationError(
-                    f"tokens {self.tokens!r} are not the tokenization of {self.raw!r}"
-                )
+        object.__setattr__(self, "tokens", tokenize(self.raw))
 
     @classmethod
     def from_text(cls, text: str) -> "Caption":
@@ -171,6 +164,12 @@ def check_corners(corners) -> np.ndarray:
     if bad.any():
         raise ValidationError(f"box corners out of order: {tuple(corners[bad][0].tolist())}")
     return corners
+
+
+def check_nll(nll: float) -> None:
+    """The one rule for a negative log likelihood: a ValidationError unless it is finite and >= 0."""
+    if not (math.isfinite(nll) and nll >= 0.0):
+        raise ValidationError(f"nll must be finite and >= 0, got {nll}")
 
 
 _INT64_MAX = 2**63 - 1

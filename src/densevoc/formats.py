@@ -21,7 +21,6 @@ files count detections in frame-major order, within a frame in track order:
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -30,7 +29,9 @@ from typing import Any, Sequence
 import numpy as np
 
 from .assoc import AssocMatrix
-from .core import Box, Detection, Trajectory, ValidationError, VideoRecord, VideoTable, as_tables, check_corners
+from .core import (
+    Box, Detection, Trajectory, ValidationError, VideoRecord, VideoTable, as_tables, check_corners, check_nll,
+)
 
 
 class FormatError(ValueError):
@@ -403,8 +404,10 @@ def load_likelihoods(
         video_id = _require(rec, "video_id", str, where)
         query_id = _require(rec, "query_id", str, where)
         nll = _require(rec, "nll", float, where)
-        if not (math.isfinite(nll) and nll >= 0.0):
-            raise FormatError(f"{where}: nll must be finite and >= 0, got {nll}")
+        try:
+            check_nll(nll)
+        except ValidationError as exc:
+            raise FormatError(f"{where}: {exc}") from exc
         if "track_id" in rec:
             table, key = per_track, (video_id, _require(rec, "track_id", int, where), query_id)
         else:

@@ -3,7 +3,7 @@
 Per frame, selects the candidate box maximizing detection score times the
 likelihood of the query sentence, exp(-NLL). The text decoder itself stays
 behind the CaptionScorer interface: a table of precomputed negative log
-likelihoods, or a constant for degenerate tests.
+likelihoods, or NLL 0 everywhere for degenerate tests.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Protocol, Sequence
 
-from .core import ValidationError
+from .core import ValidationError, check_nll
 from .metrics import grounding_ious
 
 Corners = Sequence[float]  # one box as its corner row (x1, y1, x2, y2)
@@ -28,14 +28,11 @@ class CaptionScorer(Protocol):
     def nll(self, video_id: str, frame: int, candidate: int, query_id: str) -> float: ...
 
 
-@dataclass
 class UniformScorer:
-    """Constant NLL; selection degenerates to detection-score argmax."""
-
-    value: float = 0.0
+    """NLL 0 for every candidate; selection degenerates to detection-score argmax."""
 
     def nll(self, video_id: str, frame: int, candidate: int, query_id: str) -> float:
-        return self.value
+        return 0.0
 
 
 @dataclass
@@ -57,8 +54,10 @@ class TableScorer:
             raise ValidationError(f"unknown scorer mode {self.mode!r}")
         for table in (self.per_frame, self.per_track):
             for key, value in table.items():
-                if not (math.isfinite(value) and value >= 0.0):
-                    raise ValidationError(f"NLL for {key} must be finite and >= 0, got {value}")
+                try:
+                    check_nll(value)
+                except ValidationError as exc:
+                    raise ValidationError(f"{key}: {exc}") from exc
 
     def nll(self, video_id: str, frame: int, candidate: int, query_id: str) -> float:
         if self.mode == "per-frame":

@@ -8,7 +8,6 @@ functions are total on degenerate inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,34 +18,23 @@ from .core import Box, ValidationError, giou
 PROB_EPS = 1e-6
 
 
-@dataclass(frozen=True)
-class LossConfig:
-    alpha: float = 2.0  # focal down-weighting of confident positives
-    beta: float = 4.0  # focal down-weighting near soft ground-truth peaks
-    label_smoothing: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
-            raise ValidationError("focal weights must be >= 0")
-        if not (0.0 <= self.label_smoothing < 1.0):
-            raise ValidationError("label smoothing must be in [0, 1)")
-
-
-DEFAULT_CONFIG = LossConfig()
+# CenterNet's focal weights (Zhou et al., "Objects as Points", 2019).
+FOCAL_ALPHA = 2.0  # down-weights confident positives
+FOCAL_BETA = 4.0  # down-weights negatives near soft ground-truth peaks
+FD_STEP = 1e-5  # central-difference step of finite_diff_check
 
 
 def _clamp(p: np.ndarray) -> np.ndarray:
     return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
 
 
-def heatmap_loss(
-    y: np.ndarray, y_gt: np.ndarray, n: int, cfg: LossConfig = DEFAULT_CONFIG
-) -> float:
+def heatmap_loss(y: np.ndarray, y_gt: np.ndarray, n: int) -> float:
     """Penalty-reduced focal loss between predicted and target heatmaps.
 
     Cells where the target is exactly 1 use the positive branch
     (1-Y)^alpha * log(Y); all other cells use (1-Ybar)^beta * Y^alpha *
-    log(1-Y). The sum is negated and divided by the object count ``n``.
+    log(1-Y), with alpha = FOCAL_ALPHA and beta = FOCAL_BETA. The sum is
+    negated and divided by the object count ``n``.
     """
     y = np.asarray(y, dtype=float)
     y_gt = np.asarray(y_gt, dtype=float)
@@ -56,19 +44,17 @@ def heatmap_loss(
         raise ValidationError(f"object count must be >= 1, got {n}")
     y = _clamp(y)
     pos = y_gt == 1.0
-    pos_term = (1.0 - y) ** cfg.alpha * np.log(y)
-    neg_term = (1.0 - y_gt) ** cfg.beta * y**cfg.alpha * np.log(1.0 - y)
+    pos_term = (1.0 - y) ** FOCAL_ALPHA * np.log(y)
+    neg_term = (1.0 - y_gt) ** FOCAL_BETA * y**FOCAL_ALPHA * np.log(1.0 - y)
     return float(-np.where(pos, pos_term, neg_term).sum() / n)
 
 
-def heatmap_loss_grad(
-    y: np.ndarray, y_gt: np.ndarray, n: int, cfg: LossConfig = DEFAULT_CONFIG
-) -> np.ndarray:
+def heatmap_loss_grad(y: np.ndarray, y_gt: np.ndarray, n: int) -> np.ndarray:
     """d(heatmap_loss)/dY, valid away from the clamping boundaries."""
     y = np.asarray(y, dtype=float)
     y_gt = np.asarray(y_gt, dtype=float)
     y = _clamp(y)
-    a, b = cfg.alpha, cfg.beta
+    a, b = FOCAL_ALPHA, FOCAL_BETA
     pos = y_gt == 1.0
     d_pos = a * (1.0 - y) ** (a - 1.0) * np.log(y) - (1.0 - y) ** a / y
     d_neg = -((1.0 - y_gt) ** b) * (
@@ -175,9 +161,8 @@ def finite_diff_check(
     f: Callable[[np.ndarray], float],
     grad_f: Callable[[np.ndarray], np.ndarray],
     point: np.ndarray,
-    h: float = 1e-5,
 ) -> float:
-    """Max relative error between central differences and an analytic gradient.
+    """Max relative error between central differences (step FD_STEP) and an analytic gradient.
 
     Relative error per coordinate is |fd - analytic| / (|analytic| + 1e-8).
     """
@@ -187,9 +172,9 @@ def finite_diff_check(
     worst = 0.0
     for i in range(flat.size):
         step = np.zeros_like(flat)
-        step[i] = h
+        step[i] = FD_STEP
         fd = (f((flat + step).reshape(point.shape)) - f((flat - step).reshape(point.shape))) / (
-            2.0 * h
+            2.0 * FD_STEP
         )
         err = abs(fd - analytic[i]) / (abs(analytic[i]) + 1e-8)
         worst = max(worst, err)

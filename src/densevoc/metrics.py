@@ -447,8 +447,7 @@ class EvalReport:
     warnings: list[str]
 
     def flat_summary(self) -> dict[str, object]:
-        # Counts are reported at the threshold closest to 0.5.
-        mid = min(range(len(self.alphas)), key=lambda k: abs(self.alphas[k] - 0.5))
+        mid = _mid_alpha(self.alphas)
         return {
             "chota": self.chota,
             "hota": self.hota,
@@ -491,6 +490,11 @@ class EvalReport:
             "per_video": self.per_video,
             "warnings": self.warnings,
         }
+
+
+def _mid_alpha(alphas: Sequence[float]) -> int:
+    """Index of the threshold closest to 0.5 (the first of a tie): where counts are reported."""
+    return min(range(len(alphas)), key=lambda k: abs(alphas[k] - 0.5))
 
 
 def chota_from_components(det_a_value: float, ass_a_value: float, cap_a_value: float) -> float:
@@ -587,6 +591,7 @@ def chota(
     cap_sum = np.zeros(n_alpha)
     tp_prime = np.zeros(n_alpha)
     gt_caption_total = 0
+    mid = _mid_alpha(alphas)
     per_video: dict[str, dict] = {}
     for s in stats:
         tp += s.tp
@@ -608,7 +613,7 @@ def chota(
                 if (s.tp_prime > 0).any()
                 else (0.0 if s.gt_caption_count else None)
             ),
-            "tp@mid": float(s.tp[n_alpha // 2]),
+            "tp@mid": float(s.tp[mid]),
         }
 
     total = tp + fp + fn
@@ -678,6 +683,7 @@ class ApmReport:
     iou_thresholds: tuple[float, ...]
     meteor_thresholds: tuple[float, ...]
     num_frames: int
+    warnings: list[str]  # not written by to_dict
 
     def to_dict(self) -> dict:
         return {
@@ -717,7 +723,7 @@ def ap_m(
     for name, grid in (("IoU", iou_thresholds), ("METEOR", meteor_thresholds)):
         if not grid or any(not (0.0 <= t <= 1.0) for t in grid):
             raise ValidationError(f"{name} thresholds must be non-empty and in [0, 1], got {grid}")
-    pairs, _ = _pair_records(preds, gts)
+    pairs, warnings = _pair_records(preds, gts)
     shape = (len(iou_thresholds), len(meteor_thresholds))
     n_cells = shape[0] * shape[1]
     cell_sum = np.zeros(n_cells)
@@ -791,22 +797,14 @@ def ap_m(
             cell_sum = np.cumsum(np.vstack([cell_sum, np.concatenate(video_ap)[order]]), axis=0)[-1]
             n_frames += len(order)
 
-    if n_frames == 0:
-        grid = np.full(shape, np.nan)
-        return ApmReport(
-            overall=float("nan"),
-            grid=grid,
-            iou_thresholds=iou_thresholds,
-            meteor_thresholds=meteor_thresholds,
-            num_frames=0,
-        )
-    grid = cell_sum.reshape(shape) / n_frames
+    grid = cell_sum.reshape(shape) / n_frames if n_frames else np.full(shape, np.nan)  # NaN: no frame to average
     return ApmReport(
         overall=float(grid.mean()),
         grid=grid,
         iou_thresholds=iou_thresholds,
         meteor_thresholds=meteor_thresholds,
         num_frames=n_frames,
+        warnings=warnings,
     )
 
 

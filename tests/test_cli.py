@@ -65,6 +65,19 @@ def test_eval_apm_perfect(tmp_path, capsys) -> None:
     assert "ap_m=1.0" in capsys.readouterr().out
 
 
+def test_eval_apm_prints_pairing_warnings(tmp_path, capsys) -> None:
+    gt = str(FIXTURES / "golden_seed42_gt.json")
+    preds = load_dataset(FIXTURES / "golden_seed42_pred.json")
+    save_dataset(preds[1:] + [VideoRecord("zzz", 1, ())], tmp_path / "pred.json")
+    out = tmp_path / "apm.json"
+    assert main(["eval-apm", gt, str(tmp_path / "pred.json"), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: predictions for unknown videos ignored: ['zzz']\n"
+        f"warning: no predictions for video {preds[0].video_id!r}; counting all-FN\n"
+    )
+    assert "warnings" not in json.loads(out.read_text())
+
+
 def test_track_assign_fixture(tmp_path, capsys) -> None:
     values = np.full((4, 4), 0.1)
     np.fill_diagonal(values, 1.0)

@@ -180,7 +180,7 @@ def test_table_scorer_missing_record_raises() -> None:
 
 
 def test_table_scorer_rejects_bad_nll() -> None:
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^\('v', 0, 0, 'q'\): nll must be finite and >= 0, got -1.0$"):
         TableScorer(per_frame={("v", 0, 0, "q"): -1.0})
     with pytest.raises(ValidationError):
         TableScorer(per_frame={("v", 0, 0, "q"): math.inf})

@@ -7,7 +7,6 @@ import pytest
 
 from densevoc.core import Box, ValidationError
 from densevoc.losses import (
-    LossConfig,
     assoc_loss,
     assoc_loss_grad,
     caption_loss,
@@ -147,13 +146,6 @@ def test_caption_loss_zero_smoothing_equals_plain_cross_entropy(rng) -> None:
 def test_caption_loss_target_out_of_range() -> None:
     with pytest.raises(ValidationError):
         caption_loss(np.zeros((1, 3)), [3])
-
-
-def test_loss_config_validation() -> None:
-    with pytest.raises(ValidationError):
-        LossConfig(alpha=-1.0)
-    with pytest.raises(ValidationError):
-        LossConfig(label_smoothing=1.0)
 
 
 def test_finite_diff_polynomial_exactness() -> None:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from densevoc.capmetrics import IdfTable
-from densevoc.core import Box, Caption, Detection, Trajectory, ValidationError, VideoRecord, VideoTable
+from densevoc.core import Box, Caption, Detection, Trajectory, ValidationError, VideoRecord, VideoTable, as_tables
 from densevoc.formats import load_dataset, save_dataset
 from densevoc.metrics import (
     DEFAULT_ALPHAS,
@@ -345,6 +345,41 @@ def test_relabeling_and_order_invariance(rng) -> None:
     assert np.array_equal(base.det_a, shuffled.det_a)
     assert np.array_equal(base.ass_a, shuffled.ass_a)
     assert base.chota == shuffled.chota
+
+    # Metamorphic relations (after the HOTA paper's metric properties) on the
+    # tiny videos, a captioned synth collection with false positives and id
+    # switches, and 200 tie-heavy videos.
+    ties = [tie_heavy_instance(rng) for _ in range(200)]
+    synth = generate(SynthConfig(seed=3, num_videos=3, frames_per_video=12, objects_per_video=4, box_jitter_sigma=3.0,
+                                 drop_rate=0.2, false_positive_rate=0.2, id_switch_rate=0.2, caption_corruption_rate=0.3))
+    collections = [
+        (as_tables(preds), as_tables(gts)),
+        (as_tables(synth[1]), as_tables(synth[0])),
+        ([replace(VideoTable.from_record(p), video_id=f"tie{i}") for i, (p, _) in enumerate(ties)],
+         [replace(VideoTable.from_record(g), video_id=f"tie{i}") for i, (_, g) in enumerate(ties)]),
+    ]
+    for pred_tables, gt_tables in collections:
+        base_chota, base_apm = chota(pred_tables, gt_tables).to_dict(), ap_m(pred_tables, gt_tables).to_dict()
+        # Scaling every coordinate by a power of two is exact, so every IoU and every report is unchanged.
+        for scale in (0.25, 4.0, 1024.0):
+            scaled = [[replace(t, corners=t.corners * scale) for t in tables] for tables in (pred_tables, gt_tables)]
+            assert chota(*scaled).to_dict() == base_chota, scale
+            assert ap_m(*scaled).to_dict() == base_apm, scale
+        # The collection plus a copy under new video ids doubles every count.
+        copied = [tables + [replace(t, video_id=t.video_id + "-copy") for t in tables]
+                  for tables in (pred_tables, gt_tables)]
+        doubled = chota(*copied).to_dict()["per_alpha"]
+        for count in ("tp", "fp", "fn", "tp_prime"):
+            assert doubled[count] == [2 * c for c in base_chota["per_alpha"][count]], count
+
+
+def test_per_video_tp_at_mid_reads_the_summary_threshold() -> None:
+    # IoU 0.6: a true positive at alpha 0.5 and 0.6, a miss from 0.7 on.
+    gt = make_video("v", [make_track(1, [(0, 0.0, 0.0, 10.0, 10.0)])], num_frames=1)
+    pred = make_video("v", [make_track(1, [(0, 0.0, 0.0, 10.0, 6.0)])], num_frames=1)
+    report = chota([pred], [gt], alphas=(0.5, 0.6, 0.7, 0.8, 0.9))
+    assert report.flat_summary()["tp@0.5"] == 1
+    assert report.per_video["v"]["tp@mid"] == 1.0
 
 
 def test_chota_falls_back_to_hota_without_captions() -> None:
