@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from ._lsap import linear_sum_assignment
 from .core import ValidationError, VideoRecord, VideoTable, _int_column, as_tables, check_corners, iou_matrix
 
 

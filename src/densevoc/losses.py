@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import log_softmax, softmax
 
 from .core import Box, ValidationError, giou
 
@@ -22,6 +21,20 @@ PROB_EPS = 1e-6
 FOCAL_ALPHA = 2.0  # down-weights confident positives
 FOCAL_BETA = 4.0  # down-weights negatives near soft ground-truth peaks
 FD_STEP = 1e-5  # central-difference step of finite_diff_check
+
+
+def softmax(x: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """exp(x - max) over its sum: scipy.special.softmax's operations, in its order."""
+    shifted = np.exp(x - np.max(x, axis=axis, keepdims=True))
+    return shifted / np.sum(shifted, axis=axis, keepdims=True)
+
+
+def log_softmax(x: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """scipy.special.log_softmax's operations, in its order: a non-finite max shifts by 0."""
+    x_max = np.max(x, axis=axis, keepdims=True)
+    tmp = x - np.where(np.isfinite(x_max), x_max, 0.0)
+    with np.errstate(divide="ignore"):
+        return tmp - np.log(np.sum(np.exp(tmp), axis=axis, keepdims=True))
 
 
 def _clamp(p: np.ndarray) -> np.ndarray:

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from ._lsap import linear_sum_assignment
 from .capmetrics import IdfTable, cider_pair, exact_match, meteor_lite
 from .core import Caption, ValidationError, VideoRecord, VideoTable
 from .core import as_tables, check_corners, iou_matrix, tokenize
@@ -448,16 +448,17 @@ class EvalReport:
 
     def flat_summary(self) -> dict[str, object]:
         mid = _mid_alpha(self.alphas)
+        at = f"@{self.alphas[mid]:g}"
         return {
             "chota": self.chota,
             "hota": self.hota,
             "det_a": self.det_a_mean,
             "ass_a": self.ass_a_mean,
             "cap_a": self.cap_a_mean if self.capa_defined else "undefined",
-            "tp@0.5": int(self.tp[mid]),
-            "fp@0.5": int(self.fp[mid]),
-            "fn@0.5": int(self.fn[mid]),
-            "tp_prime@0.5": int(self.tp_prime[mid]),
+            "tp" + at: int(self.tp[mid]),
+            "fp" + at: int(self.fp[mid]),
+            "fn" + at: int(self.fn[mid]),
+            "tp_prime" + at: int(self.tp_prime[mid]),
             "cap_metrics": "+".join(self.cap_metrics),
             "cap_divisor": self.cap_divisor,
             "num_videos": len(self.per_video),

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import importlib.util
+
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import linear_sum_assignment
 
+from densevoc import _lsap
 from densevoc.assoc import (
     AssocMatrix,
     assign_identities,
@@ -318,3 +322,43 @@ def test_match_boxes_equals_scalar_iou_reference(rng) -> None:
         for thresh in (0.0, 0.3, 0.5):
             got = match_boxes(corners[:cut], corners[cut:], thresh)
             assert got == _scalar_match_boxes(left, right, thresh)
+
+
+def _solver_cases(rng):
+    for _ in range(50):
+        yield rng.random((int(rng.integers(1, 9)),) * 2)
+    for _ in range(50):
+        n, m = (int(v) for v in rng.integers(1, 9, size=2))
+        yield rng.random((n, m + 3)) if rng.random() < 0.5 else rng.random((n + 3, m))
+    for _ in range(100):  # ties: the tie-break must be the same too
+        yield rng.choice([0.0, 0.5, 1.0], size=tuple(int(v) for v in rng.integers(1, 7, size=2)))
+    yield np.zeros((0, 4))
+    yield np.zeros((4, 0))
+
+
+def test_loaded_solver_equals_public_solver(rng) -> None:
+    assert _lsap._PATH is not None  # the extension file was loaded, not the public import
+    for cost in _solver_cases(rng):
+        for maximize in (False, True):
+            got = _lsap.linear_sum_assignment(cost, maximize=maximize)
+            want = linear_sum_assignment(cost, maximize=maximize)
+            assert all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want))
+    cost = np.array([[0.1, np.nan], [0.2, 0.3]])
+    with pytest.raises(ValueError) as loaded:
+        _lsap.linear_sum_assignment(cost)
+    with pytest.raises(ValueError) as public:
+        linear_sum_assignment(cost)
+    assert type(loaded.value) is type(public.value)
+
+
+def test_solver_falls_back_to_public_import(monkeypatch) -> None:
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, *a: None if name == "scipy" else find_spec(name, *a))
+    try:
+        fallback = importlib.reload(_lsap)
+        assert fallback._PATH is None
+        assert fallback.linear_sum_assignment is scipy.optimize.linear_sum_assignment
+    finally:
+        monkeypatch.undo()
+        importlib.reload(_lsap)
+    assert _lsap._PATH is not None

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -445,6 +448,40 @@ def test_verify_losses_passes(capsys) -> None:
     out = capsys.readouterr().out
     assert out.count("PASS") == 4
     assert "FAIL" not in out
+
+
+_NO_SCIPY_SUBMODULES = """
+import sys
+from densevoc import cli
+
+assert cli.main(["synth", "--seed", "3", "--num-videos", "2", "--frames", "10", "--objects", "3",
+                 "--out-gt", "gt.json", "--out-pred", "pred.json"]) == 0
+for argv in (["eval-chota", "gt.json", "pred.json"], ["eval-apm", "gt.json", "pred.json"],
+             ["track-iou", "pred.json", "--out", "linked.json"], ["verify-losses", "--seeds", "2"]):
+    assert cli.main(argv) == 0, argv
+print(sorted(m for m in ("scipy.optimize", "scipy.special") if m in sys.modules))
+"""
+
+
+def test_commands_load_no_scipy_submodule(tmp_path) -> None:
+    # Running the commands, not only importing the CLI, also catches an import inside a function.
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+    result = subprocess.run([sys.executable, "-c", _NO_SCIPY_SUBMODULES], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_summary_keys_name_the_threshold_read(tmp_path, capsys) -> None:
+    gt = str(FIXTURES / "golden_seed42_gt.json")
+    pred = str(FIXTURES / "golden_seed42_pred.json")
+    out = tmp_path / "report.json"
+    assert main(["eval-chota", gt, pred, "--alphas", "0.9", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    counts = json.loads(out.read_text())["per_alpha"]
+    for key in ("tp", "fp", "fn", "tp_prime"):
+        assert f"{key}@0.9={int(counts[key][0])}" in lines
+    assert not any(line.startswith("tp@0.5") for line in lines)
 
 
 def test_jobs_env_default(monkeypatch, capsys) -> None:

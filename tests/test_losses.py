@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
+from densevoc import losses
 from densevoc.core import Box, ValidationError
 from densevoc.losses import (
     assoc_loss,
@@ -195,3 +197,20 @@ def test_roi_cls_gradient_matches_finite_differences(rng) -> None:
             lambda v: roi_cls_loss(v, label), lambda v: roi_cls_loss_grad(v, label), logits
         )
         assert err <= 1e-4
+
+
+def test_numpy_softmax_bitwise_equals_scipy(rng) -> None:
+    pairs = ((losses.softmax, scipy.special.softmax), (losses.log_softmax, scipy.special.log_softmax))
+    inf = np.inf
+    cases = [(rng.normal(scale=s, size=(int(rng.integers(1, 6)), int(rng.integers(1, 9)))), axis)
+             for s in (0.1, 1.0, 30.0) for axis in (None, 1) for _ in range(10)]
+    cases += [(np.array([1000.0, 1.0]), None), (np.array([[1.0, -inf, 2.0], [-inf, 0.5, -inf]]), 1)]
+    for x, axis in cases:
+        for ours, theirs in pairs:
+            got, want = ours(x, axis=axis), theirs(x, axis=axis)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), (ours, x, axis)
+    all_inf = np.array([[0.0, 1.0], [-inf, -inf]])
+    with np.errstate(invalid="ignore"):
+        for ours, theirs in pairs:
+            got, want = ours(all_inf, axis=1), theirs(all_inf, axis=1)
+            assert np.isnan(got[1]).all() and np.array_equal(got, want, equal_nan=True)
