@@ -215,22 +215,59 @@ def _tokens(caption: Caption | Sequence[str]) -> tuple[str, ...]:
     return tuple(caption)
 
 
-def meteor_lite(pred: Caption | Sequence[str], ref: Caption | Sequence[str]) -> float:
+def _forced_alignment(p: tuple[str, ...], r: tuple[str, ...]) -> tuple[int, int] | None:
+    """(matches, chunks) when the alignment is forced, else None.
+
+    It is forced when no token repeats within either side and no stem links
+    an unmatched prediction token to an unmatched reference token: every
+    shared token is then an exact match with one reference position, and the
+    stem stage matches nothing. A chunk starts at each match that does not
+    continue the previous prediction position's match in the reference.
+    """
+    ref_pos = {u: j for j, u in enumerate(r)}
+    pred_set = set(p)
+    if len(ref_pos) < len(r) or len(pred_set) < len(p):
+        return None
+    pred_rest = {stem(t) for t in p if t not in ref_pos}
+    if pred_rest and not pred_rest.isdisjoint(stem(u) for u in r if u not in pred_set):
+        return None
+    matches = chunks = 0
+    prev = -2
+    for t in p:
+        j = ref_pos.get(t, -2)
+        if j >= 0:
+            matches += 1
+            chunks += j != prev + 1
+        prev = j
+    return matches, chunks
+
+
+def meteor_lite(
+    pred: Caption | Sequence[str], ref: Caption | Sequence[str], *, over_budget: list | None = None
+) -> float:
     """Unigram-alignment caption score in [0, 1].
 
     Alignment maximizes matches (exact stage first, stems on the residue)
     and then minimizes chunks. With m matches, P = m/|pred|, R = m/|ref|,
     F = 10PR / (R + 9P), penalty = 0.5 (chunks/m)^3, score = F (1 - penalty).
-    Empty captions and match-free pairs score 0.
+    Empty captions and match-free pairs score 0. A forced alignment is
+    counted directly; any other goes to the chunk search, and a pair whose
+    search runs past its node budget is appended to ``over_budget`` if given.
     """
     p, r = _tokens(pred), _tokens(ref)
     if not p or not r:
         return 0.0
-    search = _ChunkSearch(p, r)
-    matches = search.n_exact + search.n_stem
+    forced = _forced_alignment(p, r)
+    if forced is not None:
+        matches, chunks = forced
+    else:
+        search = _ChunkSearch(p, r)
+        matches = search.n_exact + search.n_stem
+        chunks = search.run() if matches else 0
+        if over_budget is not None and search.nodes > search.budget:
+            over_budget.append((p, r))
     if matches == 0:
         return 0.0
-    chunks = search.run()
     precision = matches / len(p)
     recall = matches / len(r)
     f_mean = 10.0 * precision * recall / (recall + 9.0 * precision)
@@ -238,24 +275,40 @@ def meteor_lite(pred: Caption | Sequence[str], ref: Caption | Sequence[str]) -> 
     return f_mean * (1.0 - penalty)
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _ngrams(tokens: tuple[str, ...], n: int) -> dict[tuple[str, ...], int]:
+    """n-gram counts in first-occurrence order, as ``Counter`` keeps them."""
+    counts: dict[tuple[str, ...], int] = {}
+    for i in range(len(tokens) - n + 1):
+        gram = tokens[i : i + n]
+        counts[gram] = counts.get(gram, 0) + 1
+    return counts
 
 
 @dataclass
 class IdfTable:
     """Corpus n-gram document frequencies; one caption = one document.
 
-    ``build`` also keeps every corpus document's TF-IDF vectors and norms,
-    so a pair scored against a corpus caption computes only its prediction
-    side; other references are vectorized on each call.
+    The IDF weight of every n-gram in ``df``, and the weight of unseen ones,
+    is computed once at construction. ``build`` also keeps every corpus
+    document's TF-IDF vectors and norms, so a pair scored against a corpus
+    caption computes only its prediction side; other references are
+    vectorized on each call.
     """
 
     n_docs: int
     df: dict[tuple[str, ...], int]
+    _weights: dict[tuple[str, ...], float] = field(init=False, repr=False, compare=False)
+    _unseen: float = field(init=False, repr=False, compare=False)
     _refs: dict[tuple[str, ...], list[tuple[dict, float]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        if self.n_docs < 1:
+            self._weights, self._unseen = {}, 0.0
+        else:
+            self._weights = {g: math.log(self.n_docs / max(c, 1)) for g, c in self.df.items()}
+            self._unseen = math.log(self.n_docs)
 
     @classmethod
     def build(cls, documents: Iterable[Caption | Sequence[str]]) -> "IdfTable":
@@ -276,15 +329,14 @@ class IdfTable:
 
     def idf(self, gram: tuple[str, ...]) -> float:
         """log(N / df); unseen n-grams take the maximum weight log(N)."""
-        if self.n_docs < 1:
-            return 0.0
-        return math.log(self.n_docs / max(self.df.get(gram, 0), 1))
+        return self._weights.get(gram, self._unseen)
 
     def _vectors(self, tokens: tuple[str, ...]) -> list[tuple[dict, float]]:
         """(TF-IDF vector, its L2 norm) for n = 1..CIDER_MAX_N."""
+        weights, unseen = self._weights, self._unseen
         out = []
         for n in range(1, CIDER_MAX_N + 1):
-            vec = {g: c * self.idf(g) for g, c in _ngrams(tokens, n).items()}
+            vec = {g: c * weights.get(g, unseen) for g, c in _ngrams(tokens, n).items()}
             out.append((vec, math.sqrt(sum(v * v for v in vec.values()))))
         return out
 

@@ -61,7 +61,7 @@ def _require(obj: dict, key: str, kind, where: str):
         raise FormatError(f"{where}: missing required field {key!r}")
     value = obj[key]
     if kind is float:
-        return _float(value, f"{where}.{key}")
+        return value if type(value) is float else _float(value, f"{where}.{key}")
     if kind is int:
         if not _is_int(value):
             raise FormatError(f"{where}.{key}: expected an integer, got {type(value).__name__}")
@@ -397,25 +397,30 @@ def load_likelihoods(
         raise FormatError(f"{path}: top level: expected a list of likelihood records")
     per_frame: dict[tuple[str, int, int, str], float] = {}
     per_track: dict[tuple[str, int, str], float] = {}
+    # Messages are built relative to the record (``where`` is empty); the
+    # record's location is prefixed on the error path only.
+    where = ""
     for i, rec in enumerate(data):
-        where = f"{path}: record[{i}]"
-        if not isinstance(rec, dict):
-            raise FormatError(f"{where}: expected an object")
-        video_id = _require(rec, "video_id", str, where)
-        query_id = _require(rec, "query_id", str, where)
-        nll = _require(rec, "nll", float, where)
         try:
-            check_nll(nll)
-        except ValidationError as exc:
-            raise FormatError(f"{where}: {exc}") from exc
-        if "track_id" in rec:
-            table, key = per_track, (video_id, _require(rec, "track_id", int, where), query_id)
-        else:
-            frame = _require(rec, "frame", int, where)
-            obs = _require(rec, "observation_index", int, where)
-            table, key = per_frame, (video_id, frame, obs, query_id)
-        if key in table:
-            raise FormatError(f"{where}: duplicate likelihood record {key}")
+            if not isinstance(rec, dict):
+                raise FormatError(f"{where}: expected an object")
+            video_id = _require(rec, "video_id", str, where)
+            query_id = _require(rec, "query_id", str, where)
+            nll = _require(rec, "nll", float, where)
+            try:
+                check_nll(nll)
+            except ValidationError as exc:
+                raise FormatError(f"{where}: {exc}") from exc
+            if "track_id" in rec:
+                table, key = per_track, (video_id, _require(rec, "track_id", int, where), query_id)
+            else:
+                frame = _require(rec, "frame", int, where)
+                obs = _require(rec, "observation_index", int, where)
+                table, key = per_frame, (video_id, frame, obs, query_id)
+            if key in table:
+                raise FormatError(f"{where}: duplicate likelihood record {key}")
+        except FormatError as exc:
+            raise FormatError(f"{path}: record[{i}]{exc}") from exc.__cause__
         table[key] = nll
     return per_frame, per_track
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._lsap import linear_sum_assignment
 from .capmetrics import IdfTable, cider_pair, exact_match, meteor_lite
-from .core import Caption, ValidationError, VideoRecord, VideoTable
+from .core import ValidationError, VideoRecord, VideoTable
 from .core import as_tables, check_corners, iou_matrix, tokenize
 
 DEFAULT_ALPHAS: tuple[float, ...] = tuple(round(0.05 * k, 2) for k in range(1, 20))
@@ -308,38 +308,54 @@ class _VideoStats:
 
 
 class _PairScorer:
-    """Caption pair scoring with memoization over token sequences."""
+    """Caption pair scoring with memoization over token sequences.
+
+    ``over_budget`` collects the scored pairs whose METEOR chunk search ran
+    past its node budget, so their METEOR is a lower bound.
+    """
 
     def __init__(self, config: ScorerConfig, idf: IdfTable):
         self.config = config
         self.idf = idf
         self.cache: dict[tuple, float] = {}
         self.missing_external = 0
+        self.over_budget: list[tuple] = []
 
-    def intrinsic(self, pred_cap: Caption, gt_cap: Caption) -> float:
-        """Sum of the non-external sub-metric scores for one pair."""
-        key = (pred_cap.tokens, gt_cap.tokens)
+    def intrinsic(self, pred: tuple[str, ...], gt: tuple[str, ...]) -> float:
+        """Sum of the non-external sub-metric scores for one pair of token tuples."""
+        key = (pred, gt)
         hit = self.cache.get(key)
         if hit is not None:
             return hit
         total = 0.0
         for name in self.config.metrics:
             if name == "meteor":
-                total += meteor_lite(pred_cap, gt_cap)
+                total += meteor_lite(pred, gt, over_budget=self.over_budget)
             elif name == "cider":
-                total += cider_pair(pred_cap, gt_cap, self.idf)
+                total += cider_pair(pred, gt, self.idf)
             elif name == "exact":
-                total += exact_match(pred_cap, gt_cap)
+                total += exact_match(pred, gt)
         self.cache[key] = total
         return total
 
     def pairs(self, caption_ids: dict[str, int], pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
-        """``intrinsic`` of each (pred, gt) pair of caption ids; each distinct pair is scored once."""
-        captions = [Caption.from_text(text) for text in caption_ids]
-        n = len(captions)
+        """``intrinsic`` of each (pred, gt) pair of caption ids; each distinct pair is scored once.
+
+        Only the captions of the scored pairs are tokenized.
+        """
+        texts = list(caption_ids)
+        n = len(texts)
         keys, inverse = np.unique(pred * n + gt, return_inverse=True)
-        values = [self.intrinsic(captions[k // n], captions[k % n]) for k in keys.tolist()]
+        pred_ids, gt_ids = (ids.tolist() for ids in np.divmod(keys, n))
+        tokens = {i: tokenize(texts[i]) for i in {*pred_ids, *gt_ids}}
+        values = [self.intrinsic(tokens[a], tokens[b]) for a, b in zip(pred_ids, gt_ids)]
         return np.array(values, dtype=float)[inverse.reshape(-1)]
+
+    def over_budget_warning(self) -> str:
+        return (
+            f"{len(self.over_budget)} caption pairs ran past the METEOR chunk-search budget;"
+            " their chunk counts are upper bounds and their METEOR lower bounds"
+        )
 
     def external(self, video_id: str, pred_obs_index: int, gt_track_id: int) -> float:
         scores = self.config.external_scores or {}
@@ -374,6 +390,8 @@ def _evaluate_video(
             warnings.append(
                 f"{prep.video_id}: {scorer.missing_external} matched pairs had no external score (scored 0)"
             )
+        if scorer.over_budget:
+            warnings.append(f"{prep.video_id}: {scorer.over_budget_warning()}")
 
     return _VideoStats(
         video_id=prep.video_id,
@@ -798,6 +816,8 @@ def ap_m(
             cell_sum = np.cumsum(np.vstack([cell_sum, np.concatenate(video_ap)[order]]), axis=0)[-1]
             n_frames += len(order)
 
+    if scorer.over_budget:
+        warnings.append(scorer.over_budget_warning())
     grid = cell_sum.reshape(shape) / n_frames if n_frames else np.full(shape, np.nan)  # NaN: no frame to average
     return ApmReport(
         overall=float(grid.mean()),

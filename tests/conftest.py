@@ -7,6 +7,12 @@ from densevoc.core import Box, Caption, Detection, Trajectory, VideoRecord
 
 _ACCEPTANCE_RESULTS: list[tuple[str, str]] = []
 
+# A caption pair whose METEOR chunk search runs past the default 20,000-node budget.
+OVER_BUDGET_PAIR = (
+    tuple("fly walked walk red dog a a a the fly walked flies walk walked flies walking walked walk walk flies".split()),
+    tuple("red fly walked a dog fly walk a walking walking fly the a fly a walk a red dogs dogs".split()),
+)
+
 
 def pytest_runtest_logreport(report):
     if report.when != "call" or "test_acceptance" not in report.nodeid:

@@ -611,7 +611,7 @@ def caption_sums_oracle(pred: VideoRecord, gt: VideoRecord, records, n_alpha: in
             continue
         _, k, det = pred_rows[p]
         caption = det.caption if det.caption is not None else pred.trajectories[k].caption
-        total = scorer.intrinsic(caption if caption is not None else Caption.from_text(""), gt_track.caption)
+        total = scorer.intrinsic(caption.tokens if caption is not None else (), gt_track.caption.tokens)
         if "external" in config.metrics:
             total += scorer.external(gt.video_id, p, gt_track.track_id)
         cap_sum[a : end + 1] += total / config.divisor

@@ -7,8 +7,17 @@ from pathlib import Path
 
 import pytest
 
-from densevoc.capmetrics import IdfTable, _ChunkSearch, cider_pair, exact_match, meteor_lite, stem
+from densevoc.capmetrics import (
+    IdfTable,
+    _ChunkSearch,
+    _forced_alignment,
+    cider_pair,
+    exact_match,
+    meteor_lite,
+    stem,
+)
 from densevoc.core import Caption, tokenize
+from conftest import OVER_BUDGET_PAIR
 from oracles import ChunkSearchOracle, cider_oracle, meteor_oracle
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "caption_pairs.json"
@@ -184,3 +193,92 @@ def test_cider_equals_per_call_oracle(rng) -> None:
             assert cider_pair(x, ref, built) == expected, (x, ref)
             assert cider_pair(Caption(" ".join(x)), Caption(" ".join(ref)), built) == expected
             assert cider_pair(x, ref, direct) == expected, (x, ref)
+
+
+# Distinct stems except dog/dogs and walk/walked, so sampled pairs without
+# repeats take either branch.
+_FORCED_VOCAB = ["a", "the", "red", "man", "car", "runs", "street", "fly", "dog", "dogs", "walk", "walked"]
+
+
+def _distinct_caption(rng, max_len=8) -> tuple[str, ...]:
+    order = rng.permutation(len(_FORCED_VOCAB))[: int(rng.integers(1, max_len + 1))]
+    return tuple(_FORCED_VOCAB[k] for k in order)
+
+
+def _search_counts(x, y) -> tuple[int, int]:
+    search = _ChunkSearch(x, y)
+    matches = search.n_exact + search.n_stem
+    return matches, search.run() if matches else 0
+
+
+def test_meteor_forced_alignment_equals_oracle(rng) -> None:
+    forced = 0
+    for _ in range(400):
+        x, y = _distinct_caption(rng), _distinct_caption(rng)
+        counts = _forced_alignment(x, y)
+        if counts is not None:
+            forced += 1
+            assert counts == _search_counts(x, y), (x, y)
+        assert meteor_lite(x, y) == meteor_oracle(x, y), (x, y)
+    # Both branches are taken: residue stems collide in some pairs only.
+    assert 0 < forced < 400
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (("a", "dog", "walks"), ("dog", "dogs", "a")),  # matched dog's stem in the reference residue
+        (("walked", "a", "dog"), ("walked", "walk", "dog")),  # matched walked's stem in the reference residue
+        (("the", "red", "car"), ("a", "red", "car", "the")),
+        (("fly",), ("dog",)),
+    ],
+)
+def test_meteor_forced_when_only_matched_tokens_share_stems(x, y) -> None:
+    counts = _forced_alignment(x, y)
+    assert counts is not None and counts == _search_counts(x, y)
+    assert meteor_lite(x, y) == meteor_oracle(x, y)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (("a", "dog", "a"), ("a", "dog")),  # repeated prediction token
+        (("a", "dog"), ("dog", "a", "dog")),  # repeated reference token
+        (("dog", "runs"), ("dogs", "runs")),  # residue stems collide
+        (("the", "walk"), ("walked", "the", "red")),  # walk/walked in the residues
+    ],
+)
+def test_meteor_near_misses_fall_back_to_search(x, y) -> None:
+    assert _forced_alignment(x, y) is None
+    assert meteor_lite(x, y) == meteor_oracle(x, y)
+
+
+def test_meteor_reports_pairs_past_the_search_budget() -> None:
+    x, y = OVER_BUDGET_PAIR
+    search = _ChunkSearch(x, y)
+    search.run()
+    assert search.nodes > search.budget
+    over_budget: list = []
+    assert meteor_lite(x, y, over_budget=over_budget) == meteor_oracle(x, y)
+    assert over_budget == [(x, y)]
+    # Pairs within the budget, searched or forced, are not reported.
+    meteor_lite(("a", "dog", "a"), ("a", "dog"), over_budget=over_budget)
+    meteor_lite(x[:5], y[:5], over_budget=over_budget)
+    assert over_budget == [(x, y)]
+
+
+def test_cider_on_an_empty_idf_table() -> None:
+    empty = IdfTable(n_docs=0, df={})
+    assert empty.idf(("dog",)) == 0.0
+    for x, y in ((("a", "dog"), ("a", "dog")), (("dog",), ("cat", "dog")), ((), ("dog",))):
+        assert cider_pair(x, y, empty) == cider_oracle(x, y, empty) == 0.0
+
+
+def test_cider_ignores_df_entries_no_caption_uses(rng) -> None:
+    docs = [_random_caption(rng, 8) for _ in range(6)]
+    built = IdfTable.build(docs)
+    unused = {("zebra",): 2, ("zebra", "crosses"): 1, ("a", "zebra", "crosses", "the"): 5}
+    padded = IdfTable(n_docs=built.n_docs, df={**unused, **built.df})
+    for _ in range(100):
+        x, y = _random_caption(rng, 8), docs[int(rng.integers(len(docs)))]
+        assert cider_pair(x, y, padded) == cider_oracle(x, y, padded) == cider_oracle(x, y, built), (x, y)

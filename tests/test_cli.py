@@ -16,6 +16,7 @@ from densevoc.formats import load_dataset, save_dataset, save_matrix
 
 from densevoc import ground
 
+from conftest import OVER_BUDGET_PAIR, make_track, make_video
 from oracles import ground_oracle, track_iou_oracle
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -32,6 +33,20 @@ def test_eval_chota_gt_as_its_own_pred(tmp_path, capsys) -> None:
     assert report["aggregate"]["chota"] == 1.0
     summary_text = Path(str(out) + ".summary").read_text()
     assert "chota=1.0" in summary_text
+
+
+def test_eval_warns_about_caption_pairs_past_the_search_budget(tmp_path, capsys) -> None:
+    pred_caption, gt_caption = (" ".join(tokens) for tokens in OVER_BUDGET_PAIR)
+    boxes = [(f, 10.0, 10.0, 30.0, 30.0) for f in range(3)]
+    gt, pred, out = tmp_path / "gt.json", tmp_path / "pred.json", tmp_path / "report.json"
+    save_dataset([make_video(v, [make_track(1, boxes, gt_caption)], 3) for v in ("v0", "v1")], gt)
+    save_dataset([make_video(v, [make_track(1, boxes, pred_caption)], 3) for v in ("v0", "v1")], pred)
+    assert main(["eval-chota", str(gt), str(pred), "--jobs", "1", "--out", str(out)]) == 0
+    budget = "1 caption pairs ran past the METEOR chunk-search budget"
+    assert capsys.readouterr().err.count(budget) == 2
+    assert [w[:4] for w in json.loads(out.read_text())["warnings"] if budget in w] == ["v0: ", "v1: "]
+    assert main(["eval-apm", str(gt), str(pred)]) == 0
+    assert capsys.readouterr().err == f"warning: {budget}; their chunk counts are upper bounds and their METEOR lower bounds\n"
 
 
 def test_eval_chota_gate_failure_exit_code(tmp_path) -> None:

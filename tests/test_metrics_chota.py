@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from densevoc.capmetrics import IdfTable
+from densevoc import metrics
+from densevoc.capmetrics import IdfTable, _forced_alignment, meteor_lite
 from densevoc.core import Box, Caption, Detection, Trajectory, ValidationError, VideoRecord, VideoTable, as_tables
 from densevoc.formats import load_dataset, save_dataset
 from densevoc.metrics import (
@@ -23,8 +24,8 @@ from densevoc.metrics import (
 )
 from densevoc.synth import SynthConfig, generate
 
-from conftest import make_track, make_video, random_tiny_instance, tie_heavy_instance
-from oracles import caption_sums_oracle, hota_oracle, sweep_oracle
+from conftest import OVER_BUDGET_PAIR, make_track, make_video, random_tiny_instance, tie_heavy_instance
+from oracles import caption_sums_oracle, cider_oracle, hota_oracle, meteor_oracle, sweep_oracle
 
 
 def _simple_video(caption: str | None = "a red car crosses") -> VideoRecord:
@@ -529,3 +530,65 @@ def test_caption_sums_equal_per_match_oracle() -> None:
                 expected = caption_sums_oracle(pred, gt, records, len(alphas), oracle_scorer)
                 assert all(np.array_equal(a, b) for a, b in zip(got, expected)), (pred.video_id, config)
                 assert scorer.missing_external == oracle_scorer.missing_external
+
+
+_EDIT_WORDS = ("slowly", "again", "big", "old", "dark", "left", "still", "wet", "walks", "dogs")
+
+
+def _box_captioned(preds: list[VideoRecord], rng: np.random.Generator) -> list[VideoRecord]:
+    """Predictions whose boxes each carry their track's caption after one to three word inserts, drops or appends."""
+    out = []
+    for record in preds:
+        tracks = []
+        for track in record.trajectories:
+            dets = []
+            for det in track.detections:
+                words = track.caption.raw.split() if track.caption else []
+                for _ in range(1 + int(rng.integers(3))):
+                    op, word = int(rng.integers(3)), _EDIT_WORDS[int(rng.integers(len(_EDIT_WORDS)))]
+                    if op == 0:
+                        words.insert(int(rng.integers(len(words) + 1)), word)
+                    elif op == 1 and len(words) > 2:
+                        del words[int(rng.integers(len(words)))]
+                    else:
+                        words.append(word)
+                dets.append(replace(det, caption=Caption.from_text(" ".join(words))))
+            tracks.append(replace(track, detections=tuple(dets)))
+        out.append(replace(record, trajectories=tuple(tracks)))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_box_caption_reports_equal_caption_oracles(monkeypatch, seed) -> None:
+    gts, preds = generate(
+        SynthConfig(
+            seed=seed, num_videos=2, frames_per_video=30, objects_per_video=4, box_jitter_sigma=2.0,
+            drop_rate=0.05, false_positive_rate=0.05, id_switch_rate=0.02, caption_corruption_rate=0.2,
+        )
+    )
+    preds = _box_captioned(preds, np.random.default_rng(seed))
+    config = ScorerConfig(metrics=("meteor", "cider"))
+    scored = []
+    monkeypatch.setattr(metrics, "meteor_lite", lambda p, r, **kw: scored.append((p, r)) or meteor_lite(p, r, **kw))
+    expected = chota(preds, gts, config=config).to_dict(), ap_m(preds, gts).to_dict()
+    # Both the forced count and the chunk search score some of the pairs.
+    forced = [_forced_alignment(p, r) is not None for p, r in scored]
+    assert any(forced) and not all(forced)
+    monkeypatch.setattr(metrics, "meteor_lite", lambda p, r, over_budget: meteor_oracle(p, r))
+    monkeypatch.setattr(metrics, "cider_pair", cider_oracle)
+    assert (chota(preds, gts, config=config).to_dict(), ap_m(preds, gts).to_dict()) == expected
+
+
+def test_pairs_past_the_search_budget_are_warned_about() -> None:
+    pred_caption, gt_caption = (" ".join(tokens) for tokens in OVER_BUDGET_PAIR)
+    boxes = [(f, 10.0, 10.0, 30.0, 30.0) for f in range(3)]
+    gts = [make_video(v, [make_track(1, boxes, gt_caption)], 3) for v in ("v0", "v1")]
+    preds = [make_video(v, [make_track(1, boxes, pred_caption)], 3) for v in ("v0", "v1")]
+    warning = (
+        "1 caption pairs ran past the METEOR chunk-search budget;"
+        " their chunk counts are upper bounds and their METEOR lower bounds"
+    )
+    report = chota(preds, gts, config=ScorerConfig(metrics=("meteor",)))
+    assert [w for w in report.to_dict()["warnings"] if "budget" in w] == [f"v0: {warning}", f"v1: {warning}"]
+    assert [w for w in ap_m(preds, gts).warnings if "budget" in w] == [warning]
+    assert not [w for w in chota(gts, gts).warnings + ap_m(gts, gts).warnings if "budget" in w]
