@@ -30,6 +30,9 @@ __all__ = [
 CIDER_MAX_N = 4
 CIDER_SIGMA = 6.0
 
+# Search nodes after which the METEOR chunk search keeps its first complete alignment.
+METEOR_NODE_BUDGET = 20000
+
 _VOWELS = set("aeiou")
 
 # Suffix-stripping rules, first match wins: (suffix, replacement, undouble).
@@ -79,7 +82,7 @@ class _ChunkSearch:
     ``used`` and the exact quotas determine them.
     """
 
-    def __init__(self, pred: Sequence[str], ref: Sequence[str], budget: int = 20000):
+    def __init__(self, pred: Sequence[str], ref: Sequence[str], budget: int = METEOR_NODE_BUDGET):
         self.budget = budget
         self.nodes = 0
         self.memo: dict = {}
@@ -264,7 +267,7 @@ def meteor_lite(
         search = _ChunkSearch(p, r)
         matches = search.n_exact + search.n_stem
         chunks = search.run() if matches else 0
-        if over_budget is not None and search.nodes > search.budget:
+        if over_budget is not None and search.nodes > METEOR_NODE_BUDGET:
             over_budget.append((p, r))
     if matches == 0:
         return 0.0

@@ -465,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (formats.FormatError, ValidationError, ground.GroundingError, FileNotFoundError) as exc:
+    except (formats.FormatError, ValidationError, ground.GroundingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

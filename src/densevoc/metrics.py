@@ -12,7 +12,7 @@ ineligible. Cross-video pooling is micro-averaged per threshold.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -198,16 +198,18 @@ def _sweep(prep: _VideoPrep, alphas: tuple[float, ...]) -> tuple[_Records, np.nd
     Each frame is matched at alphas[0]; the matching stays in use up to the
     last threshold its weakest pair still passes, and the frame is matched
     again at the next one. Returns the records as four int arrays (first
-    alpha, last alpha, gt row, pred row), one entry per matched pair of a
-    band over the observation tables of ``prep``, ordered by frame, band and
-    gt row. Also returns the match counts mc[alpha, gt track, pred track],
-    whose total per threshold is its true positive count, and the AssA
-    numerators per threshold.
+    alpha, last alpha, gt row, pred row) over the observation tables of
+    ``prep``: one entry per matched pair of a solved band, and one per pair
+    over its whole run in the tail, ordered by frame, first alpha and gt row.
+    Also returns the match counts mc[alpha, gt track, pred track], whose
+    total per threshold is its true positive count, and the AssA numerators
+    per threshold.
 
     Above the frame's largest second-highest IoU of any row or column, its
     eligible pairs are one-to-one, and the optimal matching is exactly those
     pairs, since each scores above 0. Only bands starting at or below that
-    cutoff are solved; every later band follows from the sorted IoUs.
+    cutoff are solved; from there on each eligible pair stays matched up to
+    its own last threshold.
     """
     n_alpha = len(alphas)
     alpha_arr = np.asarray(alphas)
@@ -254,22 +256,10 @@ def _sweep(prep: _VideoPrep, alphas: tuple[float, ...]) -> tuple[_Records, np.nd
             )
 
         # Closed-form tail: from the frame's first band start at or above the
-        # cutoff, a pair stays matched up to its own last threshold. The
-        # distinct last thresholds of a frame end its bands, and each next
-        # band starts one threshold later.
+        # cutoff, a pair stays matched up to its own last threshold.
         last = np.searchsorted(alpha_arr, sim, side="right") - 1
         f, i, j = np.nonzero(last >= tail_start[:, None, None])
-        if f.size:
-            pair_last = last[f, i, j]
-            ends = np.zeros((n_frames, n_alpha), dtype=bool)
-            ends[f, pair_last] = True
-            index = np.where(ends, np.arange(n_alpha), n_alpha)
-            next_end = np.minimum.accumulate(index[:, ::-1], axis=1)[:, ::-1]
-            starts = np.arange(n_alpha) == tail_start[:, None]
-            starts[:, 1:] |= ends[:, :-1]
-            entry, first = np.nonzero(starts[f] & (np.arange(n_alpha) <= pair_last[:, None]))
-            f = f[entry]
-            entries.append((frames[f], first, next_end[f, first], g_rows[f, i[entry]], p_rows[f, j[entry]]))
+        entries.append((frames[f], tail_start[f], last[f, i, j], g_rows[f, i], p_rows[f, j]))
 
     if entries:
         frame, first, last, g, p = (np.concatenate(c) for c in zip(*entries))
@@ -278,7 +268,7 @@ def _sweep(prep: _VideoPrep, alphas: tuple[float, ...]) -> tuple[_Records, np.nd
     order = np.lexsort((g, first, frame))
     records = (first[order], last[order], g[order], p[order])
 
-    # Match counts: +1 at each band start, -1 past its end, summed over alpha.
+    # Match counts: +1 at each record's first threshold, -1 past its last, summed over alpha.
     size = n_gt * n_pred
     cell = prep.gt.track[g] * n_pred + prep.pred.track[p]
     diff = np.bincount(
@@ -292,33 +282,20 @@ def _sweep(prep: _VideoPrep, alphas: tuple[float, ...]) -> tuple[_Records, np.nd
     return records, mc, (mc * ass_iou).sum(axis=(1, 2))
 
 
-@dataclass
-class _VideoStats:
-    """Per-video pooled statistics over the alpha grid (picklable)."""
-
-    video_id: str
-    tp: np.ndarray
-    fp: np.ndarray
-    fn: np.ndarray
-    ass_iou_sum: np.ndarray
-    cap_sum: np.ndarray
-    tp_prime: np.ndarray
-    gt_caption_count: int
-    warnings: list[str] = field(default_factory=list)
-
-
 class _PairScorer:
     """Caption pair scoring with memoization over token sequences.
 
     ``over_budget`` collects the scored pairs whose METEOR chunk search ran
     past its node budget, so their METEOR is a lower bound.
+    ``missing_external`` collects the distinct external-score keys looked up
+    and not found.
     """
 
     def __init__(self, config: ScorerConfig, idf: IdfTable):
         self.config = config
         self.idf = idf
         self.cache: dict[tuple, float] = {}
-        self.missing_external = 0
+        self.missing_external: set[tuple[str, int, int]] = set()
         self.over_budget: list[tuple] = []
 
     def intrinsic(self, pred: tuple[str, ...], gt: tuple[str, ...]) -> float:
@@ -358,10 +335,10 @@ class _PairScorer:
         )
 
     def external(self, video_id: str, pred_obs_index: int, gt_track_id: int) -> float:
-        scores = self.config.external_scores or {}
-        value = scores.get((video_id, pred_obs_index, gt_track_id))
+        key = (video_id, pred_obs_index, gt_track_id)
+        value = (self.config.external_scores or {}).get(key)
         if value is None:
-            self.missing_external += 1
+            self.missing_external.add(key)
             return 0.0
         return float(value)
 
@@ -372,15 +349,19 @@ def _evaluate_video(
     alphas: tuple[float, ...],
     config: ScorerConfig,
     idf: IdfTable,
-) -> _VideoStats:
+) -> tuple[str, np.ndarray, int, list[str]]:
+    """(video id, sums, gt caption count, warnings) of one video.
+
+    ``sums`` holds per threshold the rows tp, fp, fn, AssA numerator, CapA
+    sum and tp' (the matches of captioned ground truth).
+    """
     prep = _VideoPrep(pred, gt)
     n_alpha = len(alphas)
     records, mc, ass_iou_sum = _sweep(prep, alphas)
     tp = mc.sum(axis=(1, 2))
 
     gt_caption_count = int((prep.gt_caption >= 0).sum())
-    cap_sum = np.zeros(n_alpha)
-    tp_prime = np.zeros(n_alpha)
+    cap_sum = tp_prime = np.zeros(n_alpha)
     warnings: list[str] = []
     if gt_caption_count > 0:
         scorer = _PairScorer(config, idf)
@@ -388,22 +369,12 @@ def _evaluate_video(
         cap_sum, tp_prime = _caption_sums(records, n_alpha, prep, scorer, mc if track_captions_only else None)
         if scorer.missing_external:
             warnings.append(
-                f"{prep.video_id}: {scorer.missing_external} matched pairs had no external score (scored 0)"
+                f"{prep.video_id}: {len(scorer.missing_external)} matched pairs had no external score (scored 0)"
             )
         if scorer.over_budget:
             warnings.append(f"{prep.video_id}: {scorer.over_budget_warning()}")
-
-    return _VideoStats(
-        video_id=prep.video_id,
-        tp=tp,
-        fp=prep.pred_count.sum() - tp,
-        fn=prep.gt_count.sum() - tp,
-        ass_iou_sum=ass_iou_sum,
-        cap_sum=cap_sum,
-        tp_prime=tp_prime,
-        gt_caption_count=gt_caption_count,
-        warnings=warnings,
-    )
+    sums = np.array([tp, prep.pred_count.sum() - tp, prep.gt_count.sum() - tp, ass_iou_sum, cap_sum, tp_prime])
+    return prep.video_id, sums, gt_caption_count, warnings
 
 
 def _caption_sums(
@@ -511,6 +482,14 @@ class EvalReport:
         }
 
 
+def _det_ass(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """DetA and AssA per threshold from tp, fp, fn and AssA numerator rows; 1.0 where undefined."""
+    tp, fp, fn, ass_iou_sum = sums[:4]
+    total = tp + fp + fn
+    det = np.where(total > 0, tp / np.maximum(total, 1), 1.0)
+    return det, np.where(tp > 0, ass_iou_sum / np.maximum(tp, 1), 1.0)
+
+
 def _mid_alpha(alphas: Sequence[float]) -> int:
     """Index of the threshold closest to 0.5 (the first of a tie): where counts are reported."""
     return min(range(len(alphas)), key=lambda k: abs(alphas[k] - 0.5))
@@ -552,11 +531,11 @@ def _idf_documents(gts: Sequence[VideoTable]) -> list[tuple[str, ...]]:
 
 # Worker context for fork-based pools: records are inherited by the child
 # processes instead of being pickled per task; only the small per-video
-# statistics travel back.
+# sums travel back.
 _PARALLEL_CTX: dict = {}
 
 
-def _eval_indexed(index: int) -> _VideoStats:
+def _eval_indexed(index: int) -> tuple[str, np.ndarray, int, list[str]]:
     pred, gt = _PARALLEL_CTX["pairs"][index]
     return _evaluate_video(
         pred, gt, _PARALLEL_CTX["alphas"], _PARALLEL_CTX["config"], _PARALLEL_CTX["idf"]
@@ -590,7 +569,7 @@ def chota(
         _PARALLEL_CTX.update(pairs=pairs, alphas=alphas, config=config, idf=idf)
         try:
             with mp.get_context("fork").Pool(processes=processes) as pool:
-                stats = pool.map(
+                results = pool.map(
                     _eval_indexed,
                     range(len(pairs)),
                     chunksize=max(1, len(pairs) // (processes * 4)),
@@ -598,47 +577,32 @@ def chota(
         finally:
             _PARALLEL_CTX.clear()
     else:
-        stats = [_evaluate_video(pred, gt, alphas, config, idf) for pred, gt in pairs]
+        results = [_evaluate_video(pred, gt, alphas, config, idf) for pred, gt in pairs]
     # Reduce in id order so results do not depend on input video order.
-    stats.sort(key=lambda s: s.video_id)
+    results.sort(key=lambda r: r[0])
 
-    n_alpha = len(alphas)
-    tp = np.zeros(n_alpha)
-    fp = np.zeros(n_alpha)
-    fn = np.zeros(n_alpha)
-    ass_sum = np.zeros(n_alpha)
-    cap_sum = np.zeros(n_alpha)
-    tp_prime = np.zeros(n_alpha)
-    gt_caption_total = 0
     mid = _mid_alpha(alphas)
     per_video: dict[str, dict] = {}
-    for s in stats:
-        tp += s.tp
-        fp += s.fp
-        fn += s.fn
-        ass_sum += s.ass_iou_sum
-        cap_sum += s.cap_sum
-        tp_prime += s.tp_prime
-        gt_caption_total += s.gt_caption_count
-        warnings.extend(s.warnings)
-        v_total = s.tp + s.fp + s.fn
-        v_det = np.where(v_total > 0, s.tp / np.maximum(v_total, 1), 1.0)
-        v_ass = np.where(s.tp > 0, s.ass_iou_sum / np.maximum(s.tp, 1), 1.0)
-        per_video[s.video_id] = {
+    for video_id, sums, gt_caption_count, video_warnings in results:
+        warnings.extend(video_warnings)
+        v_det, v_ass = _det_ass(sums)
+        v_cap, v_tp_prime = sums[4:]
+        per_video[video_id] = {
             "det_a": float(v_det.mean()),
             "ass_a": float(v_ass.mean()),
             "cap_a": (
-                float((s.cap_sum[s.tp_prime > 0] / s.tp_prime[s.tp_prime > 0]).mean())
-                if (s.tp_prime > 0).any()
-                else (0.0 if s.gt_caption_count else None)
+                float((v_cap[v_tp_prime > 0] / v_tp_prime[v_tp_prime > 0]).mean())
+                if (v_tp_prime > 0).any()
+                else (0.0 if gt_caption_count else None)
             ),
-            "tp@mid": float(s.tp[mid]),
+            "tp@mid": float(sums[0, mid]),
         }
 
-    total = tp + fp + fn
-    det_arr = np.where(total > 0, tp / np.maximum(total, 1), 1.0)
-    ass_arr = np.where(tp > 0, ass_sum / np.maximum(tp, 1), 1.0)
-    capa_defined = gt_caption_total > 0
+    # cumsum adds one video at a time, in id order, as a per-video += would.
+    pooled = np.cumsum([np.zeros((6, len(alphas)))] + [r[1] for r in results], axis=0)[-1]
+    tp, fp, fn, _, cap_sum, tp_prime = pooled
+    det_arr, ass_arr = _det_ass(pooled)
+    capa_defined = any(r[2] for r in results)
     cap_arr = np.where(tp_prime > 0, cap_sum / np.maximum(tp_prime, 1), 0.0)
 
     det_mean = float(det_arr.mean())

@@ -700,6 +700,18 @@ BAD_INPUTS = {
         {"video_id": "v0", "query_id": "q1", "text": "x", "span": [0, 0],
          "boxes": [{"frame": 0, "box": [10, 0, 0, 10]}]},
     ]),
+    "input-path-is-a-directory": lambda tmp: ["eval-chota", str(tmp), _SYNTH_GT],
+    "out-path-is-a-directory": lambda tmp: ["eval-chota", _SYNTH_GT, _SYNTH_GT, "--out", str(tmp)],
+    "synth-out-gt-is-a-directory": lambda tmp: ["synth", "--out-gt", str(tmp), "--out-pred", str(tmp / "pred.json")],
+    "alphas-not-increasing": lambda tmp: ["eval-chota", _SYNTH_GT, _SYNTH_GT, "--alphas", "0.5,0.4"],
+    "alphas-zero": lambda tmp: ["eval-chota", _SYNTH_GT, _SYNTH_GT, "--alphas", "0,0.5"],
+    "alphas-one": lambda tmp: ["eval-chota", _SYNTH_GT, _SYNTH_GT, "--alphas", "0.5,1"],
+    "cap-metrics-unknown": lambda tmp: ["eval-chota", _SYNTH_GT, _SYNTH_GT, "--cap-metrics", "bleu"],
+    "cap-metrics-empty": lambda tmp: ["eval-chota", _SYNTH_GT, _SYNTH_GT, "--cap-metrics", ","],
+    "cap-metrics-external-without-scores": lambda tmp: [
+        "eval-chota", _SYNTH_GT, _SYNTH_GT, "--cap-metrics", "meteor,external"
+    ],
+    "capa-alpha-mode-unknown": lambda tmp: ["eval-chota", _SYNTH_GT, _SYNTH_GT, "--capa-alpha", "integral"],
     "query-span-frame-without-box": lambda tmp: _ground_files(tmp, queries=[
         {"video_id": "v0", "query_id": "q1", "text": "x", "span": [0, 1],
          "boxes": [{"frame": 0, "box": [0, 0, 10, 10]}]},

@@ -253,6 +253,12 @@ def _oracle_columns(records) -> list[np.ndarray]:
     return [np.array(column, dtype=int) for column in zip(*entries)] if entries else [np.zeros(0, int)] * 4
 
 
+def _covered(columns) -> list[tuple[int, int, int]]:
+    """The sorted (alpha, gt row, pred row) triples that (first, last, gt row, pred row) records cover."""
+    first, last, g, p = (column.tolist() for column in columns)
+    return sorted((a, gi, pi) for lo, hi, gi, pi in zip(first, last, g, p) for a in range(lo, hi + 1))
+
+
 @pytest.mark.parametrize("alphas", [DEFAULT_ALPHAS, (0.5,), (0.2, 0.25, 0.5, 0.55, 0.95)])
 def test_sweep_equals_per_frame_oracle(rng, alphas) -> None:
     # Crowded frames (9+ and 17+ boxes a side) reach numpy's unrolled pairwise
@@ -273,8 +279,11 @@ def test_sweep_equals_per_frame_oracle(rng, alphas) -> None:
         records, mc, ass_sum, global_ass = sweep_oracle(pred, gt, alphas)
         prep = _VideoPrep(VideoTable.from_record(pred), VideoTable.from_record(gt))
         got_records, got_mc, got_ass_sum = _sweep(prep, alphas)
-        for got, expected in zip(got_records, _oracle_columns(records)):
-            assert np.array_equal(got, expected), trial
+        # The matching at every threshold, each pair covered at most once; the
+        # tail's records span a pair's whole run, the oracle's one band each.
+        covered = _covered(got_records)
+        assert covered == _covered(_oracle_columns(records)), trial
+        assert len(set(covered)) == len(covered), trial
         assert np.array_equal(got_mc, mc), trial
         assert np.array_equal(got_ass_sum, ass_sum), trial
         assert np.array_equal(prep.global_ass, global_ass), trial
@@ -577,6 +586,69 @@ def test_box_caption_reports_equal_caption_oracles(monkeypatch, seed) -> None:
     monkeypatch.setattr(metrics, "meteor_lite", lambda p, r, over_budget: meteor_oracle(p, r))
     monkeypatch.setattr(metrics, "cider_pair", cider_oracle)
     assert (chota(preds, gts, config=config).to_dict(), ap_m(preds, gts).to_dict()) == expected
+
+
+_TIE_CAPTIONS = ("a red car", "a dog runs", "the old man walks slowly", "two birds fly", "")
+
+
+def _tie_captioned(rng) -> tuple[VideoRecord, VideoRecord]:
+    """A tie-heavy pair whose tracks carry captions and about half of whose predicted boxes carry their own."""
+
+    def caption():
+        return _TIE_CAPTIONS[int(rng.integers(len(_TIE_CAPTIONS)))]
+
+    pred, gt = tie_heavy_instance(rng, max_tracks=4, max_frames=8)
+    pred = make_video(pred.video_id, [
+        make_track(t.track_id, [(d.frame, *d.box.as_tuple()) for d in t.detections], caption(),
+                   det_captions=[caption() if rng.random() < 0.5 else None for _ in t.detections])
+        for t in pred.trajectories
+    ], pred.num_frames)
+    gt = make_video(gt.video_id, [replace(t, caption=Caption.from_text(caption())) for t in gt.trajectories],
+                    gt.num_frames)
+    return pred, gt
+
+
+@pytest.mark.parametrize("alphas", [DEFAULT_ALPHAS, (0.5,), (0.2, 0.25, 0.5, 0.55, 0.95)])
+def test_caption_sums_on_tail_runs_equal_per_band_oracle(rng, alphas) -> None:
+    # The sweep keeps one record per pair over its whole tail run; the oracle
+    # cuts that run into bands. Both must add the same matches per threshold
+    # in the same order, so the sums agree bit for bit.
+    instances = [_tie_captioned(rng) for _ in range(6)]
+    gts, preds = generate(SynthConfig(seed=5, num_videos=2, frames_per_video=30, objects_per_video=6,
+                                      box_jitter_sigma=4.0, drop_rate=0.1, false_positive_rate=0.2,
+                                      id_switch_rate=0.05, caption_corruption_rate=0.3))
+    instances += list(zip(_box_captioned(preds, np.random.default_rng(5)), gts))
+    config = ScorerConfig()
+    captioned_matches = 0
+    for trial, (pred, gt) in enumerate(instances):
+        idf = IdfTable.build(_idf_documents([VideoTable.from_record(gt)]))
+        prep = _VideoPrep(VideoTable.from_record(pred), VideoTable.from_record(gt))
+        got = _caption_sums(_sweep(prep, alphas)[0], len(alphas), prep, _PairScorer(config, idf))
+        bands = _oracle_columns(sweep_oracle(pred, gt, alphas)[0])
+        expected = caption_sums_oracle(pred, gt, bands, len(alphas), _PairScorer(config, idf))
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected)), trial
+        captioned_matches += expected[1].sum()
+    assert captioned_matches > 100 * len(alphas)
+
+
+def test_missing_external_scores_are_counted_once_per_pair() -> None:
+    # GT boxes A and B; predictions at IoU 0.9 and 0.25 with A and 0.3 with B.
+    # The 0.25 candidate makes the frame a solved one up to 0.25, so the 0.9
+    # pair is matched in the solved band 0.05-0.3 and again in the tail from
+    # 0.35: three records of two pairs.
+    gt = make_video("v0", [
+        make_track(1, [(0, 0.0, 0.0, 100.0, 100.0)], "a red car"),
+        make_track(2, [(0, 200.0, 0.0, 300.0, 100.0)], "a dog"),
+    ], 1)
+    pred = make_video("v0", [
+        make_track(1, [(0, 0.0, 0.0, 100.0, 90.0)], "a red car"),
+        make_track(2, [(0, 200.0, 0.0, 300.0, 30.0)], "a dog"),
+        make_track(3, [(0, 0.0, 0.0, 100.0, 25.0)], "a cat"),
+    ], 1)
+    records = _sweep(_VideoPrep(VideoTable.from_record(pred), VideoTable.from_record(gt)), DEFAULT_ALPHAS)[0]
+    assert len(records[0]) == 3
+    report = chota([pred], [gt], config=ScorerConfig(metrics=("meteor", "external"), external_scores={}))
+    assert [w for w in report.warnings if "external" in w] == ["v0: 2 matched pairs had no external score (scored 0)"]
 
 
 def test_pairs_past_the_search_budget_are_warned_about() -> None:
