@@ -139,11 +139,16 @@ def cmd_eval_apm(args) -> int:
     return _apply_gates(gates, {"ap_m": report.overall})
 
 
-def cmd_track_assign(args) -> int:
-    matrix = formats.load_matrix(args.matrix)
+def _load_assoc(path: str) -> assoc.AssocMatrix:
+    """The association matrix in ``path``; a feature matrix there is a ValidationError."""
+    matrix = formats.load_matrix(path)
     if not isinstance(matrix, assoc.AssocMatrix):
-        raise ValidationError(f"{args.matrix} holds a feature matrix, not an association matrix")
-    ids = assoc.assign_identities(matrix, theta=args.theta)
+        raise ValidationError(f"{path} holds a feature matrix, not an association matrix")
+    return matrix
+
+
+def cmd_track_assign(args) -> int:
+    ids = assoc.assign_identities(_load_assoc(args.matrix), theta=args.theta)
     print(f"observations={len(ids)} tracks={len(set(ids.ids.tolist()))}")
     if args.out:
         formats.write_json({"ids": [int(i) for i in ids.ids]}, args.out)
@@ -175,10 +180,9 @@ def cmd_aggregate(args) -> int:
     if isinstance(features, assoc.AssocMatrix):
         raise ValidationError(f"{args.features} holds an association matrix, not features")
     if args.mode == "soft":
-        matrix = formats.load_matrix(args.matrix)
-        if not isinstance(matrix, assoc.AssocMatrix):
-            raise ValidationError(f"{args.matrix} holds a feature matrix, not an association matrix")
-        out = agg.soft_aggregate(assoc.preprocess(matrix), features.values)
+        if not args.matrix:
+            raise ValidationError("soft aggregation needs --matrix")
+        out = agg.soft_aggregate(assoc.preprocess(_load_assoc(args.matrix)), features.values)
         if args.out:
             formats.save_matrix(features.video_id, features.frame_of, out, args.out, kind="features")
         print(f"rows={out.shape[0]} dim={out.shape[1]}")
@@ -188,10 +192,7 @@ def cmd_aggregate(args) -> int:
     else:
         if not args.matrix:
             raise ValidationError("hard aggregation needs --ids or --matrix")
-        matrix = formats.load_matrix(args.matrix)
-        if not isinstance(matrix, assoc.AssocMatrix):
-            raise ValidationError(f"{args.matrix} holds a feature matrix, not an association matrix")
-        ids = assoc.assign_identities(matrix, theta=args.theta)
+        ids = assoc.assign_identities(_load_assoc(args.matrix), theta=args.theta)
     result = agg.hard_aggregate(features.values, ids, features.frame_of, m=args.m)
     obj = {
         "video_id": features.video_id,

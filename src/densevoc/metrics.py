@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -113,64 +114,59 @@ def _frames(table: VideoTable, num_frames: int, caption_ids: dict[str, int] | No
     )
 
 
-def _shape_groups(gt: _FrameTable, pred: _FrameTable) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The frames holding ground truth, grouped by their exact (n_gt, n_pred) shape.
+def _shape_groups(gt: _FrameTable, pred: _FrameTable) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The frames holding both ground truth and predictions, grouped by their exact (n_gt, n_pred) shape.
 
-    Each group is, in increasing frame order, its frame numbers ``(F,)`` and
-    its gt and pred observation rows ``(F, n_gt)`` and ``(F, n_pred)``;
-    ``n_pred`` may be 0.
+    Each group is, in increasing frame order, its frame numbers ``(F,)``, its
+    gt and pred observation rows ``(F, n_gt)`` and ``(F, n_pred)``, and their
+    IoU blocks ``(F, n_gt, n_pred)``. Shapes are kept exact, not zero-padded:
+    numpy's pairwise summation depends on the row length, and exact shapes
+    keep every row and column sum equal to the one of a single frame's block.
     """
     frames, g_start, n_g = np.unique(gt.frame, return_index=True, return_counts=True)
     p_start = np.searchsorted(pred.frame, frames)
     n_p = np.searchsorted(pred.frame, frames, side="right") - p_start
     shape = n_g * (n_p.max(initial=0) + 1) + n_p
     groups = []
-    for key in np.unique(shape).tolist():
+    for key in np.unique(shape[n_p > 0]).tolist():
         sel = shape == key
-        n_gt, n_pred = int(n_g[sel][0]), int(n_p[sel][0])
-        groups.append(
-            (frames[sel], g_start[sel, None] + np.arange(n_gt), p_start[sel, None] + np.arange(n_pred))
-        )
+        g_rows = g_start[sel, None] + np.arange(n_g[sel][0])
+        p_rows = p_start[sel, None] + np.arange(n_p[sel][0])
+        groups.append((frames[sel], g_rows, p_rows, iou_matrix(gt.corners[g_rows], pred.corners[p_rows])))
     return groups
 
 
 class _VideoPrep:
-    """Observation tables, per-frame similarities and pass-1 association strengths.
+    """One video's observation tables, caption ids and per-frame IoU, for CHOTA and AP_M.
 
-    Frames holding both ground truth and predictions are grouped by their
-    exact (n_gt, n_pred) shape. ``buckets`` holds per shape, in increasing
-    frame order, the frame numbers ``(F,)``, gt and pred observation rows
-    ``(F, n_gt)`` and ``(F, n_pred)``, and the IoU blocks ``(F, n_gt, n_pred)``.
-    Shapes are kept exact, not zero-padded: numpy's pairwise summation depends
-    on the row length, and exact shapes keep every row and column sum equal
-    to the one of a single frame's block.
+    ``gt_caption`` holds each gt track's own caption id (-1 for none) and
+    ``pred.caption`` each prediction row's effective one. ``groups`` are the
+    ``_shape_groups`` of the two tables. ``global_ass``, the pass-1
+    association strength per (gt track, pred track), is computed on first read.
     """
 
     def __init__(self, pred: VideoTable, gt: VideoTable):
         self.video_id = gt.video_id
         self.gt_track_ids = gt.track_ids
-        # Captions by id: gt tracks' own (-1 for none) and each prediction row's effective one.
         self.caption_ids: dict[str, int] = {}
         self.gt_caption = _intern(gt.track_captions, self.caption_ids)
         self.gt = _frames(gt, gt.num_frames)
         self.pred = _frames(pred, gt.num_frames, self.caption_ids)
-        self.n_gt, self.n_pred = n_gt, n_pred = len(gt.track_ids), len(pred.track_ids)
-        self.gt_count = np.bincount(self.gt.track, minlength=n_gt)
-        self.pred_count = np.bincount(self.pred.track, minlength=n_pred)
+        self.n_gt, self.n_pred = len(gt.track_ids), len(pred.track_ids)
+        self.gt_count = np.bincount(self.gt.track, minlength=self.n_gt)
+        self.pred_count = np.bincount(self.pred.track, minlength=self.n_pred)
+        self.groups = _shape_groups(self.gt, self.pred)
 
-        self.buckets: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    @cached_property
+    def global_ass(self) -> np.ndarray:
+        n_gt, n_pred = self.n_gt, self.n_pred
         pair_frame, pair_cell, pair_iou = [], [], []
-        for frames, g_rows, p_rows in _shape_groups(self.gt, self.pred):
-            n_g, n_p = g_rows.shape[1], p_rows.shape[1]
-            if n_p == 0:
-                continue
-            sim = iou_matrix(self.gt.corners[g_rows], self.pred.corners[p_rows])
-            self.buckets.append((frames, g_rows, p_rows, sim))
+        for frames, g_rows, p_rows, sim in self.groups:
             denom = sim.sum(1)[:, None, :] + sim.sum(2)[:, :, None] - sim
             pair_iou.append(np.divide(sim, denom, out=np.zeros_like(sim), where=denom > 1e-12).ravel())
             cell = self.gt.track[g_rows][:, :, None] * n_pred + self.pred.track[p_rows][:, None, :]
             pair_cell.append(cell.ravel())
-            pair_frame.append(np.repeat(frames, n_g * n_p))
+            pair_frame.append(np.repeat(frames, sim[0].size))
         # Each cell occurs once per frame, and bincount adds in input order, so
         # summing in frame order repeats the per-frame accumulation exactly.
         potential = np.zeros(n_gt * n_pred)
@@ -184,9 +180,7 @@ class _VideoPrep:
         potential = potential.reshape(n_gt, n_pred)
 
         denom = self.gt_count[:, None] + self.pred_count[None, :] - potential
-        self.global_ass = np.divide(
-            potential, denom, out=np.zeros_like(potential), where=denom > 1e-12
-        )
+        return np.divide(potential, denom, out=np.zeros_like(potential), where=denom > 1e-12)
 
 
 _Records = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -203,7 +197,7 @@ def _sweep(prep: _VideoPrep, alphas: tuple[float, ...]) -> tuple[_Records, np.nd
     over its whole run in the tail, ordered by frame, first alpha and gt row.
     Also returns the match counts mc[alpha, gt track, pred track], whose
     total per threshold is its true positive count, and the AssA numerators
-    per threshold.
+    per threshold. The frames are those of ``prep.groups``.
 
     Above the frame's largest second-highest IoU of any row or column, its
     eligible pairs are one-to-one, and the optimal matching is exactly those
@@ -215,7 +209,7 @@ def _sweep(prep: _VideoPrep, alphas: tuple[float, ...]) -> tuple[_Records, np.nd
     alpha_arr = np.asarray(alphas)
     n_gt, n_pred = prep.n_gt, prep.n_pred
     entries = []  # (frame, first alpha, last alpha, gt row, pred row) arrays
-    for frames, g_rows, p_rows, sim in prep.buckets:
+    for frames, g_rows, p_rows, sim in prep.groups:
         n_frames, n_g, n_p = sim.shape
         cutoff = np.full(n_frames, -np.inf)
         if n_p > 1:
@@ -669,9 +663,11 @@ class ApmReport:
     warnings: list[str]  # not written by to_dict
 
     def to_dict(self) -> dict:
+        """The report as JSON values: with no ground-truth frame, ``ap_m`` and every cell are null, not NaN."""
+        defined = self.num_frames > 0
         return {
-            "ap_m": self.overall,
-            "grid": self.grid.tolist(),
+            "ap_m": self.overall if defined else None,
+            "grid": (self.grid if defined else np.full(self.grid.shape, None)).tolist(),
             "iou_thresholds": list(self.iou_thresholds),
             "meteor_thresholds": list(self.meteor_thresholds),
             "num_frames": self.num_frames,
@@ -695,11 +691,13 @@ def ap_m(
     the lowest IoU threshold, since no other pair can match in any cell; this
     changes no result.
 
-    A video's frames are grouped by their exact (n_pred, n_gt) shape, and
-    each group is matched in every grid cell at once. AP is computed once per
-    distinct (n_gt, ranked flags) over the collection. Per-frame APs are
-    added in (video, frame) order, so the grid is the same as a frame-by-frame
-    sum.
+    A video's observation tables and IoU blocks are the ones CHOTA uses
+    (``_VideoPrep``): frames holding both ground truth and predictions,
+    grouped by exact shape, and each group is matched in every grid cell at
+    once. A frame holding ground truth but no prediction counts toward the
+    average and adds 0. AP is computed once per distinct (n_gt, ranked flags)
+    over the collection. Per-frame APs are added in (video, frame) order, so
+    the grid is the same as a frame-by-frame sum.
     """
     iou_thresholds = tuple(iou_thresholds)
     meteor_thresholds = tuple(meteor_thresholds)
@@ -720,34 +718,32 @@ def ap_m(
     ap_by_flags: dict[tuple[int, bytes], float] = {}
 
     for pred, gt in pairs:
-        caption_ids: dict[str, int] = {}
-        gt_table, pred_table = _frames(gt, gt.num_frames), _frames(pred, gt.num_frames, caption_ids)
-        gt_caption = _intern(gt.track_captions, caption_ids)[gt_table.track]  # -1: accepts any caption
-        # Per shape group with predictions: its rows in descending score order
-        # (stable), IoU, and the pairs that clear the lowest IoU threshold
-        # against a captioned ground truth, since no other pair needs METEOR.
-        video_frames, video_ap, groups = [], [], []
-        for frames, g_rows, p_rows in _shape_groups(gt_table, pred_table):
-            if p_rows.shape[1] == 0:
-                video_frames.append(frames)
-                video_ap.append(np.zeros((len(frames), n_cells)))  # AP 0 in every cell
-                continue
-            p_rows = np.take_along_axis(
-                p_rows, np.argsort(-pred_table.score[p_rows], axis=1, kind="stable"), axis=1
-            )
-            iou_mat = iou_matrix(pred_table.corners[p_rows], gt_table.corners[g_rows])
+        prep = _VideoPrep(pred, gt)
+        gt_caption = prep.gt_caption[prep.gt.track]  # per gt row; -1: accepts any caption
+        # The distinct frames of the non-decreasing gt.frame; one holding no
+        # prediction has AP 0 in every cell, so it counts and adds +0.0.
+        n_frames += int(np.count_nonzero(np.diff(prep.gt.frame, prepend=-1)))
+        # Per shape group: prediction rows in descending score order (stable),
+        # the IoU block as (frame, pred, gt) in that order (iou_matrix is
+        # symmetric bit for bit), and the pairs that clear the lowest IoU
+        # threshold against a captioned ground truth: no other pair needs METEOR.
+        groups = []
+        for _, g_rows, p_rows, sim in prep.groups:
+            order = np.argsort(-prep.pred.score[p_rows], axis=1, kind="stable")
+            p_rows = np.take_along_axis(p_rows, order, axis=1)
+            iou_mat = sim[np.arange(len(sim))[:, None], :, order]  # advanced axes first: (frame, pred, gt)
             candidates = np.nonzero((iou_mat >= min_iou) & (gt_caption[g_rows] >= 0)[:, None, :])
-            groups.append((frames, g_rows, p_rows, iou_mat, candidates))
+            groups.append((g_rows, p_rows, iou_mat, candidates))
         # METEOR once per distinct (pred caption, gt caption) pair of the video.
         none = [np.zeros(0, dtype=np.int64)]
-        pred_ids = [pred_table.caption[p_rows[f, i]] for _, _, p_rows, _, (f, i, _) in groups]
-        gt_ids = [gt_caption[g_rows[f, j]] for _, g_rows, _, _, (f, _, j) in groups]
-        meteor = scorer.pairs(caption_ids, np.concatenate(none + pred_ids), np.concatenate(none + gt_ids))
+        pred_ids = [prep.pred.caption[p_rows[f, i]] for _, p_rows, _, (f, i, _) in groups]
+        gt_ids = [gt_caption[g_rows[f, j]] for g_rows, _, _, (f, _, j) in groups]
+        meteor = scorer.pairs(prep.caption_ids, np.concatenate(none + pred_ids), np.concatenate(none + gt_ids))
         meteor = np.split(meteor, np.cumsum([len(ids) for ids in pred_ids])[:-1])
-        for (frames, g_rows, p_rows, iou_mat, (f, i, j)), met in zip(groups, meteor):
+        video_ap = []
+        for (g_rows, p_rows, iou_mat, (f, i, j)), met in zip(groups, meteor):
             n_f, n_gt = g_rows.shape
             n_pred = p_rows.shape[1]
-            video_frames.append(frames)
             met_mat = np.ones_like(iou_mat)
             met_mat[f, i, j] = met
             # Greedy match in every frame and cell at once: each prediction
@@ -773,12 +769,11 @@ def ap_m(
                     ap_by_flags[key] = average_precision(row, n_gt)
                 ap[u] = ap_by_flags[key]
             video_ap.append(ap[inverse].reshape(n_f, n_cells))
-        if video_frames:
-            order = np.argsort(np.concatenate(video_frames))
+        if groups:
+            order = np.argsort(np.concatenate([frames for frames, *_ in prep.groups]))
             # cumsum adds one frame at a time, in frame order, as a per-frame
             # += would; a sum over the frames would regroup the additions.
             cell_sum = np.cumsum(np.vstack([cell_sum, np.concatenate(video_ap)[order]]), axis=0)[-1]
-            n_frames += len(order)
 
     if scorer.over_budget:
         warnings.append(scorer.over_budget_warning())

@@ -96,6 +96,21 @@ def test_eval_apm_prints_pairing_warnings(tmp_path, capsys) -> None:
     assert "warnings" not in json.loads(out.read_text())
 
 
+def test_eval_apm_report_without_gt_frames_is_strict_json(tmp_path, capsys) -> None:
+    gt = _write(tmp_path / "gt.json", [{"video_id": "v0", "num_frames": 3, "tracks": []}])
+    out = tmp_path / "apm.json"
+    assert main(["eval-apm", gt, gt, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "ap_m=nan\nframes=0\n"
+
+    def reject(token):
+        raise ValueError(f"not a JSON number: {token}")
+
+    report = json.loads(out.read_text(), parse_constant=reject)
+    assert report["ap_m"] is None
+    assert report["grid"] == [[None] * 5] * 5
+    assert report["num_frames"] == 0
+
+
 def test_track_assign_fixture(tmp_path, capsys) -> None:
     values = np.full((4, 4), 0.1)
     np.fill_diagonal(values, 1.0)
@@ -566,10 +581,14 @@ def _huge_coordinate_gt(tmp_path) -> str:
     return _gt_with(tmp_path, lambda d: d[0]["tracks"][0]["boxes"][0].update(box=[0, 0, 10**400, 10]))
 
 
-def _aggregate_ids_files(tmp_path, ids) -> list[str]:
+def _features_file(tmp_path) -> str:
     feat_path = tmp_path / "features.json"
     save_matrix("v0", np.array([0, 1]), np.array([[0.0, 0.0], [3.0, 3.0]]), feat_path, kind="features")
-    return ["aggregate", str(feat_path), "--mode", "hard", "--m", "2", "--ids", _write(tmp_path / "ids.json", ids)]
+    return str(feat_path)
+
+
+def _aggregate_ids_files(tmp_path, ids) -> list[str]:
+    return ["aggregate", _features_file(tmp_path), "--mode", "hard", "--m", "2", "--ids", _write(tmp_path / "ids.json", ids)]
 
 
 def _span_query(span) -> list[dict]:
@@ -639,6 +658,11 @@ BAD_INPUTS = {
     "aggregate-ids-not-integers": lambda tmp: _aggregate_ids_files(tmp, {"ids": [1, "a"]}),
     "aggregate-ids-float": lambda tmp: _aggregate_ids_files(tmp, {"ids": [1, 1.5]}),
     "aggregate-ids-out-of-range": lambda tmp: _aggregate_ids_files(tmp, {"ids": [1, 2**70]}),
+    "aggregate-soft-without-matrix": lambda tmp: ["aggregate", _features_file(tmp), "--mode", "soft"],
+    "aggregate-soft-matrix-holds-features": lambda tmp: [
+        "aggregate", _features_file(tmp), "--mode", "soft", "--matrix", _features_file(tmp)
+    ],
+    "track-assign-matrix-holds-features": lambda tmp: ["track-assign", _features_file(tmp)],
     "query-span-strings": lambda tmp: _ground_files(tmp, queries=_span_query(["a", "b"])),
     "query-span-floats": lambda tmp: _ground_files(tmp, queries=_span_query([0, 0.5])),
     "query-span-bools": lambda tmp: _ground_files(tmp, queries=_span_query([False, False])),

@@ -82,6 +82,9 @@ def test_zero_area_box_is_legal_and_scores_zero() -> None:
 def _assert_kernel_equals_scalar(rows: list[Box], cols: list[Box]) -> None:
     got = iou_matrix(np.array([b.as_tuple() for b in rows]), np.array([b.as_tuple() for b in cols]))
     assert got.shape == (len(rows), len(cols))
+    # Symmetric bit for bit, since min, max and + commute: AP_M reads CHOTA's blocks transposed.
+    flipped = iou_matrix(np.array([b.as_tuple() for b in cols]), np.array([b.as_tuple() for b in rows]))
+    assert np.array_equal(flipped, got.swapaxes(-1, -2))
     for r, a in enumerate(rows):
         for c, b in enumerate(cols):
             assert got[r, c] == iou(a, b), (a, b)
