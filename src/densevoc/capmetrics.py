@@ -340,7 +340,10 @@ class IdfTable:
         out = []
         for n in range(1, CIDER_MAX_N + 1):
             vec = {g: c * weights.get(g, unseen) for g, c in _ngrams(tokens, n).items()}
-            out.append((vec, math.sqrt(sum(v * v for v in vec.values()))))
+            norm2 = 0.0
+            for v in vec.values():
+                norm2 += v * v
+            out.append((vec, math.sqrt(norm2)))
         return out
 
 
@@ -348,19 +351,22 @@ def cider_pair(pred: Caption | Sequence[str], ref: Caption | Sequence[str], idf:
     """Mean TF-IDF n-gram cosine over n = 1..CIDER_MAX_N, Gaussian length penalty of width CIDER_SIGMA.
 
     Normalized to [0, 1] (no x10 scale). A level with an all-zero vector on
-    either side contributes 0.
+    either side contributes 0. Sums add left to right, not with the builtin
+    sum(), which compensates float sums from Python 3.12 on.
     """
     p, r = _tokens(pred), _tokens(ref)
     refs = idf._refs.get(r) or idf._vectors(r)
-    sims = []
+    total = 0.0
     for (pv, norm_p), (rv, norm_r) in zip(idf._vectors(p), refs):
         if norm_p == 0.0 or norm_r == 0.0:
-            sims.append(0.0)
             continue
-        dot = sum(v * rv[g] for g, v in pv.items() if g in rv)
-        sims.append(dot / (norm_p * norm_r))
+        dot = 0.0
+        for g, v in pv.items():
+            if g in rv:
+                dot += v * rv[g]
+        total += dot / (norm_p * norm_r)
     penalty = math.exp(-((len(p) - len(r)) ** 2) / (2.0 * CIDER_SIGMA**2))
-    return min(1.0, sum(sims) / len(sims) * penalty)
+    return min(1.0, total / CIDER_MAX_N * penalty)
 
 
 def exact_match(pred: Caption | Sequence[str], ref: Caption | Sequence[str]) -> float:

@@ -20,13 +20,6 @@ from . import assoc, formats, ground, losses, metrics, synth
 from .core import ValidationError, VideoTable
 
 
-def _jobs_default() -> int:
-    try:
-        return max(1, int(os.environ.get("DENSEVOC_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
 def _number(text: str, flag: str, low: float = -math.inf, high: float = math.inf) -> float:
     """A finite float in [low, high] from a command-line value; else a ValidationError."""
     try:
@@ -83,6 +76,8 @@ def _scorer_config(args) -> metrics.ScorerConfig:
         if not args.external_scores:
             raise ValidationError("--cap-metrics external requires --external-scores FILE")
         external = formats.load_external_scores(args.external_scores)
+    elif args.external_scores:
+        raise ValidationError("--external-scores is read only with external in --cap-metrics")
     capa_alpha = None
     if args.capa_alpha != "integrate":
         mode, _, value = args.capa_alpha.partition(":")
@@ -95,10 +90,11 @@ def _scorer_config(args) -> metrics.ScorerConfig:
 def cmd_eval_chota(args) -> int:
     gates = _parse_gates(args.gate)
     alphas = tuple(_number(a, "--alphas") for a in args.alphas.split(","))
+    jobs = _in_range(args.jobs, "--jobs", 1, math.inf)
     gts = formats.load_dataset(args.gt, strict=args.strict)
     preds = formats.load_dataset(args.pred, strict=args.strict)
     config = _scorer_config(args)
-    report = metrics.chota(preds, gts, alphas=alphas, config=config, jobs=args.jobs)
+    report = metrics.chota(preds, gts, alphas=alphas, config=config, jobs=jobs)
     summary = report.flat_summary()
     for key, value in summary.items():
         print(f"{key}={value}")
@@ -176,6 +172,13 @@ def cmd_track_iou(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
+    # Each mode reads only these flags; giving another one is an error, not a silent drop.
+    mode = "hard with --ids" if args.mode == "hard" and args.ids else args.mode
+    reads = {"soft": ("matrix",), "hard with --ids": ("ids", "m"), "hard": ("matrix", "theta", "m")}[mode]
+    unread = [f"--{flag}" for flag in ("matrix", "ids", "m", "theta")
+              if flag not in reads and getattr(args, flag) is not None]
+    if unread:
+        raise ValidationError(f"aggregate --mode {mode} does not read {', '.join(unread)}")
     features = formats.load_matrix(args.features)
     if isinstance(features, assoc.AssocMatrix):
         raise ValidationError(f"{args.features} holds an association matrix, not features")
@@ -192,11 +195,12 @@ def cmd_aggregate(args) -> int:
     else:
         if not args.matrix:
             raise ValidationError("hard aggregation needs --ids or --matrix")
-        ids = assoc.assign_identities(_load_assoc(args.matrix), theta=args.theta)
-    result = agg.hard_aggregate(features.values, ids, features.frame_of, m=args.m)
+        ids = assoc.assign_identities(_load_assoc(args.matrix), theta=0.5 if args.theta is None else args.theta)
+    m = 6 if args.m is None else args.m
+    result = agg.hard_aggregate(features.values, ids, features.frame_of, m=m)
     obj = {
         "video_id": features.video_id,
-        "m": args.m,
+        "m": m,
         "tracks": [
             {"track_id": tid, "length": len(vec), "values": [float(v) for v in vec]}
             for tid, vec in sorted(result.items())
@@ -316,55 +320,35 @@ def cmd_convert_flat(args) -> int:
 def cmd_verify_losses(args) -> int:
     seeds = _integer(args.seeds, "--seeds", 1, math.inf)
     rng = np.random.default_rng(7)
-    checks = []
-
-    def check_heatmap(r: np.random.Generator) -> float:
-        y = r.uniform(0.1, 0.9, size=(5, 5))
-        y_gt = np.where(r.random((5, 5)) < 0.3, 1.0, r.uniform(0.0, 0.95, size=(5, 5)))
-        return losses.finite_diff_check(
-            lambda v: losses.heatmap_loss(v, y_gt, n=3),
-            lambda v: losses.heatmap_loss_grad(v, y_gt, n=3),
-            y,
-        )
-
-    def check_assoc(r: np.random.Generator) -> float:
-        a = r.uniform(0.1, 0.9, size=(4, 4))
-        a_gt = (r.random((4, 4)) < 0.5).astype(float)
-        return losses.finite_diff_check(
-            lambda v: losses.assoc_loss(v, a_gt),
-            lambda v: losses.assoc_loss_grad(v, a_gt),
-            a,
-        )
-
-    def check_caption(r: np.random.Generator) -> float:
-        logits = r.normal(size=(5, 7))
-        targets = r.integers(0, 7, size=5)
-        return losses.finite_diff_check(
-            lambda v: losses.caption_loss(v, targets, smoothing=0.1),
-            lambda v: losses.caption_loss_grad(v, targets, smoothing=0.1),
-            logits,
-        )
-
-    def check_roi_cls(r: np.random.Generator) -> float:
-        logits = r.normal(size=2)
-        label = int(r.integers(0, 2))
-        return losses.finite_diff_check(
-            lambda v: losses.roi_cls_loss(v, label),
-            lambda v: losses.roi_cls_loss_grad(v, label),
-            logits,
-        )
-
-    for name, fn in (
-        ("heatmap_loss", check_heatmap),
-        ("assoc_loss", check_assoc),
-        ("caption_loss", check_caption),
-        ("roi_cls_loss", check_roi_cls),
-    ):
-        worst = max(fn(np.random.default_rng(rng.integers(2**32))) for _ in range(seeds))
+    # (name, loss, gradient, draw): draw(r) returns the point and the loss's fixed keyword arguments.
+    table = (
+        ("heatmap_loss", losses.heatmap_loss, losses.heatmap_loss_grad, lambda r: (
+            r.uniform(0.1, 0.9, size=(5, 5)),
+            {"y_gt": np.where(r.random((5, 5)) < 0.3, 1.0, r.uniform(0.0, 0.95, size=(5, 5))), "n": 3},
+        )),
+        ("assoc_loss", losses.assoc_loss, losses.assoc_loss_grad, lambda r: (
+            r.uniform(0.1, 0.9, size=(4, 4)), {"a_gt": (r.random((4, 4)) < 0.5).astype(float)},
+        )),
+        ("caption_loss", losses.caption_loss, losses.caption_loss_grad, lambda r: (
+            r.normal(size=(5, 7)), {"gt_tokens": r.integers(0, 7, size=5), "smoothing": 0.1},
+        )),
+        ("roi_cls_loss", losses.roi_cls_loss, losses.roi_cls_loss_grad, lambda r: (
+            r.normal(size=2), {"label": int(r.integers(0, 2))},
+        )),
+    )
+    failed = False
+    for name, loss, grad, draw in table:
+        errors = []
+        for _ in range(seeds):
+            point, fixed = draw(np.random.default_rng(rng.integers(2**32)))
+            errors.append(losses.finite_diff_check(
+                lambda v: loss(v, **fixed), lambda v: grad(v, **fixed), point
+            ))
+        worst = np.max(errors)  # NaN-propagating, unlike the builtin max
         ok = worst <= 1e-4
-        checks.append(ok)
+        failed |= not ok
         print(f"{name:<14} max_rel_err={worst:.3e} over {seeds} seeds: {'PASS' if ok else 'FAIL'}")
-    return 0 if all(checks) else 1
+    return 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap-metrics", default="meteor,cider", help="comma list of meteor,cider,exact,external")
     p.add_argument("--capa-alpha", default="integrate", help="'integrate' or 'single:<alpha>'")
     p.add_argument("--external-scores", default=None, help="sidecar score file")
-    p.add_argument("--jobs", type=int, default=_jobs_default())
+    p.add_argument("--jobs", type=int, default=os.environ.get("DENSEVOC_JOBS", "1"),
+                   help="worker processes (default: DENSEVOC_JOBS, else 1)")
     p.set_defaults(func=cmd_eval_chota)
 
     p = sub.add_parser("eval-apm", help="frame-level average precision")
@@ -416,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", default=None, help="association matrix file")
     p.add_argument("--ids", default=None, help="identity file from track-assign")
     p.add_argument("--mode", choices=("soft", "hard"), default="soft")
-    p.add_argument("--m", type=int, default=6, help="frames sampled per track in hard mode")
-    p.add_argument("--theta", type=float, default=0.5)
+    p.add_argument("--m", type=int, default=None, help="frames sampled per track in hard mode (default 6)")
+    p.add_argument("--theta", type=float, default=None, help="hard mode without --ids (default 0.5)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_aggregate)
 

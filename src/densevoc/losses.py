@@ -41,6 +41,17 @@ def _clamp(p: np.ndarray) -> np.ndarray:
     return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
 
 
+def _heatmaps(y: np.ndarray, y_gt: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The clamped predicted heatmap and the target, checked to have one shape and ``n >= 1``."""
+    y = np.asarray(y, dtype=float)
+    y_gt = np.asarray(y_gt, dtype=float)
+    if y.shape != y_gt.shape:
+        raise ValidationError(f"heatmap shapes differ: {y.shape} vs {y_gt.shape}")
+    if n < 1:
+        raise ValidationError(f"object count must be >= 1, got {n}")
+    return _clamp(y), y_gt
+
+
 def heatmap_loss(y: np.ndarray, y_gt: np.ndarray, n: int) -> float:
     """Penalty-reduced focal loss between predicted and target heatmaps.
 
@@ -49,13 +60,7 @@ def heatmap_loss(y: np.ndarray, y_gt: np.ndarray, n: int) -> float:
     log(1-Y), with alpha = FOCAL_ALPHA and beta = FOCAL_BETA. The sum is
     negated and divided by the object count ``n``.
     """
-    y = np.asarray(y, dtype=float)
-    y_gt = np.asarray(y_gt, dtype=float)
-    if y.shape != y_gt.shape:
-        raise ValidationError(f"heatmap shapes differ: {y.shape} vs {y_gt.shape}")
-    if n < 1:
-        raise ValidationError(f"object count must be >= 1, got {n}")
-    y = _clamp(y)
+    y, y_gt = _heatmaps(y, y_gt, n)
     pos = y_gt == 1.0
     pos_term = (1.0 - y) ** FOCAL_ALPHA * np.log(y)
     neg_term = (1.0 - y_gt) ** FOCAL_BETA * y**FOCAL_ALPHA * np.log(1.0 - y)
@@ -64,9 +69,7 @@ def heatmap_loss(y: np.ndarray, y_gt: np.ndarray, n: int) -> float:
 
 def heatmap_loss_grad(y: np.ndarray, y_gt: np.ndarray, n: int) -> np.ndarray:
     """d(heatmap_loss)/dY, valid away from the clamping boundaries."""
-    y = np.asarray(y, dtype=float)
-    y_gt = np.asarray(y_gt, dtype=float)
-    y = _clamp(y)
+    y, y_gt = _heatmaps(y, y_gt, n)
     a, b = FOCAL_ALPHA, FOCAL_BETA
     pos = y_gt == 1.0
     d_pos = a * (1.0 - y) ** (a - 1.0) * np.log(y) - (1.0 - y) ** a / y
@@ -76,38 +79,53 @@ def heatmap_loss_grad(y: np.ndarray, y_gt: np.ndarray, n: int) -> np.ndarray:
     return np.where(pos, d_pos, d_neg) / n
 
 
-def giou_loss(pred: Sequence[Box], gt: Sequence[Box]) -> float:
-    """1 - mean generalized IoU over paired boxes."""
+def _check_paired(pred: Sequence[Box], gt: Sequence[Box]) -> None:
     if len(pred) != len(gt) or not pred:
         raise ValidationError(
             f"box lists must be equal-length and non-empty, got {len(pred)} and {len(gt)}"
         )
+
+
+def giou_loss(pred: Sequence[Box], gt: Sequence[Box]) -> float:
+    """1 - mean generalized IoU over paired boxes."""
+    _check_paired(pred, gt)
     return float(1.0 - np.mean([giou(a, b) for a, b in zip(pred, gt)]))
+
+
+def _roi_logits(logits: np.ndarray, label: int) -> np.ndarray:
+    """The foreground/background logit pair, checked with its binary label."""
+    logits = np.asarray(logits, dtype=float)
+    if logits.shape != (2,) or label not in (0, 1):
+        raise ValidationError("expected 2 logits and a binary label")
+    return logits
 
 
 def roi_cls_loss(logits: np.ndarray, label: int) -> float:
     """Softmax cross-entropy of a foreground/background logit pair."""
-    logits = np.asarray(logits, dtype=float)
-    if logits.shape != (2,) or label not in (0, 1):
-        raise ValidationError("expected 2 logits and a binary label")
-    return float(-log_softmax(logits)[label])
+    return float(-log_softmax(_roi_logits(logits, label))[label])
 
 
 def roi_cls_loss_grad(logits: np.ndarray, label: int) -> np.ndarray:
-    p = softmax(np.asarray(logits, dtype=float))
+    p = softmax(_roi_logits(logits, label))
     p[label] -= 1.0
     return p
 
 
 def roi_reg_loss(pred: Sequence[Box], gt: Sequence[Box]) -> float:
     """Mean absolute corner-coordinate difference over paired boxes."""
-    if len(pred) != len(gt) or not pred:
-        raise ValidationError(
-            f"box lists must be equal-length and non-empty, got {len(pred)} and {len(gt)}"
-        )
+    _check_paired(pred, gt)
     p = np.array([b.as_tuple() for b in pred])
     g = np.array([b.as_tuple() for b in gt])
     return float(np.abs(p - g).mean())
+
+
+def _assoc_pair(a: np.ndarray, a_gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The clamped predicted matrix and the target, checked to be square and of one shape."""
+    a = np.asarray(getattr(a, "values", a), dtype=float)
+    a_gt = np.asarray(getattr(a_gt, "values", a_gt), dtype=float)
+    if a.shape != a_gt.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValidationError(f"matrices must be square and equal-shape: {a.shape} vs {a_gt.shape}")
+    return _clamp(a), a_gt
 
 
 def assoc_loss(a: np.ndarray, a_gt: np.ndarray) -> float:
@@ -116,32 +134,21 @@ def assoc_loss(a: np.ndarray, a_gt: np.ndarray) -> float:
     Normalized by the observation count M (one side of the matrix), not the
     element count M^2.
     """
-    a = np.asarray(getattr(a, "values", a), dtype=float)
-    a_gt = np.asarray(getattr(a_gt, "values", a_gt), dtype=float)
-    if a.shape != a_gt.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"matrices must be square and equal-shape: {a.shape} vs {a_gt.shape}")
-    p = _clamp(a)
+    p, a_gt = _assoc_pair(a, a_gt)
     bce = -(a_gt * np.log(p) + (1.0 - a_gt) * np.log(1.0 - p))
-    return float(bce.sum() / a.shape[0])
+    return float(bce.sum() / p.shape[0])
 
 
 def assoc_loss_grad(a: np.ndarray, a_gt: np.ndarray) -> np.ndarray:
     """d(assoc_loss)/dA = (A - Abar) / (A (1 - A)) / M, away from clamping."""
-    a = np.asarray(getattr(a, "values", a), dtype=float)
-    a_gt = np.asarray(getattr(a_gt, "values", a_gt), dtype=float)
-    p = _clamp(a)
-    return (p - a_gt) / (p * (1.0 - p)) / a.shape[0]
+    p, a_gt = _assoc_pair(a, a_gt)
+    return (p - a_gt) / (p * (1.0 - p)) / p.shape[0]
 
 
-def caption_loss(
-    token_logits: np.ndarray, gt_tokens: Sequence[int], smoothing: float = 0.1
-) -> float:
-    """Label-smoothed cross-entropy over a caption's token positions.
-
-    The target distribution puts 1 - smoothing on the true token and spreads
-    smoothing uniformly over the V - 1 others; the per-position losses are
-    averaged over the caption length.
-    """
+def _caption_target(
+    token_logits: np.ndarray, gt_tokens: Sequence[int], smoothing: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (L, V) logits and their label-smoothed target distribution q, checked."""
     logits = np.asarray(token_logits, dtype=float)
     targets = np.asarray(gt_tokens, dtype=int)
     if logits.ndim != 2 or logits.shape[0] != len(targets):
@@ -153,21 +160,29 @@ def caption_loss(
         raise ValidationError(f"smoothing must be in [0, 1), got {smoothing}")
     if smoothing > 0.0 and vocab < 2:
         raise ValidationError("smoothing requires a vocabulary of at least 2")
-    log_p = log_softmax(logits, axis=1)
     q = np.full((length, vocab), smoothing / (vocab - 1) if vocab > 1 else 0.0)
     q[np.arange(length), targets] = 1.0 - smoothing
-    return float(-(q * log_p).sum() / length)
+    return logits, q
+
+
+def caption_loss(
+    token_logits: np.ndarray, gt_tokens: Sequence[int], smoothing: float = 0.1
+) -> float:
+    """Label-smoothed cross-entropy over a caption's token positions.
+
+    The target distribution puts 1 - smoothing on the true token and spreads
+    smoothing uniformly over the V - 1 others; the per-position losses are
+    averaged over the caption length.
+    """
+    logits, q = _caption_target(token_logits, gt_tokens, smoothing)
+    return float(-(q * log_softmax(logits, axis=1)).sum() / len(q))
 
 
 def caption_loss_grad(
     token_logits: np.ndarray, gt_tokens: Sequence[int], smoothing: float = 0.1
 ) -> np.ndarray:
-    logits = np.asarray(token_logits, dtype=float)
-    targets = np.asarray(gt_tokens, dtype=int)
-    length, vocab = logits.shape
-    q = np.full((length, vocab), smoothing / (vocab - 1) if vocab > 1 else 0.0)
-    q[np.arange(length), targets] = 1.0 - smoothing
-    return (softmax(logits, axis=1) - q) / length
+    logits, q = _caption_target(token_logits, gt_tokens, smoothing)
+    return (softmax(logits, axis=1) - q) / len(q)
 
 
 def finite_diff_check(
@@ -178,17 +193,20 @@ def finite_diff_check(
     """Max relative error between central differences (step FD_STEP) and an analytic gradient.
 
     Relative error per coordinate is |fd - analytic| / (|analytic| + 1e-8).
+    A NaN in the loss or the gradient makes the result NaN; a gradient whose
+    size differs from the point's is a ValidationError.
     """
     point = np.asarray(point, dtype=float)
     analytic = np.asarray(grad_f(point), dtype=float).reshape(-1)
+    if analytic.size != point.size:
+        raise ValidationError(f"gradient has {analytic.size} entries for a point of {point.size}")
     flat = point.reshape(-1)
-    worst = 0.0
+    fd = np.empty(flat.size)
     for i in range(flat.size):
         step = np.zeros_like(flat)
         step[i] = FD_STEP
-        fd = (f((flat + step).reshape(point.shape)) - f((flat - step).reshape(point.shape))) / (
+        fd[i] = (f((flat + step).reshape(point.shape)) - f((flat - step).reshape(point.shape))) / (
             2.0 * FD_STEP
         )
-        err = abs(fd - analytic[i]) / (abs(analytic[i]) + 1e-8)
-        worst = max(worst, err)
-    return worst
+    # np.max, unlike the builtin max, propagates NaN.
+    return float(np.max(np.abs(fd - analytic) / (np.abs(analytic) + 1e-8), initial=0.0))

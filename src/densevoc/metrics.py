@@ -501,7 +501,10 @@ def hota_from_components(det_a_value: float, ass_a_value: float) -> float:
 def _pair_records(
     preds: Sequence[VideoTable | VideoRecord], gts: Sequence[VideoTable | VideoRecord]
 ) -> tuple[list[tuple[VideoTable, VideoTable]], list[str]]:
-    """(pred, gt) tables per gt video, in gt order; a missing prediction is an empty table."""
+    """(pred, gt) tables per gt video, in video-id order; a missing prediction is an empty table.
+
+    Reduces follow this order, so no result depends on the order of videos in a file.
+    """
     preds, gts = as_tables(preds), as_tables(gts)
     warnings = []
     pred_by_id = {r.video_id: r for r in preds}
@@ -509,7 +512,7 @@ def _pair_records(
     if extra:
         warnings.append(f"predictions for unknown videos ignored: {sorted(extra)}")
     pairs = []
-    for gt in gts:
+    for gt in sorted(gts, key=lambda g: g.video_id):
         pred = pred_by_id.get(gt.video_id)
         if pred is None:
             warnings.append(f"no predictions for video {gt.video_id!r}; counting all-FN")
@@ -572,8 +575,6 @@ def chota(
             _PARALLEL_CTX.clear()
     else:
         results = [_evaluate_video(pred, gt, alphas, config, idf) for pred, gt in pairs]
-    # Reduce in id order so results do not depend on input video order.
-    results.sort(key=lambda r: r[0])
 
     mid = _mid_alpha(alphas)
     per_video: dict[str, dict] = {}
@@ -696,7 +697,7 @@ def ap_m(
     grouped by exact shape, and each group is matched in every grid cell at
     once. A frame holding ground truth but no prediction counts toward the
     average and adds 0. AP is computed once per distinct (n_gt, ranked flags)
-    over the collection. Per-frame APs are added in (video, frame) order, so
+    over the collection. Per-frame APs are added in (video id, frame) order, so
     the grid is the same as a frame-by-frame sum.
     """
     iou_thresholds = tuple(iou_thresholds)

@@ -487,15 +487,23 @@ def cider_oracle(pred, ref, idf, sigma: float = 6.0) -> float:
     for n in range(1, 5):
         pv = {g: c * idf.idf(g) for g, c in ngrams(p, n).items()}
         rv = {g: c * idf.idf(g) for g, c in ngrams(r, n).items()}
-        norm_p = math.sqrt(sum(v * v for v in pv.values()))
-        norm_r = math.sqrt(sum(v * v for v in rv.values()))
+        norm_p = math.sqrt(_sum_left_to_right(v * v for v in pv.values()))
+        norm_r = math.sqrt(_sum_left_to_right(v * v for v in rv.values()))
         if norm_p == 0.0 or norm_r == 0.0:
             sims.append(0.0)
             continue
-        dot = sum(v * rv[g] for g, v in pv.items() if g in rv)
+        dot = _sum_left_to_right(v * rv[g] for g, v in pv.items() if g in rv)
         sims.append(dot / (norm_p * norm_r))
     penalty = math.exp(-((len(p) - len(r)) ** 2) / (2.0 * sigma**2))
-    return min(1.0, sum(sims) / len(sims) * penalty)
+    return min(1.0, _sum_left_to_right(sims) / len(sims) * penalty)
+
+
+def _sum_left_to_right(values) -> float:
+    """A float sum in input order; the builtin sum() compensates floats from Python 3.12 on."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 # The CHOTA matching engine as first written: per-frame IoU blocks, one

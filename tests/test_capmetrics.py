@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import builtins
 import importlib.util
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -282,3 +284,30 @@ def test_cider_ignores_df_entries_no_caption_uses(rng) -> None:
     for _ in range(100):
         x, y = _random_caption(rng, 8), docs[int(rng.integers(len(docs)))]
         assert cider_pair(x, y, padded) == cider_oracle(x, y, padded) == cider_oracle(x, y, built), (x, y)
+
+
+def test_cider_does_not_change_with_a_compensated_builtin_sum(monkeypatch) -> None:
+    # Python 3.12 made the builtin sum() of floats compensated; CIDEr adds left to right on every Python.
+    import oracles
+    from densevoc import capmetrics
+
+    def compensated_sum(values, start=0):
+        values = list(values)
+        if all(isinstance(v, int) for v in values):
+            return builtins.sum(values, start)
+        return math.fsum([start, *values])
+
+    rng = random.Random(0)
+    words = "a the red blue dog cat runs jumps over small big car on".split()
+    captions = [tuple(rng.choice(words) for _ in range(rng.randint(3, 10))) for _ in range(60)]
+    pairs = [(p, r) for p in captions[20:] for r in captions[:20]]
+
+    def scores() -> list[float]:
+        idf = IdfTable.build(captions[:20])
+        return [cider_pair(p, r, idf) for p, r in pairs]
+
+    expected = scores()
+    for module in (capmetrics, oracles):  # the oracle stays a reference on every Python too
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    assert scores() == expected
+    assert [cider_oracle(p, r, IdfTable.build(captions[:20])) for p, r in pairs] == expected

@@ -14,7 +14,7 @@ from densevoc.cli import main
 from densevoc.core import Box, Detection, Trajectory, VideoRecord
 from densevoc.formats import load_dataset, save_dataset, save_matrix
 
-from densevoc import ground
+from densevoc import ground, losses
 
 from conftest import OVER_BUDGET_PAIR, make_track, make_video
 from oracles import ground_oracle, track_iou_oracle
@@ -473,6 +473,21 @@ def test_convert_flat_records(tmp_path) -> None:
     assert main(["convert-flat", str(bad), "--video-id", "v", "--out", str(out)]) == 2
 
 
+def test_verify_losses_fails_on_a_nan_gradient(monkeypatch, capsys) -> None:
+    monkeypatch.setattr(losses, "caption_loss_grad", lambda v, *rest, **fixed: np.full_like(v, np.nan))
+    assert main(["verify-losses", "--seeds", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "caption_loss   max_rel_err=nan over 3 seeds: FAIL" in out
+    assert out.count("PASS") == 3
+
+
+def test_verify_losses_fails_on_a_nan_after_the_first_seed(monkeypatch, capsys) -> None:
+    errors = iter([0.0, np.nan, 0.0] * 4)
+    monkeypatch.setattr(losses, "finite_diff_check", lambda f, grad_f, point: next(errors))
+    assert main(["verify-losses", "--seeds", "3"]) == 1
+    assert capsys.readouterr().out.count("max_rel_err=nan over 3 seeds: FAIL") == 4
+
+
 def test_verify_losses_passes(capsys) -> None:
     assert main(["verify-losses", "--seeds", "5"]) == 0
     out = capsys.readouterr().out
@@ -522,6 +537,26 @@ def test_jobs_env_default(monkeypatch, capsys) -> None:
         ["eval-chota", "a.json", "b.json"]
     )
     assert args.jobs == 3
+
+
+def test_jobs_env_value_that_is_not_a_count_exits_2(monkeypatch, capsys) -> None:
+    monkeypatch.setenv("DENSEVOC_JOBS", "abc")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["eval-chota", _SYNTH_GT, _SYNTH_GT])
+    assert exit_info.value.code == 2
+    assert "--jobs: invalid int value: 'abc'" in capsys.readouterr().err
+    monkeypatch.setenv("DENSEVOC_JOBS", "-4")
+    assert main(["eval-chota", _SYNTH_GT, _SYNTH_GT]) == 2
+    assert capsys.readouterr().err == "error: --jobs: -4 is outside [1, inf]\n"
+
+
+def test_aggregate_hard_defaults_to_m_6_and_theta_0_5(tmp_path, capsys) -> None:
+    default, explicit = tmp_path / "default.json", tmp_path / "explicit.json"
+    assert main(_aggregate_given(tmp_path, "hard", "--matrix") + ["--out", str(default)]) == 0
+    argv = _aggregate_given(tmp_path, "hard", "--matrix") + ["--m", "6", "--theta", "0.5", "--out", str(explicit)]
+    assert main(argv) == 0
+    assert json.loads(default.read_text())["m"] == 6
+    assert default.read_bytes() == explicit.read_bytes()
 
 
 @pytest.mark.parametrize("command", ["eval-chota", "eval-apm", "ground", "track-iou"])
@@ -585,6 +620,15 @@ def _features_file(tmp_path) -> str:
     feat_path = tmp_path / "features.json"
     save_matrix("v0", np.array([0, 1]), np.array([[0.0, 0.0], [3.0, 3.0]]), feat_path, kind="features")
     return str(feat_path)
+
+
+def _aggregate_given(tmp_path, mode: str, *flags: str) -> list[str]:
+    """aggregate on the 2-row feature file in ``mode``, with a value for each of ``flags``."""
+    matrix = tmp_path / "assoc.json"
+    save_matrix("v0", np.array([0, 1]), np.array([[1.0, 0.5], [0.5, 1.0]]), matrix)
+    values = {"--matrix": str(matrix), "--ids": _write(tmp_path / "ids.json", {"ids": [1, 1]}),
+              "--m": "2", "--theta": "0.5"}
+    return ["aggregate", _features_file(tmp_path), "--mode", mode] + [v for f in flags for v in (f, values[f])]
 
 
 def _aggregate_ids_files(tmp_path, ids) -> list[str]:
@@ -658,6 +702,11 @@ BAD_INPUTS = {
     "aggregate-ids-not-integers": lambda tmp: _aggregate_ids_files(tmp, {"ids": [1, "a"]}),
     "aggregate-ids-float": lambda tmp: _aggregate_ids_files(tmp, {"ids": [1, 1.5]}),
     "aggregate-ids-out-of-range": lambda tmp: _aggregate_ids_files(tmp, {"ids": [1, 2**70]}),
+    "aggregate-soft-given-ids": lambda tmp: _aggregate_given(tmp, "soft", "--matrix", "--ids"),
+    "aggregate-soft-given-m": lambda tmp: _aggregate_given(tmp, "soft", "--matrix", "--m"),
+    "aggregate-soft-given-theta": lambda tmp: _aggregate_given(tmp, "soft", "--matrix", "--theta"),
+    "aggregate-hard-ids-given-matrix": lambda tmp: _aggregate_given(tmp, "hard", "--ids", "--matrix"),
+    "aggregate-hard-ids-given-theta": lambda tmp: _aggregate_given(tmp, "hard", "--ids", "--theta"),
     "aggregate-soft-without-matrix": lambda tmp: ["aggregate", _features_file(tmp), "--mode", "soft"],
     "aggregate-soft-matrix-holds-features": lambda tmp: [
         "aggregate", _features_file(tmp), "--mode", "soft", "--matrix", _features_file(tmp)
@@ -732,6 +781,10 @@ BAD_INPUTS = {
     "alphas-one": lambda tmp: ["eval-chota", _SYNTH_GT, _SYNTH_GT, "--alphas", "0.5,1"],
     "cap-metrics-unknown": lambda tmp: ["eval-chota", _SYNTH_GT, _SYNTH_GT, "--cap-metrics", "bleu"],
     "cap-metrics-empty": lambda tmp: ["eval-chota", _SYNTH_GT, _SYNTH_GT, "--cap-metrics", ","],
+    "external-scores-without-external-metric": lambda tmp: [
+        "eval-chota", _SYNTH_GT, _SYNTH_GT, "--external-scores", str(tmp / "missing.json")
+    ],
+    "jobs-below-one": lambda tmp: ["eval-chota", _SYNTH_GT, _SYNTH_GT, "--jobs", "-3"],
     "cap-metrics-external-without-scores": lambda tmp: [
         "eval-chota", _SYNTH_GT, _SYNTH_GT, "--cap-metrics", "meteor,external"
     ],

@@ -214,3 +214,72 @@ def test_numpy_softmax_bitwise_equals_scipy(rng) -> None:
         for ours, theirs in pairs:
             got, want = ours(all_inf, axis=1), theirs(all_inf, axis=1)
             assert np.isnan(got[1]).all() and np.array_equal(got, want, equal_nan=True)
+
+
+def _assert_pair_rejects(loss, grad, cases) -> None:
+    """The loss and its gradient each raise ValidationError on every (args, kwargs) case."""
+    for args, kwargs in cases:
+        for fn in (loss, grad):
+            with pytest.raises(ValidationError):
+                fn(*args, **kwargs)
+
+
+def test_heatmap_gradient_rejects_what_its_loss_rejects() -> None:
+    _assert_pair_rejects(heatmap_loss, heatmap_loss_grad, [
+        ((np.ones((2, 2)), np.ones((2, 3)), 1), {}),
+        ((np.full((2, 2), 0.5), np.ones((2, 1)), 1), {}),  # would broadcast
+        ((np.full((2, 2), 0.5), np.ones((2, 2)), 0), {}),
+    ])
+
+
+def test_assoc_gradient_rejects_what_its_loss_rejects() -> None:
+    _assert_pair_rejects(assoc_loss, assoc_loss_grad, [
+        ((np.full((2, 3), 0.5), np.ones((2, 3))), {}),
+        ((np.full((2, 2), 0.5), np.ones((3, 3))), {}),
+        ((np.full(4, 0.5), np.ones(4)), {}),
+    ])
+
+
+def test_caption_gradient_rejects_what_its_loss_rejects() -> None:
+    _assert_pair_rejects(caption_loss, caption_loss_grad, [
+        ((np.zeros((2, 4)), [0, -1]), {}),
+        ((np.zeros((2, 4)), [0, 4]), {}),
+        ((np.zeros((2, 4)), [0, 1]), {"smoothing": 1.5}),
+        ((np.zeros((2, 4)), [0, 1]), {"smoothing": -0.1}),
+        ((np.zeros((2, 1)), [0, 0]), {"smoothing": 0.1}),
+        ((np.zeros((2, 4)), [0]), {}),
+        ((np.zeros(4), [0]), {}),
+    ])
+
+
+def test_roi_cls_gradient_rejects_what_its_loss_rejects() -> None:
+    _assert_pair_rejects(roi_cls_loss, roi_cls_loss_grad, [
+        ((np.zeros(3), 0), {}),
+        ((np.zeros(3), 2), {}),
+        ((np.zeros(2), 2), {}),
+        ((np.zeros(2), -1), {}),
+    ])
+
+
+def test_roi_reg_loss_validates_lengths() -> None:
+    with pytest.raises(ValidationError):
+        roi_reg_loss([], [])
+    with pytest.raises(ValidationError):
+        roi_reg_loss([Box(0, 0, 1, 1)], [Box(0, 0, 1, 1), Box(0, 0, 2, 2)])
+
+
+def _square_sum(x: np.ndarray) -> float:
+    return float((x**2).sum())
+
+
+def test_finite_diff_check_returns_nan_on_a_nan_gradient_or_loss() -> None:
+    point = np.array([1.0, 2.0])
+    assert math.isnan(finite_diff_check(_square_sum, lambda x: np.full_like(x, math.nan), point))
+    assert math.isnan(finite_diff_check(_square_sum, lambda x: np.array([2 * x[0], math.nan]), point))
+    assert math.isnan(finite_diff_check(lambda x: math.nan, lambda x: 2 * x, point))
+
+
+def test_finite_diff_check_rejects_a_gradient_of_the_wrong_size() -> None:
+    for size in (1, 3):
+        with pytest.raises(ValidationError):
+            finite_diff_check(_square_sum, lambda x: np.zeros(size), np.array([1.0, 2.0]))

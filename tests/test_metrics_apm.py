@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -267,3 +269,22 @@ def test_grounding_ious_rejects_bad_corner_rows() -> None:
             grounding_ious({0: bad}, (0, 1), gt_boxes, (0, 1))
         with pytest.raises(ValidationError, match=message):
             grounding_ious({0: (0, 0, 10, 10)}, (0, 1), {**gt_boxes, 1: bad}, (0, 1))
+
+
+def test_apm_and_chota_reports_do_not_depend_on_video_order() -> None:
+    # Both reduces add per-video sums in video-id order, whatever the files' order.
+    from densevoc.metrics import chota
+    from densevoc.synth import SynthConfig, generate
+
+    for seed in range(3):
+        gts, preds = generate(SynthConfig(
+            seed=seed, num_videos=6, frames_per_video=20, objects_per_video=5, box_jitter_sigma=4.0,
+            drop_rate=0.2, false_positive_rate=0.3, id_switch_rate=0.1, caption_corruption_rate=0.4,
+        ))
+        base = (ap_m(preds, gts).to_dict(), chota(preds, gts).to_dict())
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            gt_order, pred_order = rng.permutation(6), rng.permutation(6)
+            shuffled = ([preds[i] for i in pred_order], [gts[i] for i in gt_order])
+            got = (ap_m(*shuffled).to_dict(), chota(*shuffled).to_dict())
+            assert json.dumps(got) == json.dumps(base), (seed, gt_order, pred_order)

@@ -140,6 +140,14 @@ def build_df(doc_texts):
     return df, len(doc_texts)
 
 
+def sum_left_to_right(values):
+    """A float sum in input order; the builtin sum() compensates floats from Python 3.12 on."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def cider_bruteforce(pred_text, ref_text, doc_texts):
     df, n_docs = build_df(doc_texts)
 
@@ -152,8 +160,8 @@ def cider_bruteforce(pred_text, ref_text, doc_texts):
     for n in range(1, 5):
         pvec = {g: c * idf(g) for g, c in ngram_counts(pred, n).items()}
         rvec = {g: c * idf(g) for g, c in ngram_counts(ref, n).items()}
-        norm_p = math.sqrt(sum(v * v for v in pvec.values()))
-        norm_r = math.sqrt(sum(v * v for v in rvec.values()))
+        norm_p = math.sqrt(sum_left_to_right(v * v for v in pvec.values()))
+        norm_r = math.sqrt(sum_left_to_right(v * v for v in rvec.values()))
         if norm_p == 0.0 or norm_r == 0.0:
             sims.append(0.0)
             continue
@@ -163,7 +171,7 @@ def cider_bruteforce(pred_text, ref_text, doc_texts):
                 dot += v * rvec[g]
         sims.append(dot / (norm_p * norm_r))
     penalty = math.exp(-((len(pred) - len(ref)) ** 2) / (2.0 * 6.0**2))
-    return min(1.0, sum(sims) / 4.0 * penalty)
+    return min(1.0, sum_left_to_right(sims) / 4.0 * penalty)
 
 
 PAIRS = [
