@@ -46,22 +46,31 @@ def _in_range(value, flag: str, low: float, high: float):
     return value
 
 
-def _parse_gates(gates: list[str]) -> list[tuple[str, float]]:
+# Each command's gate metrics: gate name -> report attribute.
+_CHOTA_GATES = {
+    "chota": "chota", "hota": "hota", "det_a": "det_a_mean", "ass_a": "ass_a_mean", "cap_a": "cap_a_mean",
+}
+_APM_GATES = {"ap_m": "overall"}
+
+
+def _parse_gates(gates: list[str], known: dict[str, str]) -> list[tuple[str, str, float]]:
+    """(name, report attribute, minimum) of each ``metric:min`` gate; an unknown metric is a ValidationError."""
     parsed = []
     for gate in gates:
         name, _, value = gate.partition(":")
+        name = name.strip()
         if not value:
             raise ValidationError(f"gate must look like metric:min, got {gate!r}")
-        parsed.append((name.strip(), _number(value, "--gate")))
+        if name not in known:
+            raise ValidationError(f"unknown gate metric {name!r}; known: {sorted(known)}")
+        parsed.append((name, known[name], _number(value, "--gate")))
     return parsed
 
 
-def _apply_gates(gates: list[tuple[str, float]], values: dict[str, float]) -> int:
+def _apply_gates(gates: list[tuple[str, str, float]], report) -> int:
     failed = False
-    for name, minimum in gates:
-        if name not in values:
-            raise ValidationError(f"unknown gate metric {name!r}; known: {sorted(values)}")
-        value = values[name]
+    for name, attribute, minimum in gates:
+        value = getattr(report, attribute)
         ok = value is not None and value >= minimum
         print(f"gate {name} >= {minimum}: {'PASS' if ok else 'FAIL'} (value {value})")
         if not ok:
@@ -88,12 +97,12 @@ def _scorer_config(args) -> metrics.ScorerConfig:
 
 
 def cmd_eval_chota(args) -> int:
-    gates = _parse_gates(args.gate)
-    alphas = tuple(_number(a, "--alphas") for a in args.alphas.split(","))
+    gates = _parse_gates(args.gate, _CHOTA_GATES)
+    alphas = metrics.validate_alphas(_number(a, "--alphas") for a in args.alphas.split(","))
     jobs = _in_range(args.jobs, "--jobs", 1, math.inf)
+    config = _scorer_config(args)
     gts = formats.load_dataset(args.gt, strict=args.strict)
     preds = formats.load_dataset(args.pred, strict=args.strict)
-    config = _scorer_config(args)
     report = metrics.chota(preds, gts, alphas=alphas, config=config, jobs=jobs)
     summary = report.flat_summary()
     for key, value in summary.items():
@@ -105,18 +114,11 @@ def cmd_eval_chota(args) -> int:
         with open(str(args.out) + ".summary", "w") as fh:
             for key, value in summary.items():
                 fh.write(f"{key}={value}\n")
-    gate_values = {
-        "chota": report.chota,
-        "hota": report.hota,
-        "det_a": report.det_a_mean,
-        "ass_a": report.ass_a_mean,
-        "cap_a": report.cap_a_mean,
-    }
-    return _apply_gates(gates, gate_values)
+    return _apply_gates(gates, report)
 
 
 def cmd_eval_apm(args) -> int:
-    gates = _parse_gates(args.gate)
+    gates = _parse_gates(args.gate, _APM_GATES)
     iou_thresholds = tuple(_number(t, "--iou-thresholds") for t in args.iou_thresholds.split(","))
     meteor_thresholds = tuple(
         _number(t, "--meteor-thresholds") for t in args.meteor_thresholds.split(",")
@@ -132,7 +134,7 @@ def cmd_eval_apm(args) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     if args.out:
         formats.write_json(report.to_dict(), args.out)
-    return _apply_gates(gates, {"ap_m": report.overall})
+    return _apply_gates(gates, report)
 
 
 def _load_assoc(path: str) -> assoc.AssocMatrix:

@@ -41,15 +41,22 @@ def _clamp(p: np.ndarray) -> np.ndarray:
     return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
 
 
+def _probabilities(target: np.ndarray, name: str) -> np.ndarray:
+    """``target``, checked to hold probabilities: every value finite and in [0, 1]."""
+    if not np.all((target >= 0.0) & (target <= 1.0)):  # False on NaN
+        raise ValidationError(f"{name} must hold values in [0, 1]")
+    return target
+
+
 def _heatmaps(y: np.ndarray, y_gt: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The clamped predicted heatmap and the target, checked to have one shape and ``n >= 1``."""
+    """The clamped predicted heatmap and the target, checked to have one shape, a [0, 1] target and ``n >= 1``."""
     y = np.asarray(y, dtype=float)
     y_gt = np.asarray(y_gt, dtype=float)
     if y.shape != y_gt.shape:
         raise ValidationError(f"heatmap shapes differ: {y.shape} vs {y_gt.shape}")
     if n < 1:
         raise ValidationError(f"object count must be >= 1, got {n}")
-    return _clamp(y), y_gt
+    return _clamp(y), _probabilities(y_gt, "heatmap target")
 
 
 def heatmap_loss(y: np.ndarray, y_gt: np.ndarray, n: int) -> float:
@@ -120,12 +127,12 @@ def roi_reg_loss(pred: Sequence[Box], gt: Sequence[Box]) -> float:
 
 
 def _assoc_pair(a: np.ndarray, a_gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The clamped predicted matrix and the target, checked to be square and of one shape."""
+    """The clamped predicted matrix and the target, checked to be square, of one shape and a [0, 1] target."""
     a = np.asarray(getattr(a, "values", a), dtype=float)
     a_gt = np.asarray(getattr(a_gt, "values", a_gt), dtype=float)
     if a.shape != a_gt.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"matrices must be square and equal-shape: {a.shape} vs {a_gt.shape}")
-    return _clamp(a), a_gt
+    return _clamp(a), _probabilities(a_gt, "association target")
 
 
 def assoc_loss(a: np.ndarray, a_gt: np.ndarray) -> float:
@@ -148,9 +155,11 @@ def assoc_loss_grad(a: np.ndarray, a_gt: np.ndarray) -> np.ndarray:
 def _caption_target(
     token_logits: np.ndarray, gt_tokens: Sequence[int], smoothing: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The (L, V) logits and their label-smoothed target distribution q, checked."""
+    """The (L, V) logits and their label-smoothed target distribution q, checked; L must be at least 1."""
     logits = np.asarray(token_logits, dtype=float)
     targets = np.asarray(gt_tokens, dtype=int)
+    if targets.ndim != 1 or targets.size == 0:
+        raise ValidationError(f"expected a non-empty vector of target tokens, got shape {targets.shape}")
     if logits.ndim != 2 or logits.shape[0] != len(targets):
         raise ValidationError(f"expected (L, V) logits for {len(targets)} targets")
     length, vocab = logits.shape

@@ -353,14 +353,17 @@ def _evaluate_video(
     n_alpha = len(alphas)
     records, mc, ass_iou_sum = _sweep(prep, alphas)
     tp = mc.sum(axis=(1, 2))
+    captioned = prep.gt_caption >= 0
+    cap_mc = mc * captioned[None, :, None]
+    tp_prime = cap_mc.sum(axis=(1, 2))
 
-    gt_caption_count = int((prep.gt_caption >= 0).sum())
-    cap_sum = tp_prime = np.zeros(n_alpha)
+    gt_caption_count = int(captioned.sum())
+    cap_sum = np.zeros(n_alpha)
     warnings: list[str] = []
     if gt_caption_count > 0:
         scorer = _PairScorer(config, idf)
         track_captions_only = "external" not in config.metrics and pred.box_captions is None
-        cap_sum, tp_prime = _caption_sums(records, n_alpha, prep, scorer, mc if track_captions_only else None)
+        cap_sum = _caption_sums(records, n_alpha, prep, scorer, cap_mc if track_captions_only else None)
         if scorer.missing_external:
             warnings.append(
                 f"{prep.video_id}: {len(scorer.missing_external)} matched pairs had no external score (scored 0)"
@@ -372,17 +375,17 @@ def _evaluate_video(
 
 
 def _caption_sums(
-    records: _Records, n_alpha: int, prep: _VideoPrep, scorer: _PairScorer, mc: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Caption score sums and caption-annotated match counts per threshold.
+    records: _Records, n_alpha: int, prep: _VideoPrep, scorer: _PairScorer, cap_mc: np.ndarray | None = None
+) -> np.ndarray:
+    """Caption score sums per threshold.
 
     Scores every matched detection of the sweep records on its own caption,
     falling back to its track caption, plus the external score of its
-    observation row if enabled. Given the match counts ``mc`` of data with
-    track captions only, every match of a track pair has the same score,
-    which is weighted by the pair's match count per threshold. That sum
-    rounds differently from the per-match sum, and reports on
-    track-captioned data are pinned to it.
+    observation row if enabled. Given the match counts ``cap_mc`` of
+    captioned ground truth, on data with track captions only, every match of
+    a track pair has the same score, which is weighted by the pair's match
+    count per threshold. That sum rounds differently from the per-match sum,
+    and reports on track-captioned data are pinned to it.
     """
     config = scorer.config
     first, last, g, p = records
@@ -393,18 +396,16 @@ def _caption_sums(
     if "external" in config.metrics:
         gt_ids = prep.gt_track_ids[gt_track].tolist()
         total += [scorer.external(prep.video_id, obs, track_id) for obs, track_id in zip(p.tolist(), gt_ids)]
-    if mc is not None:
-        scores = np.zeros(mc.shape[1:])
+    if cap_mc is not None:
+        scores = np.zeros(cap_mc.shape[1:])
         scores[gt_track, prep.pred.track[p]] = total / config.divisor
-        cap_mc = mc * (prep.gt_caption >= 0)[None, :, None]
-        return (cap_mc * scores[None, :, :]).sum(axis=(1, 2)), cap_mc.sum(axis=(1, 2))
+        return (cap_mc * scores[None, :, :]).sum(axis=(1, 2))
     alpha = np.arange(n_alpha)
     covered = (alpha >= first[:, None]) & (alpha <= last[:, None])
     # cumsum adds one matched entry at a time, in record order, as a
     # per-entry += over its thresholds would.
     added = np.where(covered, (total / config.divisor)[:, None], 0.0)
-    cap_sum = np.cumsum(np.vstack([np.zeros(n_alpha), added]), axis=0)[-1]
-    return cap_sum, covered.sum(axis=0).astype(float)
+    return np.cumsum(np.vstack([np.zeros(n_alpha), added]), axis=0)[-1]
 
 
 @dataclass
@@ -476,12 +477,18 @@ class EvalReport:
         }
 
 
-def _det_ass(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """DetA and AssA per threshold from tp, fp, fn and AssA numerator rows; 1.0 where undefined."""
-    tp, fp, fn, ass_iou_sum = sums[:4]
+def _components(sums: np.ndarray, capa_index: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """DetA, AssA and CapA per threshold from the six summed rows, and CapA's value.
+
+    DetA and AssA are 1.0 where undefined, CapA 0 where tp' is 0. CapA's value
+    is its mean over the grid, or its value at ``capa_index`` when given.
+    """
+    tp, fp, fn, ass_iou_sum, cap_sum, tp_prime = sums
     total = tp + fp + fn
     det = np.where(total > 0, tp / np.maximum(total, 1), 1.0)
-    return det, np.where(tp > 0, ass_iou_sum / np.maximum(tp, 1), 1.0)
+    ass = np.where(tp > 0, ass_iou_sum / np.maximum(tp, 1), 1.0)
+    cap = np.where(tp_prime > 0, cap_sum / np.maximum(tp_prime, 1), 0.0)
+    return det, ass, cap, float(cap.mean() if capa_index is None else cap[capa_index])
 
 
 def _mid_alpha(alphas: Sequence[float]) -> int:
@@ -577,36 +584,27 @@ def chota(
         results = [_evaluate_video(pred, gt, alphas, config, idf) for pred, gt in pairs]
 
     mid = _mid_alpha(alphas)
+    capa_index = None if config.capa_alpha is None else alphas.index(config.capa_alpha)
     per_video: dict[str, dict] = {}
     for video_id, sums, gt_caption_count, video_warnings in results:
         warnings.extend(video_warnings)
-        v_det, v_ass = _det_ass(sums)
-        v_cap, v_tp_prime = sums[4:]
+        v_det, v_ass, _, v_cap = _components(sums, capa_index)
         per_video[video_id] = {
             "det_a": float(v_det.mean()),
             "ass_a": float(v_ass.mean()),
-            "cap_a": (
-                float((v_cap[v_tp_prime > 0] / v_tp_prime[v_tp_prime > 0]).mean())
-                if (v_tp_prime > 0).any()
-                else (0.0 if gt_caption_count else None)
-            ),
+            "cap_a": v_cap if gt_caption_count else None,
             "tp@mid": float(sums[0, mid]),
         }
 
     # cumsum adds one video at a time, in id order, as a per-video += would.
     pooled = np.cumsum([np.zeros((6, len(alphas)))] + [r[1] for r in results], axis=0)[-1]
-    tp, fp, fn, _, cap_sum, tp_prime = pooled
-    det_arr, ass_arr = _det_ass(pooled)
+    tp, fp, fn, _, _, tp_prime = pooled
+    det_arr, ass_arr, cap_arr, cap_mean = _components(pooled, capa_index)
     capa_defined = any(r[2] for r in results)
-    cap_arr = np.where(tp_prime > 0, cap_sum / np.maximum(tp_prime, 1), 0.0)
 
     det_mean = float(det_arr.mean())
     ass_mean = float(ass_arr.mean())
     if capa_defined:
-        if config.capa_alpha is not None:
-            cap_mean = float(cap_arr[alphas.index(config.capa_alpha)])
-        else:
-            cap_mean = float(cap_arr.mean())
         chota_value = chota_from_components(det_mean, ass_mean, cap_mean)
     else:
         cap_mean = None

@@ -73,6 +73,12 @@ def test_sample_indices_single_sample_takes_first() -> None:
     assert hard_sample_indices(7, 1).tolist() == [0]
 
 
+def test_sample_indices_reject_empty_trajectory_and_zero_samples() -> None:
+    for length, m in ((0, 6), (6, 0)):
+        with pytest.raises(ValidationError):
+            hard_sample_indices(length, m)
+
+
 def test_sample_indices_properties() -> None:
     for length in range(1, 40):
         for m in range(1, 10):

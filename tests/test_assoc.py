@@ -10,6 +10,7 @@ from scipy.optimize import linear_sum_assignment
 from densevoc import _lsap
 from densevoc.assoc import (
     AssocMatrix,
+    IdentityAssignment,
     assign_identities,
     build_gt_association,
     iou_tracker,
@@ -56,6 +57,15 @@ def test_preprocess_idempotent(rng) -> None:
 def test_mismatched_frame_vector_rejected() -> None:
     with pytest.raises(ValidationError):
         AssocMatrix(values=np.eye(3), frame_of=np.array([0, 1]))
+
+
+def test_non_square_matrix_and_bad_ids_rejected() -> None:
+    with pytest.raises(ValidationError, match="square"):
+        AssocMatrix(values=np.ones((2, 3)), frame_of=np.array([0, 1]))
+    with pytest.raises(ValidationError, match="flat"):
+        IdentityAssignment(ids=np.array([[1, 2]]))
+    with pytest.raises(ValidationError, match=">= 1"):
+        IdentityAssignment(ids=np.array([1, 0]))
 
 
 def _four_obs_matrix() -> AssocMatrix:

@@ -150,6 +150,7 @@ def test_stemmer_examples() -> None:
     assert stem("flies") == "fly"
     assert stem("caresses") == "caress"
     assert stem("the") == "the"  # too short to strip
+    assert stem("seed") == "seed"  # "se" would be too short
     assert stem("quickly") == "quick"
 
 

@@ -14,7 +14,7 @@ from densevoc.cli import main
 from densevoc.core import Box, Detection, Trajectory, VideoRecord
 from densevoc.formats import load_dataset, save_dataset, save_matrix
 
-from densevoc import ground, losses
+from densevoc import formats, ground, losses
 
 from conftest import OVER_BUDGET_PAIR, make_track, make_video
 from oracles import ground_oracle, track_iou_oracle
@@ -656,6 +656,8 @@ _SYNTH_GT = str(FIXTURES / "synth20_gt.json")
 BAD_INPUTS = {
     "alphas-not-a-number": lambda tmp: ["eval-chota", _SYNTH_GT, _SYNTH_GT, "--alphas", "0.1,x"],
     "gate-not-a-number": lambda tmp: ["eval-chota", _SYNTH_GT, _SYNTH_GT, "--gate", "chota:abc"],
+    "gate-unknown-chota": lambda tmp: ["eval-chota", _SYNTH_GT, _SYNTH_GT, "--gate", "chotaa:0.5"],
+    "gate-unknown-apm": lambda tmp: ["eval-apm", _SYNTH_GT, _SYNTH_GT, "--gate", "apm:0.5"],
     "capa-alpha-not-a-number": lambda tmp: [
         "eval-chota", _SYNTH_GT, _SYNTH_GT, "--capa-alpha", "single:x"
     ],
@@ -708,6 +710,7 @@ BAD_INPUTS = {
     "aggregate-hard-ids-given-matrix": lambda tmp: _aggregate_given(tmp, "hard", "--ids", "--matrix"),
     "aggregate-hard-ids-given-theta": lambda tmp: _aggregate_given(tmp, "hard", "--ids", "--theta"),
     "aggregate-soft-without-matrix": lambda tmp: ["aggregate", _features_file(tmp), "--mode", "soft"],
+    "aggregate-hard-without-ids-or-matrix": lambda tmp: ["aggregate", _features_file(tmp), "--mode", "hard"],
     "aggregate-soft-matrix-holds-features": lambda tmp: [
         "aggregate", _features_file(tmp), "--mode", "soft", "--matrix", _features_file(tmp)
     ],
@@ -715,6 +718,13 @@ BAD_INPUTS = {
     "query-span-strings": lambda tmp: _ground_files(tmp, queries=_span_query(["a", "b"])),
     "query-span-floats": lambda tmp: _ground_files(tmp, queries=_span_query([0, 0.5])),
     "query-span-bools": lambda tmp: _ground_files(tmp, queries=_span_query([False, False])),
+    "matrix-file-holds-a-list": lambda tmp: ["track-assign", _write(tmp / "assoc.json", [1.0, 0.5])],
+    "external-scores-file-holds-an-object": lambda tmp: [
+        "eval-chota", _SYNTH_GT, _SYNTH_GT, "--cap-metrics", "meteor,external",
+        "--external-scores", _write(tmp / "scores.json", {"video_id": "v0", "score": 0.5}),
+    ],
+    "likelihoods-file-holds-an-object": lambda tmp: _ground_files(tmp, likelihoods={"query_id": "q1", "nll": 0.1}),
+    "queries-file-holds-an-object": lambda tmp: _ground_files(tmp, queries={"video_id": "v0", "query_id": "q1"}),
     "matrix-dim-strings": lambda tmp: _assoc_matrix_file(tmp, dim=["a", 2]),
     "matrix-frame-of-strings": lambda tmp: _assoc_matrix_file(tmp, frame_of=["x", "y"]),
     "matrix-frame-of-floats": lambda tmp: _assoc_matrix_file(tmp, frame_of=[0.5, 1.7]),
@@ -727,6 +737,10 @@ BAD_INPUTS = {
     "convert-flat-duplicate-frame": lambda tmp: _flat_file(tmp, b"1,7,10,20,30,40,0.9\n1,7,12,20,30,40,0.8\n"),
     "convert-flat-num-frames-out-of-range": lambda tmp: _flat_file(tmp, b"1,7,10,20,30,40,0.9\n")
     + ["--num-frames", str(10**20)],
+    "convert-flat-field-not-a-number": lambda tmp: _flat_file(tmp, b"1,7,x,20,30,40,0.9\n"),
+    "convert-flat-score-above-one": lambda tmp: _flat_file(tmp, b"1,7,10,20,30,40,1.5\n"),
+    "convert-flat-negative-frame": lambda tmp: _flat_file(tmp, b"-1,7,10,20,30,40,0.9\n"),
+    "convert-flat-negative-width": lambda tmp: _flat_file(tmp, b"1,7,10,20,-30,40,0.9\n"),
     "verify-losses-zero-seeds": lambda tmp: ["verify-losses", "--seeds", "0"],
     "track-iou-thresh-nan": lambda tmp: ["track-iou", _SYNTH_GT, "--thresh", "nan"],
     "synth-box-jitter-nan": lambda tmp: [
@@ -802,3 +816,16 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, case) -> None:
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", [
+    "gate-unknown-chota", "gate-unknown-apm", "gate-not-a-number", "cap-metrics-unknown",
+    "capa-alpha-mode-unknown", "external-scores-without-external-metric", "cap-metrics-external-without-scores",
+    "alphas-not-increasing",
+])
+def test_argument_errors_exit_before_any_dataset_is_read(tmp_path, capsys, monkeypatch, case) -> None:
+    monkeypatch.setattr(formats, "load_dataset", lambda *args, **kwargs: pytest.fail("a dataset was read"))
+    out = tmp_path / "r.json"
+    assert main(BAD_INPUTS[case](tmp_path) + ["--out", str(out)]) == 2
+    assert capsys.readouterr().out == ""
+    assert not out.exists() and not Path(f"{out}.summary").exists()

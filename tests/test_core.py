@@ -150,6 +150,15 @@ def test_detection_score_range() -> None:
         Detection(frame=-1, box=Box(0, 0, 1, 1))
 
 
+def test_track_ids_positive_and_consistent() -> None:
+    with pytest.raises(ValidationError, match="positive"):
+        Detection(frame=0, box=Box(0, 0, 1, 1), track_id=0)
+    with pytest.raises(ValidationError, match="positive"):
+        Trajectory(track_id=0, detections=())
+    with pytest.raises(ValidationError):
+        Trajectory(track_id=1, detections=(Detection(frame=0, box=Box(0, 0, 1, 1), track_id=2),))
+
+
 def test_trajectory_frames_strictly_increasing() -> None:
     with pytest.raises(ValidationError):
         make_track(1, [(0, 0, 0, 1, 1), (0, 0, 0, 1, 1)])

@@ -16,7 +16,7 @@ import numpy as np
 from densevoc.cli import main
 
 _INF_TOKEN = "__1e400__"
-_REPLACEMENTS = (None, True, "x", [], {}, float("nan"), _INF_TOKEN, 10**30, 10**400)
+_REPLACEMENTS = (None, True, "x", [], {}, float("nan"), _INF_TOKEN, 10**30, 10**400, 0, -1)
 _DELETE = object()
 
 

@@ -177,6 +177,14 @@ def test_table_scorer_missing_record_raises() -> None:
     scorer = TableScorer(per_frame={("v", 0, 0, "q"): 0.5})
     with pytest.raises(GroundingError):
         scorer.nll("v", 1, 0, "q")
+    scorer = TableScorer(per_track={("v", 7, "q"): 0.2}, mode="per-track", track_of={("v", 0, 0): 7})
+    with pytest.raises(GroundingError, match="no likelihood record"):
+        scorer.nll("v", 0, 0, "r")
+
+
+def test_table_scorer_rejects_unknown_mode() -> None:
+    with pytest.raises(ValidationError, match="mode"):
+        TableScorer(mode="x")
 
 
 def test_table_scorer_rejects_bad_nll() -> None:

@@ -229,6 +229,9 @@ def test_heatmap_gradient_rejects_what_its_loss_rejects() -> None:
         ((np.ones((2, 2)), np.ones((2, 3)), 1), {}),
         ((np.full((2, 2), 0.5), np.ones((2, 1)), 1), {}),  # would broadcast
         ((np.full((2, 2), 0.5), np.ones((2, 2)), 0), {}),
+        ((np.full((2, 2), 0.5), np.full((2, 2), math.nan), 1), {}),
+        ((np.full((2, 2), 0.5), np.full((2, 2), -1.0), 1), {}),
+        ((np.full((2, 2), 0.5), np.full((2, 2), math.inf), 1), {}),
     ])
 
 
@@ -237,6 +240,9 @@ def test_assoc_gradient_rejects_what_its_loss_rejects() -> None:
         ((np.full((2, 3), 0.5), np.ones((2, 3))), {}),
         ((np.full((2, 2), 0.5), np.ones((3, 3))), {}),
         ((np.full(4, 0.5), np.ones(4)), {}),
+        ((np.full((2, 2), 0.5), np.full((2, 2), 7.0)), {}),
+        ((np.full((2, 2), 0.5), np.full((2, 2), -1.0)), {}),
+        ((np.full((2, 2), 0.5), np.full((2, 2), math.nan)), {}),
     ])
 
 
@@ -249,6 +255,8 @@ def test_caption_gradient_rejects_what_its_loss_rejects() -> None:
         ((np.zeros((2, 1)), [0, 0]), {"smoothing": 0.1}),
         ((np.zeros((2, 4)), [0]), {}),
         ((np.zeros(4), [0]), {}),
+        ((np.zeros((2, 3)), [[0], [1]]), {}),  # would broadcast to a (2, 2) index
+        ((np.zeros((0, 3)), []), {}),
     ])
 
 

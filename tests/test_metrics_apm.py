@@ -234,6 +234,11 @@ def test_average_precision_all_points_interpolation() -> None:
     assert value == pytest.approx(0.5 + 0.5 * 2 / 3, abs=1e-12)
 
 
+def test_average_precision_undefined_without_ground_truth() -> None:
+    with pytest.raises(ValidationError, match="without ground truth"):
+        average_precision([], 0)
+
+
 def test_grounding_ious_simple_average() -> None:
     gt_boxes = {0: (0, 0, 10, 10), 1: (0, 0, 10, 10)}
     pred_boxes = {0: (0, 0, 10, 5), 1: (0, 0, 10, 10)}
@@ -260,6 +265,16 @@ def test_grounding_ious_disjoint_spans() -> None:
     assert t == 0.0
     assert v == 0.0
     assert s == 0.0
+
+
+def test_grounding_ious_rejects_bad_spans() -> None:
+    gt_boxes = {0: (0, 0, 10, 10), 1: (0, 0, 10, 10)}
+    with pytest.raises(ValidationError, match="start <= end"):
+        grounding_ious({}, (1, 0), gt_boxes, (0, 1))
+    with pytest.raises(ValidationError, match="start <= end"):
+        grounding_ious({}, (0, 1), gt_boxes, (1, 0))
+    with pytest.raises(ValidationError, match="frame 2"):
+        grounding_ious({}, (0, 2), gt_boxes, (0, 2))
 
 
 def test_grounding_ious_rejects_bad_corner_rows() -> None:

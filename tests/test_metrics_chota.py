@@ -13,6 +13,7 @@ from densevoc.metrics import (
     DEFAULT_ALPHAS,
     ScorerConfig,
     _caption_sums,
+    _evaluate_video,
     _idf_documents,
     _PairScorer,
     _sweep,
@@ -56,6 +57,8 @@ def test_match_alpha_validation() -> None:
     gt = _simple_video()
     with pytest.raises(ValidationError):
         _at(gt, gt, 0.0)
+    with pytest.raises(ValidationError, match="non-empty"):
+        chota([gt], [gt], alphas=())
 
 
 def test_det_a_direct_counts() -> None:
@@ -160,6 +163,11 @@ def test_external_scores_keyed_by_frame_major_file_order_index() -> None:
     assert report.cap_a == pytest.approx(np.full(len(DEFAULT_ALPHAS), expected), abs=1e-12)
     assert not any("external score" in w for w in report.warnings)
     assert _at(pred, gt, 0.5, config).cap_a[0] == pytest.approx(expected, abs=1e-12)
+
+
+def test_external_sub_metric_needs_scores() -> None:
+    with pytest.raises(ValidationError, match="no scores"):
+        ScorerConfig(metrics=("external",))
 
 
 def test_cap_a_undefined_without_gt_captions() -> None:
@@ -392,6 +400,31 @@ def test_per_video_tp_at_mid_reads_the_summary_threshold() -> None:
     assert report.per_video["v"]["tp@mid"] == 1.0
 
 
+@pytest.mark.parametrize("capa_alpha", [None, 0.5, 0.95])
+def test_per_video_rows_equal_the_video_evaluated_alone(capa_alpha) -> None:
+    # A row follows the aggregate's rule, so it is the report of a collection
+    # holding only that video. CIDEr is left out: its IDF spans the collection.
+    gts, preds = generate(SynthConfig(seed=0, num_videos=4, frames_per_video=30, objects_per_video=4,
+                                      box_jitter_sigma=6.0, drop_rate=0.1, false_positive_rate=0.2))
+    gts[3] = replace(gts[3], trajectories=tuple(replace(t, caption=None) for t in gts[3].trajectories))
+    rng = np.random.default_rng(0)
+    external = {
+        (p.video_id, obs, t.track_id): float(rng.uniform())
+        for p, g in zip(preds, gts) for obs in range(sum(len(t.detections) for t in p.trajectories))
+        for t in g.trajectories
+    }
+    for config in (ScorerConfig(metrics=("meteor",), capa_alpha=capa_alpha),
+                   ScorerConfig(metrics=("exact",), capa_alpha=capa_alpha),
+                   ScorerConfig(metrics=("external",), external_scores=external, capa_alpha=capa_alpha)):
+        report = chota(preds, gts, config=config)
+        for pred, gt in zip(preds, gts):
+            alone = chota([pred], [gt], config=config)
+            row = report.per_video[gt.video_id]
+            assert (row["det_a"], row["ass_a"], row["cap_a"]) == (
+                alone.det_a_mean, alone.ass_a_mean, alone.cap_a_mean), (gt.video_id, config.metrics)
+        assert report.per_video[gts[3].video_id]["cap_a"] is None
+
+
 def test_chota_falls_back_to_hota_without_captions() -> None:
     gt = _simple_video(caption=None)
     report = chota([gt], [gt])
@@ -530,14 +563,17 @@ def test_caption_sums_equal_per_match_oracle() -> None:
     preds, gts, external = _mixed_collection()
     idf = IdfTable.build(_idf_documents([VideoTable.from_record(g) for g in gts]))
     for pred, gt in zip(preds, gts):
-        prep = _VideoPrep(VideoTable.from_record(pred), VideoTable.from_record(gt))
+        tables = VideoTable.from_record(pred), VideoTable.from_record(gt)
+        prep = _VideoPrep(*tables)
         for alphas in (DEFAULT_ALPHAS, (0.5,)):
             records = _sweep(prep, alphas)[0]
             for config in _configs(external):
                 scorer, oracle_scorer = _PairScorer(config, idf), _PairScorer(config, idf)
-                got = _caption_sums(records, len(alphas), prep, scorer)
+                cap_sum = _caption_sums(records, len(alphas), prep, scorer)
                 expected = caption_sums_oracle(pred, gt, records, len(alphas), oracle_scorer)
-                assert all(np.array_equal(a, b) for a, b in zip(got, expected)), (pred.video_id, config)
+                tp_prime = _evaluate_video(*tables, alphas, config, idf)[1][5]
+                assert np.array_equal(cap_sum, expected[0]), (pred.video_id, config)
+                assert np.array_equal(tp_prime, expected[1]), (pred.video_id, config)
                 assert scorer.missing_external == oracle_scorer.missing_external
 
 
@@ -622,11 +658,13 @@ def test_caption_sums_on_tail_runs_equal_per_band_oracle(rng, alphas) -> None:
     captioned_matches = 0
     for trial, (pred, gt) in enumerate(instances):
         idf = IdfTable.build(_idf_documents([VideoTable.from_record(gt)]))
-        prep = _VideoPrep(VideoTable.from_record(pred), VideoTable.from_record(gt))
-        got = _caption_sums(_sweep(prep, alphas)[0], len(alphas), prep, _PairScorer(config, idf))
+        tables = VideoTable.from_record(pred), VideoTable.from_record(gt)
+        prep = _VideoPrep(*tables)
+        cap_sum = _caption_sums(_sweep(prep, alphas)[0], len(alphas), prep, _PairScorer(config, idf))
         bands = _oracle_columns(sweep_oracle(pred, gt, alphas)[0])
         expected = caption_sums_oracle(pred, gt, bands, len(alphas), _PairScorer(config, idf))
-        assert all(np.array_equal(a, b) for a, b in zip(got, expected)), trial
+        assert np.array_equal(cap_sum, expected[0]), trial
+        assert np.array_equal(_evaluate_video(*tables, alphas, config, idf)[1][5], expected[1]), trial
         captioned_matches += expected[1].sum()
     assert captioned_matches > 100 * len(alphas)
 
