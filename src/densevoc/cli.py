@@ -101,6 +101,7 @@ def cmd_eval_chota(args) -> int:
     alphas = metrics.validate_alphas(_number(a, "--alphas") for a in args.alphas.split(","))
     jobs = _in_range(args.jobs, "--jobs", 1, math.inf)
     config = _scorer_config(args)
+    config.capa_index(alphas)  # a capa_alpha off the grid fails here, before any dataset is read
     gts = formats.load_dataset(args.gt, strict=args.strict)
     preds = formats.load_dataset(args.pred, strict=args.strict)
     report = metrics.chota(preds, gts, alphas=alphas, config=config, jobs=jobs)
@@ -119,9 +120,11 @@ def cmd_eval_chota(args) -> int:
 
 def cmd_eval_apm(args) -> int:
     gates = _parse_gates(args.gate, _APM_GATES)
-    iou_thresholds = tuple(_number(t, "--iou-thresholds") for t in args.iou_thresholds.split(","))
-    meteor_thresholds = tuple(
-        _number(t, "--meteor-thresholds") for t in args.meteor_thresholds.split(",")
+    iou_thresholds = metrics.validate_thresholds(
+        "IoU", (_number(t, "--iou-thresholds") for t in args.iou_thresholds.split(","))
+    )
+    meteor_thresholds = metrics.validate_thresholds(
+        "METEOR", (_number(t, "--meteor-thresholds") for t in args.meteor_thresholds.split(","))
     )
     gts = formats.load_dataset(args.gt, strict=args.strict)
     preds = formats.load_dataset(args.pred, strict=args.strict)
@@ -137,16 +140,8 @@ def cmd_eval_apm(args) -> int:
     return _apply_gates(gates, report)
 
 
-def _load_assoc(path: str) -> assoc.AssocMatrix:
-    """The association matrix in ``path``; a feature matrix there is a ValidationError."""
-    matrix = formats.load_matrix(path)
-    if not isinstance(matrix, assoc.AssocMatrix):
-        raise ValidationError(f"{path} holds a feature matrix, not an association matrix")
-    return matrix
-
-
 def cmd_track_assign(args) -> int:
-    ids = assoc.assign_identities(_load_assoc(args.matrix), theta=args.theta)
+    ids = assoc.assign_identities(formats.load_matrix(args.matrix, "assoc"), theta=args.theta)
     print(f"observations={len(ids)} tracks={len(set(ids.ids.tolist()))}")
     if args.out:
         formats.write_json({"ids": [int(i) for i in ids.ids]}, args.out)
@@ -181,13 +176,16 @@ def cmd_aggregate(args) -> int:
               if flag not in reads and getattr(args, flag) is not None]
     if unread:
         raise ValidationError(f"aggregate --mode {mode} does not read {', '.join(unread)}")
-    features = formats.load_matrix(args.features)
-    if isinstance(features, assoc.AssocMatrix):
-        raise ValidationError(f"{args.features} holds an association matrix, not features")
-    if args.mode == "soft":
+    features = formats.load_matrix(args.features, "features")
+    if "matrix" in reads:
         if not args.matrix:
-            raise ValidationError("soft aggregation needs --matrix")
-        out = agg.soft_aggregate(assoc.preprocess(_load_assoc(args.matrix)), features.values)
+            needs = "--matrix" if args.mode == "soft" else "--ids or --matrix"
+            raise ValidationError(f"{args.mode} aggregation needs {needs}")
+        matrix = formats.load_matrix(args.matrix, "assoc")
+        if not np.array_equal(matrix.frame_of, features.frame_of):
+            raise ValidationError(f"{args.matrix}: frame_of differs from the frame_of of {args.features}")
+    if args.mode == "soft":
+        out = agg.soft_aggregate(assoc.preprocess(matrix), features.values)
         if args.out:
             formats.save_matrix(features.video_id, features.frame_of, out, args.out, kind="features")
         print(f"rows={out.shape[0]} dim={out.shape[1]}")
@@ -195,9 +193,7 @@ def cmd_aggregate(args) -> int:
     if args.ids:
         ids = assoc.IdentityAssignment(ids=formats.load_ids(args.ids))
     else:
-        if not args.matrix:
-            raise ValidationError("hard aggregation needs --ids or --matrix")
-        ids = assoc.assign_identities(_load_assoc(args.matrix), theta=0.5 if args.theta is None else args.theta)
+        ids = assoc.assign_identities(matrix, theta=0.5 if args.theta is None else args.theta)
     m = 6 if args.m is None else args.m
     result = agg.hard_aggregate(features.values, ids, features.frame_of, m=m)
     obj = {
@@ -284,18 +280,17 @@ def cmd_ground(args) -> int:
     return 0
 
 
+# Each synth flag and the SynthConfig field it sets; the field's default gives its type and default.
+_SYNTH_FLAGS = {
+    "--seed": "seed", "--num-videos": "num_videos", "--frames": "frames_per_video",
+    "--objects": "objects_per_video", "--box-jitter": "box_jitter_sigma", "--drop-rate": "drop_rate",
+    "--fp-rate": "false_positive_rate", "--id-switch-rate": "id_switch_rate",
+    "--caption-corruption-rate": "caption_corruption_rate",
+}
+
+
 def cmd_synth(args) -> int:
-    cfg = synth.SynthConfig(
-        seed=args.seed,
-        num_videos=args.num_videos,
-        frames_per_video=args.frames,
-        objects_per_video=args.objects,
-        box_jitter_sigma=args.box_jitter,
-        drop_rate=args.drop_rate,
-        false_positive_rate=args.fp_rate,
-        id_switch_rate=args.id_switch_rate,
-        caption_corruption_rate=args.caption_corruption_rate,
-    )
+    cfg = synth.SynthConfig(**{field: getattr(args, field) for field in _SYNTH_FLAGS.values()})
     gts, preds = synth.generate_tables(cfg)
     formats.save_dataset(gts, args.out_gt)
     formats.save_dataset(preds, args.out_pred)
@@ -332,7 +327,7 @@ def cmd_verify_losses(args) -> int:
             r.uniform(0.1, 0.9, size=(4, 4)), {"a_gt": (r.random((4, 4)) < 0.5).astype(float)},
         )),
         ("caption_loss", losses.caption_loss, losses.caption_loss_grad, lambda r: (
-            r.normal(size=(5, 7)), {"gt_tokens": r.integers(0, 7, size=5), "smoothing": 0.1},
+            r.normal(size=(5, 7)), {"gt_tokens": r.integers(0, 7, size=5)},
         )),
         ("roi_cls_loss", losses.roi_cls_loss, losses.roi_cls_loss_grad, lambda r: (
             r.normal(size=2), {"label": int(r.integers(0, 2))},
@@ -370,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-chota", help="tracking + captioning evaluation")
     add_common_eval(p)
     p.add_argument("--alphas", default=",".join(str(a) for a in metrics.DEFAULT_ALPHAS))
-    p.add_argument("--cap-metrics", default="meteor,cider", help="comma list of meteor,cider,exact,external")
+    p.add_argument("--cap-metrics", default=",".join(metrics.ScorerConfig().metrics),
+                   help="comma list of meteor,cider,exact,external")
     p.add_argument("--capa-alpha", default="integrate", help="'integrate' or 'single:<alpha>'")
     p.add_argument("--external-scores", default=None, help="sidecar score file")
     p.add_argument("--jobs", type=int, default=os.environ.get("DENSEVOC_JOBS", "1"),
@@ -418,15 +414,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ground)
 
     p = sub.add_parser("synth", help="deterministic synthetic scenario files")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--num-videos", type=int, default=4)
-    p.add_argument("--frames", type=int, default=30)
-    p.add_argument("--objects", type=int, default=4)
-    p.add_argument("--box-jitter", type=float, default=0.0)
-    p.add_argument("--drop-rate", type=float, default=0.0)
-    p.add_argument("--fp-rate", type=float, default=0.0)
-    p.add_argument("--id-switch-rate", type=float, default=0.0)
-    p.add_argument("--caption-corruption-rate", type=float, default=0.0)
+    defaults = synth.SynthConfig()
+    for flag, field in _SYNTH_FLAGS.items():
+        default = getattr(defaults, field)
+        # The metavar argparse derives from the flag's name, so the help reads as the flag.
+        p.add_argument(flag, dest=field, type=type(default), default=default,
+                       metavar=flag[2:].replace("-", "_").upper())
     p.add_argument("--out-gt", required=True)
     p.add_argument("--out-pred", required=True)
     p.set_defaults(func=cmd_synth)

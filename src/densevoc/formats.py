@@ -283,8 +283,22 @@ class FeatureFile:
     values: np.ndarray  # (M, D)
 
 
-def load_matrix(path: str | Path) -> AssocMatrix | FeatureFile:
-    """Load an association matrix (dim: M) or a feature matrix (dim: [M, D])."""
+# Each matrix file kind and how an error names it.
+_MATRIX_KINDS = {"assoc": "an association matrix", "features": "a feature matrix"}
+
+
+def _matrix_kind(kind: str) -> str:
+    if kind not in _MATRIX_KINDS:
+        raise ValidationError(f"matrix kind must be 'assoc' or 'features', got {kind!r}")
+    return kind
+
+
+def load_matrix(path: str | Path, kind: str) -> AssocMatrix | FeatureFile:
+    """Load an association matrix ("assoc", dim: M) or a feature matrix ("features", dim: [M, D]).
+
+    A file holding the other kind is a FormatError.
+    """
+    _matrix_kind(kind)
     path = Path(path)
     data = _read_json(path)
     if not isinstance(data, dict):
@@ -306,23 +320,23 @@ def load_matrix(path: str | Path) -> AssocMatrix | FeatureFile:
         raise FormatError(f"{where}: matrix values must all be finite")
     dim = data.get("dim")
     if _is_int(dim):
-        m = dim
-        if values.size != m * m:
-            raise FormatError(f"{where}: expected {m}x{m} values, got {values.size}")
-        if len(frame_of) != m:
-            raise FormatError(f"{where}: frame_of length {len(frame_of)} != dim {m}")
-        try:
-            return AssocMatrix(values=values.reshape(m, m), frame_of=frame_of)
-        except ValidationError as exc:
-            raise FormatError(f"{where}: {exc}") from exc
-    if isinstance(dim, list) and len(dim) == 2 and all(_is_int(v) and v >= 0 for v in dim):
-        m, d = dim
-        if values.size != m * d:
-            raise FormatError(f"{where}: expected {m}x{d} values, got {values.size}")
-        if len(frame_of) != m:
-            raise FormatError(f"{where}: frame_of length {len(frame_of)} != rows {m}")
+        held, (m, d) = "assoc", (dim, dim)
+    elif isinstance(dim, list) and len(dim) == 2 and all(_is_int(v) and v >= 0 for v in dim):
+        held, (m, d) = "features", dim
+    else:
+        raise FormatError(f"{where}: dim must be an integer M or a pair [M, D]")
+    if held != kind:
+        raise FormatError(f"{where} holds {_MATRIX_KINDS[held]}, not {_MATRIX_KINDS[kind]}")
+    if values.size != m * d:
+        raise FormatError(f"{where}: expected {m}x{d} values, got {values.size}")
+    if len(frame_of) != m:
+        raise FormatError(f"{where}: frame_of length {len(frame_of)} != {m} rows")
+    if kind == "features":
         return FeatureFile(video_id=video_id, frame_of=frame_of, values=values.reshape(m, d))
-    raise FormatError(f"{where}: dim must be an integer M or a pair [M, D]")
+    try:
+        return AssocMatrix(values=values.reshape(m, m), frame_of=frame_of)
+    except ValidationError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
 
 
 def save_matrix(
@@ -330,30 +344,17 @@ def save_matrix(
     frame_of: np.ndarray,
     values: np.ndarray,
     path: str | Path,
-    kind: str | None = None,
+    kind: str,
 ) -> None:
-    """Write an association ("assoc") or feature ("features") matrix file.
-
-    ``kind`` may be omitted only when the shape is unambiguous; a square
-    feature matrix must say so explicitly.
-    """
+    """Write an association ("assoc") or feature ("features") matrix file."""
     values = np.asarray(values, dtype=float)
     square = values.ndim == 2 and values.shape[0] == values.shape[1] == len(frame_of)
-    if kind is None:
-        kind = "assoc" if square else "features"
-    if kind not in ("assoc", "features"):
-        raise ValidationError(f"matrix kind must be 'assoc' or 'features', got {kind!r}")
-    if kind == "assoc" and not square:
+    if _matrix_kind(kind) == "assoc" and not square:
         raise ValidationError("association matrices must be square with matching frame_of")
-    dim: int | list[int]
-    if kind == "assoc":
-        dim = int(values.shape[0])
-    else:
-        dim = [int(values.shape[0]), int(values.shape[1])]
     obj = {
         "video_id": video_id,
         "frame_of": [int(f) for f in frame_of],
-        "dim": dim,
+        "dim": int(values.shape[0]) if kind == "assoc" else [int(values.shape[0]), int(values.shape[1])],
         "values": [float(v) for v in values.reshape(-1)],
     }
     Path(path).write_text(json.dumps(obj, separators=(",", ":")) + "\n")
@@ -431,7 +432,7 @@ def load_queries(path: str | Path) -> list[dict]:
     data = _read_json(path)
     if not isinstance(data, list):
         raise FormatError(f"{path}: top level: expected a list of query records")
-    queries = []
+    queries: dict[tuple[str, str], dict] = {}
     for i, rec in enumerate(data):
         where = f"{path}: query[{i}]"
         if not isinstance(rec, dict):
@@ -456,16 +457,18 @@ def load_queries(path: str | Path) -> list[dict]:
         missing = next((f for f in range(span[0], end + 1) if f not in boxes), None)
         if missing is not None:
             raise FormatError(f"{where}: span {span} has no box for frame {missing}")
-        queries.append(
-            {
-                "video_id": _require(rec, "video_id", str, where),
-                "query_id": _require(rec, "query_id", str, where),
-                "text": _require(rec, "text", str, where),
-                "span": (span[0], span[1]),
-                "boxes": boxes,
-            }
-        )
-    return queries
+        query = {
+            "video_id": _require(rec, "video_id", str, where),
+            "query_id": _require(rec, "query_id", str, where),
+            "text": _require(rec, "text", str, where),
+            "span": (span[0], span[1]),
+            "boxes": boxes,
+        }
+        key = (query["video_id"], query["query_id"])
+        if key in queries:
+            raise FormatError(f"{where}: duplicate (video_id, query_id) {key}")
+        queries[key] = query
+    return list(queries.values())
 
 
 def load_ids(path: str | Path) -> np.ndarray:

@@ -3,7 +3,9 @@
 Sign conventions: the focal heatmap term and the gIoU regression term are
 returned in minimizable form (non-negative, zero at the perfect prediction).
 Probabilities passed to any log are clamped to [1e-6, 1 - 1e-6] so the
-functions are total on degenerate inputs.
+functions are total on finite inputs; a prediction, association score or
+logit that is NaN or infinite is a ValidationError, in a loss and in its
+gradient alike.
 """
 
 from __future__ import annotations
@@ -41,6 +43,13 @@ def _clamp(p: np.ndarray) -> np.ndarray:
     return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
 
 
+def _finite(x: np.ndarray, name: str) -> np.ndarray:
+    """``x``, checked to hold no NaN or infinity."""
+    if not np.isfinite(x).all():
+        raise ValidationError(f"{name} must be finite")
+    return x
+
+
 def _probabilities(target: np.ndarray, name: str) -> np.ndarray:
     """``target``, checked to hold probabilities: every value finite and in [0, 1]."""
     if not np.all((target >= 0.0) & (target <= 1.0)):  # False on NaN
@@ -49,14 +58,14 @@ def _probabilities(target: np.ndarray, name: str) -> np.ndarray:
 
 
 def _heatmaps(y: np.ndarray, y_gt: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The clamped predicted heatmap and the target, checked to have one shape, a [0, 1] target and ``n >= 1``."""
+    """The clamped predicted heatmap and the target, checked: one shape, a finite prediction, a [0, 1] target, ``n >= 1``."""
     y = np.asarray(y, dtype=float)
     y_gt = np.asarray(y_gt, dtype=float)
     if y.shape != y_gt.shape:
         raise ValidationError(f"heatmap shapes differ: {y.shape} vs {y_gt.shape}")
     if n < 1:
         raise ValidationError(f"object count must be >= 1, got {n}")
-    return _clamp(y), _probabilities(y_gt, "heatmap target")
+    return _clamp(_finite(y, "heatmap prediction")), _probabilities(y_gt, "heatmap target")
 
 
 def heatmap_loss(y: np.ndarray, y_gt: np.ndarray, n: int) -> float:
@@ -100,11 +109,11 @@ def giou_loss(pred: Sequence[Box], gt: Sequence[Box]) -> float:
 
 
 def _roi_logits(logits: np.ndarray, label: int) -> np.ndarray:
-    """The foreground/background logit pair, checked with its binary label."""
+    """The foreground/background logit pair, checked to be finite and to come with a binary label."""
     logits = np.asarray(logits, dtype=float)
     if logits.shape != (2,) or label not in (0, 1):
         raise ValidationError("expected 2 logits and a binary label")
-    return logits
+    return _finite(logits, "logits")
 
 
 def roi_cls_loss(logits: np.ndarray, label: int) -> float:
@@ -127,12 +136,12 @@ def roi_reg_loss(pred: Sequence[Box], gt: Sequence[Box]) -> float:
 
 
 def _assoc_pair(a: np.ndarray, a_gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The clamped predicted matrix and the target, checked to be square, of one shape and a [0, 1] target."""
+    """The clamped predicted matrix and the target, checked: square, one shape, a finite prediction, a [0, 1] target."""
     a = np.asarray(getattr(a, "values", a), dtype=float)
     a_gt = np.asarray(getattr(a_gt, "values", a_gt), dtype=float)
     if a.shape != a_gt.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"matrices must be square and equal-shape: {a.shape} vs {a_gt.shape}")
-    return _clamp(a), _probabilities(a_gt, "association target")
+    return _clamp(_finite(a, "association scores")), _probabilities(a_gt, "association target")
 
 
 def assoc_loss(a: np.ndarray, a_gt: np.ndarray) -> float:
@@ -155,7 +164,7 @@ def assoc_loss_grad(a: np.ndarray, a_gt: np.ndarray) -> np.ndarray:
 def _caption_target(
     token_logits: np.ndarray, gt_tokens: Sequence[int], smoothing: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The (L, V) logits and their label-smoothed target distribution q, checked; L must be at least 1."""
+    """The finite (L, V) logits and their label-smoothed target distribution q, checked; L must be at least 1."""
     logits = np.asarray(token_logits, dtype=float)
     targets = np.asarray(gt_tokens, dtype=int)
     if targets.ndim != 1 or targets.size == 0:
@@ -171,7 +180,7 @@ def _caption_target(
         raise ValidationError("smoothing requires a vocabulary of at least 2")
     q = np.full((length, vocab), smoothing / (vocab - 1) if vocab > 1 else 0.0)
     q[np.arange(length), targets] = 1.0 - smoothing
-    return logits, q
+    return _finite(logits, "token logits"), q
 
 
 def caption_loss(

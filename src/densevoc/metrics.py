@@ -44,6 +44,14 @@ def validate_alphas(alphas: Sequence[float]) -> tuple[float, ...]:
     return alphas
 
 
+def validate_thresholds(name: str, grid: Sequence[float]) -> tuple[float, ...]:
+    """An AP_M threshold grid, checked to be non-empty and within [0, 1]."""
+    grid = tuple(grid)
+    if not grid or any(not (0.0 <= t <= 1.0) for t in grid):
+        raise ValidationError(f"{name} thresholds must be non-empty and in [0, 1], got {grid}")
+    return grid
+
+
 @dataclass(frozen=True)
 class ScorerConfig:
     """Which caption sub-metrics feed CapA, and how CapA treats the grid."""
@@ -64,6 +72,14 @@ class ScorerConfig:
     @property
     def divisor(self) -> int:
         return len(self.metrics)
+
+    def capa_index(self, alphas: tuple[float, ...]) -> int | None:
+        """The index of ``capa_alpha`` in ``alphas``, None when CapA integrates; off the grid is a ValidationError."""
+        if self.capa_alpha is None:
+            return None
+        if self.capa_alpha not in alphas:
+            raise ValidationError(f"capa_alpha {self.capa_alpha} must be one of the evaluated thresholds")
+        return alphas.index(self.capa_alpha)
 
 
 @dataclass
@@ -560,10 +576,7 @@ def chota(
     CHOTA = (DetA * AssA * CapA)^(1/3), HOTA = sqrt(DetA * AssA).
     """
     alphas = validate_alphas(alphas)
-    if config.capa_alpha is not None and config.capa_alpha not in alphas:
-        raise ValidationError(
-            f"capa_alpha {config.capa_alpha} must be one of the evaluated thresholds"
-        )
+    capa_index = config.capa_index(alphas)
     pairs, warnings = _pair_records(preds, gts)
     idf = IdfTable.build(_idf_documents([gt for _, gt in pairs]))
     if jobs > 1 and len(pairs) > 1:
@@ -584,7 +597,6 @@ def chota(
         results = [_evaluate_video(pred, gt, alphas, config, idf) for pred, gt in pairs]
 
     mid = _mid_alpha(alphas)
-    capa_index = None if config.capa_alpha is None else alphas.index(config.capa_alpha)
     per_video: dict[str, dict] = {}
     for video_id, sums, gt_caption_count, video_warnings in results:
         warnings.extend(video_warnings)
@@ -698,11 +710,8 @@ def ap_m(
     over the collection. Per-frame APs are added in (video id, frame) order, so
     the grid is the same as a frame-by-frame sum.
     """
-    iou_thresholds = tuple(iou_thresholds)
-    meteor_thresholds = tuple(meteor_thresholds)
-    for name, grid in (("IoU", iou_thresholds), ("METEOR", meteor_thresholds)):
-        if not grid or any(not (0.0 <= t <= 1.0) for t in grid):
-            raise ValidationError(f"{name} thresholds must be non-empty and in [0, 1], got {grid}")
+    iou_thresholds = validate_thresholds("IoU", iou_thresholds)
+    meteor_thresholds = validate_thresholds("METEOR", meteor_thresholds)
     pairs, warnings = _pair_records(preds, gts)
     shape = (len(iou_thresholds), len(meteor_thresholds))
     n_cells = shape[0] * shape[1]

@@ -13,6 +13,7 @@ import pytest
 from densevoc.cli import main
 from densevoc.core import Box, Detection, Trajectory, VideoRecord
 from densevoc.formats import load_dataset, save_dataset, save_matrix
+from densevoc.synth import SynthConfig, generate_tables
 
 from densevoc import formats, ground, losses
 
@@ -117,7 +118,7 @@ def test_track_assign_fixture(tmp_path, capsys) -> None:
     values[0, 2] = values[2, 0] = 0.9
     values[1, 3] = values[3, 1] = 0.8
     matrix_path = tmp_path / "assoc.json"
-    save_matrix("v0", np.array([0, 0, 1, 1]), values, matrix_path)
+    save_matrix("v0", np.array([0, 0, 1, 1]), values, matrix_path, "assoc")
 
     out = tmp_path / "ids.json"
     assert main(["track-assign", str(matrix_path), "--theta", "0.5", "--out", str(out)]) == 0
@@ -131,7 +132,7 @@ def test_track_assign_fixture(tmp_path, capsys) -> None:
 
 def test_track_assign_singleton(tmp_path) -> None:
     matrix_path = tmp_path / "one.json"
-    save_matrix("v0", np.array([0]), np.array([[0.2]]), matrix_path)
+    save_matrix("v0", np.array([0]), np.array([[0.2]]), matrix_path, "assoc")
     out = tmp_path / "ids.json"
     assert main(["track-assign", str(matrix_path), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["ids"] == [1]
@@ -242,7 +243,7 @@ def test_commands_build_no_record_objects(tmp_path, monkeypatch) -> None:
 def test_aggregate_soft_and_hard(tmp_path) -> None:
     values = np.array([[1.0, 0.5], [0.5, 1.0]])
     matrix_path = tmp_path / "assoc.json"
-    save_matrix("v0", np.array([0, 1]), values, matrix_path)
+    save_matrix("v0", np.array([0, 1]), values, matrix_path, "assoc")
     feat_path = tmp_path / "features.json"
     save_matrix("v0", np.array([0, 1]), np.array([[0.0, 0.0], [3.0, 3.0]]), feat_path, kind="features")
 
@@ -438,6 +439,16 @@ def test_synth_golden_files_bytewise(tmp_path) -> None:
     assert out_pred.read_bytes() == (FIXTURES / "golden_seed42_pred.json").read_bytes()
 
 
+def test_synth_default_flags_write_the_default_config(tmp_path) -> None:
+    out_gt, out_pred = tmp_path / "gt.json", tmp_path / "pred.json"
+    assert main(["synth", "--out-gt", str(out_gt), "--out-pred", str(out_pred)]) == 0
+    gts, preds = generate_tables(SynthConfig())
+    save_dataset(gts, tmp_path / "want_gt.json")
+    save_dataset(preds, tmp_path / "want_pred.json")
+    assert out_gt.read_bytes() == (tmp_path / "want_gt.json").read_bytes()
+    assert out_pred.read_bytes() == (tmp_path / "want_pred.json").read_bytes()
+
+
 def test_synth_drop_rate_one(tmp_path) -> None:
     out_gt = tmp_path / "gt.json"
     out_pred = tmp_path / "pred.json"
@@ -622,11 +633,15 @@ def _features_file(tmp_path) -> str:
     return str(feat_path)
 
 
-def _aggregate_given(tmp_path, mode: str, *flags: str) -> list[str]:
-    """aggregate on the 2-row feature file in ``mode``, with a value for each of ``flags``."""
+def _assoc_file(tmp_path, frame_of=(0, 1)) -> str:
     matrix = tmp_path / "assoc.json"
-    save_matrix("v0", np.array([0, 1]), np.array([[1.0, 0.5], [0.5, 1.0]]), matrix)
-    values = {"--matrix": str(matrix), "--ids": _write(tmp_path / "ids.json", {"ids": [1, 1]}),
+    save_matrix("v0", np.array(frame_of), np.array([[1.0, 0.5], [0.5, 1.0]]), matrix, "assoc")
+    return str(matrix)
+
+
+def _aggregate_given(tmp_path, mode: str, *flags: str, matrix_frames=(0, 1)) -> list[str]:
+    """aggregate on the 2-row feature file in ``mode``, with a value for each of ``flags``."""
+    values = {"--matrix": _assoc_file(tmp_path, matrix_frames), "--ids": _write(tmp_path / "ids.json", {"ids": [1, 1]}),
               "--m": "2", "--theta": "0.5"}
     return ["aggregate", _features_file(tmp_path), "--mode", mode] + [v for f in flags for v in (f, values[f])]
 
@@ -665,6 +680,8 @@ BAD_INPUTS = {
         "eval-apm", _SYNTH_GT, _SYNTH_GT, "--iou-thresholds", "0.5,x"
     ],
     "iou-threshold-above-one": lambda tmp: ["eval-apm", _SYNTH_GT, _SYNTH_GT, "--iou-thresholds", "1.5"],
+    "apm-meteor-threshold-negative": lambda tmp: ["eval-apm", _SYNTH_GT, _SYNTH_GT, "--meteor-thresholds", "-0.1"],
+    "capa-alpha-off-grid": lambda tmp: ["eval-chota", _SYNTH_GT, _SYNTH_GT, "--capa-alpha", "single:0.33"],
     "meteor-threshold-not-finite": lambda tmp: [
         "eval-apm", _SYNTH_GT, _SYNTH_GT, "--meteor-thresholds", "0.1,inf"
     ],
@@ -681,6 +698,10 @@ BAD_INPUTS = {
     "likelihood-record-repeated": lambda tmp: _ground_files(tmp, likelihoods=[
         {"video_id": "v0", "frame": 0, "observation_index": 0, "query_id": "q1", "nll": 0.1},
         {"video_id": "v0", "frame": 0, "observation_index": 0, "query_id": "q1", "nll": 0.7},
+    ]),
+    "query-id-repeated": lambda tmp: _ground_files(tmp, queries=[
+        {"video_id": "v0", "query_id": "q1", "text": text, "span": [0, 0], "boxes": [{"frame": 0, "box": box}]}
+        for text, box in (("x", [0, 0, 10, 10]), ("y", [20, 20, 30, 30]))
     ]),
     "query-box-frame-repeated": lambda tmp: _ground_files(tmp, queries=[
         {"video_id": "v0", "query_id": "q1", "text": "x", "span": [0, 0],
@@ -715,6 +736,9 @@ BAD_INPUTS = {
         "aggregate", _features_file(tmp), "--mode", "soft", "--matrix", _features_file(tmp)
     ],
     "track-assign-matrix-holds-features": lambda tmp: ["track-assign", _features_file(tmp)],
+    "aggregate-features-file-holds-assoc": lambda tmp: ["aggregate", _assoc_file(tmp), "--matrix", _assoc_file(tmp)],
+    "aggregate-soft-matrix-frames-differ": lambda tmp: _aggregate_given(tmp, "soft", "--matrix", matrix_frames=(0, 0)),
+    "aggregate-hard-matrix-frames-differ": lambda tmp: _aggregate_given(tmp, "hard", "--matrix", matrix_frames=(0, 0)),
     "query-span-strings": lambda tmp: _ground_files(tmp, queries=_span_query(["a", "b"])),
     "query-span-floats": lambda tmp: _ground_files(tmp, queries=_span_query([0, 0.5])),
     "query-span-bools": lambda tmp: _ground_files(tmp, queries=_span_query([False, False])),
@@ -821,7 +845,7 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, case) -> None:
 @pytest.mark.parametrize("case", [
     "gate-unknown-chota", "gate-unknown-apm", "gate-not-a-number", "cap-metrics-unknown",
     "capa-alpha-mode-unknown", "external-scores-without-external-metric", "cap-metrics-external-without-scores",
-    "alphas-not-increasing",
+    "alphas-not-increasing", "iou-threshold-above-one", "apm-meteor-threshold-negative", "capa-alpha-off-grid",
 ])
 def test_argument_errors_exit_before_any_dataset_is_read(tmp_path, capsys, monkeypatch, case) -> None:
     monkeypatch.setattr(formats, "load_dataset", lambda *args, **kwargs: pytest.fail("a dataset was read"))

@@ -182,8 +182,8 @@ def test_invariant_violation_reports_path() -> None:
 def test_assoc_matrix_round_trip(tmp_path) -> None:
     path = tmp_path / "assoc.json"
     values = np.array([[1.0, 0.25], [0.5, 1.0]])
-    save_matrix("v0", np.array([0, 1]), values, path)
-    loaded = load_matrix(path)
+    save_matrix("v0", np.array([0, 1]), values, path, "assoc")
+    loaded = load_matrix(path, "assoc")
     assert isinstance(loaded, AssocMatrix)
     assert loaded.values == pytest.approx(values)
     assert loaded.frame_of.tolist() == [0, 1]
@@ -192,8 +192,8 @@ def test_assoc_matrix_round_trip(tmp_path) -> None:
 def test_feature_matrix_round_trip(tmp_path) -> None:
     path = tmp_path / "features.json"
     values = np.arange(6.0).reshape(3, 2)
-    save_matrix("v0", np.array([0, 0, 1]), values, path)
-    loaded = load_matrix(path)
+    save_matrix("v0", np.array([0, 0, 1]), values, path, "features")
+    loaded = load_matrix(path, "features")
     assert isinstance(loaded, FeatureFile)
     assert loaded.values == pytest.approx(values)
     assert loaded.video_id == "v0"
@@ -203,10 +203,10 @@ def test_matrix_length_checks(tmp_path) -> None:
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"video_id": "v", "frame_of": [0], "dim": 2, "values": [1, 0, 0, 1]}))
     with pytest.raises(FormatError, match="frame_of"):
-        load_matrix(path)
+        load_matrix(path, "assoc")
     path.write_text(json.dumps({"video_id": "v", "frame_of": [0, 1], "dim": 2, "values": [1, 0]}))
     with pytest.raises(FormatError, match="values"):
-        load_matrix(path)
+        load_matrix(path, "assoc")
 
 
 def test_matrix_rejects_nonfinite(tmp_path) -> None:
@@ -215,7 +215,17 @@ def test_matrix_rejects_nonfinite(tmp_path) -> None:
         json.dumps({"video_id": "v", "frame_of": [0], "dim": 1, "values": [float("nan")]})
     )
     with pytest.raises(FormatError, match="finite"):
-        load_matrix(path)
+        load_matrix(path, "assoc")
+
+
+def test_matrix_file_of_the_other_kind_is_a_format_error(tmp_path) -> None:
+    assoc_path, features_path = tmp_path / "assoc.json", tmp_path / "features.json"
+    save_matrix("v0", np.array([0, 1]), np.eye(2), assoc_path, "assoc")
+    save_matrix("v0", np.array([0, 1]), np.eye(2), features_path, "features")
+    with pytest.raises(FormatError, match="holds an association matrix, not a feature matrix"):
+        load_matrix(assoc_path, "features")
+    with pytest.raises(FormatError, match="holds a feature matrix, not an association matrix"):
+        load_matrix(features_path, "assoc")
 
 
 def test_external_scores_sidecar(tmp_path) -> None:

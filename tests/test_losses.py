@@ -232,6 +232,9 @@ def test_heatmap_gradient_rejects_what_its_loss_rejects() -> None:
         ((np.full((2, 2), 0.5), np.full((2, 2), math.nan), 1), {}),
         ((np.full((2, 2), 0.5), np.full((2, 2), -1.0), 1), {}),
         ((np.full((2, 2), 0.5), np.full((2, 2), math.inf), 1), {}),
+        ((np.full((2, 2), math.nan), np.zeros((2, 2)), 1), {}),
+        ((np.full((2, 2), math.inf), np.zeros((2, 2)), 1), {}),
+        ((np.full((2, 2), -math.inf), np.zeros((2, 2)), 1), {}),
     ])
 
 
@@ -243,6 +246,9 @@ def test_assoc_gradient_rejects_what_its_loss_rejects() -> None:
         ((np.full((2, 2), 0.5), np.full((2, 2), 7.0)), {}),
         ((np.full((2, 2), 0.5), np.full((2, 2), -1.0)), {}),
         ((np.full((2, 2), 0.5), np.full((2, 2), math.nan)), {}),
+        ((np.full((2, 2), math.nan), np.zeros((2, 2))), {}),
+        ((np.full((2, 2), math.inf), np.zeros((2, 2))), {}),
+        ((np.full((2, 2), -math.inf), np.zeros((2, 2))), {}),
     ])
 
 
@@ -257,6 +263,9 @@ def test_caption_gradient_rejects_what_its_loss_rejects() -> None:
         ((np.zeros(4), [0]), {}),
         ((np.zeros((2, 3)), [[0], [1]]), {}),  # would broadcast to a (2, 2) index
         ((np.zeros((0, 3)), []), {}),
+        ((np.full((2, 3), math.nan), [0, 1]), {}),
+        ((np.full((2, 3), math.inf), [0, 1]), {}),
+        ((np.full((2, 3), -math.inf), [0, 1]), {}),
     ])
 
 
@@ -266,6 +275,9 @@ def test_roi_cls_gradient_rejects_what_its_loss_rejects() -> None:
         ((np.zeros(3), 2), {}),
         ((np.zeros(2), 2), {}),
         ((np.zeros(2), -1), {}),
+        ((np.array([math.nan, 1.0]), 0), {}),
+        ((np.array([math.inf, 1.0]), 0), {}),
+        ((np.array([-math.inf, 1.0]), 0), {}),
     ])
 
 
