@@ -8,14 +8,12 @@ import numpy as np
 
 from densevoc import (
     AssocMatrix,
-    Box,
-    Detection,
+    VideoTable,
     assign_identities,
     build_gt_association,
     iou_tracker,
     preprocess,
 )
-from densevoc.core import Trajectory, VideoRecord
 
 # Four observations: two per frame across two frames. Observation 0 and 2
 # look alike (score 0.9), observation 1 and 3 look alike (score 0.8).
@@ -35,13 +33,10 @@ print("ids at theta=0.50:", assign_identities(matrix, theta=0.5).ids)
 print("ids at theta=0.95:", assign_identities(matrix, theta=0.95).ids)
 
 # Ground-truth association matrices come from per-frame IoU matching against
-# annotated trajectories: 1 where two observations hit the same track.
-gt = VideoRecord(
-    video_id="demo",
-    num_frames=2,
-    trajectories=(
-        Trajectory(1, (Detection(0, Box(0, 0, 10, 10)), Detection(1, Box(2, 0, 12, 10)))),
-    ),
+# annotated trajectories: 1 where two observations hit the same track. The
+# ground truth is a table: one row per box, with its track id and frame.
+gt = VideoTable.from_rows(
+    "demo", 2, track_ids=[1, 1], frames=[0, 1], corners=[[0, 0, 10, 10], [2, 0, 12, 10]], scores=[1.0, 1.0]
 )
 # Predictions are columns: a frame per row and its (x1, y1, x2, y2) corners,
 # rows in non-decreasing frame order.

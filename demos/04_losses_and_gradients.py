@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from densevoc import Box, assoc_loss, caption_loss, finite_diff_check, giou_loss, heatmap_loss
+from densevoc import assoc_loss, caption_loss, finite_diff_check, giou_loss, heatmap_loss
 from densevoc.losses import assoc_loss_grad, heatmap_loss_grad, roi_cls_loss, roi_reg_loss
 
 # Focal heatmap loss: peak cells (target exactly 1) use the positive branch,
@@ -12,9 +12,10 @@ y_gt = np.array([[1.0, 0.3], [0.0, 0.0]])
 print("heatmap loss:", heatmap_loss(y, y_gt, n=1))
 
 # Box regression in gIoU form: 0 for a perfect match, up to 2 for a miss.
-print("giou loss:   ", giou_loss([Box(0, 0, 2, 2)], [Box(1, 0, 3, 2)]))
+# Box losses take paired (x1, y1, x2, y2) corner rows.
+print("giou loss:   ", giou_loss([(0, 0, 2, 2)], [(1, 0, 3, 2)]))
 print("roi-cls loss:", roi_cls_loss(np.array([2.0, -1.0]), 0))
-print("roi-reg loss:", roi_reg_loss([Box(0, 0, 1, 1)], [Box(0, 0, 1, 3)]))
+print("roi-reg loss:", roi_reg_loss([(0, 0, 1, 1)], [(0, 0, 1, 3)]))
 
 # Association BCE, normalized by the observation count M (not M^2).
 a = np.array([[0.9, 0.2], [0.2, 0.8]])

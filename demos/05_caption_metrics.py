@@ -2,13 +2,15 @@
 
 Both metrics are normalized to [0, 1]. The consensus metric drops the
 conventional x10 factor, so values are not comparable to tools that keep it.
+Every metric takes captions as token sequences; ``tokenize`` makes them.
 """
 
-from densevoc import Caption, IdfTable, cider_pair, meteor_lite
+from densevoc import IdfTable, cider_pair, meteor_lite, tokenize
 from densevoc.capmetrics import stem
 
-pred = Caption.from_text("a red car drives past the tree")
-ref = Caption.from_text("the red car moves past a tree")
+pred = tokenize("a red car drives past the tree")
+ref = tokenize("the red car moves past a tree")
+print("tokens:", pred)
 
 # Unigram alignment with exact and stem stages, maximizing matches and then
 # minimizing chunks; the chunk penalty rewards contiguous agreement.
@@ -22,9 +24,15 @@ print("stems:", [stem(t) for t in ("dogs", "running", "flies", "moved")])
 # and n-grams present in every document contribute nothing. One ground-truth
 # caption counts as one document.
 corpus = [
-    Caption.from_text("a red car drives down the road").tokens,
-    Caption.from_text("a blue car parked outside").tokens,
-    Caption.from_text("the dog sleeps on the porch").tokens,
+    tokenize("a red car drives down the road"),
+    tokenize("a blue car parked outside"),
+    tokenize("the dog sleeps on the porch"),
 ]
 idf = IdfTable.build(corpus)
-print("cider:", cider_pair(Caption.from_text("a red car"), Caption.from_text("a blue car"), idf))
+print("cider:", cider_pair(tokenize("a red car"), tokenize("a blue car"), idf))
+
+# A bare string is rejected rather than scored letter by letter.
+try:
+    meteor_lite("a dog", "a god")
+except ValueError as exc:
+    print("rejected:", exc)

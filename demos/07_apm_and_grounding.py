@@ -1,34 +1,25 @@
 """Frame-level average precision and likelihood-based spatial grounding."""
 
-from densevoc import (
-    Box,
-    Caption,
-    Detection,
-    Trajectory,
-    VideoRecord,
-    ap_m,
-    grounding_ious,
-    select_boxes,
-)
+from densevoc import VideoTable, ap_m, grounding_ious, select_boxes
 from densevoc.ground import TableScorer, ground_and_score
 
 
 def one_frame_video(caption, box, score=1.0):
-    det = Detection(frame=0, box=box, score=score, track_id=1)
-    track = Trajectory(track_id=1, detections=(det,), caption=Caption.from_text(caption))
-    return VideoRecord(video_id="demo", num_frames=1, trajectories=(track,))
+    """A one-frame video holding one captioned track with one (x1, y1, x2, y2) box."""
+    return VideoTable.from_rows("demo", 1, track_ids=[1], frames=[0], corners=[box], scores=[score],
+                                track_captions={1: caption})
 
 
 # A true positive must clear an IoU threshold AND a caption-quality threshold,
 # over a 5x5 grid of both. Good box + good caption: full marks.
-gt = one_frame_video("a red car", Box(0, 0, 10, 10))
-print("good pred:  ", ap_m([one_frame_video("a red car", Box(0.5, 0, 10, 10))], [gt]).overall)
+gt = one_frame_video("a red car", (0, 0, 10, 10))
+print("good pred:  ", ap_m([one_frame_video("a red car", (0.5, 0, 10, 10))], [gt]).overall)
 
 # A box at IoU 0.35 only clears the loosest IoU threshold: 5 of 25 cells.
-print("loose box:  ", ap_m([one_frame_video("a red car", Box(0, 0, 3.5, 10))], [gt]).overall)
+print("loose box:  ", ap_m([one_frame_video("a red car", (0, 0, 3.5, 10))], [gt]).overall)
 
 # A wrong caption fails every caption threshold above 0.
-print("wrong words:", ap_m([one_frame_video("some thing", Box(0.5, 0, 10, 10))], [gt]).overall)
+print("wrong words:", ap_m([one_frame_video("some thing", (0.5, 0, 10, 10))], [gt]).overall)
 
 # Spatial grounding: per frame, pick the candidate maximizing detection
 # score times query likelihood exp(-NLL).

@@ -25,15 +25,17 @@ cfg = SynthConfig(
 )
 gts, preds = generate(cfg)
 
+# Each video is a table: per-track ids and captions, per-box frames, corner
+# rows and scores; track t owns box rows offsets[t]:offsets[t + 1].
 gt = gts[0]
-print(f"video {gt.video_id}: {gt.num_frames} frames, {len(gt.trajectories)} tracks")
-for track in gt.trajectories:
-    first = track.detections[0].box
-    print(f"  track {track.track_id}: {len(track)} boxes, "
-          f"starts ({first.x1:.0f},{first.y1:.0f}), caption {track.caption.raw!r}")
+print(f"video {gt.video_id}: {gt.num_frames} frames, {len(gt.track_ids)} tracks")
+for t, (track_id, caption) in enumerate(zip(gt.track_ids, gt.track_captions)):
+    start, end = gt.offsets[t], gt.offsets[t + 1]
+    x1, y1 = gt.corners[start, :2]
+    print(f"  track {track_id}: {end - start} boxes, starts ({x1:.0f},{y1:.0f}), caption {caption!r}")
 
 pred = preds[0]
-print(f"prediction: {len(pred.trajectories)} tracks "
+print(f"prediction: {len(pred.track_ids)} tracks "
       f"(identity switches split or relabel, false positives add singletons)")
 
 # Reproducibility: generating twice yields byte-identical files.

@@ -17,7 +17,7 @@ from .core import (
     Trajectory,
     ValidationError,
     VideoRecord,
-    giou,
+    VideoTable,
     tokenize,
 )
 from .ground import GroundingResult, TableScorer, UniformScorer, ground_and_score, select_boxes
@@ -25,6 +25,7 @@ from .losses import (
     assoc_loss,
     caption_loss,
     finite_diff_check,
+    giou,
     giou_loss,
     heatmap_loss,
     roi_cls_loss,

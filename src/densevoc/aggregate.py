@@ -11,6 +11,9 @@ import numpy as np
 from .assoc import AssocMatrix, IdentityAssignment
 from .core import ValidationError
 
+# Member features sampled per identity by hard aggregation.
+HARD_M = 6
+
 
 def soft_aggregate(a: AssocMatrix, features: np.ndarray) -> np.ndarray:
     """Association-weighted feature average, G = (A / rowsum(A)) @ F.
@@ -27,6 +30,13 @@ def soft_aggregate(a: AssocMatrix, features: np.ndarray) -> np.ndarray:
     return weights @ features
 
 
+def validate_m(m: int) -> int:
+    """``m``, checked to be at least 1: the rule of ``hard_sample_indices``."""
+    if m < 1:
+        raise ValidationError(f"m must be >= 1, got {m}")
+    return m
+
+
 def hard_sample_indices(length: int, m: int) -> np.ndarray:
     """Evenly spaced sample indices over 0..length-1, endpoints included.
 
@@ -35,8 +45,9 @@ def hard_sample_indices(length: int, m: int) -> np.ndarray:
     (round-half-even), which is strictly increasing because the spacing
     exceeds 1 whenever sampling happens at all.
     """
-    if length < 1 or m < 1:
-        raise ValidationError(f"length and m must be >= 1, got {length}, {m}")
+    validate_m(m)
+    if length < 1:
+        raise ValidationError(f"length must be >= 1, got {length}")
     if length <= m:
         return np.arange(length)
     if m == 1:
@@ -48,7 +59,7 @@ def hard_aggregate(
     features: np.ndarray,
     ids: IdentityAssignment,
     frame_of: np.ndarray,
-    m: int = 6,
+    m: int = HARD_M,
 ) -> dict[int, np.ndarray]:
     """Per-identity concatenation of uniformly sampled member features.
 

@@ -17,7 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lsap import linear_sum_assignment
-from .core import ValidationError, VideoRecord, VideoTable, _int_column, as_tables, check_corners, iou_matrix
+from .core import ValidationError, VideoTable, _int_column, check_corners, iou_matrix
+
+# The binarization threshold of greedy identity assignment.
+THETA = 0.5
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,14 @@ def preprocess(a: AssocMatrix) -> AssocMatrix:
     return AssocMatrix(values=values, frame_of=a.frame_of)
 
 
-def assign_identities(a: AssocMatrix, theta: float = 0.5) -> IdentityAssignment:
+def validate_theta(theta: float) -> float:
+    """``theta``, checked to lie in (0, 1): the rule of ``assign_identities``."""
+    if not (0.0 < theta < 1.0):
+        raise ValidationError(f"theta must be in (0, 1), got {theta}")
+    return theta
+
+
+def assign_identities(a: AssocMatrix, theta: float = THETA) -> IdentityAssignment:
     """Greedy identity assignment from an association matrix.
 
     Binarizes at ``theta``, then repeatedly merges the row with the most
@@ -82,8 +92,7 @@ def assign_identities(a: AssocMatrix, theta: float = 0.5) -> IdentityAssignment:
     lowest observation index); merged rows and columns are removed. The unit
     diagonal guarantees every observation eventually self-assigns.
     """
-    if not (0.0 < theta < 1.0):
-        raise ValidationError(f"theta must be in (0, 1), got {theta}")
+    validate_theta(theta)
     a = preprocess(a)
     scores = a.values
     frame_of = a.frame_of
@@ -142,19 +151,16 @@ def _frame_runs(frame_of, corners) -> tuple[np.ndarray, np.ndarray, list[tuple[i
     return frame_of, corners, list(zip(frames.tolist(), starts.tolist(), starts[1:].tolist() + [len(frame_of)]))
 
 
-def build_gt_association(
-    frame_of, corners, gt: VideoTable | VideoRecord, iou_thresh: float = 0.5
-) -> AssocMatrix:
+def build_gt_association(frame_of, corners, gt: VideoTable, iou_thresh: float = 0.5) -> AssocMatrix:
     """Binary ground-truth association matrix for predicted boxes, as columns below ``gt.num_frames``.
 
-    ``gt`` is a table or a record. Each frame's predictions are matched to
-    the ground-truth boxes of that frame by optimal bipartite IoU matching
-    (pairs under ``iou_thresh`` forbidden); two observations associate iff
-    they matched the same ground-truth trajectory. Unmatched observations
-    associate only with themselves.
+    Each frame's predictions are matched to the ground-truth boxes of that
+    frame by optimal bipartite IoU matching (pairs under ``iou_thresh``
+    forbidden); two observations associate iff they matched the same
+    ground-truth trajectory. Unmatched observations associate only with
+    themselves.
     """
     frame_of, corners, runs = _frame_runs(frame_of, corners)
-    (gt,) = as_tables([gt])
     if runs and not 0 <= runs[0][0] <= runs[-1][0] < gt.num_frames:
         raise ValidationError(f"prediction frames must lie in [0, {gt.num_frames}), got {runs[0][0]}..{runs[-1][0]}")
     rows, track = gt.frame_order()

@@ -5,6 +5,7 @@ synonym or paraphrase stage) and a per-pair consensus n-gram cosine with
 corpus IDF. Both are normalized to [0, 1]; the conventional x10 consensus
 scale is dropped so downstream averages stay bounded, which means absolute
 values are not comparable to evaluations using the conventional scaling.
+Every metric takes captions as token sequences, such as ``tokenize`` returns.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .core import Caption, tokenize
+from .core import ValidationError, tokenize
 
 __all__ = [
     "tokenize",
@@ -212,10 +213,11 @@ class _ChunkSearch:
         return best
 
 
-def _tokens(caption: Caption | Sequence[str]) -> tuple[str, ...]:
-    if isinstance(caption, Caption):
-        return caption.tokens
-    return tuple(caption)
+def _tokens(tokens: Sequence[str]) -> tuple[str, ...]:
+    """A caption's token sequence as a tuple; a bare string is a ValidationError, since its items are characters."""
+    if isinstance(tokens, str):
+        raise ValidationError(f"caption metrics take token sequences, got the string {tokens!r}; tokenize it first")
+    return tuple(tokens)
 
 
 def _forced_alignment(p: tuple[str, ...], r: tuple[str, ...]) -> tuple[int, int] | None:
@@ -245,9 +247,7 @@ def _forced_alignment(p: tuple[str, ...], r: tuple[str, ...]) -> tuple[int, int]
     return matches, chunks
 
 
-def meteor_lite(
-    pred: Caption | Sequence[str], ref: Caption | Sequence[str], *, over_budget: list | None = None
-) -> float:
+def meteor_lite(pred: Sequence[str], ref: Sequence[str], *, over_budget: list | None = None) -> float:
     """Unigram-alignment caption score in [0, 1].
 
     Alignment maximizes matches (exact stage first, stems on the residue)
@@ -314,7 +314,7 @@ class IdfTable:
             self._unseen = math.log(self.n_docs)
 
     @classmethod
-    def build(cls, documents: Iterable[Caption | Sequence[str]]) -> "IdfTable":
+    def build(cls, documents: Iterable[Sequence[str]]) -> "IdfTable":
         df: Counter = Counter()
         docs = []
         for doc in documents:
@@ -347,7 +347,7 @@ class IdfTable:
         return out
 
 
-def cider_pair(pred: Caption | Sequence[str], ref: Caption | Sequence[str], idf: IdfTable) -> float:
+def cider_pair(pred: Sequence[str], ref: Sequence[str], idf: IdfTable) -> float:
     """Mean TF-IDF n-gram cosine over n = 1..CIDER_MAX_N, Gaussian length penalty of width CIDER_SIGMA.
 
     Normalized to [0, 1] (no x10 scale). A level with an all-zero vector on
@@ -369,6 +369,6 @@ def cider_pair(pred: Caption | Sequence[str], ref: Caption | Sequence[str], idf:
     return min(1.0, total / CIDER_MAX_N * penalty)
 
 
-def exact_match(pred: Caption | Sequence[str], ref: Caption | Sequence[str]) -> float:
+def exact_match(pred: Sequence[str], ref: Sequence[str]) -> float:
     """1.0 when token sequences are identical, else 0.0."""
     return 1.0 if _tokens(pred) == _tokens(ref) else 0.0

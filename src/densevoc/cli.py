@@ -141,7 +141,8 @@ def cmd_eval_apm(args) -> int:
 
 
 def cmd_track_assign(args) -> int:
-    ids = assoc.assign_identities(formats.load_matrix(args.matrix, "assoc"), theta=args.theta)
+    theta = assoc.validate_theta(args.theta)
+    ids = assoc.assign_identities(formats.load_matrix(args.matrix, "assoc"), theta=theta)
     print(f"observations={len(ids)} tracks={len(set(ids.ids.tolist()))}")
     if args.out:
         formats.write_json({"ids": [int(i) for i in ids.ids]}, args.out)
@@ -176,11 +177,13 @@ def cmd_aggregate(args) -> int:
               if flag not in reads and getattr(args, flag) is not None]
     if unread:
         raise ValidationError(f"aggregate --mode {mode} does not read {', '.join(unread)}")
+    if "matrix" in reads and not args.matrix:
+        needs = "--matrix" if args.mode == "soft" else "--ids or --matrix"
+        raise ValidationError(f"{args.mode} aggregation needs {needs}")
+    theta = assoc.THETA if args.theta is None else assoc.validate_theta(args.theta)
+    m = agg.HARD_M if args.m is None else agg.validate_m(args.m)
     features = formats.load_matrix(args.features, "features")
     if "matrix" in reads:
-        if not args.matrix:
-            needs = "--matrix" if args.mode == "soft" else "--ids or --matrix"
-            raise ValidationError(f"{args.mode} aggregation needs {needs}")
         matrix = formats.load_matrix(args.matrix, "assoc")
         if not np.array_equal(matrix.frame_of, features.frame_of):
             raise ValidationError(f"{args.matrix}: frame_of differs from the frame_of of {args.features}")
@@ -193,8 +196,7 @@ def cmd_aggregate(args) -> int:
     if args.ids:
         ids = assoc.IdentityAssignment(ids=formats.load_ids(args.ids))
     else:
-        ids = assoc.assign_identities(matrix, theta=0.5 if args.theta is None else args.theta)
-    m = 6 if args.m is None else args.m
+        ids = assoc.assign_identities(matrix, theta=theta)
     result = agg.hard_aggregate(features.values, ids, features.frame_of, m=m)
     obj = {
         "video_id": features.video_id,
@@ -291,7 +293,7 @@ _SYNTH_FLAGS = {
 
 def cmd_synth(args) -> int:
     cfg = synth.SynthConfig(**{field: getattr(args, field) for field in _SYNTH_FLAGS.values()})
-    gts, preds = synth.generate_tables(cfg)
+    gts, preds = synth.generate(cfg)
     formats.save_dataset(gts, args.out_gt)
     formats.save_dataset(preds, args.out_pred)
     print(f"videos={len(gts)} gt={args.out_gt} pred={args.out_pred}")
@@ -383,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("track-assign", help="identities from an association matrix")
     p.add_argument("matrix")
-    p.add_argument("--theta", type=float, default=0.5)
+    p.add_argument("--theta", type=float, default=assoc.THETA)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_track_assign)
 
@@ -399,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", default=None, help="association matrix file")
     p.add_argument("--ids", default=None, help="identity file from track-assign")
     p.add_argument("--mode", choices=("soft", "hard"), default="soft")
-    p.add_argument("--m", type=int, default=None, help="frames sampled per track in hard mode (default 6)")
-    p.add_argument("--theta", type=float, default=None, help="hard mode without --ids (default 0.5)")
+    p.add_argument("--m", type=int, default=None, help=f"frames sampled per track in hard mode (default {agg.HARD_M})")
+    p.add_argument("--theta", type=float, default=None, help=f"hard mode without --ids (default {assoc.THETA})")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_aggregate)
 

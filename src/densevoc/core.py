@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -38,15 +38,8 @@ class Box:
     def from_xywh(cls, x: float, y: float, w: float, h: float) -> "Box":
         return cls(x, y, x + w, y + h)
 
-    @property
-    def area(self) -> float:
-        return (self.x2 - self.x1) * (self.y2 - self.y1)
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
-
-    def translate(self, dx: float, dy: float) -> "Box":
-        return Box(self.x1 + dx, self.y1 + dy, self.x2 + dx, self.y2 + dy)
 
 
 _TOKEN_CLEANER = re.compile(r"[^a-z0-9]+")
@@ -196,7 +189,7 @@ class VideoTable:
     Captions are raw strings. The invariants of ``VideoRecord`` and its
     dataclasses are checked by column, and integers must fit 64 bits, as
     dataset files require. ``trajectories`` is the record view, built on
-    first use and shared by ``to_record``.
+    first use.
 
     ``frame_order`` is the one definition of observation order, the order
     that sidecar files index; ``from_rows`` is the one regroup of rows into
@@ -338,15 +331,6 @@ class VideoTable:
             tracks.append(Trajectory(track_id=track_id, detections=dets, caption=track_caption))
         return tuple(tracks)
 
-    def to_record(self) -> VideoRecord:
-        """The record of this table, built from ``trajectories``."""
-        return VideoRecord(video_id=self.video_id, num_frames=self.num_frames, trajectories=self.trajectories)
-
-
-def as_tables(videos: Sequence[VideoTable | VideoRecord]) -> list[VideoTable]:
-    """Tables as given; records converted, and so checked, by ``VideoTable.from_record``."""
-    return [v if isinstance(v, VideoTable) else VideoTable.from_record(v) for v in videos]
-
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of every (row of a, row of b) pair of (..., n, 4) and (..., m, 4) corner arrays.
@@ -362,16 +346,3 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
     union = area_a[..., :, None] + area_b[..., None, :] - inter
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
-
-
-def giou(a: Box, b: Box) -> float:
-    """Generalized IoU: IoU minus the enclosing-hull slack, in (-1, 1]."""
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
-    inter = max(ix, 0.0) * max(iy, 0.0)
-    union = a.area + b.area - inter
-    hull = (max(a.x2, b.x2) - min(a.x1, b.x1)) * (max(a.y2, b.y2) - min(a.y1, b.y1))
-    base = inter / union if union > 0.0 else 0.0
-    if hull <= 0.0:
-        return base
-    return base - (hull - union) / hull

@@ -30,7 +30,7 @@ import numpy as np
 
 from .assoc import AssocMatrix
 from .core import (
-    Box, Detection, Trajectory, ValidationError, VideoRecord, VideoTable, as_tables, check_corners, check_nll,
+    Box, Detection, Trajectory, ValidationError, VideoRecord, VideoTable, check_corners, check_nll,
 )
 
 
@@ -270,10 +270,11 @@ def _video_json(table: VideoTable) -> str:
 def save_dataset(videos: Sequence[VideoTable | VideoRecord], path: str | Path) -> None:
     """Write a dataset file in compact JSON; dataset files can hold hundreds of thousands of boxes.
 
-    Records are converted to tables, and so checked, before the file is
-    opened. Coordinates and scores are always written as JSON floats.
+    The one place a record is converted: by ``VideoTable.from_record``, and so checked, before
+    the file is opened. Coordinates and scores are always written as JSON floats.
     """
-    Path(path).write_text("[" + ",".join(map(_video_json, as_tables(videos))) + "]\n")
+    tables = [v if isinstance(v, VideoTable) else VideoTable.from_record(v) for v in videos]
+    Path(path).write_text("[" + ",".join(map(_video_json, tables)) + "]\n")
 
 
 @dataclass

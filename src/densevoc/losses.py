@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Box, ValidationError, giou
+from .core import ValidationError, check_corners
 
 PROB_EPS = 1e-6
 
@@ -95,17 +95,31 @@ def heatmap_loss_grad(y: np.ndarray, y_gt: np.ndarray, n: int) -> np.ndarray:
     return np.where(pos, d_pos, d_neg) / n
 
 
-def _check_paired(pred: Sequence[Box], gt: Sequence[Box]) -> None:
-    if len(pred) != len(gt) or not pred:
-        raise ValidationError(
-            f"box lists must be equal-length and non-empty, got {len(pred)} and {len(gt)}"
-        )
+def _paired(pred, gt) -> tuple[np.ndarray, np.ndarray]:
+    """Paired ``(x1, y1, x2, y2)`` corner rows as two ``(n, 4)`` arrays, checked by ``check_corners``; n >= 1."""
+    pred, gt = check_corners(pred), check_corners(gt)
+    if len(pred) != len(gt) or not len(pred):
+        raise ValidationError(f"box lists must be equal-length and non-empty, got {len(pred)} and {len(gt)}")
+    return pred, gt
 
 
-def giou_loss(pred: Sequence[Box], gt: Sequence[Box]) -> float:
-    """1 - mean generalized IoU over paired boxes."""
-    _check_paired(pred, gt)
-    return float(1.0 - np.mean([giou(a, b) for a, b in zip(pred, gt)]))
+def giou(a, b) -> np.ndarray:
+    """Generalized IoU of each pair of corner rows, in (-1, 1].
+
+    The IoU (0 on a zero-area union) minus the slack of the enclosing hull (none on a zero-area hull).
+    """
+    (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) = (rows.T for rows in _paired(a, b))
+    inter = np.maximum(np.minimum(ax2, bx2) - np.maximum(ax1, bx1), 0.0) * np.maximum(
+        np.minimum(ay2, by2) - np.maximum(ay1, by1), 0.0)
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    hull = (np.maximum(ax2, bx2) - np.minimum(ax1, bx1)) * (np.maximum(ay2, by2) - np.minimum(ay1, by1))
+    base = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+    return base - np.divide(hull - union, hull, out=np.zeros_like(hull), where=hull > 0.0)
+
+
+def giou_loss(pred, gt) -> float:
+    """1 - mean generalized IoU over paired corner rows."""
+    return float(1.0 - np.mean(giou(pred, gt)))
 
 
 def _roi_logits(logits: np.ndarray, label: int) -> np.ndarray:
@@ -127,12 +141,10 @@ def roi_cls_loss_grad(logits: np.ndarray, label: int) -> np.ndarray:
     return p
 
 
-def roi_reg_loss(pred: Sequence[Box], gt: Sequence[Box]) -> float:
-    """Mean absolute corner-coordinate difference over paired boxes."""
-    _check_paired(pred, gt)
-    p = np.array([b.as_tuple() for b in pred])
-    g = np.array([b.as_tuple() for b in gt])
-    return float(np.abs(p - g).mean())
+def roi_reg_loss(pred, gt) -> float:
+    """Mean absolute corner-coordinate difference over paired corner rows."""
+    pred, gt = _paired(pred, gt)
+    return float(np.abs(pred - gt).mean())
 
 
 def _assoc_pair(a: np.ndarray, a_gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -20,8 +20,7 @@ import numpy as np
 
 from ._lsap import linear_sum_assignment
 from .capmetrics import IdfTable, cider_pair, exact_match, meteor_lite
-from .core import ValidationError, VideoRecord, VideoTable
-from .core import as_tables, check_corners, iou_matrix, tokenize
+from .core import ValidationError, VideoTable, check_corners, iou_matrix, tokenize
 
 DEFAULT_ALPHAS: tuple[float, ...] = tuple(round(0.05 * k, 2) for k in range(1, 20))
 APM_IOU_THRESHOLDS: tuple[float, ...] = (0.3, 0.4, 0.5, 0.6, 0.7)
@@ -521,14 +520,13 @@ def hota_from_components(det_a_value: float, ass_a_value: float) -> float:
     return float(np.sqrt(det_a_value * ass_a_value))
 
 
-def _pair_records(
-    preds: Sequence[VideoTable | VideoRecord], gts: Sequence[VideoTable | VideoRecord]
+def _pair_tables(
+    preds: Sequence[VideoTable], gts: Sequence[VideoTable]
 ) -> tuple[list[tuple[VideoTable, VideoTable]], list[str]]:
     """(pred, gt) tables per gt video, in video-id order; a missing prediction is an empty table.
 
     Reduces follow this order, so no result depends on the order of videos in a file.
     """
-    preds, gts = as_tables(preds), as_tables(gts)
     warnings = []
     pred_by_id = {r.video_id: r for r in preds}
     extra = set(pred_by_id) - {g.video_id for g in gts}
@@ -549,7 +547,7 @@ def _idf_documents(gts: Sequence[VideoTable]) -> list[tuple[str, ...]]:
     return [tokenize(c) for gt in gts for c in gt.track_captions if c is not None]
 
 
-# Worker context for fork-based pools: records are inherited by the child
+# Worker context for fork-based pools: tables are inherited by the child
 # processes instead of being pickled per task; only the small per-video
 # sums travel back.
 _PARALLEL_CTX: dict = {}
@@ -563,8 +561,8 @@ def _eval_indexed(index: int) -> tuple[str, np.ndarray, int, list[str]]:
 
 
 def chota(
-    preds: Sequence[VideoTable | VideoRecord],
-    gts: Sequence[VideoTable | VideoRecord],
+    preds: Sequence[VideoTable],
+    gts: Sequence[VideoTable],
     alphas: Sequence[float] = DEFAULT_ALPHAS,
     config: ScorerConfig = ScorerConfig(),
     jobs: int = 1,
@@ -577,7 +575,7 @@ def chota(
     """
     alphas = validate_alphas(alphas)
     capa_index = config.capa_index(alphas)
-    pairs, warnings = _pair_records(preds, gts)
+    pairs, warnings = _pair_tables(preds, gts)
     idf = IdfTable.build(_idf_documents([gt for _, gt in pairs]))
     if jobs > 1 and len(pairs) > 1:
         import multiprocessing as mp
@@ -686,8 +684,8 @@ class ApmReport:
 
 
 def ap_m(
-    preds: Sequence[VideoTable | VideoRecord],
-    gts: Sequence[VideoTable | VideoRecord],
+    preds: Sequence[VideoTable],
+    gts: Sequence[VideoTable],
     iou_thresholds: Sequence[float] = APM_IOU_THRESHOLDS,
     meteor_thresholds: Sequence[float] = APM_METEOR_THRESHOLDS,
 ) -> ApmReport:
@@ -712,7 +710,7 @@ def ap_m(
     """
     iou_thresholds = validate_thresholds("IoU", iou_thresholds)
     meteor_thresholds = validate_thresholds("METEOR", meteor_thresholds)
-    pairs, warnings = _pair_records(preds, gts)
+    pairs, warnings = _pair_tables(preds, gts)
     shape = (len(iou_thresholds), len(meteor_thresholds))
     n_cells = shape[0] * shape[1]
     cell_sum = np.zeros(n_cells)

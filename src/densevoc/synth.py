@@ -9,7 +9,7 @@ All randomness flows through one numpy PCG64 generator seeded from the
 config, and every draw happens in a fixed order, so output is reproducible
 bit-for-bit for a given seed and configuration. Draws go straight into
 per-video column tables (``core.VideoTable``), which ``formats.save_dataset``
-writes without building a box object; ``generate`` builds records from them.
+writes without building a box object.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidationError, VideoRecord, VideoTable
+from .core import ValidationError, VideoTable
 
 CANVAS = 256.0
 
@@ -160,15 +160,9 @@ def _perturb_table(rng: np.random.Generator, gt: VideoTable, cfg: SynthConfig) -
     return VideoTable.from_rows(gt.video_id, n_frames, labels, frames, corners, scores, track_captions=captions)
 
 
-def generate_tables(cfg: SynthConfig) -> tuple[list[VideoTable], list[VideoTable]]:
+def generate(cfg: SynthConfig) -> tuple[list[VideoTable], list[VideoTable]]:
     """Ground truth plus perturbed predictions for every configured video, as tables."""
     rng = np.random.default_rng(cfg.seed)
     gts = [_gt_table(rng, f"synth-{cfg.seed:04d}-{v:03d}", cfg) for v in range(cfg.num_videos)]
     preds = [_perturb_table(rng, gt, cfg) for gt in gts]
     return gts, preds
-
-
-def generate(cfg: SynthConfig) -> tuple[list[VideoRecord], list[VideoRecord]]:
-    """``generate_tables`` as records; every detection carries its track id, as loaded records do."""
-    gts, preds = generate_tables(cfg)
-    return [t.to_record() for t in gts], [t.to_record() for t in preds]

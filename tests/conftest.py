@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
-from densevoc.core import Box, Caption, Detection, Trajectory, VideoRecord
+from densevoc.core import VideoTable
 
 _ACCEPTANCE_RESULTS: list[tuple[str, str]] = []
 
@@ -30,28 +32,42 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(f"{outcome:>4}  {name}")
 
 
-def make_track(track_id, boxes, caption=None, scores=None, det_captions=None):
-    """boxes: list of (frame, x1, y1, x2, y2)."""
-    dets = []
-    for k, (frame, x1, y1, x2, y2) in enumerate(boxes):
-        dets.append(
-            Detection(
-                frame=frame,
-                box=Box(x1, y1, x2, y2),
-                score=scores[k] if scores else 1.0,
-                track_id=track_id,
-                caption=Caption.from_text(det_captions[k]) if det_captions and det_captions[k] else None,
-            )
-        )
-    return Trajectory(
-        track_id=track_id,
-        detections=tuple(dets),
-        caption=Caption.from_text(caption) if caption else None,
+class Track(NamedTuple):
+    """One track's rows for ``make_video``: ``(frame, x1, y1, x2, y2)`` boxes, scores and captions."""
+
+    track_id: int
+    boxes: list
+    caption: str | None
+    scores: list
+    box_captions: list
+
+
+def make_track(track_id, boxes, caption=None, scores=None, det_captions=None) -> Track:
+    """boxes: list of (frame, x1, y1, x2, y2); an empty caption counts as none."""
+    boxes = list(boxes)
+    return Track(
+        track_id,
+        boxes,
+        caption or None,
+        list(scores) if scores else [1.0] * len(boxes),
+        [c or None for c in det_captions] if det_captions else [None] * len(boxes),
     )
 
 
-def make_video(video_id, tracks, num_frames):
-    return VideoRecord(video_id=video_id, num_frames=num_frames, trajectories=tuple(tracks))
+def make_video(video_id, tracks, num_frames) -> VideoTable:
+    """The table of ``make_track`` tracks, in the order given."""
+    box_captions = [c for t in tracks for c in t.box_captions]
+    return VideoTable(
+        video_id=video_id,
+        num_frames=num_frames,
+        track_ids=np.array([t.track_id for t in tracks], dtype=np.int64),
+        track_captions=tuple(t.caption for t in tracks),
+        offsets=np.cumsum([0] + [len(t.boxes) for t in tracks]),
+        frames=np.array([int(b[0]) for t in tracks for b in t.boxes], dtype=np.int64),
+        corners=np.array([b[1:] for t in tracks for b in t.boxes], dtype=float).reshape(-1, 4),
+        scores=np.array([s for t in tracks for s in t.scores], dtype=float),
+        box_captions=None if all(c is None for c in box_captions) else tuple(box_captions),
+    )
 
 
 def random_tiny_instance(rng: np.random.Generator, max_tracks=3, max_frames=4):

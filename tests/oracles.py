@@ -35,10 +35,27 @@ def iou(a: Box, b: Box) -> float:
     ix = min(a.x2, b.x2) - max(a.x1, b.x1)
     iy = min(a.y2, b.y2) - max(a.y1, b.y1)
     inter = max(ix, 0.0) * max(iy, 0.0)
-    union = a.area + b.area - inter
+    union = (a.x2 - a.x1) * (a.y2 - a.y1) + (b.x2 - b.x1) * (b.y2 - b.y1) - inter
     if union <= 0.0:
         return 0.0
     return inter / union
+
+
+def giou(a: Box, b: Box) -> float:
+    """Generalized IoU: IoU minus the enclosing-hull slack, in (-1, 1].
+
+    The scalar reference of ``losses.giou``, which repeats these operations
+    per pair of rows and so equals it exactly.
+    """
+    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
+    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
+    inter = max(ix, 0.0) * max(iy, 0.0)
+    union = (a.x2 - a.x1) * (a.y2 - a.y1) + (b.x2 - b.x1) * (b.y2 - b.y1) - inter
+    hull = (max(a.x2, b.x2) - min(a.x1, b.x1)) * (max(a.y2, b.y2) - min(a.y1, b.y1))
+    base = inter / union if union > 0.0 else 0.0
+    if hull <= 0.0:
+        return base
+    return base - (hull - union) / hull
 
 
 def greedy_assignment_oracle(values, frame_of, theta):
@@ -276,7 +293,7 @@ def apm_grid_oracle(preds, gts, iou_thresholds, meteor_thresholds):
             order = sorted(range(len(pred_here)), key=lambda k: -pred_here[k][2])
             ious = [[iou(p[1], g[1]) for g in gt_here] for p in pred_here]
             mets = [
-                [1.0 if g[0] is None else meteor_lite(p[0], g[0]) for g in gt_here]
+                [1.0 if g[0] is None else meteor_lite(p[0].tokens, g[0].tokens) for g in gt_here]
                 for p in pred_here
             ]
             for i, t_iou in enumerate(iou_thresholds):
@@ -750,6 +767,11 @@ def generate_oracle(cfg) -> tuple[list[VideoRecord], list[VideoRecord]]:
     return gts, preds
 
 
+def as_records(tables: Sequence[VideoTable]) -> list[VideoRecord]:
+    """The record of each table, built from its ``trajectories`` view, for comparing by value."""
+    return [VideoRecord(t.video_id, t.num_frames, t.trajectories) for t in tables]
+
+
 def dataset_to_obj(records: list[VideoRecord]) -> list[dict]:
     out = []
     for record in records:
@@ -783,7 +805,7 @@ def dataset_json_oracle(records: list[VideoRecord]) -> str:
 # The dataset parser as first written: every box checked by building its
 # Box and Detection, every track its Trajectory, in document order. The
 # column parser of ``formats.parse_dataset`` must accept the same values,
-# give the same records (through ``VideoTable.to_record``) and reject with
+# give the same records (through ``as_records``) and reject with
 # the same message. The field helpers are the library's.
 
 

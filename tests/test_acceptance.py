@@ -17,7 +17,7 @@ import pytest
 from densevoc import losses, metrics, synth
 from densevoc.assoc import AssocMatrix, assign_identities
 from densevoc.capmetrics import IdfTable, cider_pair, meteor_lite
-from densevoc.core import Box, Detection, Trajectory, VideoRecord, tokenize
+from densevoc.core import Box, tokenize
 from densevoc.formats import load_dataset
 from densevoc.ground import select_boxes
 from densevoc.metrics import ScorerConfig, ap_m, chota, chota_from_components
@@ -121,27 +121,16 @@ def test_criterion_05_known_answer_trajectory_splits() -> None:
     )
     assert chota([split_pred], [gt], alphas=(0.5,)).ass_a[0] == 0.5
 
-    two_track_gt = make_video(
-        "v0",
-        [
-            make_track(1, [(f, 0.0, 0.0, 10.0, 10.0) for f in range(4)]),
-            make_track(2, [(f, 50.0, 0.0, 60.0, 10.0) for f in range(4)]),
-        ],
-        num_frames=4,
-    )
+    two_tracks = [
+        make_track(1, [(f, 0.0, 0.0, 10.0, 10.0) for f in range(4)]),
+        make_track(2, [(f, 50.0, 0.0, 60.0, 10.0) for f in range(4)]),
+    ]
+    two_track_gt = make_video("v0", two_tracks, num_frames=4)
     duplicated = []
-    for t in two_track_gt.trajectories:
+    for t in two_tracks:
         duplicated.append(t)
-        duplicated.append(
-            Trajectory(
-                track_id=t.track_id + 10,
-                detections=tuple(
-                    Detection(frame=d.frame, box=d.box, score=d.score, track_id=t.track_id + 10)
-                    for d in t.detections
-                ),
-            )
-        )
-    dup_pred = VideoRecord("v0", 4, tuple(duplicated))
+        duplicated.append(t._replace(track_id=t.track_id + 10))
+    dup_pred = make_video("v0", duplicated, 4)
     report = chota([dup_pred], [two_track_gt], config=ScorerConfig(metrics=("exact",)))
     assert np.all(report.det_a == 0.5)
     assert report.det_a_mean == 0.5
@@ -156,11 +145,11 @@ def test_criterion_06_loss_values_and_gradients() -> None:
     assert losses.heatmap_loss(np.array([[0.5]]), np.array([[0.0]]), 1) == pytest.approx(
         0.25 * ln2, abs=1e-9
     )
-    box = Box(0, 0, 1, 1)
+    box = (0, 0, 1, 1)
     assert losses.giou_loss([box], [box]) == pytest.approx(0.0, abs=1e-9)
-    assert losses.giou_loss([box], [Box(2, 0, 3, 1)]) == pytest.approx(4 / 3, abs=1e-9)
+    assert losses.giou_loss([box], [(2, 0, 3, 1)]) == pytest.approx(4 / 3, abs=1e-9)
     assert losses.giou_loss(
-        [box, Box(0, 0, 2, 2)], [box, Box(1, 0, 3, 2)]
+        [box, (0, 0, 2, 2)], [box, (1, 0, 3, 2)]
     ) == pytest.approx(1 / 3, abs=1e-9)
     assert losses.roi_cls_loss(np.array([0.0, 0.0]), 0) == pytest.approx(ln2, abs=1e-9)
     assert losses.roi_cls_loss(np.array([10.0, 0.0]), 0) == pytest.approx(
@@ -169,8 +158,8 @@ def test_criterion_06_loss_values_and_gradients() -> None:
     assert losses.roi_cls_loss(np.array([0.0, 10.0]), 0) == pytest.approx(
         10.0 + math.log1p(math.exp(-10.0)), abs=1e-9
     )
-    assert losses.roi_reg_loss([box], [Box(1, 1, 2, 2)]) == pytest.approx(1.0, abs=1e-9)
-    assert losses.roi_reg_loss([box], [Box(0, 0, 1, 3)]) == pytest.approx(0.5, abs=1e-9)
+    assert losses.roi_reg_loss([box], [(1, 1, 2, 2)]) == pytest.approx(1.0, abs=1e-9)
+    assert losses.roi_reg_loss([box], [(0, 0, 1, 3)]) == pytest.approx(0.5, abs=1e-9)
     assert losses.assoc_loss(np.array([[0.5]]), np.array([[1.0]])) == pytest.approx(
         ln2, abs=1e-9
     )
@@ -333,7 +322,7 @@ def _mean_over_seeds(field: str, **kw) -> float:
         cfg = synth.SynthConfig(
             seed=seed, num_videos=4, frames_per_video=30, objects_per_video=4, **kw
         )
-        gts, preds = synth.generate_tables(cfg)
+        gts, preds = synth.generate(cfg)
         values.append(getattr(chota(preds, gts, jobs=1), field))
     return float(np.mean(values))
 
@@ -360,7 +349,7 @@ def perf_run():
         id_switch_rate=0.02,
         caption_corruption_rate=0.2,
     )
-    gts, preds = synth.generate_tables(cfg)
+    gts, preds = synth.generate(cfg)
     start = time.perf_counter()
     report_1 = chota(preds, gts, jobs=1)
     elapsed_1 = time.perf_counter() - start

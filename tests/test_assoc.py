@@ -17,7 +17,7 @@ from densevoc.assoc import (
     match_boxes,
     preprocess,
 )
-from densevoc.core import Box, Detection, ValidationError, VideoTable
+from densevoc.core import Box, Detection, ValidationError
 
 from conftest import make_track, make_video
 from oracles import build_gt_association_oracle, greedy_assignment_oracle, iou, iou_tracker_oracle
@@ -176,8 +176,8 @@ def test_gt_association_shuffled_predictions_block_structure() -> None:
     expected[0, 3] = expected[3, 0] = 1.0  # observations 0 and 3 are track A
     expected[1, 2] = expected[2, 1] = 1.0  # observations 1 and 2 are track B
     assert m.values == pytest.approx(expected)
-    from_table = build_gt_association(frame_of, corners, VideoTable.from_record(gt))
-    assert np.array_equal(from_table.values, m.values) and np.array_equal(from_table.frame_of, m.frame_of)
+    reordered = build_gt_association(frame_of, corners, make_video("v", [track_b, track_a], 2))
+    assert np.array_equal(reordered.values, m.values) and np.array_equal(reordered.frame_of, m.frame_of)
 
 
 def test_gt_association_is_equivalence_like(rng) -> None:
@@ -274,12 +274,11 @@ def test_column_tracker_and_gt_association_equal_list_oracles(rng) -> None:
             make_track(k + 1, [(f, *boxes[k].as_tuple()) for f, boxes in enumerate(gt_frames) if len(boxes) > k])
             for k in range(4)
         ]
-        gt = make_video("v", [t for t in tracks if len(t)], num_frames)
+        gt = make_video("v", [t for t in tracks if t.boxes], num_frames)
         for thresh in (0.3, 0.5):
             values, expected_frames = build_gt_association_oracle(pred, gt, thresh)
-            for gt_view in (gt, VideoTable.from_record(gt)):
-                m = build_gt_association(frame_of, corners, gt_view, thresh)
-                assert np.array_equal(m.values, values) and m.frame_of.tolist() == expected_frames, (trial, thresh)
+            m = build_gt_association(frame_of, corners, gt, thresh)
+            assert np.array_equal(m.values, values) and m.frame_of.tolist() == expected_frames, (trial, thresh)
     assert all(seen.values()), seen
 
 

@@ -18,7 +18,7 @@ from densevoc.capmetrics import (
     meteor_lite,
     stem,
 )
-from densevoc.core import Caption, tokenize
+from densevoc.core import ValidationError, tokenize
 from conftest import OVER_BUDGET_PAIR
 from oracles import ChunkSearchOracle, cider_oracle, meteor_oracle
 
@@ -27,8 +27,8 @@ FIXTURE = json.loads(FIXTURE_PATH.read_text())
 FIXTURE_TOOL = Path(__file__).parent.parent / "tools" / "make_caption_fixture.py"
 
 
-def _cap(text: str) -> Caption:
-    return Caption.from_text(text)
+def _cap(text: str) -> tuple[str, ...]:
+    return tokenize(text)
 
 
 def test_meteor_single_identical_token() -> None:
@@ -54,7 +54,7 @@ def test_meteor_self_comparison_closed_form(rng) -> None:
     for _ in range(100):
         n = int(rng.integers(1, 8))
         tokens = [vocab[int(rng.integers(len(vocab)))] for _ in range(n)]
-        cap = Caption(raw=" ".join(tokens))
+        cap = tokenize(" ".join(tokens))
         expected = 1 - 0.5 * (1 / n) ** 3
         assert meteor_lite(cap, cap) == pytest.approx(expected, abs=1e-12)
 
@@ -86,7 +86,7 @@ def test_cider_disjoint_vocabulary_zero() -> None:
 
 def test_cider_identical_long_caption_scores_one() -> None:
     cap = _cap("a small bird crosses the wide river")
-    idf = IdfTable.build([cap.tokens, ("something", "entirely", "different", "here")])
+    idf = IdfTable.build([cap, ("something", "entirely", "different", "here")])
     assert cider_pair(cap, cap, idf) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -185,7 +185,7 @@ def test_chunk_search_equals_counter_oracle(rng) -> None:
 
 def test_cider_equals_per_call_oracle(rng) -> None:
     docs = [_random_caption(rng, 8) for _ in range(12)]
-    built = IdfTable.build([Caption(" ".join(d)) for d in docs])
+    built = IdfTable.build([tokenize(" ".join(d)) for d in docs])
     direct = IdfTable(n_docs=built.n_docs, df=dict(built.df))
     for _ in range(300):
         x = _random_caption(rng, 8)
@@ -194,7 +194,7 @@ def test_cider_equals_per_call_oracle(rng) -> None:
         for ref in (inside, outside):
             expected = cider_oracle(x, ref, built)
             assert cider_pair(x, ref, built) == expected, (x, ref)
-            assert cider_pair(Caption(" ".join(x)), Caption(" ".join(ref)), built) == expected
+            assert cider_pair(tokenize(" ".join(x)), tokenize(" ".join(ref)), built) == expected
             assert cider_pair(x, ref, direct) == expected, (x, ref)
 
 
@@ -312,3 +312,21 @@ def test_cider_does_not_change_with_a_compensated_builtin_sum(monkeypatch) -> No
         monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
     assert scores() == expected
     assert [cider_oracle(p, r, IdfTable.build(captions[:20])) for p, r in pairs] == expected
+
+
+def test_caption_metrics_reject_a_bare_string() -> None:
+    # A string is a sequence of characters; scoring it would compare letters, not words.
+    idf = IdfTable.build([("a", "dog")])
+    calls = [
+        lambda: meteor_lite("a dog", ("a", "god")),
+        lambda: meteor_lite(("a", "dog"), "a god"),
+        lambda: cider_pair("a dog", ("a", "dog"), idf),
+        lambda: cider_pair(("a", "dog"), "a dog", idf),
+        lambda: exact_match("a dog", ("a", "dog")),
+        lambda: exact_match(("a", "dog"), "a dog"),
+        lambda: IdfTable.build([("a", "dog"), "a dog"]),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="token sequences"):
+            call()
+    assert meteor_lite(["a", "dog"], ("a", "dog")) == meteor_lite(("a", "dog"), ("a", "dog"))

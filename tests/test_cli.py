@@ -10,12 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from densevoc.cli import main
+from densevoc.cli import build_parser, main
 from densevoc.core import Box, Detection, Trajectory, VideoRecord
 from densevoc.formats import load_dataset, save_dataset, save_matrix
-from densevoc.synth import SynthConfig, generate_tables
+from densevoc.synth import SynthConfig, generate
 
-from densevoc import formats, ground, losses
+from densevoc import aggregate, assoc, formats, ground, losses
 
 from conftest import OVER_BUDGET_PAIR, make_track, make_video
 from oracles import ground_oracle, track_iou_oracle
@@ -87,7 +87,7 @@ def test_eval_apm_perfect(tmp_path, capsys) -> None:
 def test_eval_apm_prints_pairing_warnings(tmp_path, capsys) -> None:
     gt = str(FIXTURES / "golden_seed42_gt.json")
     preds = load_dataset(FIXTURES / "golden_seed42_pred.json")
-    save_dataset(preds[1:] + [VideoRecord("zzz", 1, ())], tmp_path / "pred.json")
+    save_dataset(preds[1:] + [make_video("zzz", [], 1)], tmp_path / "pred.json")
     out = tmp_path / "apm.json"
     assert main(["eval-apm", gt, str(tmp_path / "pred.json"), "--out", str(out)]) == 0
     assert capsys.readouterr().err == (
@@ -187,7 +187,7 @@ def test_track_iou_matches_oracle_bytes(tmp_path, seed) -> None:
     for thresh in ("0.3", "0.6"):
         out, expected = tmp_path / "linked.json", tmp_path / "expected.json"
         assert main(["track-iou", src, "--thresh", thresh, "--out", str(out)]) == 0
-        save_dataset(track_iou_oracle([t.to_record() for t in load_dataset(src)], float(thresh)), expected)
+        save_dataset(track_iou_oracle(load_dataset(src), float(thresh)), expected)
         assert out.read_bytes() == expected.read_bytes()
 
 
@@ -442,7 +442,7 @@ def test_synth_golden_files_bytewise(tmp_path) -> None:
 def test_synth_default_flags_write_the_default_config(tmp_path) -> None:
     out_gt, out_pred = tmp_path / "gt.json", tmp_path / "pred.json"
     assert main(["synth", "--out-gt", str(out_gt), "--out-pred", str(out_pred)]) == 0
-    gts, preds = generate_tables(SynthConfig())
+    gts, preds = generate(SynthConfig())
     save_dataset(gts, tmp_path / "want_gt.json")
     save_dataset(preds, tmp_path / "want_pred.json")
     assert out_gt.read_bytes() == (tmp_path / "want_gt.json").read_bytes()
@@ -730,6 +730,12 @@ BAD_INPUTS = {
     "aggregate-soft-given-theta": lambda tmp: _aggregate_given(tmp, "soft", "--matrix", "--theta"),
     "aggregate-hard-ids-given-matrix": lambda tmp: _aggregate_given(tmp, "hard", "--ids", "--matrix"),
     "aggregate-hard-ids-given-theta": lambda tmp: _aggregate_given(tmp, "hard", "--ids", "--theta"),
+    "track-assign-theta-above-one": lambda tmp: ["track-assign", _assoc_file(tmp), "--theta", "1.5"],
+    "track-assign-theta-zero": lambda tmp: ["track-assign", _assoc_file(tmp), "--theta", "0"],
+    "track-assign-theta-nan": lambda tmp: ["track-assign", _assoc_file(tmp), "--theta", "nan"],
+    "aggregate-hard-theta-one": lambda tmp: _aggregate_given(tmp, "hard", "--matrix") + ["--theta", "1"],
+    "aggregate-hard-m-zero": lambda tmp: _aggregate_given(tmp, "hard", "--matrix") + ["--m", "0"],
+    "aggregate-hard-ids-m-zero": lambda tmp: _aggregate_given(tmp, "hard", "--ids") + ["--m", "0"],
     "aggregate-soft-without-matrix": lambda tmp: ["aggregate", _features_file(tmp), "--mode", "soft"],
     "aggregate-hard-without-ids-or-matrix": lambda tmp: ["aggregate", _features_file(tmp), "--mode", "hard"],
     "aggregate-soft-matrix-holds-features": lambda tmp: [
@@ -840,6 +846,28 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, case) -> None:
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", [
+    "track-assign-theta-above-one", "track-assign-theta-zero", "track-assign-theta-nan", "aggregate-hard-theta-one",
+    "aggregate-hard-m-zero", "aggregate-hard-ids-m-zero", "aggregate-soft-without-matrix",
+    "aggregate-hard-without-ids-or-matrix",
+])
+def test_identity_settings_fail_before_any_matrix_is_read(tmp_path, capsys, monkeypatch, case) -> None:
+    argv = BAD_INPUTS[case](tmp_path)
+    for name in ("load_matrix", "load_ids"):
+        monkeypatch.setattr(formats, name, lambda *args, **kwargs: pytest.fail("a matrix or id file was read"))
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_identity_defaults_are_read_from_the_library(tmp_path, monkeypatch) -> None:
+    monkeypatch.setattr(assoc, "THETA", 0.25)
+    monkeypatch.setattr(aggregate, "HARD_M", 1)
+    assert build_parser().parse_args(["track-assign", "a.json"]).theta == 0.25
+    out = tmp_path / "hard.json"
+    assert main(_aggregate_given(tmp_path, "hard", "--matrix") + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text())["m"] == 1
 
 
 @pytest.mark.parametrize("case", [

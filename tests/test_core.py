@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,13 +14,16 @@ from densevoc.core import (
     ValidationError,
     VideoRecord,
     VideoTable,
-    giou,
     iou_matrix,
     tokenize,
 )
+from densevoc.losses import giou
 
 from conftest import make_track, make_video
-from oracles import iou
+from oracles import giou as giou_oracle
+from oracles import as_records, iou
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "densevoc"
 
 
 def test_iou_identity() -> None:
@@ -34,16 +40,16 @@ def test_iou_hand_geometry() -> None:
 
 
 def test_giou_identical() -> None:
-    b = Box(0, 0, 1, 1)
-    assert giou(b, b) == 1.0
+    b = [(0, 0, 1, 1)]
+    assert giou(b, b)[0] == 1.0
 
 
 def test_giou_disjoint_hand_geometry() -> None:
-    assert giou(Box(0, 0, 1, 1), Box(2, 0, 3, 1)) == pytest.approx(-1 / 3, abs=1e-12)
+    assert giou([(0, 0, 1, 1)], [(2, 0, 3, 1)])[0] == pytest.approx(-1 / 3, abs=1e-12)
 
 
 def test_giou_hull_equals_union() -> None:
-    assert giou(Box(0, 0, 2, 2), Box(1, 0, 3, 2)) == pytest.approx(1 / 3, abs=1e-12)
+    assert giou([(0, 0, 2, 2)], [(1, 0, 3, 2)])[0] == pytest.approx(1 / 3, abs=1e-12)
 
 
 def _random_box(rng) -> Box:
@@ -61,16 +67,39 @@ def test_iou_symmetric(rng) -> None:
 def test_giou_never_exceeds_iou(rng) -> None:
     for _ in range(300):
         a, b = _random_box(rng), _random_box(rng)
-        assert giou(a, b) <= iou(a, b) + 1e-15
+        assert giou([a.as_tuple()], [b.as_tuple()])[0] <= iou(a, b) + 1e-15
 
 
 def test_giou_translation_invariant(rng) -> None:
     for _ in range(100):
-        a, b = _random_box(rng), _random_box(rng)
+        a, b = np.array(_random_box(rng).as_tuple()), np.array(_random_box(rng).as_tuple())
         dx, dy = rng.uniform(-50, 50, size=2)
-        assert giou(a.translate(dx, dy), b.translate(dx, dy)) == pytest.approx(
-            giou(a, b), abs=1e-12
+        shift = np.array([dx, dy, dx, dy])
+        assert giou([a + shift], [b + shift])[0] == pytest.approx(
+            giou([a], [b])[0], abs=1e-12
         )
+
+
+def test_giou_equals_scalar_oracle_bit_for_bit(rng) -> None:
+    # Real-valued boxes, and integer-grid boxes of width and height 0 to 3:
+    # zero-area, touching, nested and disjoint pairs all occur.
+    n = 50_000
+    xy, wh = rng.uniform(-10, 10, size=(n, 2)), rng.uniform(0.1, 8, size=(n, 2))
+    grid_xy, grid_wh = rng.integers(0, 6, size=(n, 2)), rng.integers(0, 4, size=(n, 2))
+    boxes = np.vstack([np.hstack([xy, xy + wh]), np.hstack([grid_xy, grid_xy + grid_wh]).astype(float)])
+    a, b = boxes[rng.permutation(2 * n)], boxes[rng.permutation(2 * n)]
+    expected = np.array([giou_oracle(Box(*p), Box(*q)) for p, q in zip(a.tolist(), b.tolist())])
+    assert giou(a, b).tobytes() == expected.tobytes()
+    zero_area = ((a[:, 2] == a[:, 0]) | (a[:, 3] == a[:, 1])).any()
+    disjoint = (iou_matrix(a[:, None], b[:, None])[:, 0, 0] == 0.0) & (expected < 0.0)
+    assert zero_area and disjoint.any()
+
+
+def test_giou_rejects_bad_rows() -> None:
+    with pytest.raises(ValidationError, match="out of order"):
+        giou([(1, 0, 0, 1)], [(0, 0, 1, 1)])
+    with pytest.raises(ValidationError, match="equal-length"):
+        giou([(0, 0, 1, 1)], [(0, 0, 1, 1)] * 2)
 
 
 def test_zero_area_box_is_legal_and_scores_zero() -> None:
@@ -161,7 +190,7 @@ def test_track_ids_positive_and_consistent() -> None:
 
 def test_trajectory_frames_strictly_increasing() -> None:
     with pytest.raises(ValidationError):
-        make_track(1, [(0, 0, 0, 1, 1), (0, 0, 0, 1, 1)])
+        make_video("v", [make_track(1, [(0, 0, 0, 1, 1), (0, 0, 0, 1, 1)])], num_frames=1)
 
 
 def test_video_rejects_duplicate_track_ids() -> None:
@@ -192,10 +221,10 @@ def test_from_rows_regroups_shuffled_rows(rng) -> None:
         frames,
         corners,
         scores,
-        track_captions={t.track_id: t.caption.raw for t in tracks if t.caption},
+        track_captions={t.track_id: t.caption.raw for t in video.trajectories if t.caption},
     )
     assert rebuilt.track_ids.tolist() == [2, 3, 7]
-    for original in tracks:
+    for original in video.trajectories:
         twin = next(t for t in rebuilt.trajectories if t.track_id == original.track_id)
         assert twin.frames == original.frames
         assert twin.caption == original.caption
@@ -225,14 +254,14 @@ def _table(**edit) -> VideoTable:
 
 
 def test_video_table_round_trips_records() -> None:
-    record = _table().to_record()
+    (record,) = as_records([_table()])
     assert [t.track_id for t in record.trajectories] == [4, 9]
     assert record.trajectories[0].detections[1].caption.raw == "a big dog"
     assert record.trajectories[1].caption is None
     again = VideoTable.from_record(record)
-    assert again.to_record() == record
+    assert as_records([again]) == [record]
     assert again.box_captions == (None, "a big dog", None)
-    assert VideoTable.from_record(VideoRecord("e", 1, ())).to_record() == VideoRecord("e", 1, ())
+    assert as_records([VideoTable.from_record(VideoRecord("e", 1, ()))]) == [VideoRecord("e", 1, ())]
 
 
 @pytest.mark.parametrize(
@@ -265,4 +294,18 @@ def test_video_table_checks_columns(edit, message) -> None:
 
 def test_video_table_frames_restart_at_track_boundary() -> None:
     table = _table(frames=[1, 2, 0], offsets=[0, 2, 3])
-    assert table.to_record().trajectories[1].frames == (0,)
+    assert table.trajectories[1].frames == (0,)
+
+
+def test_only_the_file_boundary_imports_record_classes() -> None:
+    """Computing layers take tables, corner rows and token sequences; only core and formats name a record class."""
+    record_classes = {"Box", "Caption", "Detection", "Trajectory", "VideoRecord"}
+    named = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("core.py", "formats.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, (ast.Import, ast.ImportFrom)) else []
+            names += [node.attr] if isinstance(node, ast.Attribute) else []
+            named += [f"{path.name}: {name}" for name in names if name.rsplit(".", 1)[-1] in record_classes]
+    assert named == []

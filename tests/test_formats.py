@@ -21,7 +21,7 @@ from densevoc.formats import (
 )
 from densevoc.core import Box, Caption, Detection, Trajectory, ValidationError, VideoRecord, VideoTable
 from densevoc.synth import SynthConfig, generate
-from oracles import dataset_json_oracle, dataset_to_obj, parse_dataset_oracle
+from oracles import as_records, dataset_json_oracle, dataset_to_obj, parse_dataset_oracle
 from test_fuzz import _DELETE, _REPLACEMENTS, _mutate, _paths, _valid_files
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -58,7 +58,8 @@ def test_parse_good_dataset() -> None:
 def _outcome(parse, data, strict: bool):
     """The records a parser gives, or its error message."""
     try:
-        return [v if isinstance(v, VideoRecord) else v.to_record() for v in parse(data, strict=strict)]
+        videos = parse(data, strict=strict)
+        return videos if all(isinstance(v, VideoRecord) for v in videos) else as_records(videos)
     except FormatError as exc:
         return f"error: {exc}"
 
@@ -69,7 +70,7 @@ def test_load_dataset_equals_parser_oracle_on_fixtures() -> None:
         data = json.loads(path.read_text())
         for strict in (False, True):
             try:
-                got = [t.to_record() for t in load_dataset(path, strict=strict)]
+                got = as_records(load_dataset(path, strict=strict))
             except FormatError as exc:
                 got = f"error: {exc}"
             expected = _outcome(parse_dataset_oracle, data, strict)
@@ -355,8 +356,8 @@ def test_writer_equals_json_oracle_on_hand_built_records(tmp_path) -> None:
         VideoRecord("ünïcode-id", 2, (Trajectory(1, (det(1, "ok"),), Caption.from_text("")),)),
     ]
     assert _saved(records, tmp_path) == dataset_json_oracle(records)
-    reloaded = [t.to_record() for t in load_dataset(tmp_path / "out.json")]
-    assert reloaded == [VideoTable.from_record(r).to_record() for r in records]
+    reloaded = as_records(load_dataset(tmp_path / "out.json"))
+    assert reloaded == as_records([VideoTable.from_record(r) for r in records])
     assert _saved([], tmp_path) == dataset_json_oracle([]) == "[]\n"
 
 
@@ -366,7 +367,7 @@ def test_writer_writes_floats_and_reloads_equal(tmp_path) -> None:
         '[{"video_id":"v","num_frames":1,"tracks":[{"track_id":1,"boxes":'
         '[{"frame":0,"box":[0.0,0.0,10.0,10.0],"score":1.0}]}]}]\n'
     )
-    assert [t.to_record() for t in load_dataset(tmp_path / "out.json")] == [record]
+    assert as_records(load_dataset(tmp_path / "out.json")) == [record]
 
 
 def test_writer_rejects_integers_outside_64_bits(tmp_path) -> None:

@@ -22,6 +22,8 @@ from densevoc.losses import (
     roi_reg_loss,
 )
 
+from oracles import giou as giou_oracle
+
 LN2 = math.log(2.0)
 
 
@@ -54,18 +56,18 @@ def test_heatmap_shape_and_count_validation() -> None:
 
 
 def test_giou_loss_identical_zero() -> None:
-    boxes = [Box(0, 0, 1, 1), Box(2, 2, 5, 5)]
+    boxes = [(0, 0, 1, 1), (2, 2, 5, 5)]
     assert giou_loss(boxes, boxes) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_giou_loss_disjoint_pair() -> None:
-    value = giou_loss([Box(0, 0, 1, 1)], [Box(2, 0, 3, 1)])
+    value = giou_loss([(0, 0, 1, 1)], [(2, 0, 3, 1)])
     assert value == pytest.approx(4 / 3, abs=1e-9)
 
 
 def test_giou_loss_two_pair_mean() -> None:
-    pred = [Box(0, 0, 1, 1), Box(0, 0, 2, 2)]
-    gt = [Box(0, 0, 1, 1), Box(1, 0, 3, 2)]
+    pred = [(0, 0, 1, 1), (0, 0, 2, 2)]
+    gt = [(0, 0, 1, 1), (1, 0, 3, 2)]
     assert giou_loss(pred, gt) == pytest.approx(1 - (1 + 1 / 3) / 2, abs=1e-9)
 
 
@@ -73,7 +75,7 @@ def test_giou_loss_validates_lengths() -> None:
     with pytest.raises(ValidationError):
         giou_loss([], [])
     with pytest.raises(ValidationError):
-        giou_loss([Box(0, 0, 1, 1)], [])
+        giou_loss([(0, 0, 1, 1)], [])
 
 
 def test_roi_cls_uniform_logits() -> None:
@@ -89,10 +91,10 @@ def test_roi_cls_confident_hit_and_miss() -> None:
 
 
 def test_roi_reg_examples() -> None:
-    a = [Box(0, 0, 1, 1)]
+    a = [(0, 0, 1, 1)]
     assert roi_reg_loss(a, a) == 0.0
-    assert roi_reg_loss(a, [Box(1, 1, 2, 2)]) == pytest.approx(1.0)
-    assert roi_reg_loss(a, [Box(0, 0, 1, 3)]) == pytest.approx(0.5)
+    assert roi_reg_loss(a, [(1, 1, 2, 2)]) == pytest.approx(1.0)
+    assert roi_reg_loss(a, [(0, 0, 1, 3)]) == pytest.approx(0.5)
 
 
 def test_assoc_loss_perfect_binary_is_tiny() -> None:
@@ -281,11 +283,35 @@ def test_roi_cls_gradient_rejects_what_its_loss_rejects() -> None:
     ])
 
 
+def test_box_losses_equal_the_scalar_oracle_on_corner_rows() -> None:
+    pairs = [
+        ([(0, 0, 1, 1), (2, 2, 5, 5)], [(0, 0, 1, 1), (2, 2, 5, 5)]),
+        ([(0, 0, 1, 1)], [(2, 0, 3, 1)]),
+        ([(0, 0, 1, 1), (0, 0, 2, 2)], [(0, 0, 1, 1), (1, 0, 3, 2)]),
+        ([(0, 0, 1, 1)], [(1, 1, 2, 2)]),
+        ([(0, 0, 1, 1)], [(0, 0, 1, 3)]),
+        ([(1, 1, 1, 1), (0.1, 0.2, 0.7, 0.3)], [(1, 1, 1, 1), (4, 0, 6, 2)]),  # zero-area and disjoint rows
+    ]
+    for pred, gt in pairs:
+        boxes = [(Box(*a), Box(*b)) for a, b in zip(pred, gt)]
+        assert giou_loss(pred, gt) == float(1.0 - np.mean([giou_oracle(a, b) for a, b in boxes]))
+        expected = np.abs(np.array([a.as_tuple() for a, _ in boxes]) - np.array([b.as_tuple() for _, b in boxes]))
+        assert roi_reg_loss(pred, gt) == float(expected.mean())
+
+
+@pytest.mark.parametrize("loss", [giou_loss, roi_reg_loss])
+def test_box_losses_check_corner_rows(loss) -> None:
+    with pytest.raises(ValidationError, match="out of order"):
+        loss([(1, 0, 0, 1)], [(0, 0, 1, 1)])
+    with pytest.raises(ValidationError, match="finite"):
+        loss([(0, 0, 1, 1)], [(0, 0, math.nan, 1)])
+
+
 def test_roi_reg_loss_validates_lengths() -> None:
     with pytest.raises(ValidationError):
         roi_reg_loss([], [])
     with pytest.raises(ValidationError):
-        roi_reg_loss([Box(0, 0, 1, 1)], [Box(0, 0, 1, 1), Box(0, 0, 2, 2)])
+        roi_reg_loss([(0, 0, 1, 1)], [(0, 0, 1, 1), (0, 0, 2, 2)])
 
 
 def _square_sum(x: np.ndarray) -> float:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -218,8 +219,8 @@ def test_apm_long_videos_equal_per_cell_oracle(rng, iou_thresholds, meteor_thres
             preds.append(pred)
             gts.append(gt)
         # A copy of the first video under a new id repeats its AP inputs exactly.
-        preds.append(make_video(f"v{trial}_copy", preds[0].trajectories, preds[0].num_frames))
-        gts.append(make_video(f"v{trial}_copy", gts[0].trajectories, gts[0].num_frames))
+        preds.append(replace(preds[0], video_id=f"v{trial}_copy"))
+        gts.append(replace(gts[0], video_id=f"v{trial}_copy"))
         report = ap_m(preds, gts, iou_thresholds=iou_thresholds, meteor_thresholds=meteor_thresholds)
         expected = apm_grid_oracle(preds, gts, iou_thresholds, meteor_thresholds)
         assert np.array_equal(report.grid, expected), trial

@@ -7,7 +7,7 @@ import pytest
 
 from densevoc import metrics
 from densevoc.capmetrics import IdfTable, _forced_alignment, meteor_lite
-from densevoc.core import Box, Caption, Detection, Trajectory, ValidationError, VideoRecord, VideoTable, as_tables
+from densevoc.core import ValidationError, VideoTable
 from densevoc.formats import load_dataset, save_dataset
 from densevoc.metrics import (
     DEFAULT_ALPHAS,
@@ -29,7 +29,7 @@ from conftest import OVER_BUDGET_PAIR, make_track, make_video, random_tiny_insta
 from oracles import caption_sums_oracle, cider_oracle, hota_oracle, meteor_oracle, sweep_oracle
 
 
-def _simple_video(caption: str | None = "a red car crosses") -> VideoRecord:
+def _simple_video(caption: str | None = "a red car crosses") -> VideoTable:
     track = make_track(1, [(f, 10.0 + 2 * f, 10.0, 30.0 + 2 * f, 30.0) for f in range(5)], caption)
     return make_video("v0", [track], num_frames=5)
 
@@ -233,7 +233,7 @@ def test_match_at_alpha_agrees_with_banded_sweep(rng) -> None:
 
 
 def _shaped_instance(rng, shapes, grid: bool):
-    """Prediction and gt records whose frame f holds shapes[f] = (n_gt, n_pred) boxes.
+    """Prediction and gt tables whose frame f holds shapes[f] = (n_gt, n_pred) boxes.
 
     Boxes crowd a small canvas (snapped to a coarse grid when ``grid``, so
     IoUs tie); tracks are listed in a shuffled order.
@@ -285,7 +285,7 @@ def test_sweep_equals_per_frame_oracle(rng, alphas) -> None:
         instances.append(_shaped_instance(rng, [shapes[i] for i in rng.permutation(len(shapes))], trial % 2 == 0))
     for trial, (pred, gt) in enumerate(instances):
         records, mc, ass_sum, global_ass = sweep_oracle(pred, gt, alphas)
-        prep = _VideoPrep(VideoTable.from_record(pred), VideoTable.from_record(gt))
+        prep = _VideoPrep(pred, gt)
         got_records, got_mc, got_ass_sum = _sweep(prep, alphas)
         # The matching at every threshold, each pair covered at most once; the
         # tail's records span a pair's whole run, the oracle's one band each.
@@ -317,8 +317,8 @@ def test_worker_pool_capped_at_video_count(rng, monkeypatch) -> None:
 
     monkeypatch.setattr(mp.get_context("fork"), "Pool", SerialPool)
     videos = [random_tiny_instance(rng) for _ in range(2)]
-    preds = [VideoRecord(f"v{k}", p.num_frames, p.trajectories) for k, (p, _) in enumerate(videos)]
-    gts = [VideoRecord(f"v{k}", g.num_frames, g.trajectories) for k, (_, g) in enumerate(videos)]
+    preds = [replace(p, video_id=f"v{k}") for k, (p, _) in enumerate(videos)]
+    gts = [replace(g, video_id=f"v{k}") for k, (_, g) in enumerate(videos)]
     config = ScorerConfig(metrics=("exact",))
     report = chota(preds, gts, config=config, jobs=64)
     assert started == [2]
@@ -338,19 +338,10 @@ def test_relabeling_and_order_invariance(rng) -> None:
     videos = []
     for v in range(3):
         pred, gt = random_tiny_instance(rng)
-        pred = VideoRecord(video_id=f"vid{v}", num_frames=pred.num_frames, trajectories=pred.trajectories)
-        gt = VideoRecord(video_id=f"vid{v}", num_frames=gt.num_frames, trajectories=gt.trajectories)
-        videos.append((pred, gt))
+        videos.append((replace(pred, video_id=f"vid{v}"), replace(gt, video_id=f"vid{v}")))
 
-    def relabel(record: VideoRecord, offset: int) -> VideoRecord:
-        tracks = []
-        for t in record.trajectories:
-            dets = tuple(
-                Detection(frame=d.frame, box=d.box, score=d.score, track_id=t.track_id + offset)
-                for d in t.detections
-            )
-            tracks.append(Trajectory(track_id=t.track_id + offset, detections=dets, caption=t.caption))
-        return VideoRecord(record.video_id, record.num_frames, tuple(tracks))
+    def relabel(table: VideoTable, offset: int) -> VideoTable:
+        return replace(table, track_ids=table.track_ids + offset)
 
     preds = [p for p, _ in videos]
     gts = [g for _, g in videos]
@@ -371,10 +362,10 @@ def test_relabeling_and_order_invariance(rng) -> None:
     synth = generate(SynthConfig(seed=3, num_videos=3, frames_per_video=12, objects_per_video=4, box_jitter_sigma=3.0,
                                  drop_rate=0.2, false_positive_rate=0.2, id_switch_rate=0.2, caption_corruption_rate=0.3))
     collections = [
-        (as_tables(preds), as_tables(gts)),
-        (as_tables(synth[1]), as_tables(synth[0])),
-        ([replace(VideoTable.from_record(p), video_id=f"tie{i}") for i, (p, _) in enumerate(ties)],
-         [replace(VideoTable.from_record(g), video_id=f"tie{i}") for i, (_, g) in enumerate(ties)]),
+        (preds, gts),
+        (synth[1], synth[0]),
+        ([replace(p, video_id=f"tie{i}") for i, (p, _) in enumerate(ties)],
+         [replace(g, video_id=f"tie{i}") for i, (_, g) in enumerate(ties)]),
     ]
     for pred_tables, gt_tables in collections:
         base_chota, base_apm = chota(pred_tables, gt_tables).to_dict(), ap_m(pred_tables, gt_tables).to_dict()
@@ -406,7 +397,7 @@ def test_per_video_rows_equal_the_video_evaluated_alone(capa_alpha) -> None:
     # holding only that video. CIDEr is left out: its IDF spans the collection.
     gts, preds = generate(SynthConfig(seed=0, num_videos=4, frames_per_video=30, objects_per_video=4,
                                       box_jitter_sigma=6.0, drop_rate=0.1, false_positive_rate=0.2))
-    gts[3] = replace(gts[3], trajectories=tuple(replace(t, caption=None) for t in gts[3].trajectories))
+    gts[3] = replace(gts[3], track_captions=(None,) * len(gts[3].track_ids))
     rng = np.random.default_rng(0)
     external = {
         (p.video_id, obs, t.track_id): float(rng.uniform())
@@ -444,28 +435,16 @@ def test_capa_single_alpha_mode() -> None:
 
 
 def test_duplicated_predictions_det_a_half() -> None:
-    gt = make_video(
-        "v0",
-        [
-            make_track(1, [(f, 0.0, 0.0, 10.0, 10.0) for f in range(4)]),
-            make_track(2, [(f, 40.0, 0.0, 50.0, 10.0) for f in range(4)]),
-        ],
-        num_frames=4,
-    )
+    tracks = [
+        make_track(1, [(f, 0.0, 0.0, 10.0, 10.0) for f in range(4)]),
+        make_track(2, [(f, 40.0, 0.0, 50.0, 10.0) for f in range(4)]),
+    ]
+    gt = make_video("v0", tracks, num_frames=4)
     dup_tracks = []
-    for t in gt.trajectories:
+    for t in tracks:
         dup_tracks.append(t)
-        dup_tracks.append(
-            Trajectory(
-                track_id=t.track_id + 10,
-                detections=tuple(
-                    Detection(frame=d.frame, box=d.box, score=d.score, track_id=t.track_id + 10)
-                    for d in t.detections
-                ),
-                caption=t.caption,
-            )
-        )
-    pred = VideoRecord("v0", 4, tuple(dup_tracks))
+        dup_tracks.append(t._replace(track_id=t.track_id + 10))
+    pred = make_video("v0", dup_tracks, num_frames=4)
     report = chota([pred], [gt], config=ScorerConfig(metrics=("exact",)))
     assert np.all(report.det_a == pytest.approx(0.5))
     assert report.det_a_mean == pytest.approx(0.5)
@@ -493,26 +472,28 @@ def _mixed_collection():
                       drop_rate=0.1, false_positive_rate=0.2, id_switch_rate=0.1, caption_corruption_rate=0.3)
     gts, preds = generate(cfg)
 
-    def recaption(record, captions):
-        return VideoRecord(record.video_id, record.num_frames, tuple(
-            Trajectory(t.track_id, t.detections, captions.get(t.track_id, t.caption))
-            for t in record.trajectories
-        ))
+    def recaption(table, captions):
+        return {t: captions.get(t, c) for t, c in zip(table.track_ids.tolist(), table.track_captions)}
 
-    gts = [recaption(g, {1: Caption.from_text(""), 2: None}) for g in gts]
+    gts = [replace(g, track_captions=tuple(recaption(g, {1: "", 2: None}).values())) for g in gts]
     rng = np.random.default_rng(11)
     out = []
-    for v, record in enumerate(preds[:2]):
-        tracks = []
-        for t in recaption(record, {1: None}).trajectories:
-            dets = [
-                Detection(d.frame, d.box, d.score, caption=Caption.from_text(f"box {k}"))
-                if v == 0 and rng.random() < 0.5 else d
-                for k, d in enumerate(t.detections)
+    for v, table in enumerate(preds[:2]):
+        rows = []  # (track id, frame, corners, score, box caption), track by track
+        for t, track_id in enumerate(table.track_ids.tolist()):
+            lo, hi = table.offsets[t : t + 2].tolist()
+            rows += [
+                (track_id, table.frames[i], table.corners[i], table.scores[i],
+                 f"box {i - lo}" if v == 0 and rng.random() < 0.5 else None)
+                for i in range(lo, hi)
             ]
-            dets += [Detection(record.num_frames + j, Box(0.0, 0.0, 40.0, 40.0), 0.9) for j in range(2)]
-            tracks.append(Trajectory(t.track_id, tuple(dets), t.caption))
-        out.append(VideoRecord(record.video_id, record.num_frames + 2, tuple(tracks)))
+            rows += [(track_id, table.num_frames + j, (0.0, 0.0, 40.0, 40.0), 0.9, None) for j in range(2)]
+        track_ids, frames, corners, scores, captions = zip(*rows)
+        out.append(VideoTable.from_rows(
+            table.video_id, table.num_frames + 2, track_ids, frames, corners, scores,
+            track_captions=recaption(table, {1: None}),
+            box_captions=None if v else captions,
+        ))
     external = {
         (r.video_id, obs, g): float(rng.uniform())
         for r in out for obs in range(40) for g in (1, 2, 3) if rng.random() < 0.5
@@ -528,7 +509,7 @@ def _configs(external):
     ]
 
 
-def test_table_and_record_paths_agree(tmp_path) -> None:
+def test_in_memory_and_file_tables_agree(tmp_path) -> None:
     preds, gts, external = _mixed_collection()
     # Tables by the file route: written, then parsed by column.
     save_dataset(preds, tmp_path / "pred.json")
@@ -548,7 +529,7 @@ def test_table_and_record_paths_agree(tmp_path) -> None:
     for (pred, gt), (pred_table, gt_table) in zip(zip(preds, gts), zip(pred_tables, gt_tables)):
         for alpha in (0.05, 0.5, 0.8):
             (records, mc, ass), (t_records, t_mc, t_ass) = (
-                _sweep(_VideoPrep(VideoTable.from_record(pred), VideoTable.from_record(gt)), (alpha,)),
+                _sweep(_VideoPrep(pred, gt), (alpha,)),
                 _sweep(_VideoPrep(pred_table, gt_table), (alpha,)),
             )
             assert all(np.array_equal(a, b) for a, b in zip((*records, mc, ass), (*t_records, t_mc, t_ass)))
@@ -561,9 +542,9 @@ def test_table_and_record_paths_agree(tmp_path) -> None:
 
 def test_caption_sums_equal_per_match_oracle() -> None:
     preds, gts, external = _mixed_collection()
-    idf = IdfTable.build(_idf_documents([VideoTable.from_record(g) for g in gts]))
+    idf = IdfTable.build(_idf_documents(gts))
     for pred, gt in zip(preds, gts):
-        tables = VideoTable.from_record(pred), VideoTable.from_record(gt)
+        tables = pred, gt
         prep = _VideoPrep(*tables)
         for alphas in (DEFAULT_ALPHAS, (0.5,)):
             records = _sweep(prep, alphas)[0]
@@ -580,26 +561,23 @@ def test_caption_sums_equal_per_match_oracle() -> None:
 _EDIT_WORDS = ("slowly", "again", "big", "old", "dark", "left", "still", "wet", "walks", "dogs")
 
 
-def _box_captioned(preds: list[VideoRecord], rng: np.random.Generator) -> list[VideoRecord]:
+def _box_captioned(preds: list[VideoTable], rng: np.random.Generator) -> list[VideoTable]:
     """Predictions whose boxes each carry their track's caption after one to three word inserts, drops or appends."""
     out = []
-    for record in preds:
-        tracks = []
-        for track in record.trajectories:
-            dets = []
-            for det in track.detections:
-                words = track.caption.raw.split() if track.caption else []
-                for _ in range(1 + int(rng.integers(3))):
-                    op, word = int(rng.integers(3)), _EDIT_WORDS[int(rng.integers(len(_EDIT_WORDS)))]
-                    if op == 0:
-                        words.insert(int(rng.integers(len(words) + 1)), word)
-                    elif op == 1 and len(words) > 2:
-                        del words[int(rng.integers(len(words)))]
-                    else:
-                        words.append(word)
-                dets.append(replace(det, caption=Caption.from_text(" ".join(words))))
-            tracks.append(replace(track, detections=tuple(dets)))
-        out.append(replace(record, trajectories=tuple(tracks)))
+    for table in preds:
+        captions = []
+        for t in np.repeat(np.arange(len(table.track_ids)), np.diff(table.offsets)).tolist():
+            words = (table.track_captions[t] or "").split()
+            for _ in range(1 + int(rng.integers(3))):
+                op, word = int(rng.integers(3)), _EDIT_WORDS[int(rng.integers(len(_EDIT_WORDS)))]
+                if op == 0:
+                    words.insert(int(rng.integers(len(words) + 1)), word)
+                elif op == 1 and len(words) > 2:
+                    del words[int(rng.integers(len(words)))]
+                else:
+                    words.append(word)
+            captions.append(" ".join(words))
+        out.append(replace(table, box_captions=tuple(captions)))
     return out
 
 
@@ -627,7 +605,7 @@ def test_box_caption_reports_equal_caption_oracles(monkeypatch, seed) -> None:
 _TIE_CAPTIONS = ("a red car", "a dog runs", "the old man walks slowly", "two birds fly", "")
 
 
-def _tie_captioned(rng) -> tuple[VideoRecord, VideoRecord]:
+def _tie_captioned(rng) -> tuple[VideoTable, VideoTable]:
     """A tie-heavy pair whose tracks carry captions and about half of whose predicted boxes carry their own."""
 
     def caption():
@@ -639,8 +617,7 @@ def _tie_captioned(rng) -> tuple[VideoRecord, VideoRecord]:
                    det_captions=[caption() if rng.random() < 0.5 else None for _ in t.detections])
         for t in pred.trajectories
     ], pred.num_frames)
-    gt = make_video(gt.video_id, [replace(t, caption=Caption.from_text(caption())) for t in gt.trajectories],
-                    gt.num_frames)
+    gt = replace(gt, track_captions=tuple(caption() for _ in gt.track_ids))
     return pred, gt
 
 
@@ -657,8 +634,8 @@ def test_caption_sums_on_tail_runs_equal_per_band_oracle(rng, alphas) -> None:
     config = ScorerConfig()
     captioned_matches = 0
     for trial, (pred, gt) in enumerate(instances):
-        idf = IdfTable.build(_idf_documents([VideoTable.from_record(gt)]))
-        tables = VideoTable.from_record(pred), VideoTable.from_record(gt)
+        idf = IdfTable.build(_idf_documents([gt]))
+        tables = pred, gt
         prep = _VideoPrep(*tables)
         cap_sum = _caption_sums(_sweep(prep, alphas)[0], len(alphas), prep, _PairScorer(config, idf))
         bands = _oracle_columns(sweep_oracle(pred, gt, alphas)[0])
@@ -683,7 +660,7 @@ def test_missing_external_scores_are_counted_once_per_pair() -> None:
         make_track(2, [(0, 200.0, 0.0, 300.0, 30.0)], "a dog"),
         make_track(3, [(0, 0.0, 0.0, 100.0, 25.0)], "a cat"),
     ], 1)
-    records = _sweep(_VideoPrep(VideoTable.from_record(pred), VideoTable.from_record(gt)), DEFAULT_ALPHAS)[0]
+    records = _sweep(_VideoPrep(pred, gt), DEFAULT_ALPHAS)[0]
     assert len(records[0]) == 3
     report = chota([pred], [gt], config=ScorerConfig(metrics=("meteor", "external"), external_scores={}))
     assert [w for w in report.warnings if "external" in w] == ["v0: 2 matched pairs had no external score (scored 0)"]

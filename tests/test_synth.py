@@ -8,8 +8,8 @@ import pytest
 
 from densevoc.core import ValidationError
 from densevoc.formats import save_dataset
-from densevoc.synth import SynthConfig, generate, generate_tables
-from oracles import dataset_to_obj, generate_oracle
+from densevoc.synth import SynthConfig, generate
+from oracles import as_records, dataset_to_obj, generate_oracle
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -98,7 +98,8 @@ def test_generate_equals_generator_oracle() -> None:
         cfg = SynthConfig(seed=seed, num_videos=2, frames_per_video=frames, objects_per_video=objects,
                           box_jitter_sigma=jitter, drop_rate=drop, false_positive_rate=fp,
                           id_switch_rate=switch, caption_corruption_rate=0.5)
-        assert generate(cfg) == generate_oracle(cfg), cfg
+        gts, preds = generate(cfg)
+        assert (as_records(gts), as_records(preds)) == generate_oracle(cfg), cfg
 
 
 def test_synth20_fixture_matches_bytewise(tmp_path) -> None:
@@ -111,8 +112,8 @@ def test_false_positives_never_join_a_track() -> None:
     # With 1000 objects the prediction labels reach 1000, where false
     # positive ids used to start.
     objects, frames = 1000, 2
-    _, (pred,) = generate_tables(SynthConfig(seed=5, num_videos=1, frames_per_video=frames,
-                                             objects_per_video=objects, false_positive_rate=1.0))
+    _, (pred,) = generate(SynthConfig(seed=5, num_videos=1, frames_per_video=frames,
+                                      objects_per_video=objects, false_positive_rate=1.0))
     fp = pred.track_ids > objects
     assert fp.sum() == objects * frames  # one false positive per object and frame
     assert (np.diff(pred.offsets)[fp] == 1).all()
