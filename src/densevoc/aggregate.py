@@ -66,6 +66,7 @@ def hard_aggregate(
     Members are ordered by (frame, observation index) before sampling, so the
     result does not depend on the observation ordering of the input.
     """
+    validate_m(m)
     features = np.asarray(features, dtype=float)
     frame_of = np.asarray(frame_of, dtype=int)
     if features.ndim != 2 or len(ids) != features.shape[0] or len(frame_of) != features.shape[0]:

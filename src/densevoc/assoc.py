@@ -39,7 +39,7 @@ class AssocMatrix:
             raise ValidationError(
                 f"frame_of length {frame_of.shape} does not match matrix {values.shape}"
             )
-        if values.size and (values.min() < -1e-9 or values.max() > 1 + 1e-9):
+        if not ((values >= -1e-9) & (values <= 1 + 1e-9)).all():  # NaN fails too
             raise ValidationError("association scores must lie in [0, 1]")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "frame_of", frame_of)
@@ -160,6 +160,8 @@ def build_gt_association(frame_of, corners, gt: VideoTable, iou_thresh: float = 
     ground-truth trajectory. Unmatched observations associate only with
     themselves.
     """
+    if not isinstance(gt, VideoTable):
+        raise ValidationError(f"gt must be a VideoTable, got {type(gt).__name__}; use VideoTable.from_record")
     frame_of, corners, runs = _frame_runs(frame_of, corners)
     if runs and not 0 <= runs[0][0] <= runs[-1][0] < gt.num_frames:
         raise ValidationError(f"prediction frames must lie in [0, {gt.num_frames}), got {runs[0][0]}..{runs[-1][0]}")

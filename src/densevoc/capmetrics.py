@@ -214,9 +214,9 @@ class _ChunkSearch:
 
 
 def _tokens(tokens: Sequence[str]) -> tuple[str, ...]:
-    """A caption's token sequence as a tuple; a bare string is a ValidationError, since its items are characters."""
-    if isinstance(tokens, str):
-        raise ValidationError(f"caption metrics take token sequences, got the string {tokens!r}; tokenize it first")
+    """A caption's token sequence as a tuple; a string (characters, not words) or a ``Caption`` is a ValidationError."""
+    if isinstance(tokens, str) or not hasattr(tokens, "__iter__"):
+        raise ValidationError(f"caption metrics take token sequences, got {tokens!r}; tokenize it first")
     return tuple(tokens)
 
 

@@ -28,16 +28,6 @@ class Box:
     x2: float
     y2: float
 
-    def __post_init__(self) -> None:
-        inf = math.inf
-        if not (-inf < self.x1 <= self.x2 < inf and -inf < self.y1 <= self.y2 < inf):
-            check_corners([self.as_tuple()])
-            raise ValidationError(f"box corners out of order: {self.as_tuple()}")
-
-    @classmethod
-    def from_xywh(cls, x: float, y: float, w: float, h: float) -> "Box":
-        return cls(x, y, x + w, y + h)
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
 
@@ -78,14 +68,6 @@ class Detection:
     track_id: int | None = None
     caption: Caption | None = None
 
-    def __post_init__(self) -> None:
-        if self.frame < 0:
-            raise ValidationError(f"frame index must be >= 0, got {self.frame}")
-        if not (0.0 <= self.score <= 1.0):
-            raise ValidationError(f"score must be in [0, 1], got {self.score}")
-        if self.track_id is not None and self.track_id < 1:
-            raise ValidationError(f"track_id must be positive, got {self.track_id}")
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -97,18 +79,6 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "detections", tuple(self.detections))
-        if self.track_id < 1:
-            raise ValidationError(f"track_id must be positive, got {self.track_id}")
-        frames = [d.frame for d in self.detections]
-        if any(b <= a for a, b in zip(frames, frames[1:])):
-            raise ValidationError(
-                f"track {self.track_id}: frames must be strictly increasing, got {frames}"
-            )
-        for d in self.detections:
-            if d.track_id is not None and d.track_id != self.track_id:
-                raise ValidationError(
-                    f"detection track_id {d.track_id} disagrees with trajectory {self.track_id}"
-                )
 
     def __len__(self) -> int:
         return len(self.detections)
@@ -128,20 +98,17 @@ class VideoRecord:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "trajectories", tuple(self.trajectories))
-        if self.num_frames < 1:
-            raise ValidationError(f"num_frames must be >= 1, got {self.num_frames}")
-        seen: set[int] = set()
-        for track in self.trajectories:
-            if track.track_id in seen:
-                raise ValidationError(
-                    f"video {self.video_id!r}: duplicate track_id {track.track_id}"
-                )
-            seen.add(track.track_id)
-            for det in track.detections:
-                if det.frame >= self.num_frames:
-                    raise ValidationError(
-                        f"video {self.video_id!r}: frame {det.frame} >= num_frames {self.num_frames}"
-                    )
+
+
+def _corner_faults(corners: np.ndarray) -> np.ndarray:
+    """Which rows of an ``(n, 4)`` corner array break the box invariant: a corner not finite, x1 > x2 or y1 > y2."""
+    x1, y1, x2, y2 = corners.T
+    return ~((-math.inf < x1) & (x1 <= x2) & (x2 < math.inf) & (-math.inf < y1) & (y1 <= y2) & (y2 < math.inf))
+
+
+def _corner_message(row: np.ndarray) -> str:
+    row = tuple(row.tolist())
+    return f"box corners out of order: {row}" if np.isfinite(row).all() else f"box corners must be finite, got {row}"
 
 
 def check_corners(corners) -> np.ndarray:
@@ -150,12 +117,9 @@ def check_corners(corners) -> np.ndarray:
     The one definition of the box invariant; its ValidationError names the first bad row.
     """
     corners = np.asarray(corners, dtype=float).reshape(-1, 4)
-    bad = ~np.isfinite(corners).all(axis=1)
-    if bad.any():
-        raise ValidationError(f"box corners must be finite, got {tuple(corners[bad][0].tolist())}")
-    bad = (corners[:, 0] > corners[:, 2]) | (corners[:, 1] > corners[:, 3])
-    if bad.any():
-        raise ValidationError(f"box corners out of order: {tuple(corners[bad][0].tolist())}")
+    bad = np.flatnonzero(_corner_faults(corners))
+    if len(bad):
+        raise ValidationError(_corner_message(corners[bad[0]]))
     return corners
 
 
@@ -178,6 +142,45 @@ def _int_column(values, what: str) -> np.ndarray:
     return column.astype(np.int64).reshape(-1)
 
 
+def first_broken_rule(video_id: str, num_frames: int, track_ids: np.ndarray, offsets: np.ndarray,
+                      frames: np.ndarray, corners: np.ndarray, scores: np.ndarray):
+    """The one home of each dataset rule: the first rule, in document order, that ``VideoTable``'s columns break.
+
+    None, or ``(message, track, box)``: box ``box`` of track ``track``; the track, after its boxes, when
+    ``box`` is None; the video, after its tracks (num_frames, then track by track), when both are None.
+    """
+    n_tracks, n = len(track_ids), len(frames)
+    row_track = np.repeat(np.arange(n_tracks), np.diff(offsets))
+    # Document positions: box r of track t at r + t, track t after its boxes, then the video's rules.
+    box_at, track_at, video_at = np.arange(n) + row_track, offsets[1:] + np.arange(n_tracks), n + n_tracks
+    repeated = np.ones(n_tracks, dtype=bool)
+    repeated[np.unique(track_ids, return_index=True)[1]] = False
+    unordered = np.zeros(n_tracks, dtype=bool)
+    unordered[row_track[1:][(frames[1:] <= frames[:-1]) & (row_track[1:] == row_track[:-1])]] = True
+    rules = (  # (position of each element, the elements breaking the rule, the message of one), in order at a position
+        (box_at, _corner_faults(corners), lambda r: _corner_message(corners[r])),
+        (box_at, frames < 0, lambda r: f"frame index must be >= 0, got {frames[r]}"),
+        (box_at, ~((scores >= 0.0) & (scores <= 1.0)), lambda r: f"score must be in [0, 1], got {scores[r]}"),
+        # A track id is checked at the track's first box, or after the track when it has none.
+        (offsets[:-1] + np.arange(n_tracks), track_ids < 1, lambda t: f"track_id must be positive, got {track_ids[t]}"),
+        (track_at, unordered, lambda t: f"track {track_ids[t]}: frames must be strictly increasing, "
+                                        f"got {frames[offsets[t] : offsets[t + 1]].tolist()}"),
+        (np.array([video_at]), np.array([num_frames < 1]), lambda _: f"num_frames must be >= 1, got {num_frames}"),
+        (video_at + 1 + 2 * np.arange(n_tracks), repeated,
+         lambda t: f"video {video_id!r}: duplicate track_id {track_ids[t]}"),
+        (video_at + 2 + 2 * row_track, frames >= num_frames,
+         lambda r: f"video {video_id!r}: frame {frames[r]} >= num_frames {num_frames}"),
+    )
+    broken = [(at[bad][0], k, np.flatnonzero(bad)[0]) for k, (at, bad, _) in enumerate(rules) if bad.any()]
+    if not broken:
+        return None
+    at, k, i = min(broken)
+    if at >= video_at:
+        return rules[k][2](i), None, None
+    t = int(np.searchsorted(track_at, at))
+    return rules[k][2](i), t, None if at == track_at[t] else int(at - offsets[t] - t)
+
+
 @dataclass(frozen=True, eq=False)
 class VideoTable:
     """All trajectories of one video as columns, in file order.
@@ -186,10 +189,10 @@ class VideoTable:
     ``(n, 4)`` ``corners``, ``scores`` and, when any box has one,
     ``box_captions``. Rows run track by track, each track's in increasing
     frame order; track ``t`` owns rows ``offsets[t]:offsets[t + 1]``.
-    Captions are raw strings. The invariants of ``VideoRecord`` and its
-    dataclasses are checked by column, and integers must fit 64 bits, as
-    dataset files require. ``trajectories`` is the record view, built on
-    first use.
+    Captions are raw strings. Construction checks the columns' types and
+    lengths, then raises the message of ``first_broken_rule``; integers must
+    fit 64 bits, as dataset files require. ``from_record`` is where a record
+    meets these checks; ``trajectories`` is the record view, built on first use.
 
     ``frame_order`` is the one definition of observation order, the order
     that sidecar files index; ``from_rows`` is the one regroup of rows into
@@ -208,14 +211,13 @@ class VideoTable:
 
     def __post_init__(self) -> None:
         where = f"video {self.video_id!r}"
-        if not (isinstance(self.num_frames, (int, np.integer)) and 1 <= self.num_frames <= _INT64_MAX):
-            raise ValidationError(
-                f"{where}: num_frames must be an integer in [1, 2**63 - 1], got {self.num_frames}"
-            )
+        if not (isinstance(self.num_frames, (int, np.integer)) and self.num_frames <= _INT64_MAX):
+            raise ValidationError(f"{where}: num_frames must be an integer below 2**63, got {self.num_frames}")
         track_ids = _int_column(self.track_ids, f"{where}: track ids")
         offsets = _int_column(self.offsets, f"{where}: row offsets")
         frames = _int_column(self.frames, f"{where}: frames")
-        corners = np.asarray(self.corners, dtype=float)
+        corners = np.asarray(self.corners)  # integer corners meet the box rule exactly, then become floats
+        corners = corners if corners.dtype.kind in "iu" else np.asarray(corners, dtype=float)
         corners = corners.reshape(0, 4) if corners.size == 0 else corners
         scores = np.asarray(self.scores, dtype=float).reshape(-1)
         n = len(frames)
@@ -230,40 +232,23 @@ class VideoTable:
             and (self.box_captions is None or len(self.box_captions) == n)
         ):
             raise ValidationError(f"{where}: column lengths disagree")
-        if (track_ids < 1).any():
-            raise ValidationError(f"{where}: track_id must be positive, got {track_ids[track_ids < 1][0]}")
-        unique, counts = np.unique(track_ids, return_counts=True)
-        if (counts > 1).any():
-            raise ValidationError(f"{where}: duplicate track_id {unique[counts > 1][0]}")
-        check_corners(corners)
-        bad = ~((scores >= 0.0) & (scores <= 1.0))
-        if bad.any():
-            raise ValidationError(f"score must be in [0, 1], got {scores[bad][0]}")
-        if (frames < 0).any():
-            raise ValidationError(f"frame index must be >= 0, got {frames[frames < 0][0]}")
-        if (frames >= self.num_frames).any():
-            raise ValidationError(
-                f"{where}: frame {frames[frames >= self.num_frames][0]} >= num_frames {self.num_frames}"
-            )
-        track_start = np.zeros(n, dtype=bool)
-        track_start[offsets[:-1][offsets[:-1] < n]] = True
-        bad = (np.diff(frames) <= 0) & ~track_start[1:]
-        if bad.any():
-            track = int(np.searchsorted(offsets, np.flatnonzero(bad)[0] + 1, side="right")) - 1
-            raise ValidationError(
-                f"{where}: track {track_ids[track]}: frames must be strictly increasing"
-            )
+        broken = first_broken_rule(self.video_id, int(self.num_frames), track_ids, offsets, frames, corners, scores)
+        if broken is not None:
+            raise ValidationError(broken[0])
         for name, value in (("num_frames", int(self.num_frames)), ("track_ids", track_ids),
                             ("track_captions", tuple(self.track_captions)), ("offsets", offsets),
-                            ("frames", frames), ("corners", corners), ("scores", scores)):
+                            ("frames", frames), ("corners", np.asarray(corners, dtype=float)), ("scores", scores)):
             object.__setattr__(self, name, value)
         if self.box_captions is not None:
             object.__setattr__(self, "box_captions", tuple(self.box_captions))
 
     @classmethod
     def from_record(cls, record: VideoRecord) -> "VideoTable":
-        """The table of a record, checked by column."""
+        """The checked table of a record; a detection's own track id, when set, must be its trajectory's."""
         tracks = record.trajectories
+        stray = [(d.track_id, t.track_id) for t in tracks for d in t.detections if d.track_id not in (None, t.track_id)]
+        if stray:
+            raise ValidationError("detection track_id {} disagrees with trajectory {}".format(*stray[0]))
         dets = [d for t in tracks for d in t.detections]
         captions = [None if d.caption is None else d.caption.raw for d in dets]
         return cls(

@@ -29,9 +29,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .assoc import AssocMatrix
-from .core import (
-    Box, Detection, Trajectory, ValidationError, VideoRecord, VideoTable, check_corners, check_nll,
-)
+from .core import ValidationError, VideoRecord, VideoTable, check_corners, check_nll, first_broken_rule
 
 
 class FormatError(ValueError):
@@ -175,42 +173,47 @@ def _video_table(video_id: str, num_frames: int, tracks: list, where: str, stric
 def _first_error(video_id: str, num_frames: int, tracks: list, where: str, strict: bool) -> None:
     """Raise the first error of a video in document order, with its JSON path.
 
-    Walks the tracks and boxes one at a time, with the checks of the record
-    dataclasses; only a video that failed its column checks gets here.
+    Walks the schema box by box to its first error, which a rule broken before it (``first_broken_rule``
+    over the boxes walked) precedes. Only a video that failed its column checks gets here.
     """
-
-    def checked(where, make, **fields):
-        try:
-            return make(**fields)
-        except ValidationError as exc:
-            raise FormatError(f"{where}: {exc}") from exc
-
-    trajectories = []
-    for ti, track in enumerate(tracks):
-        twhere = f"{where}.tracks[{ti}]"
-        track_id, _, boxes = _track_fields(track, twhere, strict)
-        dets = []
-        for bi, entry in enumerate(boxes):
-            bwhere = f"{twhere}.boxes[{bi}]"
-            if not isinstance(entry, dict):
-                raise FormatError(f"{bwhere}: expected an object")
-            _check_unknown(entry, _BOX_KEYS, bwhere, strict)
-            frame = _require(entry, "frame", int, bwhere)
-            box = Box(*_parse_box(entry.get("box"), bwhere))
-            score = _require(entry, "score", float, bwhere) if "score" in entry else 1.0
-            if entry.get("caption") is not None:
-                _require(entry, "caption", str, bwhere)
-            dets.append(checked(bwhere, Detection, frame=frame, box=box, score=score, track_id=track_id))
-        trajectories.append(checked(twhere, Trajectory, track_id=track_id, detections=dets))
-    checked(where, VideoRecord, video_id=video_id, num_frames=num_frames, trajectories=trajectories)
+    track_ids, rows, error, complete = [], [], None, len(tracks)
+    try:
+        for ti, track in enumerate(tracks):
+            twhere = f"{where}.tracks[{ti}]"
+            track_id, _, boxes = _track_fields(track, twhere, strict)
+            track_ids.append(track_id)
+            for bi, entry in enumerate(boxes):
+                bwhere = f"{twhere}.boxes[{bi}]"
+                if not isinstance(entry, dict):
+                    raise FormatError(f"{bwhere}: expected an object")
+                _check_unknown(entry, _BOX_KEYS, bwhere, strict)
+                frame = _require(entry, "frame", int, bwhere)
+                box = _parse_box(entry.get("box"), bwhere)
+                score = _require(entry, "score", float, bwhere) if "score" in entry else 1.0
+                if entry.get("caption") is not None:
+                    _require(entry, "caption", str, bwhere)
+                rows.append((ti, frame, box, score))
+    except FormatError as exc:
+        error, complete = exc, ti
+    row_track, frames, corners, scores = zip(*rows) if rows else ((), (), (), ())
+    broken = first_broken_rule(video_id, num_frames, np.array(track_ids, dtype=np.int64),
+                               np.searchsorted(row_track, range(len(track_ids) + 1)), np.array(frames, dtype=np.int64),
+                               np.array(corners, dtype=float).reshape(-1, 4), np.array(scores, dtype=float))
+    # Before a schema error come only the rules of the boxes walked and of the tracks walked to their end.
+    if broken and (error is None or broken[2] is not None or (broken[1] is not None and broken[1] < complete)):
+        message, track, box = broken
+        path = where if track is None else f"{where}.tracks[{track}]" + ("" if box is None else f".boxes[{box}]")
+        raise FormatError(f"{path}: {message}")
+    if error is not None:
+        raise error
 
 
 def parse_dataset(data: Any, strict: bool = False) -> list[VideoTable]:
     """The videos of a dataset file's JSON value, one ``VideoTable`` each.
 
     Box values are gathered into columns and checked by column. A video that
-    fails a check is walked again box by box, so the error names the first
-    bad element in document order.
+    fails a check has its schema walked again box by box, so the error names
+    the first bad element in document order. No record is built.
     """
     if not isinstance(data, list):
         raise FormatError("top level: expected a list of video objects")
@@ -236,7 +239,7 @@ def parse_dataset(data: Any, strict: bool = False) -> list[VideoTable]:
 
 
 def load_dataset(path: str | Path, strict: bool = False) -> list[VideoTable]:
-    """The videos of a dataset file as tables; ``VideoTable.trajectories`` is the record view."""
+    """The videos of a dataset file as tables, by ``parse_dataset``; ``VideoTable.trajectories`` is the record view."""
     path = Path(path)
     data = _read_json(path)
     try:
@@ -270,11 +273,12 @@ def _video_json(table: VideoTable) -> str:
 def save_dataset(videos: Sequence[VideoTable | VideoRecord], path: str | Path) -> None:
     """Write a dataset file in compact JSON; dataset files can hold hundreds of thousands of boxes.
 
-    The one place a record is converted: by ``VideoTable.from_record``, and so checked, before
-    the file is opened. Coordinates and scores are always written as JSON floats.
+    The one place a record is converted: by ``VideoTable.from_record``, where it meets the dataset
+    rules, before the file is opened. Coordinates and scores are always written as JSON floats.
     """
     tables = [v if isinstance(v, VideoTable) else VideoTable.from_record(v) for v in videos]
-    Path(path).write_text("[" + ",".join(map(_video_json, tables)) + "]\n")
+    with Path(path).open("w") as f:  # one video's text at a time, not the whole file's
+        f.writelines(chain(["["], (("," if i else "") + _video_json(t) for i, t in enumerate(tables)), ["]\n"]))
 
 
 @dataclass
@@ -487,45 +491,48 @@ def load_ids(path: str | Path) -> np.ndarray:
         raise FormatError(f"{path}.ids: {exc}") from exc
 
 
-def load_flat_records(
-    path: str | Path,
-    video_id: str,
-    num_frames: int | None = None,
-    one_based_frames: bool = False,
-) -> VideoTable:
+def load_flat_records(path: str | Path, video_id: str, num_frames: int | None = None,
+                      one_based_frames: bool = False) -> VideoTable:
     """Convert flat per-frame CSV rows into a track-grouped table.
 
     Rows are ``frame,track_id,x,y,w,h[,score]`` (the common tracking-bench
     layout: top-left corner plus width and height). Lines starting with '#'
     and blank lines are skipped. ``one_based_frames`` shifts frame numbers
-    down by one on ingestion.
+    down by one on ingestion. An error names the first bad line: one that does not
+    parse, or whose box breaks a rule (corners, frame, score, track id, in that order).
     """
     path = Path(path)
-    dets: list[Detection] = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) not in (6, 7):
-            raise FormatError(f"{path}: line {lineno}: expected 6 or 7 comma-separated fields")
-        try:
-            frame = int(parts[0]) - (1 if one_based_frames else 0)
-            track_id = int(parts[1])
+    shift = 1 if one_based_frames else 0
+    text, rows, error = _read_text(path), [], None
+    try:
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = [p.strip() for p in line.split(",")]
+            if len(parts) not in (6, 7):
+                raise ValueError("expected 6 or 7 comma-separated fields")
+            frame, track_id = int(parts[0]) - shift, int(parts[1])
             x, y, w, h = (float(v) for v in parts[2:6])
             score = float(parts[6]) if len(parts) == 7 else 1.0
-        except ValueError as exc:
-            raise FormatError(f"{path}: line {lineno}: {exc}") from exc
-        try:
-            dets.append(Detection(frame=frame, box=Box.from_xywh(x, y, w, h), score=score, track_id=track_id))
-        except ValidationError as exc:
-            raise FormatError(f"{path}: line {lineno}: {exc}") from exc
-    frames = [d.frame for d in dets]
-    if num_frames is None:
-        num_frames = max(frames, default=0) + 1
+            for value in (frame, track_id):
+                if not -(2**63) <= value < 2**63:
+                    raise ValueError(f"integer {value} is out of the 64-bit range")
+            rows.append((lineno, frame, track_id, (x, y, x + w, y + h), score))
+    except ValueError as exc:
+        error = FormatError(f"{path}: line {lineno}: {exc}")
+    linenos, frames, track_ids, corners, scores = zip(*rows) if rows else ((),) * 5
+    frames, track_ids = np.array(frames, dtype=np.int64), np.array(track_ids, dtype=np.int64)
+    corners, scores = np.array(corners, dtype=float).reshape(-1, 4), np.array(scores, dtype=float)
+    # Each row as a track of its own: a broken box rule then comes first, at its row.
+    broken = first_broken_rule(video_id, 1, track_ids, np.arange(len(frames) + 1), frames, corners, scores)
+    if broken is not None and broken[2] is not None:
+        raise FormatError(f"{path}: line {linenos[broken[1]]}: {broken[0]}")
+    if error is not None:
+        raise error
+    num_frames = int(frames.max(initial=0)) + 1 if num_frames is None else num_frames
     try:
-        return VideoTable.from_rows(video_id, num_frames, [d.track_id for d in dets], frames,
-                                    [d.box.as_tuple() for d in dets], [d.score for d in dets])
+        return VideoTable.from_rows(video_id, num_frames, track_ids, frames, corners, scores)
     except ValidationError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

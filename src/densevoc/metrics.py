@@ -527,6 +527,9 @@ def _pair_tables(
 
     Reduces follow this order, so no result depends on the order of videos in a file.
     """
+    for video in (*preds, *gts):
+        if not isinstance(video, VideoTable):
+            raise ValidationError(f"chota and ap_m take VideoTables, got {type(video).__name__}; use VideoTable.from_record")
     warnings = []
     pred_by_id = {r.video_id: r for r in preds}
     extra = set(pred_by_id) - {g.video_id for g in gts}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 from collections import Counter
 from dataclasses import replace
 from typing import Any, Sequence
@@ -20,8 +21,10 @@ from scipy.optimize import linear_sum_assignment
 
 from densevoc.assoc import IdentityAssignment
 from densevoc.capmetrics import stem
-from densevoc.core import Box, Caption, Detection, Trajectory, ValidationError, VideoRecord, VideoTable, iou_matrix
-from densevoc.formats import FormatError, _check_unknown, _parse_box, _require
+from densevoc.core import (
+    Box, Caption, Detection, Trajectory, ValidationError, VideoRecord, VideoTable, check_corners, iou_matrix,
+)
+from densevoc.formats import FormatError, _check_unknown, _parse_box, _read_text, _require
 from densevoc.metrics import _TIE_EPS, _frames
 from densevoc.synth import CANVAS, OBJECTS, SUBJECTS, VERBS
 
@@ -802,11 +805,69 @@ def dataset_json_oracle(records: list[VideoRecord]) -> str:
     return json.dumps(dataset_to_obj(records), separators=(",", ":")) + "\n"
 
 
+# The record classes' rules as they were written in their ``__post_init__``
+# checks, before ``core.first_broken_rule`` became their one home. Each
+# returns its record, so ``detection_rules(Detection(...))`` builds a record
+# checked as the record classes once checked it.
+
+
+def box_rules(box: Box) -> Box:
+    inf = math.inf
+    if not (-inf < box.x1 <= box.x2 < inf and -inf < box.y1 <= box.y2 < inf):
+        check_corners([box.as_tuple()])
+        raise ValidationError(f"box corners out of order: {box.as_tuple()}")
+    return box
+
+
+def detection_rules(det: Detection) -> Detection:
+    if det.frame < 0:
+        raise ValidationError(f"frame index must be >= 0, got {det.frame}")
+    if not (0.0 <= det.score <= 1.0):
+        raise ValidationError(f"score must be in [0, 1], got {det.score}")
+    if det.track_id is not None and det.track_id < 1:
+        raise ValidationError(f"track_id must be positive, got {det.track_id}")
+    return det
+
+
+def trajectory_rules(track: Trajectory) -> Trajectory:
+    if track.track_id < 1:
+        raise ValidationError(f"track_id must be positive, got {track.track_id}")
+    frames = [d.frame for d in track.detections]
+    if any(b <= a for a, b in zip(frames, frames[1:])):
+        raise ValidationError(
+            f"track {track.track_id}: frames must be strictly increasing, got {frames}"
+        )
+    for d in track.detections:
+        if d.track_id is not None and d.track_id != track.track_id:
+            raise ValidationError(
+                f"detection track_id {d.track_id} disagrees with trajectory {track.track_id}"
+            )
+    return track
+
+
+def video_rules(video: VideoRecord) -> VideoRecord:
+    if video.num_frames < 1:
+        raise ValidationError(f"num_frames must be >= 1, got {video.num_frames}")
+    seen: set[int] = set()
+    for track in video.trajectories:
+        if track.track_id in seen:
+            raise ValidationError(
+                f"video {video.video_id!r}: duplicate track_id {track.track_id}"
+            )
+        seen.add(track.track_id)
+        for det in track.detections:
+            if det.frame >= video.num_frames:
+                raise ValidationError(
+                    f"video {video.video_id!r}: frame {det.frame} >= num_frames {video.num_frames}"
+                )
+    return video
+
+
 # The dataset parser as first written: every box checked by building its
-# Box and Detection, every track its Trajectory, in document order. The
-# column parser of ``formats.parse_dataset`` must accept the same values,
-# give the same records (through ``as_records``) and reject with
-# the same message. The field helpers are the library's.
+# Box and Detection, every track its Trajectory, in document order, with the
+# record rules above. The column parser of ``formats.parse_dataset`` must
+# accept the same values, give the same records (through ``as_records``) and
+# reject with the same message. The field helpers are the library's.
 
 
 def parse_dataset_oracle(data: Any, strict: bool = False) -> list[VideoRecord]:
@@ -842,30 +903,74 @@ def parse_dataset_oracle(data: Any, strict: bool = False) -> list[VideoRecord]:
                     raise FormatError(f"{bwhere}: expected an object")
                 _check_unknown(entry, {"frame", "box", "score", "caption"}, bwhere, strict)
                 frame = _require(entry, "frame", int, bwhere)
-                box = Box(*_parse_box(entry.get("box"), bwhere))
+                box = box_rules(Box(*_parse_box(entry.get("box"), bwhere)))
                 score = _require(entry, "score", float, bwhere) if "score" in entry else 1.0
                 det_cap = None
                 if entry.get("caption") is not None:
                     det_cap = Caption.from_text(_require(entry, "caption", str, bwhere))
                 try:
-                    dets.append(
+                    dets.append(detection_rules(
                         Detection(frame=frame, box=box, score=score, track_id=track_id, caption=det_cap)
-                    )
+                    ))
                 except ValidationError as exc:
                     raise FormatError(f"{bwhere}: {exc}") from exc
             try:
-                tracks.append(
+                tracks.append(trajectory_rules(
                     Trajectory(track_id=track_id, detections=tuple(dets), caption=caption)
-                )
+                ))
             except ValidationError as exc:
                 raise FormatError(f"{twhere}: {exc}") from exc
         try:
-            records.append(
+            records.append(video_rules(
                 VideoRecord(video_id=video_id, num_frames=num_frames, trajectories=tuple(tracks))
-            )
+            ))
         except ValidationError as exc:
             raise FormatError(f"{where}: {exc}") from exc
     return records
+
+
+# The flat CSV loader as first written: one Detection per line, checked by
+# the record rules above as the line is read. ``formats.load_flat_records``
+# must give the same table, or the same message with the same line number.
+# It differs on purpose for a frame or track id outside 64 bits, which it
+# names by its line.
+
+
+def load_flat_records_oracle(
+    path: str | Path,
+    video_id: str,
+    num_frames: int | None = None,
+    one_based_frames: bool = False,
+) -> VideoTable:
+    path = Path(path)
+    dets: list[Detection] = []
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) not in (6, 7):
+            raise FormatError(f"{path}: line {lineno}: expected 6 or 7 comma-separated fields")
+        try:
+            frame = int(parts[0]) - (1 if one_based_frames else 0)
+            track_id = int(parts[1])
+            x, y, w, h = (float(v) for v in parts[2:6])
+            score = float(parts[6]) if len(parts) == 7 else 1.0
+        except ValueError as exc:
+            raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+        try:
+            box = box_rules(Box(x, y, x + w, y + h))  # Box.from_xywh, which this loader alone called
+            dets.append(detection_rules(Detection(frame=frame, box=box, score=score, track_id=track_id)))
+        except ValidationError as exc:
+            raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+    frames = [d.frame for d in dets]
+    if num_frames is None:
+        num_frames = max(frames, default=0) + 1
+    try:
+        return VideoTable.from_rows(video_id, num_frames, [d.track_id for d in dets], frames,
+                                    [d.box.as_tuple() for d in dets], [d.score for d in dets])
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # The IoU tracker and ground-truth association as first written, on one

@@ -123,3 +123,8 @@ def test_hard_permutation_invariant(rng) -> None:
     )
     for tid in (1, 2):
         assert shuffled[tid] == pytest.approx(base[tid])
+
+
+def test_hard_aggregate_checks_m_with_no_identity() -> None:
+    with pytest.raises(ValidationError, match="m must be >= 1, got 0"):
+        hard_aggregate(np.zeros((0, 2)), IdentityAssignment(ids=[]), [], m=0)

@@ -20,7 +20,7 @@ from densevoc.assoc import (
 from densevoc.core import Box, Detection, ValidationError
 
 from conftest import make_track, make_video
-from oracles import build_gt_association_oracle, greedy_assignment_oracle, iou, iou_tracker_oracle
+from oracles import as_records, build_gt_association_oracle, greedy_assignment_oracle, iou, iou_tracker_oracle
 
 
 def test_preprocess_forces_diagonal() -> None:
@@ -371,3 +371,15 @@ def test_solver_falls_back_to_public_import(monkeypatch) -> None:
         monkeypatch.undo()
         importlib.reload(_lsap)
     assert _lsap._PATH is not None
+
+
+def test_assoc_matrix_rejects_nan() -> None:
+    with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+        AssocMatrix(values=[[1.0, np.nan], [np.nan, 1.0]], frame_of=[0, 1])
+
+
+def test_build_gt_association_rejects_a_record_with_a_pointer_to_from_record() -> None:
+    gt = make_video("v", [make_track(1, [(0, 0, 0, 10, 10)])], num_frames=1)
+    (record,) = as_records([gt])
+    with pytest.raises(ValidationError, match=r"gt must be a VideoTable, got VideoRecord; use VideoTable\.from_record"):
+        build_gt_association([0], [(0, 0, 10, 10)], record)

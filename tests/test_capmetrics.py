@@ -18,7 +18,7 @@ from densevoc.capmetrics import (
     meteor_lite,
     stem,
 )
-from densevoc.core import ValidationError, tokenize
+from densevoc.core import Caption, ValidationError, tokenize
 from conftest import OVER_BUDGET_PAIR
 from oracles import ChunkSearchOracle, cider_oracle, meteor_oracle
 
@@ -330,3 +330,17 @@ def test_caption_metrics_reject_a_bare_string() -> None:
         with pytest.raises(ValidationError, match="token sequences"):
             call()
     assert meteor_lite(["a", "dog"], ("a", "dog")) == meteor_lite(("a", "dog"), ("a", "dog"))
+
+
+def test_caption_metrics_reject_a_caption_with_a_pointer_to_tokenize() -> None:
+    idf = IdfTable.build([("a", "dog")])
+    caption = Caption("a dog")
+    calls = [
+        lambda: meteor_lite(caption, ("a", "dog")),
+        lambda: cider_pair(("a", "dog"), caption, idf),
+        lambda: exact_match(caption, ("a", "dog")),
+        lambda: IdfTable.build([caption]),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match=r"got Caption\(raw='a dog'.*\); tokenize it first"):
+            call()

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from densevoc.cli import build_parser, main
-from densevoc.core import Box, Detection, Trajectory, VideoRecord
+from densevoc.core import Box, Caption, Detection, Trajectory, VideoRecord
 from densevoc.formats import load_dataset, save_dataset, save_matrix
 from densevoc.synth import SynthConfig, generate
 
@@ -221,12 +221,13 @@ def test_track_iou_keeps_every_input_caption(tmp_path) -> None:
 
 
 def test_commands_build_no_record_objects(tmp_path, monkeypatch) -> None:
-    # These commands run on column tables and corner rows, so none of them builds a Box or a record.
-    def built(self) -> None:
+    # These commands run on column tables and corner rows, so none of them builds a Box or a record,
+    # not even to name the first bad element of a malformed file.
+    def built(self, *args, **kwargs) -> None:
         raise AssertionError(f"built {type(self).__name__}")
 
-    for cls in (Box, Detection, Trajectory, VideoRecord):
-        monkeypatch.setattr(cls, "__post_init__", built)
+    for cls in (Box, Caption, Detection, Trajectory, VideoRecord):
+        monkeypatch.setattr(cls, "__init__", built)
     gt, pred = str(tmp_path / "gt.json"), str(tmp_path / "pred.json")
     assert main(["synth", "--seed", "3", "--num-videos", "2", "--frames", "12", "--box-jitter", "2",
                  "--fp-rate", "0.1", "--out-gt", gt, "--out-pred", pred]) == 0
@@ -238,6 +239,18 @@ def test_commands_build_no_record_objects(tmp_path, monkeypatch) -> None:
     pred, queries, likelihoods = _grounding_files(tmp_path, np.random.default_rng(0))
     for mode in ("per-frame", "per-track"):
         assert main(["ground", pred, "--queries", queries, "--likelihoods", likelihoods, "--mode", mode]) == 0
+    flat = tmp_path / "flat.csv"
+    convert = ["convert-flat", str(flat), "--video-id", "v0", "--one-based", "--out", str(tmp_path / "flat.json")]
+    flat.write_text("1,7,10,20,30,40,0.9\n2,7,12,20,30,40,0.8\n1,9,100,100,10,10\n")
+    assert main(convert) == 0
+    flat.write_text("1,7,10,20,30,40,0.9\n2,7,12,20,30,40,1.5\nx\n")
+    assert main(convert) == 2
+
+    def malformed(data) -> None:  # a broken rule before a schema error
+        data[0]["tracks"][1]["boxes"][0]["score"] = 1.5
+        del data[0]["tracks"][2]["boxes"][0]["frame"]
+
+    assert main(["eval-chota", _SYNTH_GT, _gt_with(tmp_path, malformed)]) == 2
 
 
 def test_aggregate_soft_and_hard(tmp_path) -> None:

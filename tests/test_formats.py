@@ -12,6 +12,7 @@ from densevoc.formats import (
     FormatError,
     load_dataset,
     load_external_scores,
+    load_flat_records,
     load_likelihoods,
     load_matrix,
     load_queries,
@@ -21,7 +22,7 @@ from densevoc.formats import (
 )
 from densevoc.core import Box, Caption, Detection, Trajectory, ValidationError, VideoRecord, VideoTable
 from densevoc.synth import SynthConfig, generate
-from oracles import as_records, dataset_json_oracle, dataset_to_obj, parse_dataset_oracle
+from oracles import as_records, dataset_json_oracle, dataset_to_obj, load_flat_records_oracle, parse_dataset_oracle
 from test_fuzz import _DELETE, _REPLACEMENTS, _mutate, _paths, _valid_files
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -375,3 +376,63 @@ def test_writer_rejects_integers_outside_64_bits(tmp_path) -> None:
     with pytest.raises(ValidationError, match="64-bit"):
         save_dataset([record], tmp_path / "out.json")
     assert not (tmp_path / "out.json").exists()
+
+
+def _flat_outcome(load, path, num_frames, one_based):
+    """The records of the table a flat CSV loader gives, or its error message."""
+    try:
+        return as_records([load(path, "v", num_frames=num_frames, one_based_frames=one_based)])
+    except FormatError as exc:
+        return f"error: {exc}"
+
+
+# Each bad value of a flat line, by a fragment of its message: the field it replaces, and the value.
+_BAD_FLAT_FIELDS = {
+    "frame index": (0, lambda base: str(base - 1)),
+    "score": (6, lambda base: "1.5"),
+    "track_id must be positive": (1, lambda base: "0"),
+    "out of order": (4, lambda base: "-3"),
+    "finite, got (inf": (2, lambda base: "1e400"),
+    "nan)": (5, lambda base: "nan"),
+}
+
+
+def test_flat_loader_equals_oracle_on_seeded_files(tmp_path) -> None:
+    # Good lines in random order, with comments, blank lines and up to two bad lines: one or two
+    # bad fields, a frame repeated in a track or a frame at --num-frames. The loader names the first bad line
+    # as the Detection-built loader did, or gives the same table.
+    rng = np.random.default_rng(5)
+    path = tmp_path / "flat.csv"
+    seen = set()
+    for trial in range(300):
+        one_based = bool(trial % 2)
+        base = int(one_based)
+        num_frames = 8 if rng.random() < 0.5 else None
+        rows = [
+            [str(f + base), str(t), *map(str, rng.integers(0, 50, 2)), *map(str, rng.integers(0, 20, 2)),
+             str(round(float(rng.random()), 3))][: 6 + int(rng.random() < 0.8)]
+            for t in (1, 2, 3) for f in rng.choice(8, int(rng.integers(1, 5)), replace=False).tolist()
+        ]
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        for _ in range(int(rng.integers(0, 3))):
+            kind = int(rng.integers(len(_BAD_FLAT_FIELDS) + 2))
+            row = list(rows[rng.integers(len(rows))])
+            if kind < len(_BAD_FLAT_FIELDS):  # one or two bad fields, so the order within a line shows
+                for k in {kind, int(rng.integers(len(_BAD_FLAT_FIELDS)))}:
+                    field, value = list(_BAD_FLAT_FIELDS.values())[k]
+                    row = (row + ["0.5"])[:7] if field == 6 else row
+                    row[field] = value(base)
+            elif kind == len(_BAD_FLAT_FIELDS):
+                row[2] = str(int(row[2]) + 1)  # the same track and frame, a moved box
+            else:
+                row[0] = str(8 + base)
+            rows.insert(int(rng.integers(len(rows) + 1)), row)
+        lines = [",".join(row) for row in rows]
+        lines.insert(int(rng.integers(len(lines) + 1)), "# frame,track,x,y,w,h,score")
+        lines.insert(int(rng.integers(len(lines) + 1)), "")
+        path.write_text("\n".join(lines) + "\n")
+        expected = _flat_outcome(load_flat_records_oracle, path, num_frames, one_based)
+        assert _flat_outcome(load_flat_records, path, num_frames, one_based) == expected, (trial, lines)
+        seen |= {m for m in [*_BAD_FLAT_FIELDS, "strictly increasing", ">= num_frames"] if m in str(expected)}
+        seen |= {"a table"} if isinstance(expected, list) else set()
+    assert seen == {*_BAD_FLAT_FIELDS, "strictly increasing", ">= num_frames", "a table"}

@@ -4,7 +4,8 @@ Small valid files of every kind the CLI reads are corrupted one field at a
 time (a key deleted, or a value replaced by null, a bool, a string, a list,
 an object, NaN, 1e400, an integer beyond int64 or one beyond the float
 range); every command that reads the file must then exit 0 or 2 without
-raising.
+raising. A flat CSV file for ``convert-flat`` is held as a list of rows and
+written one line per row, each value as ``str`` writes it.
 """
 
 from __future__ import annotations
@@ -56,7 +57,15 @@ def _valid_files() -> dict:
             {"video_id": "v0", "frame": f, "observation_index": k, "query_id": "q1", "nll": 0.5 + k}
             for f in range(2) for k in range(2)
         ] + [{"video_id": "v0", "track_id": t, "query_id": "q1", "nll": 0.2 * t} for t in (3, 5)],
+        "flat": [[1, 7, 10.0, 20.0, 30.0, 40.0, 0.9], [2, 7, 12.0, 20.0, 30.0, 40.0, 0.8], [1, 9, 100.0, 100.0, 10.0, 10.0]],
     }
+
+
+def _file_text(kind: str, text: str) -> str:
+    """The text of a ``kind`` file holding the JSON value ``text``: the JSON itself, or the lines of a flat CSV file."""
+    if kind != "flat":
+        return text
+    return "".join((",".join(map(str, row)) if isinstance(row, list) else str(row)) + "\n" for row in json.loads(text))
 
 
 def _commands(p: dict) -> dict[str, list[list[str]]]:
@@ -67,6 +76,7 @@ def _commands(p: dict) -> dict[str, list[list[str]]]:
     ground = ["ground", p["pred"], "--queries", p["queries"], "--likelihoods", p["likelihoods"]]
     soft = ["aggregate", p["features"], "--matrix", p["assoc"], "--mode", "soft"]
     hard = ["aggregate", p["features"], "--mode", "hard", "--m", "2", "--ids", p["ids"]]
+    flat = ["convert-flat", p["flat"], "--video-id", "v0", "--out", p["flat"] + ".out.json"]
     return {
         "gt": [chota, apm],
         "pred": [chota, apm, ["track-iou", p["pred"]], ground],
@@ -76,6 +86,7 @@ def _commands(p: dict) -> dict[str, list[list[str]]]:
         "ids": [hard],
         "queries": [ground],
         "likelihoods": [ground, ground + ["--mode", "per-track"]],
+        "flat": [flat, flat + ["--one-based", "--num-frames", "3"]],
     }
 
 
@@ -103,7 +114,7 @@ def test_mutated_inputs_exit_0_or_2(tmp_path, capsys) -> None:
     files = _valid_files()
     paths = {kind: str(tmp_path / f"{kind}.json") for kind in files}
     for kind, obj in files.items():
-        (tmp_path / f"{kind}.json").write_text(json.dumps(obj))
+        (tmp_path / f"{kind}.json").write_text(_file_text(kind, json.dumps(obj)))
     commands = _commands(paths)
     for argvs in commands.values():
         for argv in argvs:
@@ -111,12 +122,12 @@ def test_mutated_inputs_exit_0_or_2(tmp_path, capsys) -> None:
 
     rng = np.random.default_rng(20231)
     cases = [(kind, path) for kind, obj in files.items() for path in _paths(obj)]
-    for trial in range(300):
+    for trial in range(340):  # about 300 on the JSON kinds, as before the flat kind
         kind, path = cases[rng.integers(len(cases))]
         options = _REPLACEMENTS + ((_DELETE,) if isinstance(path[-1], str) else ())
         replacement = options[rng.integers(len(options))]
         target = tmp_path / f"{kind}.json"
-        target.write_text(_mutate(files[kind], path, replacement))
+        target.write_text(_file_text(kind, _mutate(files[kind], path, replacement)))
         for argv in commands[kind]:
             what = (trial, kind, path, "delete" if replacement is _DELETE else replacement, argv[0])
             try:
@@ -124,5 +135,5 @@ def test_mutated_inputs_exit_0_or_2(tmp_path, capsys) -> None:
             except Exception as exc:
                 raise AssertionError(f"{what} raised {exc!r}") from exc
             assert code in (0, 2), what
-        target.write_text(json.dumps(files[kind]))
+        target.write_text(_file_text(kind, json.dumps(files[kind])))
         capsys.readouterr()

@@ -26,7 +26,7 @@ from densevoc.metrics import (
 from densevoc.synth import SynthConfig, generate
 
 from conftest import OVER_BUDGET_PAIR, make_track, make_video, random_tiny_instance, tie_heavy_instance
-from oracles import caption_sums_oracle, cider_oracle, hota_oracle, meteor_oracle, sweep_oracle
+from oracles import as_records, caption_sums_oracle, cider_oracle, hota_oracle, meteor_oracle, sweep_oracle
 
 
 def _simple_video(caption: str | None = "a red car crosses") -> VideoTable:
@@ -679,3 +679,12 @@ def test_pairs_past_the_search_budget_are_warned_about() -> None:
     assert [w for w in report.to_dict()["warnings"] if "budget" in w] == [f"v0: {warning}", f"v1: {warning}"]
     assert [w for w in ap_m(preds, gts).warnings if "budget" in w] == [warning]
     assert not [w for w in chota(gts, gts).warnings + ap_m(gts, gts).warnings if "budget" in w]
+
+
+def test_evaluators_reject_a_record_with_a_pointer_to_from_record() -> None:
+    gts, preds = generate(SynthConfig(seed=2, num_videos=2, frames_per_video=6))
+    (record,) = as_records(gts[:1])
+    for call in (lambda: chota([record], gts), lambda: chota(preds, [record]),
+                 lambda: ap_m([record], gts), lambda: ap_m(preds, [record])):
+        with pytest.raises(ValidationError, match=r"take VideoTables, got VideoRecord; use VideoTable\.from_record"):
+            call()
