@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .assoc import AssocMatrix, IdentityAssignment
-from .core import ValidationError
+from .core import ValidationError, _int_column, _real_column
 
 # Member features sampled per identity by hard aggregation.
 HARD_M = 6
@@ -21,7 +21,7 @@ def soft_aggregate(a: AssocMatrix, features: np.ndarray) -> np.ndarray:
     Expects a preprocessed association matrix (unit diagonal), so no row sum
     can vanish. Each output row is a convex combination of input rows.
     """
-    features = np.asarray(features, dtype=float)
+    features = _real_column(features, "features")
     if features.ndim != 2 or features.shape[0] != a.size:
         raise ValidationError(
             f"features {features.shape} do not match {a.size} observations"
@@ -67,8 +67,7 @@ def hard_aggregate(
     result does not depend on the observation ordering of the input.
     """
     validate_m(m)
-    features = np.asarray(features, dtype=float)
-    frame_of = np.asarray(frame_of, dtype=int)
+    features, frame_of = _real_column(features, "features"), _int_column(frame_of, "frame_of")
     if features.ndim != 2 or len(ids) != features.shape[0] or len(frame_of) != features.shape[0]:
         raise ValidationError(
             f"features {features.shape}, ids {len(ids)} and frames {len(frame_of)} disagree"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lsap import linear_sum_assignment
-from .core import ValidationError, VideoTable, _int_column, check_corners, iou_matrix
+from .core import ValidationError, VideoTable, _int_column, _real_column, check_corners, iou_matrix
 
 # The binarization threshold of greedy identity assignment.
 THETA = 0.5
@@ -31,8 +31,7 @@ class AssocMatrix:
     frame_of: np.ndarray  # (M,) int
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        frame_of = np.asarray(self.frame_of, dtype=int)
+        values, frame_of = _real_column(self.values, "association scores"), _int_column(self.frame_of, "frame_of")
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValidationError(f"association matrix must be square, got {values.shape}")
         if frame_of.ndim != 1 or len(frame_of) != values.shape[0]:
@@ -56,7 +55,7 @@ class IdentityAssignment:
     ids: np.ndarray  # (M,) int
 
     def __post_init__(self) -> None:
-        ids = np.asarray(self.ids, dtype=int)
+        ids = _int_column(self.ids, "ids")
         if ids.ndim != 1:
             raise ValidationError("ids must be a flat vector")
         if ids.size and ids.min() < 1:
@@ -142,7 +141,7 @@ def _frame_runs(frame_of, corners) -> tuple[np.ndarray, np.ndarray, list[tuple[i
 
     Rows are observations in non-decreasing frame order, as in ``AssocMatrix.frame_of``.
     """
-    frame_of = _int_column(frame_of, "frame_of")
+    frame_of = _int_column(frame_of, "frame_of").reshape(-1)
     corners = check_corners(corners)
     if len(corners) != len(frame_of) or (np.diff(frame_of) < 0).any():
         raise ValidationError(f"frame_of must be non-decreasing with one box per entry, got {len(frame_of)} "

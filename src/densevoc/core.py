@@ -116,7 +116,7 @@ def check_corners(corners) -> np.ndarray:
 
     The one definition of the box invariant; its ValidationError names the first bad row.
     """
-    corners = np.asarray(corners, dtype=float).reshape(-1, 4)
+    corners = _real_column(corners, "box corners").reshape(-1, 4)
     bad = np.flatnonzero(_corner_faults(corners))
     if len(bad):
         raise ValidationError(_corner_message(corners[bad[0]]))
@@ -129,17 +129,28 @@ def check_nll(nll: float) -> None:
         raise ValidationError(f"nll must be finite and >= 0, got {nll}")
 
 
-_INT64_MAX = 2**63 - 1
-
-
+# The two value rules for arrays that callers pass in. Each keeps the values' shape and converts without
+# a copy when the array already has the target dtype; an empty input passes whatever its dtype.
 def _int_column(values, what: str) -> np.ndarray:
-    """A 1-D int64 column; a ValidationError unless every value is a 64-bit integer."""
+    """``values`` as int64; a ValidationError unless every value is a 64-bit integer.
+
+    A bool, a string, an object array or a float array (a fraction, whatever its value) is not.
+    """
     column = np.asarray(values)
-    if column.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    if column.dtype.kind not in "iu" or (column.dtype.kind == "u" and column.max() > _INT64_MAX):
+    if column.size and not (column.dtype.kind == "i" or (column.dtype.kind == "u" and column.max() < 2**63)):
         raise ValidationError(f"{what} must be integers in the 64-bit range")
-    return column.astype(np.int64).reshape(-1)
+    return column.astype(np.int64, copy=False)
+
+
+def _real_column(values, what: str) -> np.ndarray:
+    """``values`` as float64; a ValidationError unless every value is a float or a 64-bit integer.
+
+    A bool, a string or an object array is not; numpy holds an integer beyond 64 bits as an object.
+    """
+    column = np.asarray(values)
+    if column.size and column.dtype.kind not in "iuf":
+        raise ValidationError(f"{what} must be real numbers or integers in the 64-bit range")
+    return column.astype(float, copy=False)
 
 
 def first_broken_rule(video_id: str, num_frames: int, track_ids: np.ndarray, offsets: np.ndarray,
@@ -189,9 +200,9 @@ class VideoTable:
     ``(n, 4)`` ``corners``, ``scores`` and, when any box has one,
     ``box_captions``. Rows run track by track, each track's in increasing
     frame order; track ``t`` owns rows ``offsets[t]:offsets[t + 1]``.
-    Captions are raw strings. Construction checks the columns' types and
-    lengths, then raises the message of ``first_broken_rule``; integers must
-    fit 64 bits, as dataset files require. ``from_record`` is where a record
+    Captions are raw strings. Construction checks the columns' values by the
+    integer and real-number rules and their lengths, then raises the message of
+    ``first_broken_rule``. ``from_record`` is where a record
     meets these checks; ``trajectories`` is the record view, built on first use.
 
     ``frame_order`` is the one definition of observation order, the order
@@ -211,18 +222,17 @@ class VideoTable:
 
     def __post_init__(self) -> None:
         where = f"video {self.video_id!r}"
-        if not (isinstance(self.num_frames, (int, np.integer)) and self.num_frames <= _INT64_MAX):
-            raise ValidationError(f"{where}: num_frames must be an integer below 2**63, got {self.num_frames}")
-        track_ids = _int_column(self.track_ids, f"{where}: track ids")
-        offsets = _int_column(self.offsets, f"{where}: row offsets")
-        frames = _int_column(self.frames, f"{where}: frames")
+        num_frames = _int_column(self.num_frames, f"{where}: num_frames")
+        track_ids, offsets, frames = (_int_column(column, f"{where}: {name}").reshape(-1) for column, name in (
+            (self.track_ids, "track ids"), (self.offsets, "row offsets"), (self.frames, "frames")))
         corners = np.asarray(self.corners)  # integer corners meet the box rule exactly, then become floats
-        corners = corners if corners.dtype.kind in "iu" else np.asarray(corners, dtype=float)
+        corners = corners if corners.dtype.kind in "iu" else _real_column(corners, f"{where}: corners")
         corners = corners.reshape(0, 4) if corners.size == 0 else corners
-        scores = np.asarray(self.scores, dtype=float).reshape(-1)
+        scores = _real_column(self.scores, f"{where}: scores").reshape(-1)
         n = len(frames)
         if not (
-            len(self.track_captions) == len(track_ids)
+            num_frames.ndim == 0
+            and len(self.track_captions) == len(track_ids)
             and len(offsets) == len(track_ids) + 1
             and offsets[0] == 0
             and offsets[-1] == n
@@ -232,12 +242,12 @@ class VideoTable:
             and (self.box_captions is None or len(self.box_captions) == n)
         ):
             raise ValidationError(f"{where}: column lengths disagree")
-        broken = first_broken_rule(self.video_id, int(self.num_frames), track_ids, offsets, frames, corners, scores)
+        broken = first_broken_rule(self.video_id, int(num_frames), track_ids, offsets, frames, corners, scores)
         if broken is not None:
             raise ValidationError(broken[0])
-        for name, value in (("num_frames", int(self.num_frames)), ("track_ids", track_ids),
+        for name, value in (("num_frames", int(num_frames)), ("track_ids", track_ids),
                             ("track_captions", tuple(self.track_captions)), ("offsets", offsets),
-                            ("frames", frames), ("corners", np.asarray(corners, dtype=float)), ("scores", scores)):
+                            ("frames", frames), ("corners", corners.astype(float, copy=False)), ("scores", scores)):
             object.__setattr__(self, name, value)
         if self.box_captions is not None:
             object.__setattr__(self, "box_captions", tuple(self.box_captions))
@@ -272,7 +282,9 @@ class VideoTable:
         one caption or None per row.
         """
         where = f"video {video_id!r}"
-        track_ids, frames = _int_column(track_ids, f"{where}: track ids"), _int_column(frames, f"{where}: frames")
+        track_ids, frames = (_int_column(column, f"{where}: {name}").reshape(-1)
+                             for column, name in ((track_ids, "track ids"), (frames, "frames")))
+        corners, scores = _real_column(corners, f"{where}: corners"), _real_column(scores, f"{where}: scores")
         if not len(track_ids) == len(frames) == len(corners) == len(scores) == len(box_captions or frames):
             raise ValidationError(f"{where}: column lengths disagree")
         order = np.lexsort((frames, track_ids))
@@ -280,8 +292,7 @@ class VideoTable:
         return cls(video_id=video_id, num_frames=num_frames, track_ids=ids,
                    track_captions=tuple(map((track_captions or {}).get, ids.tolist())),
                    offsets=np.append(starts, len(order)), frames=frames[order],
-                   corners=np.asarray(corners, dtype=float).reshape(-1, 4)[order],
-                   scores=np.asarray(scores, dtype=float)[order],
+                   corners=corners.reshape(-1, 4)[order], scores=scores[order],
                    box_captions=None if box_captions is None else [box_captions[i] for i in order.tolist()])
 
     def frame_order(self) -> tuple[np.ndarray, np.ndarray]:

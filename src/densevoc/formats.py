@@ -29,7 +29,8 @@ from typing import Any, Sequence
 import numpy as np
 
 from .assoc import AssocMatrix
-from .core import ValidationError, VideoRecord, VideoTable, check_corners, check_nll, first_broken_rule
+from .core import (ValidationError, VideoRecord, VideoTable, _int_column, _real_column, check_corners, check_nll,
+                   first_broken_rule)
 
 
 class FormatError(ValueError):
@@ -311,16 +312,15 @@ def load_matrix(path: str | Path, kind: str) -> AssocMatrix | FeatureFile:
     where = str(path)
     video_id = _require(data, "video_id", str, where)
     frame_of = _require(data, "frame_of", list, where)
-    if not all(_is_int(v) for v in frame_of):
+    if not _all_of(frame_of, int):
         raise FormatError(f"{where}.frame_of: expected a list of integers")
     values = _require(data, "values", list, where)
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+    if not _all_of(values, int, float):
         raise FormatError(f"{where}.values: expected a flat list of numbers")
     try:
-        frame_of = np.asarray(frame_of, dtype=int)
-        values = np.asarray(values, dtype=float)
-    except OverflowError as exc:
-        raise FormatError(f"{where}: {exc}") from exc
+        frame_of, values = _int_column(frame_of, f"{where}: frame_of"), _real_column(values, f"{where}: values")
+    except ValidationError as exc:
+        raise FormatError(str(exc)) from exc
     if not np.isfinite(values).all():
         raise FormatError(f"{where}: matrix values must all be finite")
     dim = data.get("dim")
@@ -351,42 +351,72 @@ def save_matrix(
     path: str | Path,
     kind: str,
 ) -> None:
-    """Write an association ("assoc") or feature ("features") matrix file."""
-    values = np.asarray(values, dtype=float)
-    square = values.ndim == 2 and values.shape[0] == values.shape[1] == len(frame_of)
-    if _matrix_kind(kind) == "assoc" and not square:
+    """Write an association ("assoc") or feature ("features") matrix file: one ``frame_of`` entry per row."""
+    _matrix_kind(kind)
+    values, frame_of = _real_column(values, "matrix values"), _int_column(frame_of, "frame_of")
+    rows = values.ndim == 2 and frame_of.shape == values.shape[:1]
+    if kind == "assoc" and not (rows and values.shape[0] == values.shape[1]):
         raise ValidationError("association matrices must be square with matching frame_of")
+    if not rows:
+        raise ValidationError(f"feature matrices must be 2-D with one frame_of entry per row, got {values.shape}")
     obj = {
         "video_id": video_id,
-        "frame_of": [int(f) for f in frame_of],
-        "dim": int(values.shape[0]) if kind == "assoc" else [int(values.shape[0]), int(values.shape[1])],
-        "values": [float(v) for v in values.reshape(-1)],
+        "frame_of": frame_of.tolist(),
+        "dim": values.shape[0] if kind == "assoc" else list(values.shape),
+        "values": values.reshape(-1).tolist(),
     }
     Path(path).write_text(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
-def load_external_scores(path: str | Path) -> dict[tuple[str, int, int], float]:
-    """Sidecar caption scores keyed (video_id, pred_observation_index, gt_track_id)."""
+def _load_records(path: str | Path, label: str, noun: str, repeat: str, read) -> dict:
+    """The records of a list-of-records file, keyed: ``read(record)`` gives each one's ``(key, value)``.
+
+    Each record must be an object, and a key may not repeat. ``read`` words its messages relative to the
+    record (a location of ``""``); the ``{path}: {label}[i]`` prefix is added on the error path only.
+    """
     path = Path(path)
     data = _read_json(path)
     if not isinstance(data, list):
-        raise FormatError(f"{path}: top level: expected a list of score records")
-    out: dict[tuple[str, int, int], float] = {}
+        raise FormatError(f"{path}: top level: expected a list of {noun} records")
+    out = {}
     for i, rec in enumerate(data):
-        where = f"{path}: record[{i}]"
-        if not isinstance(rec, dict):
-            raise FormatError(f"{where}: expected an object")
-        video_id = _require(rec, "video_id", str, where)
-        obs = _require(rec, "pred_observation_index", int, where)
-        gt_track = _require(rec, "gt_track_id", int, where)
-        score = _require(rec, "score", float, where)
-        if not (0.0 <= score <= 1.0):
-            raise FormatError(f"{where}: score must be in [0, 1], got {score}")
-        key = (video_id, obs, gt_track)
-        if key in out:
-            raise FormatError(f"{where}: duplicate (video_id, pred_observation_index, gt_track_id) {key}")
-        out[key] = score
+        try:
+            if not isinstance(rec, dict):
+                raise FormatError(": expected an object")
+            key, value = read(rec)
+            if key in out:
+                raise FormatError(f": duplicate {repeat} {key}")
+        except FormatError as exc:
+            raise FormatError(f"{path}: {label}[{i}]{exc}") from exc.__cause__
+        out[key] = value
     return out
+
+
+def _score_record(rec: dict) -> tuple[tuple[str, int, int], float]:
+    key = (_require(rec, "video_id", str, ""), _require(rec, "pred_observation_index", int, ""),
+           _require(rec, "gt_track_id", int, ""))
+    score = _require(rec, "score", float, "")
+    if not (0.0 <= score <= 1.0):
+        raise FormatError(f": score must be in [0, 1], got {score}")
+    return key, score
+
+
+def load_external_scores(path: str | Path) -> dict[tuple[str, int, int], float]:
+    """Sidecar caption scores keyed (video_id, pred_observation_index, gt_track_id)."""
+    return _load_records(path, "record", "score", "(video_id, pred_observation_index, gt_track_id)", _score_record)
+
+
+def _likelihood_record(rec: dict) -> tuple[tuple, float]:
+    video_id = _require(rec, "video_id", str, "")
+    query_id = _require(rec, "query_id", str, "")
+    nll = _require(rec, "nll", float, "")
+    try:
+        check_nll(nll)
+    except ValidationError as exc:
+        raise FormatError(f": {exc}") from exc
+    if "track_id" in rec:
+        return (video_id, _require(rec, "track_id", int, ""), query_id), nll
+    return (video_id, _require(rec, "frame", int, ""), _require(rec, "observation_index", int, ""), query_id), nll
 
 
 def load_likelihoods(
@@ -395,85 +425,46 @@ def load_likelihoods(
     """Likelihood table records, split into per-frame and per-track entries.
 
     Per-frame records carry (video_id, frame, observation_index, query_id,
-    nll); per-track records carry (video_id, track_id, query_id, nll).
+    nll); per-track records carry (video_id, track_id, query_id, nll). The
+    two keys differ in length, so one table holds both until the split.
     """
-    path = Path(path)
-    data = _read_json(path)
-    if not isinstance(data, list):
-        raise FormatError(f"{path}: top level: expected a list of likelihood records")
-    per_frame: dict[tuple[str, int, int, str], float] = {}
-    per_track: dict[tuple[str, int, str], float] = {}
-    # Messages are built relative to the record (``where`` is empty); the
-    # record's location is prefixed on the error path only.
-    where = ""
-    for i, rec in enumerate(data):
-        try:
-            if not isinstance(rec, dict):
-                raise FormatError(f"{where}: expected an object")
-            video_id = _require(rec, "video_id", str, where)
-            query_id = _require(rec, "query_id", str, where)
-            nll = _require(rec, "nll", float, where)
-            try:
-                check_nll(nll)
-            except ValidationError as exc:
-                raise FormatError(f"{where}: {exc}") from exc
-            if "track_id" in rec:
-                table, key = per_track, (video_id, _require(rec, "track_id", int, where), query_id)
-            else:
-                frame = _require(rec, "frame", int, where)
-                obs = _require(rec, "observation_index", int, where)
-                table, key = per_frame, (video_id, frame, obs, query_id)
-            if key in table:
-                raise FormatError(f"{where}: duplicate likelihood record {key}")
-        except FormatError as exc:
-            raise FormatError(f"{path}: record[{i}]{exc}") from exc.__cause__
-        table[key] = nll
-    return per_frame, per_track
+    records = _load_records(path, "record", "likelihood", "likelihood record", _likelihood_record)
+    return {k: v for k, v in records.items() if len(k) == 4}, {k: v for k, v in records.items() if len(k) == 3}
+
+
+def _query_record(rec: dict) -> tuple[tuple[str, str], dict]:
+    span = _require(rec, "span", list, "")
+    if len(span) != 2 or not all(_is_int(v) for v in span) or span[0] > span[1]:
+        raise FormatError(": span must be integers [start, end] with start <= end")
+    boxes = {}
+    for bi, entry in enumerate(_require(rec, "boxes", list, "")):
+        bwhere = f".boxes[{bi}]"
+        if not isinstance(entry, dict):
+            raise FormatError(f"{bwhere}: expected an object")
+        frame = _require(entry, "frame", int, bwhere)
+        if frame in boxes:
+            raise FormatError(f"{bwhere}: duplicate box for frame {frame}")
+        boxes[frame] = _parse_box(entry.get("box"), bwhere)
+    # Every span frame needs a box, so a span is bounded by the size of the
+    # file: a span longer than the box list misses a frame among its first
+    # len(boxes) + 1.
+    end = min(span[1], span[0] + len(boxes))
+    missing = next((f for f in range(span[0], end + 1) if f not in boxes), None)
+    if missing is not None:
+        raise FormatError(f": span {span} has no box for frame {missing}")
+    query = {
+        "video_id": _require(rec, "video_id", str, ""),
+        "query_id": _require(rec, "query_id", str, ""),
+        "text": _require(rec, "text", str, ""),
+        "span": (span[0], span[1]),
+        "boxes": boxes,
+    }
+    return (query["video_id"], query["query_id"]), query
 
 
 def load_queries(path: str | Path) -> list[dict]:
     """Grounding queries with their annotated spans and per-frame ``(x1, y1, x2, y2)`` corner rows."""
-    path = Path(path)
-    data = _read_json(path)
-    if not isinstance(data, list):
-        raise FormatError(f"{path}: top level: expected a list of query records")
-    queries: dict[tuple[str, str], dict] = {}
-    for i, rec in enumerate(data):
-        where = f"{path}: query[{i}]"
-        if not isinstance(rec, dict):
-            raise FormatError(f"{where}: expected an object")
-        span = _require(rec, "span", list, where)
-        if len(span) != 2 or not all(_is_int(v) for v in span) or span[0] > span[1]:
-            raise FormatError(f"{where}: span must be integers [start, end] with start <= end")
-        boxes = {}
-        entries = _require(rec, "boxes", list, where)
-        for bi, entry in enumerate(entries):
-            bwhere = f"{where}.boxes[{bi}]"
-            if not isinstance(entry, dict):
-                raise FormatError(f"{bwhere}: expected an object")
-            frame = _require(entry, "frame", int, bwhere)
-            if frame in boxes:
-                raise FormatError(f"{bwhere}: duplicate box for frame {frame}")
-            boxes[frame] = _parse_box(entry.get("box"), bwhere)
-        # Every span frame needs a box, so a span is bounded by the size of the
-        # file: a span longer than the box list misses a frame among its first
-        # len(boxes) + 1.
-        end = min(span[1], span[0] + len(boxes))
-        missing = next((f for f in range(span[0], end + 1) if f not in boxes), None)
-        if missing is not None:
-            raise FormatError(f"{where}: span {span} has no box for frame {missing}")
-        query = {
-            "video_id": _require(rec, "video_id", str, where),
-            "query_id": _require(rec, "query_id", str, where),
-            "text": _require(rec, "text", str, where),
-            "span": (span[0], span[1]),
-            "boxes": boxes,
-        }
-        key = (query["video_id"], query["query_id"])
-        if key in queries:
-            raise FormatError(f"{where}: duplicate (video_id, query_id) {key}")
-        queries[key] = query
-    return list(queries.values())
+    return list(_load_records(path, "query", "query", "(video_id, query_id)", _query_record).values())
 
 
 def load_ids(path: str | Path) -> np.ndarray:
@@ -483,12 +474,12 @@ def load_ids(path: str | Path) -> np.ndarray:
     if not isinstance(data, dict):
         raise FormatError(f"{path}: top level: expected an object")
     ids = _require(data, "ids", list, str(path))
-    if not all(_is_int(v) for v in ids):
+    if not _all_of(ids, int):
         raise FormatError(f"{path}.ids: expected a list of integers")
     try:
-        return np.asarray(ids, dtype=int)
-    except OverflowError as exc:
-        raise FormatError(f"{path}.ids: {exc}") from exc
+        return _int_column(ids, f"{path}: ids")
+    except ValidationError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def load_flat_records(path: str | Path, video_id: str, num_frames: int | None = None,

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ValidationError, check_corners
+from .core import ValidationError, _int_column, _real_column, check_corners
 
 PROB_EPS = 1e-6
 
@@ -59,8 +59,7 @@ def _probabilities(target: np.ndarray, name: str) -> np.ndarray:
 
 def _heatmaps(y: np.ndarray, y_gt: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The clamped predicted heatmap and the target, checked: one shape, a finite prediction, a [0, 1] target, ``n >= 1``."""
-    y = np.asarray(y, dtype=float)
-    y_gt = np.asarray(y_gt, dtype=float)
+    y, y_gt = _real_column(y, "heatmap prediction"), _real_column(y_gt, "heatmap target")
     if y.shape != y_gt.shape:
         raise ValidationError(f"heatmap shapes differ: {y.shape} vs {y_gt.shape}")
     if n < 1:
@@ -123,9 +122,9 @@ def giou_loss(pred, gt) -> float:
 
 
 def _roi_logits(logits: np.ndarray, label: int) -> np.ndarray:
-    """The foreground/background logit pair, checked to be finite and to come with a binary label."""
-    logits = np.asarray(logits, dtype=float)
-    if logits.shape != (2,) or label not in (0, 1):
+    """The foreground/background logit pair, checked to be finite and to come with the integer label 0 or 1."""
+    logits = _real_column(logits, "logits")
+    if logits.shape != (2,) or _int_column(label, "label").shape != () or label not in (0, 1):
         raise ValidationError("expected 2 logits and a binary label")
     return _finite(logits, "logits")
 
@@ -149,8 +148,8 @@ def roi_reg_loss(pred, gt) -> float:
 
 def _assoc_pair(a: np.ndarray, a_gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The clamped predicted matrix and the target, checked: square, one shape, a finite prediction, a [0, 1] target."""
-    a = np.asarray(getattr(a, "values", a), dtype=float)
-    a_gt = np.asarray(getattr(a_gt, "values", a_gt), dtype=float)
+    a = _real_column(getattr(a, "values", a), "association scores")
+    a_gt = _real_column(getattr(a_gt, "values", a_gt), "association target")
     if a.shape != a_gt.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"matrices must be square and equal-shape: {a.shape} vs {a_gt.shape}")
     return _clamp(_finite(a, "association scores")), _probabilities(a_gt, "association target")
@@ -177,8 +176,7 @@ def _caption_target(
     token_logits: np.ndarray, gt_tokens: Sequence[int], smoothing: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The finite (L, V) logits and their label-smoothed target distribution q, checked; L must be at least 1."""
-    logits = np.asarray(token_logits, dtype=float)
-    targets = np.asarray(gt_tokens, dtype=int)
+    logits, targets = _real_column(token_logits, "token logits"), _int_column(gt_tokens, "target tokens")
     if targets.ndim != 1 or targets.size == 0:
         raise ValidationError(f"expected a non-empty vector of target tokens, got shape {targets.shape}")
     if logits.ndim != 2 or logits.shape[0] != len(targets):

@@ -128,3 +128,11 @@ def test_hard_permutation_invariant(rng) -> None:
 def test_hard_aggregate_checks_m_with_no_identity() -> None:
     with pytest.raises(ValidationError, match="m must be >= 1, got 0"):
         hard_aggregate(np.zeros((0, 2)), IdentityAssignment(ids=[]), [], m=0)
+
+
+def test_hard_aggregate_checks_lengths() -> None:
+    ids = IdentityAssignment(ids=np.array([1, 1]))
+    with pytest.raises(ValidationError, match=r"features \(2, 3\), ids 2 and frames 3 disagree"):
+        hard_aggregate(np.ones((2, 3)), ids, np.array([0, 1, 2]))
+    with pytest.raises(ValidationError, match=r"features \(3, 3\), ids 2 and frames 3 disagree"):
+        hard_aggregate(np.ones((3, 3)), ids, np.array([0, 1, 2]))

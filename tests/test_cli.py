@@ -686,6 +686,7 @@ BAD_INPUTS = {
     "gate-not-a-number": lambda tmp: ["eval-chota", _SYNTH_GT, _SYNTH_GT, "--gate", "chota:abc"],
     "gate-unknown-chota": lambda tmp: ["eval-chota", _SYNTH_GT, _SYNTH_GT, "--gate", "chotaa:0.5"],
     "gate-unknown-apm": lambda tmp: ["eval-apm", _SYNTH_GT, _SYNTH_GT, "--gate", "apm:0.5"],
+    "gate-without-minimum": lambda tmp: ["eval-chota", _SYNTH_GT, _SYNTH_GT, "--gate", "chota"],
     "capa-alpha-not-a-number": lambda tmp: [
         "eval-chota", _SYNTH_GT, _SYNTH_GT, "--capa-alpha", "single:x"
     ],
@@ -704,6 +705,7 @@ BAD_INPUTS = {
     ],
     "likelihoods-malformed-json": lambda tmp: _ground_files(tmp, likelihoods="[{"),
     "queries-malformed-json": lambda tmp: _ground_files(tmp, queries="[1,"),
+    "query-not-an-object": lambda tmp: _ground_files(tmp, queries=[7]),
     "query-box-not-an-object": lambda tmp: _ground_files(
         tmp, queries=[{"video_id": "v0", "query_id": "q1", "text": "x", "span": [0, 0], "boxes": [7]}]
     ),
@@ -785,6 +787,9 @@ BAD_INPUTS = {
     "convert-flat-negative-frame": lambda tmp: _flat_file(tmp, b"-1,7,10,20,30,40,0.9\n"),
     "convert-flat-negative-width": lambda tmp: _flat_file(tmp, b"1,7,10,20,-30,40,0.9\n"),
     "verify-losses-zero-seeds": lambda tmp: ["verify-losses", "--seeds", "0"],
+    "verify-losses-seeds-not-an-integer": lambda tmp: ["verify-losses", "--seeds", "abc"],
+    "convert-flat-num-frames-not-an-integer": lambda tmp: _flat_file(tmp, b"1,7,10,20,30,40,0.9\n")
+    + ["--num-frames", "x"],
     "track-iou-thresh-nan": lambda tmp: ["track-iou", _SYNTH_GT, "--thresh", "nan"],
     "synth-box-jitter-nan": lambda tmp: [
         "synth", "--box-jitter", "nan", "--out-gt", str(tmp / "gt.json"), "--out-pred", str(tmp / "pred.json")
@@ -884,7 +889,7 @@ def test_identity_defaults_are_read_from_the_library(tmp_path, monkeypatch) -> N
 
 
 @pytest.mark.parametrize("case", [
-    "gate-unknown-chota", "gate-unknown-apm", "gate-not-a-number", "cap-metrics-unknown",
+    "gate-unknown-chota", "gate-unknown-apm", "gate-not-a-number", "gate-without-minimum", "cap-metrics-unknown",
     "capa-alpha-mode-unknown", "external-scores-without-external-metric", "cap-metrics-external-without-scores",
     "alphas-not-increasing", "iou-threshold-above-one", "apm-meteor-threshold-negative", "capa-alpha-off-grid",
 ])

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from densevoc.aggregate import hard_aggregate, soft_aggregate
+from densevoc.assoc import AssocMatrix, IdentityAssignment
 from densevoc.core import (
     Box,
     Caption,
@@ -14,11 +16,12 @@ from densevoc.core import (
     ValidationError,
     VideoRecord,
     VideoTable,
+    check_corners,
     iou_matrix,
     tokenize,
 )
-from densevoc.formats import save_dataset
-from densevoc.losses import giou
+from densevoc.formats import save_dataset, save_matrix
+from densevoc.losses import assoc_loss, caption_loss, giou, heatmap_loss
 
 from conftest import make_track, make_video
 from oracles import giou as giou_oracle
@@ -321,3 +324,65 @@ def test_only_the_file_boundary_imports_record_classes() -> None:
             names += [node.id] if isinstance(node, ast.Name) else []
             named += [f"{path.name}: {name}" for name in names if name.rsplit(".", 1)[-1] in record_classes - allowed]
     assert named == []
+
+
+_ROW_FRAMES, _ROW_CORNERS = np.array([0, 1]), np.array([[0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 2.0, 2.0]])
+
+# Each entry point that converts a caller array, one argument at a time: (a valid value, whether integers
+# belong there, the call). Integer slots follow core's integer rule, the others its real-number rule.
+_VALUE_SLOTS = {
+    "VideoTable-num_frames": (np.array(3), True, lambda v: _table(num_frames=v)),
+    "VideoTable-track_ids": (np.array([4, 9]), True, lambda v: _table(track_ids=v)),
+    "VideoTable-frames": (np.array([0, 2, 1]), True, lambda v: _table(frames=v)),
+    "VideoTable-corners": (np.array(_table().corners), False, lambda v: _table(corners=v)),
+    "VideoTable-scores": (np.array([0.5, 1.0, 0.0]), False, lambda v: _table(scores=v)),
+    "from_rows-track_ids": (np.array([1, 2]), True,
+                            lambda v: VideoTable.from_rows("v", 2, v, _ROW_FRAMES, _ROW_CORNERS, [0.5, 0.5])),
+    "from_rows-frames": (_ROW_FRAMES, True, lambda v: VideoTable.from_rows("v", 2, [1, 2], v, _ROW_CORNERS, [1, 1])),
+    "from_rows-corners": (_ROW_CORNERS, False, lambda v: VideoTable.from_rows("v", 2, [1, 2], [0, 1], v, [1, 1])),
+    "from_rows-scores": (np.array([0.5, 0.5]), False,
+                         lambda v: VideoTable.from_rows("v", 2, [1, 2], [0, 1], _ROW_CORNERS, v)),
+    "check_corners": (_ROW_CORNERS, False, check_corners),
+    "AssocMatrix-values": (np.eye(2), False, lambda v: AssocMatrix(values=v, frame_of=_ROW_FRAMES)),
+    "AssocMatrix-frame_of": (_ROW_FRAMES, True, lambda v: AssocMatrix(values=np.eye(2), frame_of=v)),
+    "IdentityAssignment": (np.array([1, 2]), True, lambda v: IdentityAssignment(ids=v)),
+    "soft_aggregate": (np.ones((2, 3)), False, lambda v: soft_aggregate(AssocMatrix(np.eye(2), _ROW_FRAMES), v)),
+    "hard_aggregate-features": (np.ones((2, 3)), False,
+                                lambda v: hard_aggregate(v, IdentityAssignment(np.array([1, 1])), _ROW_FRAMES)),
+    "hard_aggregate-frame_of": (_ROW_FRAMES, True,
+                                lambda v: hard_aggregate(np.ones((2, 3)), IdentityAssignment(np.array([1, 1])), v)),
+    "save_matrix-values": (np.eye(2), False, lambda v: save_matrix("v", _ROW_FRAMES, v, "m.json", "assoc")),
+    "save_matrix-frame_of": (_ROW_FRAMES, True, lambda v: save_matrix("v", v, np.eye(2), "m.json", "features")),
+    "caption_loss-logits": (np.zeros((2, 3)), False, lambda v: caption_loss(v, [0, 1])),
+    "caption_loss-tokens": (np.array([0, 1]), True, lambda v: caption_loss(np.zeros((2, 3)), v)),
+    "heatmap_loss-prediction": (np.full((2, 2), 0.5), False, lambda v: heatmap_loss(v, np.zeros((2, 2)), 1)),
+    "heatmap_loss-target": (np.zeros((2, 2)), False, lambda v: heatmap_loss(np.full((2, 2), 0.5), v, 1)),
+    "assoc_loss-prediction": (np.full((2, 2), 0.5), False, lambda v: assoc_loss(v, np.eye(2))),
+    "assoc_loss-target": (np.eye(2), False, lambda v: assoc_loss(np.full((2, 2), 0.5), v)),
+}
+
+# Values the rules reject, as callers pass them: bools and numeric strings as Python values, numbers held
+# in an object array, and (where integers belong) fractions.
+_REJECTED = {
+    "bools": lambda v: v.astype(bool).tolist(),
+    "numeric-strings": lambda v: v.astype(str).tolist(),
+    "object-array": lambda v: v.astype(object),
+}
+
+
+@pytest.mark.parametrize("slot, bad", [(slot, bad) for slot, (_, integers, _) in _VALUE_SLOTS.items()
+                                       for bad in [*_REJECTED, *(["fractions"] if integers else [])]])
+def test_every_entry_point_applies_the_value_rules(tmp_path, monkeypatch, slot, bad) -> None:
+    monkeypatch.chdir(tmp_path)
+    valid, _, call = _VALUE_SLOTS[slot]
+    call(valid)  # the slot takes its valid value
+    value = (valid + 0.5).tolist() if bad == "fractions" else _REJECTED[bad](valid)
+    with pytest.raises(ValidationError, match="must be (integers in the 64-bit range|real numbers)"):
+        call(value)
+
+
+def test_from_rows_checks_column_lengths() -> None:
+    with pytest.raises(ValidationError, match="video 'v': column lengths disagree"):
+        VideoTable.from_rows("v", 2, [1, 2], [0, 1], _ROW_CORNERS, [0.5])
+    with pytest.raises(ValidationError, match="video 'v': column lengths disagree"):
+        VideoTable.from_rows("v", 2, [1, 2], [0, 1], _ROW_CORNERS, [0.5, 0.5], box_captions=["a"])

@@ -230,6 +230,33 @@ def test_matrix_file_of_the_other_kind_is_a_format_error(tmp_path) -> None:
         load_matrix(features_path, "assoc")
 
 
+def test_save_matrix_checks_the_kind_and_the_shape(tmp_path) -> None:
+    path = tmp_path / "m.json"
+    with pytest.raises(ValidationError, match="association matrices must be square with matching frame_of"):
+        save_matrix("v0", np.array([0, 1]), np.ones((2, 3)), path, "assoc")
+    with pytest.raises(ValidationError, match=r"feature matrices must be 2-D with one frame_of entry per row, got \(3"):
+        save_matrix("v0", np.array([0, 1, 2]), np.ones(3), path, "features")
+    with pytest.raises(ValidationError, match="feature matrices must be 2-D"):
+        save_matrix("v0", np.array([0, 1, 2]), np.ones((2, 3)), path, "features")
+    with pytest.raises(ValidationError, match="matrix kind must be 'assoc' or 'features', got 'dense'"):
+        save_matrix("v0", np.array([0, 1]), np.eye(2), path, "dense")
+    assert not path.exists()
+    save_matrix("v0", np.array([0, 1]), np.eye(2), path, "assoc")
+    with pytest.raises(ValidationError, match="matrix kind must be 'assoc' or 'features', got 'dense'"):
+        load_matrix(path, "dense")
+
+
+@pytest.mark.parametrize("field, value", [("frame_of", [0, 2**63]), ("frame_of", [0, -(2**63) - 1]),
+                                          ("values", [1, 0, 0, 2**64])])
+def test_matrix_integers_beyond_64_bits_are_format_errors(tmp_path, field, value) -> None:
+    path = tmp_path / "assoc.json"
+    path.write_text(json.dumps(dict({"video_id": "v", "frame_of": [0, 1], "dim": 2, "values": [1, 0, 0, 1]},
+                                    **{field: value})))
+    rule = "" if field == "frame_of" else "real numbers or "
+    with pytest.raises(FormatError, match=rf"assoc\.json: {field} must be {rule}integers in the 64-bit range"):
+        load_matrix(path, "assoc")
+
+
 def test_external_scores_sidecar(tmp_path) -> None:
     path = tmp_path / "ext.json"
     path.write_text(

@@ -277,6 +277,11 @@ def test_roi_cls_gradient_rejects_what_its_loss_rejects() -> None:
         ((np.zeros(3), 2), {}),
         ((np.zeros(2), 2), {}),
         ((np.zeros(2), -1), {}),
+        ((np.zeros(2), True), {}),  # the label is an integer, not a bool
+        ((np.zeros(2), False), {}),
+        ((np.zeros(2), 1.0), {}),
+        ((np.zeros(2), 0.0), {}),
+        ((np.zeros(2), np.array([1])), {}),
         ((np.array([math.nan, 1.0]), 0), {}),
         ((np.array([math.inf, 1.0]), 0), {}),
         ((np.array([-math.inf, 1.0]), 0), {}),
