@@ -1,7 +1,6 @@
 """Frame-level average precision and likelihood-based spatial grounding."""
 
-from densevoc import VideoTable, ap_m, grounding_ious, select_boxes
-from densevoc.ground import TableScorer, ground_and_score
+from densevoc import VideoTable, ap_m, ground_and_score, grounding_ious, select_boxes
 
 
 def one_frame_video(caption, box, score=1.0):
@@ -29,12 +28,14 @@ result = select_boxes(candidates, nlls)
 print("selected:", result.selections[0], "weighted values:", result.values[0])
 
 # Grounding over a span, scored with spatial / temporal / volumetric IoU.
-# Candidates and query boxes are (x1, y1, x2, y2) corner rows.
-gt_boxes = {f: (0, 0, 10, 10) for f in range(3)}
-per_frame = {("demo", f, k, "q1"): (0.1 if k == 0 else 4.0) for f in range(3) for k in range(2)}
-scorer = TableScorer(per_frame=per_frame)
-span_candidates = {f: [((0, 0, 10, 10), 0.5), ((80, 80, 90, 90), 0.9)] for f in range(3)}
-_, (s_iou, t_iou, v_iou) = ground_and_score("demo", span_candidates, gt_boxes, (0, 2), scorer, "q1")
+# A span frame's candidates are that frame's boxes in the prediction table;
+# the likelihood table is keyed (video, frame, candidate index, query) here,
+# or (video, track id, query) with mode="per-track". Boxes are corner rows.
+video = VideoTable.from_rows("demo", 3, track_ids=[1, 1, 1, 2, 2, 2], frames=[0, 1, 2] * 2,
+                             corners=[(0, 0, 10, 10)] * 3 + [(80, 80, 90, 90)] * 3, scores=[0.5] * 3 + [0.9] * 3)
+query = {"query_id": "q1", "span": (0, 2), "boxes": {f: (0, 0, 10, 10) for f in range(3)}}
+nlls = {("demo", f, k, "q1"): (0.1 if k == 0 else 4.0) for f in range(3) for k in range(2)}
+_, (s_iou, t_iou, v_iou) = ground_and_score(video, query, nlls)
 print(f"grounded: sIoU={s_iou:.2f} tIoU={t_iou:.2f} vIoU={v_iou:.2f}")
 
 # The three IoUs respond differently to span misalignment.

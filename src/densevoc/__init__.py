@@ -20,7 +20,7 @@ from .core import (
     VideoTable,
     tokenize,
 )
-from .ground import GroundingResult, TableScorer, UniformScorer, ground_and_score, select_boxes
+from .ground import GroundingResult, ground_and_score, select_boxes
 from .losses import (
     assoc_loss,
     caption_loss,

@@ -67,6 +67,9 @@ def hard_aggregate(
     result does not depend on the observation ordering of the input.
     """
     validate_m(m)
+    if not isinstance(ids, IdentityAssignment):
+        raise ValidationError(f"hard_aggregate takes an IdentityAssignment, got {type(ids).__name__}; "
+                              "use IdentityAssignment(ids=...)")
     features, frame_of = _real_column(features, "features"), _int_column(frame_of, "frame_of")
     if features.ndim != 2 or len(ids) != features.shape[0] or len(frame_of) != features.shape[0]:
         raise ValidationError(

@@ -212,30 +212,10 @@ def cmd_aggregate(args) -> int:
     return 0
 
 
-def _ground_candidates(video: VideoTable) -> tuple[dict, dict[tuple[str, int, int], int]]:
-    """Per frame holding boxes, its (corner row, score) candidates in track order,
-    and each candidate's track id keyed (video id, frame, index).
-
-    Frames without boxes get no entry, so the cost follows the boxes, not ``num_frames``.
-    """
-    order, track = video.frame_order()
-    track_ids = video.track_ids[track].tolist()
-    corners, scores = video.corners[order].tolist(), video.scores[order].tolist()
-    candidates: dict[int, list[tuple[list[float], float]]] = {}
-    track_of: dict[tuple[str, int, int], int] = {}
-    for frame, track_id, box, score in zip(video.frames[order].tolist(), track_ids, corners, scores):
-        here = candidates.setdefault(frame, [])
-        track_of[(video.video_id, frame, len(here))] = track_id
-        here.append((box, score))
-    return candidates, track_of
-
-
 def cmd_ground(args) -> int:
     by_id = {t.video_id: t for t in formats.load_dataset(args.pred, strict=args.strict)}
     queries = formats.load_queries(args.queries)
-    per_frame, per_track = formats.load_likelihoods(args.likelihoods)
-    scorer = ground.TableScorer(per_frame=per_frame, per_track=per_track, mode=args.mode)
-    candidates: dict[str, dict] = {}  # per video, built on its first query
+    nlls = dict(zip(ground.MODES, formats.load_likelihoods(args.likelihoods)))[args.mode]
 
     results = []
     sious, tious, vious = [], [], []
@@ -244,17 +224,7 @@ def cmd_ground(args) -> int:
         if video is None:
             print(f"warning: no predictions for video {query['video_id']!r}", file=sys.stderr)
             continue
-        if video.video_id not in candidates:
-            candidates[video.video_id], track_of = _ground_candidates(video)
-            scorer.track_of.update(track_of)
-        result, (s_iou, t_iou, v_iou) = ground.ground_and_score(
-            video.video_id,
-            candidates[video.video_id],
-            query["boxes"],
-            query["span"],
-            scorer,
-            query_id=query["query_id"],
-        )
+        result, (s_iou, t_iou, v_iou) = ground.ground_and_score(video, query, nlls, args.mode)
         sious.append(s_iou)
         tious.append(t_iou)
         vious.append(v_iou)
@@ -410,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pred")
     p.add_argument("--queries", required=True)
     p.add_argument("--likelihoods", required=True)
-    p.add_argument("--mode", choices=("per-frame", "per-track"), default="per-frame")
+    p.add_argument("--mode", choices=ground.MODES, default=ground.MODES[0])
     p.add_argument("--strict", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_ground)

@@ -300,10 +300,17 @@ class VideoTable:
 
         Observation order is frame-major and keeps file order within a frame,
         so a prediction row's position in it is its sidecar
-        ``pred_observation_index``. Frames without rows cost nothing.
+        ``pred_observation_index``. Frames without rows cost nothing. Both
+        arrays are computed on the first call and are read-only.
         """
+        return self._frame_order
+
+    @cached_property
+    def _frame_order(self) -> tuple[np.ndarray, np.ndarray]:
         rows = np.argsort(self.frames, kind="stable")
-        return rows, np.repeat(np.arange(len(self.track_ids)), np.diff(self.offsets))[rows]
+        track = np.repeat(np.arange(len(self.track_ids)), np.diff(self.offsets))[rows]
+        rows.flags.writeable = track.flags.writeable = False
+        return rows, track
 
     @cached_property
     def trajectories(self) -> tuple[Trajectory, ...]:

@@ -422,7 +422,7 @@ def _likelihood_record(rec: dict) -> tuple[tuple, float]:
 def load_likelihoods(
     path: str | Path,
 ) -> tuple[dict[tuple[str, int, int, str], float], dict[tuple[str, int, str], float]]:
-    """Likelihood table records, split into per-frame and per-track entries.
+    """Likelihood table records, split into per-frame and per-track entries (the order of ``ground.MODES``).
 
     Per-frame records carry (video_id, frame, observation_index, query_id,
     nll); per-track records carry (video_id, track_id, query_id, nll). The

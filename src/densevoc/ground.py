@@ -1,77 +1,32 @@
 """Likelihood-based spatial grounding.
 
 Per frame, selects the candidate box maximizing detection score times the
-likelihood of the query sentence, exp(-NLL). The text decoder itself stays
-behind the CaptionScorer interface: a table of precomputed negative log
-likelihoods, or NLL 0 everywhere for degenerate tests.
+likelihood of the query sentence, exp(-NLL). The text decoder stays outside:
+its negative log likelihoods arrive as a table keyed per frame candidate or
+per track (``formats.load_likelihoods``), and a span frame's candidates are
+that frame's rows of the prediction ``VideoTable``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Protocol, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping, Sequence
 
-from .core import ValidationError, check_nll
+import numpy as np
+
+from .core import ValidationError, VideoTable, check_nll
 from .metrics import grounding_ious
 
 Corners = Sequence[float]  # one box as its corner row (x1, y1, x2, y2)
 
+# The likelihood key modes: per frame candidate (video_id, frame, index, query_id), or per track
+# (video_id, track_id, query_id). ``formats.load_likelihoods`` returns their tables in this order.
+MODES = ("per-frame", "per-track")
+
 
 class GroundingError(RuntimeError):
-    """Scorer failure or missing likelihood record."""
-
-
-class CaptionScorer(Protocol):
-    """Negative log likelihood of a query caption for one candidate."""
-
-    def nll(self, video_id: str, frame: int, candidate: int, query_id: str) -> float: ...
-
-
-class UniformScorer:
-    """NLL 0 for every candidate; selection degenerates to detection-score argmax."""
-
-    def nll(self, video_id: str, frame: int, candidate: int, query_id: str) -> float:
-        return 0.0
-
-
-@dataclass
-class TableScorer:
-    """NLLs read from a file, keyed per frame candidate or per track.
-
-    ``per_frame`` maps (video_id, frame, candidate_index, query_id) and
-    ``per_track`` maps (video_id, track_id, query_id); ``track_of`` supplies
-    the candidate-to-track mapping needed by per-track mode.
-    """
-
-    per_frame: dict[tuple[str, int, int, str], float] = field(default_factory=dict)
-    per_track: dict[tuple[str, int, str], float] = field(default_factory=dict)
-    mode: str = "per-frame"
-    track_of: dict[tuple[str, int, int], int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("per-frame", "per-track"):
-            raise ValidationError(f"unknown scorer mode {self.mode!r}")
-        for table in (self.per_frame, self.per_track):
-            for key, value in table.items():
-                try:
-                    check_nll(value)
-                except ValidationError as exc:
-                    raise ValidationError(f"{key}: {exc}") from exc
-
-    def nll(self, video_id: str, frame: int, candidate: int, query_id: str) -> float:
-        if self.mode == "per-frame":
-            key = (video_id, frame, candidate, query_id)
-            if key not in self.per_frame:
-                raise GroundingError(f"no likelihood record for {key}")
-            return self.per_frame[key]
-        track_key = (video_id, frame, candidate)
-        if track_key not in self.track_of:
-            raise GroundingError(f"no track id known for candidate {track_key}")
-        key = (video_id, self.track_of[track_key], query_id)
-        if key not in self.per_track:
-            raise GroundingError(f"no likelihood record for {key}")
-        return self.per_track[key]
+    """A missing likelihood record."""
 
 
 @dataclass
@@ -92,8 +47,14 @@ def select_boxes(
     """Pick, per frame, the candidate maximizing score * exp(-NLL).
 
     Boxes pass through as given. Ties break to the lowest candidate index;
-    frames without candidates yield no selection.
+    frames without candidates yield no selection. Every NLL read must pass
+    ``core.check_nll``; the ValidationError names its frame and candidate.
     """
+    return _select(candidates, nlls, lambda frame, k: f"frame {frame}, candidate {k}")
+
+
+def _select(candidates, nlls, name: Callable[[int, int], object]) -> GroundingResult:
+    """``select_boxes``, naming a bad NLL by ``name(frame, candidate index)``."""
     selections: dict[int, tuple[int, Any]] = {}
     values: dict[int, list[float]] = {}
     for frame, cands in candidates.items():
@@ -102,38 +63,53 @@ def select_boxes(
             raise ValidationError(
                 f"frame {frame}: {len(cands)} candidates but {len(frame_nlls)} NLLs"
             )
-        if not cands:
-            values[frame] = []
-            continue
-        weighted = [score * math.exp(-nll) for (_, score), nll in zip(cands, frame_nlls)]
-        best = max(range(len(weighted)), key=lambda k: (weighted[k], -k))
-        selections[frame] = (best, cands[best][0])
-        values[frame] = weighted
+        for k, nll in enumerate(frame_nlls):
+            try:
+                check_nll(nll)
+            except ValidationError as exc:
+                raise ValidationError(f"{name(frame, k)}: {exc}") from exc
+        values[frame] = [score * math.exp(-nll) for (_, score), nll in zip(cands, frame_nlls)]
+        if cands:
+            best = max(range(len(cands)), key=lambda k: (values[frame][k], -k))
+            selections[frame] = (best, cands[best][0])
     return GroundingResult(selections=selections, values=values)
 
 
 def ground_and_score(
-    video_id: str,
-    candidates: Mapping[int, Sequence[tuple[Corners, float]]],
-    gt_boxes: Mapping[int, Corners],
-    gt_span: tuple[int, int],
-    scorer: CaptionScorer,
-    query_id: str = "",
+    video: VideoTable,
+    query: Mapping[str, Any],
+    nlls: Mapping[tuple, float],
+    mode: str = "per-frame",
 ) -> tuple[GroundingResult, tuple[float, float, float]]:
-    """Ground a query over its annotated span and score the selection.
+    """Ground a query over its annotated span of ``video`` and score the selection.
 
-    The ground-truth temporal span is taken as given, so the prediction span
+    ``query`` is one parsed query (``formats.load_queries``): its ``query_id``,
+    ``span`` and per-frame ``boxes``. A span frame's candidates are its rows in
+    ``VideoTable.frame_order``, as (corner row, score); candidate k's NLL is
+    ``nlls[(video_id, frame, k, query_id)]`` per frame, or
+    ``nlls[(video_id, track_id, query_id)]`` per track, with the row's track
+    id read from the table. A missing key is a GroundingError. The
+    ground-truth temporal span is taken as given, so the prediction span
     equals the ground-truth span and tIoU is 1 whenever the span is valid.
     """
-    start, end = gt_span
-    span_candidates: dict[int, Sequence[tuple[Corners, float]]] = {}
-    span_nlls: dict[int, list[float]] = {}
-    for frame in range(start, end + 1):
-        cands = candidates.get(frame, [])
-        span_candidates[frame] = cands
-        span_nlls[frame] = [
-            scorer.nll(video_id, frame, k, query_id) for k in range(len(cands))
-        ]
-    result = select_boxes(span_candidates, span_nlls)
-    ious = grounding_ious(result.selected_boxes(), gt_span, gt_boxes, gt_span)
+    if mode not in MODES:
+        raise ValidationError(f"unknown grounding mode {mode!r}; known: {list(MODES)}")
+    video_id, query_id = video.video_id, query["query_id"]
+    start, end = query["span"]
+    order, track = video.frame_order()
+    lo, hi = np.searchsorted(video.frames, [start, end + 1], sorter=order).tolist()
+    rows = order[lo:hi]
+    candidates: dict[int, list[tuple[list[float], float]]] = {f: [] for f in range(start, end + 1)}
+    keys: dict[int, list[tuple]] = {f: [] for f in range(start, end + 1)}
+    for frame, track_id, box, score in zip(video.frames[rows].tolist(), video.track_ids[track[lo:hi]].tolist(),
+                                           video.corners[rows].tolist(), video.scores[rows].tolist()):
+        here = candidates[frame]
+        key = (video_id, frame, len(here), query_id) if mode == "per-frame" else (video_id, track_id, query_id)
+        if key not in nlls:
+            raise GroundingError(f"no likelihood record for {key}")
+        keys[frame].append(key)
+        here.append((box, score))
+    span_nlls = {frame: [nlls[key] for key in frame_keys] for frame, frame_keys in keys.items()}
+    result = _select(candidates, span_nlls, lambda frame, k: keys[frame][k])
+    ious = grounding_ious(result.selected_boxes(), query["span"], query["boxes"], query["span"])
     return result, ious

@@ -58,12 +58,16 @@ def _probabilities(target: np.ndarray, name: str) -> np.ndarray:
 
 
 def _heatmaps(y: np.ndarray, y_gt: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The clamped predicted heatmap and the target, checked: one shape, a finite prediction, a [0, 1] target, ``n >= 1``."""
+    """The clamped predicted heatmap and the target, checked: one shape, a finite prediction, a [0, 1] target.
+
+    The object count ``n`` must be one integer >= 1, by core's integer rule.
+    """
     y, y_gt = _real_column(y, "heatmap prediction"), _real_column(y_gt, "heatmap target")
     if y.shape != y_gt.shape:
         raise ValidationError(f"heatmap shapes differ: {y.shape} vs {y_gt.shape}")
-    if n < 1:
-        raise ValidationError(f"object count must be >= 1, got {n}")
+    n = _int_column(n, "object count")
+    if n.ndim or n < 1:
+        raise ValidationError(f"object count must be one integer >= 1, got {n}")
     return _clamp(_finite(y, "heatmap prediction")), _probabilities(y_gt, "heatmap target")
 
 

@@ -13,7 +13,7 @@ import json
 import math
 from pathlib import Path
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -22,9 +22,11 @@ from scipy.optimize import linear_sum_assignment
 from densevoc.assoc import IdentityAssignment
 from densevoc.capmetrics import stem
 from densevoc.core import (
-    Box, Caption, Detection, Trajectory, ValidationError, VideoRecord, VideoTable, check_corners, iou_matrix,
+    Box, Caption, Detection, Trajectory, ValidationError, VideoRecord, VideoTable, check_corners, check_nll,
+    iou_matrix,
 )
 from densevoc.formats import FormatError, _check_unknown, _parse_box, _read_text, _require
+from densevoc.ground import GroundingError
 from densevoc.metrics import _TIE_EPS, _frames
 from densevoc.synth import CANVAS, OBJECTS, SUBJECTS, VERBS
 
@@ -1077,6 +1079,45 @@ def track_iou_oracle(records: Sequence[VideoRecord], thresh: float) -> list[Vide
 # stdout; both are returned as text.
 
 
+@dataclass
+class TableScorer:
+    """NLLs read from a file, keyed per frame candidate or per track.
+
+    ``per_frame`` maps (video_id, frame, candidate_index, query_id) and
+    ``per_track`` maps (video_id, track_id, query_id); ``track_of`` supplies
+    the candidate-to-track mapping needed by per-track mode.
+    """
+
+    per_frame: dict[tuple[str, int, int, str], float] = field(default_factory=dict)
+    per_track: dict[tuple[str, int, str], float] = field(default_factory=dict)
+    mode: str = "per-frame"
+    track_of: dict[tuple[str, int, int], int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("per-frame", "per-track"):
+            raise ValidationError(f"unknown scorer mode {self.mode!r}")
+        for table in (self.per_frame, self.per_track):
+            for key, value in table.items():
+                try:
+                    check_nll(value)
+                except ValidationError as exc:
+                    raise ValidationError(f"{key}: {exc}") from exc
+
+    def nll(self, video_id: str, frame: int, candidate: int, query_id: str) -> float:
+        if self.mode == "per-frame":
+            key = (video_id, frame, candidate, query_id)
+            if key not in self.per_frame:
+                raise GroundingError(f"no likelihood record for {key}")
+            return self.per_frame[key]
+        track_key = (video_id, frame, candidate)
+        if track_key not in self.track_of:
+            raise GroundingError(f"no track id known for candidate {track_key}")
+        key = (video_id, self.track_of[track_key], query_id)
+        if key not in self.per_track:
+            raise GroundingError(f"no likelihood record for {key}")
+        return self.per_track[key]
+
+
 def _grounding_ious_oracle(pred_boxes: dict[int, Box], gt_boxes: dict[int, Box], span) -> tuple:
     start, end = span
     total = 0.0
@@ -1110,7 +1151,7 @@ def ground_oracle(pred_path, queries_path, likelihoods_path, mode: str) -> tuple
                 for k, (track_id, det) in enumerate(here):
                     track_of[(video.video_id, frame, k)] = track_id
                     candidates.setdefault(frame, []).append((det.box, det.score))
-            scorer = ground.TableScorer(per_frame=per_frame, per_track=per_track, mode=mode, track_of=track_of)
+            scorer = TableScorer(per_frame=per_frame, per_track=per_track, mode=mode, track_of=track_of)
             scorers[video.video_id] = candidates, scorer
         candidates, scorer = scorers[video.video_id]
         start, end = query["span"]

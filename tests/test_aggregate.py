@@ -136,3 +136,9 @@ def test_hard_aggregate_checks_lengths() -> None:
         hard_aggregate(np.ones((2, 3)), ids, np.array([0, 1, 2]))
     with pytest.raises(ValidationError, match=r"features \(3, 3\), ids 2 and frames 3 disagree"):
         hard_aggregate(np.ones((3, 3)), ids, np.array([0, 1, 2]))
+
+
+def test_hard_aggregate_names_identity_assignment_for_a_plain_array() -> None:
+    with pytest.raises(ValidationError, match=r"^hard_aggregate takes an IdentityAssignment, got ndarray; "
+                                              r"use IdentityAssignment\(ids=\.\.\.\)$"):
+        hard_aggregate(np.ones((2, 3)), np.array([1, 1]), np.array([0, 1]))

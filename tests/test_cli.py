@@ -424,16 +424,23 @@ def test_ground_matches_oracle_bytes(tmp_path, capsys, seed) -> None:
         assert '"index": 1' in expected_out and '": []' in expected_out
 
 
-def test_ground_builds_one_scorer_per_run(tmp_path, monkeypatch) -> None:
-    built = []
-    check = ground.TableScorer.__post_init__
-    monkeypatch.setattr(ground.TableScorer, "__post_init__", lambda self: built.append(check(self)))
+def test_ground_checks_each_nll_once(tmp_path, monkeypatch) -> None:
+    # Load checks each likelihood record and selection each NLL it reads; nothing checks the table again per video.
+    calls = []
+    check = ground.check_nll
+    for module in (formats, ground):
+        monkeypatch.setattr(module, "check_nll", lambda nll: calls.append(check(nll)))
     pred, queries, likelihoods = _grounding_files(tmp_path, np.random.default_rng(0), n_videos=4)
     assert len({q["video_id"] for q in json.loads(Path(queries).read_text())}) == 5
+    records = len(json.loads(Path(likelihoods).read_text()))
+    out = tmp_path / "grounded.json"
     for mode in ("per-frame", "per-track"):
-        built.clear()
-        assert main(["ground", pred, "--queries", queries, "--likelihoods", likelihoods, "--mode", mode]) == 0
-        assert len(built) == 1
+        calls.clear()
+        assert main(["ground", pred, "--queries", queries, "--likelihoods", likelihoods, "--mode", mode,
+                     "--out", str(out)]) == 0
+        read = sum(len(values) for result in json.loads(out.read_text()) for values in result["values"].values())
+        assert read > 0
+        assert records <= len(calls) <= records + read
 
 
 def test_synth_golden_files_bytewise(tmp_path) -> None:

@@ -357,6 +357,7 @@ _VALUE_SLOTS = {
     "caption_loss-tokens": (np.array([0, 1]), True, lambda v: caption_loss(np.zeros((2, 3)), v)),
     "heatmap_loss-prediction": (np.full((2, 2), 0.5), False, lambda v: heatmap_loss(v, np.zeros((2, 2)), 1)),
     "heatmap_loss-target": (np.zeros((2, 2)), False, lambda v: heatmap_loss(np.full((2, 2), 0.5), v, 1)),
+    "heatmap_loss-n": (np.array(3), True, lambda v: heatmap_loss(np.full((2, 2), 0.5), np.zeros((2, 2)), v)),
     "assoc_loss-prediction": (np.full((2, 2), 0.5), False, lambda v: assoc_loss(v, np.eye(2))),
     "assoc_loss-target": (np.eye(2), False, lambda v: assoc_loss(np.full((2, 2), 0.5), v)),
 }

@@ -231,6 +231,9 @@ def test_heatmap_gradient_rejects_what_its_loss_rejects() -> None:
         ((np.ones((2, 2)), np.ones((2, 3)), 1), {}),
         ((np.full((2, 2), 0.5), np.ones((2, 1)), 1), {}),  # would broadcast
         ((np.full((2, 2), 0.5), np.ones((2, 2)), 0), {}),
+        ((np.full((2, 2), 0.5), np.ones((2, 2)), True), {}),
+        ((np.full((2, 2), 0.5), np.ones((2, 2)), 1.5), {}),
+        ((np.full((2, 2), 0.5), np.ones((2, 2)), [3]), {}),
         ((np.full((2, 2), 0.5), np.full((2, 2), math.nan), 1), {}),
         ((np.full((2, 2), 0.5), np.full((2, 2), -1.0), 1), {}),
         ((np.full((2, 2), 0.5), np.full((2, 2), math.inf), 1), {}),
