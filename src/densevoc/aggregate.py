@@ -76,8 +76,10 @@ def hard_aggregate(
             f"features {features.shape}, ids {len(ids)} and frames {len(frame_of)} disagree"
         )
     out: dict[int, np.ndarray] = {}
-    for track_id in np.unique(ids.ids):
-        members = np.flatnonzero(ids.ids == track_id)
+    # return_inverse: without a flag, numpy 2.4's np.unique imports numpy.ma.
+    track_ids, inverse = np.unique(ids.ids, return_inverse=True)
+    for u, track_id in enumerate(track_ids):
+        members = np.flatnonzero(inverse == u)
         members = members[np.argsort(frame_of[members], kind="stable")]
         sampled = members[hard_sample_indices(len(members), m)]
         out[int(track_id)] = features[sampled].reshape(-1)

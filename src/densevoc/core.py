@@ -123,6 +123,16 @@ def check_corners(corners) -> np.ndarray:
     return corners
 
 
+def _score_message(score: float) -> str:
+    return f"score must be in [0, 1], got {score}"
+
+
+def check_score(score: float) -> None:
+    """``VideoTable``'s rule for a detection score: a ValidationError unless it lies in [0, 1]."""
+    if not (0.0 <= score <= 1.0):
+        raise ValidationError(_score_message(score))
+
+
 def check_nll(nll: float) -> None:
     """The one rule for a negative log likelihood: a ValidationError unless it is finite and >= 0."""
     if not (math.isfinite(nll) and nll >= 0.0):
@@ -171,7 +181,7 @@ def first_broken_rule(video_id: str, num_frames: int, track_ids: np.ndarray, off
     rules = (  # (position of each element, the elements breaking the rule, the message of one), in order at a position
         (box_at, _corner_faults(corners), lambda r: _corner_message(corners[r])),
         (box_at, frames < 0, lambda r: f"frame index must be >= 0, got {frames[r]}"),
-        (box_at, ~((scores >= 0.0) & (scores <= 1.0)), lambda r: f"score must be in [0, 1], got {scores[r]}"),
+        (box_at, ~((scores >= 0.0) & (scores <= 1.0)), lambda r: _score_message(scores[r])),
         # A track id is checked at the track's first box, or after the track when it has none.
         (offsets[:-1] + np.arange(n_tracks), track_ids < 1, lambda t: f"track_id must be positive, got {track_ids[t]}"),
         (track_at, unordered, lambda t: f"track {track_ids[t]}: frames must be strictly increasing, "

@@ -15,7 +15,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ValidationError, VideoTable, check_nll
+from .core import ValidationError, VideoTable, check_nll, check_score
 from .metrics import grounding_ious
 
 Corners = Sequence[float]  # one box as its corner row (x1, y1, x2, y2)
@@ -47,14 +47,15 @@ def select_boxes(
     """Pick, per frame, the candidate maximizing score * exp(-NLL).
 
     Boxes pass through as given. Ties break to the lowest candidate index;
-    frames without candidates yield no selection. Every NLL read must pass
-    ``core.check_nll``; the ValidationError names its frame and candidate.
+    frames without candidates yield no selection. Every score must pass
+    ``core.check_score`` and every NLL ``core.check_nll``; the
+    ValidationError names its frame and candidate.
     """
     return _select(candidates, nlls, lambda frame, k: f"frame {frame}, candidate {k}")
 
 
 def _select(candidates, nlls, name: Callable[[int, int], object]) -> GroundingResult:
-    """``select_boxes``, naming a bad NLL by ``name(frame, candidate index)``."""
+    """``select_boxes``, naming a bad score or NLL by ``name(frame, candidate index)``."""
     selections: dict[int, tuple[int, Any]] = {}
     values: dict[int, list[float]] = {}
     for frame, cands in candidates.items():
@@ -63,8 +64,9 @@ def _select(candidates, nlls, name: Callable[[int, int], object]) -> GroundingRe
             raise ValidationError(
                 f"frame {frame}: {len(cands)} candidates but {len(frame_nlls)} NLLs"
             )
-        for k, nll in enumerate(frame_nlls):
+        for k, ((_, score), nll) in enumerate(zip(cands, frame_nlls)):
             try:
+                check_score(score)
                 check_nll(nll)
             except ValidationError as exc:
                 raise ValidationError(f"{name(frame, k)}: {exc}") from exc

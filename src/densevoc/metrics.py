@@ -11,7 +11,6 @@ ineligible. Cross-video pooling is micro-averaged per threshold.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -143,7 +142,8 @@ def _shape_groups(gt: _FrameTable, pred: _FrameTable) -> list[tuple[np.ndarray, 
     n_p = np.searchsorted(pred.frame, frames, side="right") - p_start
     shape = n_g * (n_p.max(initial=0) + 1) + n_p
     groups = []
-    for key in np.unique(shape[n_p > 0]).tolist():
+    # return_counts: without a flag, numpy 2.4's np.unique imports numpy.ma.
+    for key in np.unique(shape[n_p > 0], return_counts=True)[0].tolist():
         sel = shape == key
         g_rows = g_start[sel, None] + np.arange(n_g[sel][0])
         p_rows = p_start[sel, None] + np.arange(n_p[sel][0])
@@ -218,7 +218,10 @@ def _sweep(prep: _VideoPrep, alphas: tuple[float, ...]) -> tuple[_Records, np.nd
     eligible pairs are one-to-one, and the optimal matching is exactly those
     pairs, since each scores above 0. Only bands starting at or below that
     cutoff are solved; from there on each eligible pair stays matched up to
-    its own last threshold.
+    its own last threshold. A shape group's bands are solved in rounds: each
+    round solves the next band of every frame that still has one, one solver
+    call per frame, and finds each band's weakest pair and last threshold
+    with array operations over all of them.
     """
     n_alpha = len(alphas)
     alpha_arr = np.asarray(alphas)
@@ -233,36 +236,29 @@ def _sweep(prep: _VideoPrep, alphas: tuple[float, ...]) -> tuple[_Records, np.nd
             cutoff = np.maximum(cutoff, np.sort(sim, axis=1)[:, -2, :].max(axis=1))
         solved = np.searchsorted(alpha_arr, cutoff, side="right")  # bands starting below it are solved
 
-        # Solved head: every band here has an eligible conflict, so it is non-empty.
+        # Solved head, in rounds: each takes every frame with a band still to
+        # solve, at its frame's own next threshold. Every band here has an
+        # eligible conflict, so it is non-empty.
         ass = prep.global_ass[prep.gt.track[g_rows][:, :, None], prep.pred.track[p_rows][:, None, :]]
         cost = -(ass + _TIE_EPS * sim)
         tail_start = np.zeros(n_frames, dtype=int)
-        band_f, band_first, band_last, band_rows, band_cols = [], [], [], [], []
-        for f in np.flatnonzero(solved).tolist():
-            s, c, k = sim[f], cost[f], solved[f]
-            a = 0
-            while a < k:
-                alpha = alphas[a]
-                rows, cols = linear_sum_assignment(np.where(s >= alpha, c, 0.0))
-                weakest = min(x for x in s[rows, cols].tolist() if x >= alpha)
-                end = bisect_right(alphas, weakest) - 1
-                band_f.append(f)
-                band_first.append(a)
-                band_last.append(end)
-                band_rows.append(rows)
-                band_cols.append(cols)
-                a = end + 1
-            tail_start[f] = a
-        if band_f:
-            counts = [len(r) for r in band_rows]
-            f = np.repeat(band_f, counts)
-            rows, cols = np.concatenate(band_rows), np.concatenate(band_cols)
-            first = np.repeat(band_first, counts)
-            keep = sim[f, rows, cols] >= alpha_arr[first]  # drop solver pairs of score 0
-            f, rows, cols = f[keep], rows[keep], cols[keep]
+        active = np.flatnonzero(solved)
+        while active.size:
+            first = tail_start[active]
+            threshold = alpha_arr[first][:, None]
+            blocks = np.where(sim[active] >= threshold[:, :, None], cost[active], 0.0)
+            # Each solution has min(n_g, n_p) pairs, so they stack as (frame, rows or cols, pair).
+            rows, cols = np.array([linear_sum_assignment(b) for b in blocks]).transpose(1, 0, 2)
+            pair = sim[active[:, None], rows, cols]
+            keep = pair >= threshold  # drop solver pairs of score 0
+            last = np.searchsorted(alpha_arr, np.where(keep, pair, np.inf).min(axis=1), side="right") - 1
+            n_kept = keep.sum(axis=1)
+            f, rows, cols = np.repeat(active, n_kept), rows[keep], cols[keep]
             entries.append(
-                (frames[f], first[keep], np.repeat(band_last, counts)[keep], g_rows[f, rows], p_rows[f, cols])
+                (frames[f], np.repeat(first, n_kept), np.repeat(last, n_kept), g_rows[f, rows], p_rows[f, cols])
             )
+            tail_start[active] = last + 1
+            active = active[last + 1 < solved[active]]
 
         # Closed-form tail: from the frame's first band start at or above the
         # cutoff, a pair stays matched up to its own last threshold.
@@ -649,20 +645,30 @@ def chota(
     )
 
 
-def average_precision(tp_flags: Sequence[bool], n_gt: int) -> float:
-    """All-points interpolated AP from ranked true-positive flags."""
+def _average_precisions(flags: np.ndarray, n_gt: int) -> np.ndarray:
+    """All-points interpolated AP of each row of ranked true-positive flags ``(rows, n)``.
+
+    Each row's AP is the sum, over its recall steps, of the step's width times
+    the precision envelope after it. ``np.sum`` rounds by the number of terms
+    it adds, so rows are summed in groups of equal step count: each value is
+    then that of summing the row's own steps alone.
+    """
     if n_gt == 0:
         raise ValidationError("AP undefined without ground truth")
-    if not len(tp_flags):
-        return 0.0
-    tp_cum = np.cumsum(np.asarray(tp_flags, dtype=float))
-    ranks = np.arange(1, len(tp_flags) + 1)
-    recalls = np.concatenate(([0.0], tp_cum / n_gt, [1.0]))
-    precisions = np.concatenate(([0.0], tp_cum / ranks, [0.0]))
+    tp_cum = np.cumsum(flags, axis=1, dtype=float)
+    edge = np.zeros((len(flags), 1))
+    recalls = np.hstack([edge, tp_cum / n_gt, edge + 1.0])
+    precisions = np.hstack([edge, tp_cum / np.arange(1, flags.shape[1] + 1), edge])
     # Envelope: each precision becomes the maximum at its rank or later.
-    precisions = np.maximum.accumulate(precisions[::-1])[::-1]
-    steps = np.flatnonzero(recalls[1:] != recalls[:-1])
-    return float(np.sum((recalls[steps + 1] - recalls[steps]) * precisions[steps + 1]))
+    precisions = np.maximum.accumulate(precisions[:, ::-1], axis=1)[:, ::-1]
+    step = recalls[:, 1:] != recalls[:, :-1]
+    terms = (recalls[:, 1:] - recalls[:, :-1]) * precisions[:, 1:]
+    count = step.sum(axis=1)
+    ap = np.empty(len(flags))
+    for m in np.flatnonzero(np.bincount(count)).tolist():
+        rows = count == m
+        ap[rows] = terms[rows][step[rows]].reshape(-1, m).sum(axis=1)
+    return ap
 
 
 @dataclass
@@ -707,9 +713,9 @@ def ap_m(
     (``_VideoPrep``): frames holding both ground truth and predictions,
     grouped by exact shape, and each group is matched in every grid cell at
     once. A frame holding ground truth but no prediction counts toward the
-    average and adds 0. AP is computed once per distinct (n_gt, ranked flags)
-    over the collection. Per-frame APs are added in (video id, frame) order, so
-    the grid is the same as a frame-by-frame sum.
+    average and adds 0. AP is computed for the distinct rows of ranked flags
+    of a shape group, all at once. Per-frame APs are added in (video id,
+    frame) order, so the grid is the same as a frame-by-frame sum.
     """
     iou_thresholds = validate_thresholds("IoU", iou_thresholds)
     meteor_thresholds = validate_thresholds("METEOR", meteor_thresholds)
@@ -722,9 +728,8 @@ def ap_m(
     met_cut = np.asarray(meteor_thresholds)[:, None]
     min_iou = min(iou_thresholds)
     n_frames = 0
-    # One scorer and one AP table for every video, so both span the collection.
+    # One scorer for every video, so its cache spans the collection.
     scorer = _PairScorer(ScorerConfig(metrics=("meteor",)), IdfTable.build([]))
-    ap_by_flags: dict[tuple[int, bytes], float] = {}
 
     for pred, gt in pairs:
         prep = _VideoPrep(pred, gt)
@@ -771,13 +776,7 @@ def ap_m(
             _, first, inverse = np.unique(
                 flags.view(np.dtype((np.void, n_pred))).ravel(), return_index=True, return_inverse=True
             )
-            ap = np.empty(len(first))
-            for u, row in enumerate(flags[first]):
-                key = (n_gt, row.tobytes())
-                if key not in ap_by_flags:
-                    ap_by_flags[key] = average_precision(row, n_gt)
-                ap[u] = ap_by_flags[key]
-            video_ap.append(ap[inverse].reshape(n_f, n_cells))
+            video_ap.append(_average_precisions(flags[first], n_gt)[inverse].reshape(n_f, n_cells))
         if groups:
             order = np.argsort(np.concatenate([frames for frames, *_ in prep.groups]))
             # cumsum adds one frame at a time, in frame order, as a per-frame

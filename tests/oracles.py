@@ -261,6 +261,24 @@ def detection_ap_oracle(pred_dets, gt_boxes, iou_thresh) -> float:
     return ap
 
 
+# AP as first written: one ranked flag row at a time. The library's batched
+# AP over many rows must equal it exactly.
+def average_precision(tp_flags: Sequence[bool], n_gt: int) -> float:
+    """All-points interpolated AP from ranked true-positive flags."""
+    if n_gt == 0:
+        raise ValidationError("AP undefined without ground truth")
+    if not len(tp_flags):
+        return 0.0
+    tp_cum = np.cumsum(np.asarray(tp_flags, dtype=float))
+    ranks = np.arange(1, len(tp_flags) + 1)
+    recalls = np.concatenate(([0.0], tp_cum / n_gt, [1.0]))
+    precisions = np.concatenate(([0.0], tp_cum / ranks, [0.0]))
+    # Envelope: each precision becomes the maximum at its rank or later.
+    precisions = np.maximum.accumulate(precisions[::-1])[::-1]
+    steps = np.flatnonzero(recalls[1:] != recalls[:-1])
+    return float(np.sum((recalls[steps + 1] - recalls[steps]) * precisions[steps + 1]))
+
+
 def apm_grid_oracle(preds, gts, iou_thresholds, meteor_thresholds):
     """AP_M threshold grid replayed cell by cell, METEOR scored on every pair.
 
@@ -270,11 +288,11 @@ def apm_grid_oracle(preds, gts, iou_thresholds, meteor_thresholds):
     without a caption passes every METEOR threshold. A prediction's caption
     is its box caption, else its track caption, else empty. Per-cell APs are
     summed over videos in ground-truth order and frames in order, then
-    divided by the frame count. METEOR and the AP sweep are the library's,
-    so that the grid can be compared exactly; the matching is replayed here.
+    divided by the frame count. METEOR is the library's and AP the one
+    above, so that the grid can be compared exactly; the matching is
+    replayed here.
     """
     from densevoc.capmetrics import meteor_lite
-    from densevoc.metrics import average_precision
 
     pred_by_id = {p.video_id: p for p in preds}
     grid_sum = [[0.0] * len(meteor_thresholds) for _ in iou_thresholds]

@@ -305,7 +305,8 @@ def test_criterion_09_grounding_argmax_and_invariances() -> None:
 
         c = float(rng.uniform(0.05, 2.0))
         shift = float(rng.uniform(0.0, 4.0))
-        scaled = {f: [(b, s * c) for b, s in cands] for f, cands in candidates.items()}
+        # Halved, the factor lies in (0.025, 1), so the scaled scores stay in [0, 1].
+        scaled = {f: [(b, s * c / 2) for b, s in cands] for f, cands in candidates.items()}
         shifted = {f: [v + shift for v in vals] for f, vals in nlls.items()}
         assert {f: i for f, (i, _) in select_boxes(scaled, nlls).selections.items()} == selected
         assert {f: i for f, (i, _) in select_boxes(candidates, shifted).selections.items()} == selected

@@ -548,6 +548,26 @@ def test_commands_load_no_scipy_submodule(tmp_path) -> None:
     assert result.stdout.splitlines()[-1] == "[]"
 
 
+_NO_MASKED_ARRAYS = """
+import sys
+from densevoc import cli
+
+for command in ("eval-chota", "eval-apm"):
+    assert cli.main([command, sys.argv[1], sys.argv[2]]) == 0, command
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_evaluation_loads_no_masked_array_module(tmp_path) -> None:
+    # numpy.ma costs 8-16 ms to import, and only a flagless np.unique would load it.
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+    gt, pred = (str(FIXTURES / f"golden_seed42_{kind}.json") for kind in ("gt", "pred"))
+    result = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS, gt, pred], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
+
+
 def test_summary_keys_name_the_threshold_read(tmp_path, capsys) -> None:
     gt = str(FIXTURES / "golden_seed42_gt.json")
     pred = str(FIXTURES / "golden_seed42_pred.json")

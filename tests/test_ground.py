@@ -183,6 +183,13 @@ def test_table_scorer_rejects_bad_nll() -> None:
         ground_and_score(video, query, {("v", 0, 0, "q"): math.inf})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5, 2.0])
+def test_every_score_read_is_checked(bad) -> None:
+    # Unchecked, a NaN first in its frame, an infinity or a score of 2.0 would win frame 0.
+    with pytest.raises(ValidationError, match=rf"^frame 0, candidate 0: score must be in \[0, 1\], got {bad}$"):
+        select_boxes({0: [(_box(0), bad), (_box(20), 0.9)]}, {0: [0.1, 0.1]})
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
 def test_every_nll_read_is_checked(bad) -> None:
     # A NaN never loses in max, so unchecked it would win frame 0 over the better candidate.

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import replace
 
@@ -7,10 +8,10 @@ import numpy as np
 import pytest
 
 from densevoc.core import Box, ValidationError
-from densevoc.metrics import ap_m, average_precision, grounding_ious
+from densevoc.metrics import _average_precisions, ap_m, grounding_ious
 
 from conftest import make_track, make_video
-from oracles import apm_grid_oracle, detection_ap_oracle
+from oracles import apm_grid_oracle, average_precision, detection_ap_oracle
 
 
 def _one_frame_video(video_id, tracks):
@@ -231,13 +232,25 @@ def test_apm_long_videos_equal_per_cell_oracle(rng, iou_thresholds, meteor_thres
 
 def test_average_precision_all_points_interpolation() -> None:
     # Ranked flags TP, FP, TP over 2 gt: precision envelope gives 1*0.5 + (2/3)*0.5.
-    value = average_precision([True, False, True], n_gt=2)
+    value = _average_precisions(np.array([[True, False, True]]), n_gt=2)[0]
     assert value == pytest.approx(0.5 + 0.5 * 2 / 3, abs=1e-12)
 
 
 def test_average_precision_undefined_without_ground_truth() -> None:
     with pytest.raises(ValidationError, match="without ground truth"):
-        average_precision([], 0)
+        _average_precisions(np.zeros((1, 0), dtype=bool), 0)
+
+
+def test_average_precisions_equal_per_row_oracle() -> None:
+    # Every flag row of length 1-12 against 1-13 ground truth: from 9 recall
+    # steps on, numpy sums with an unrolled pairwise loop, whose rounding
+    # depends on the number of terms.
+    for n in range(1, 13):
+        flags = np.array(list(itertools.product([False, True], repeat=n)))
+        for n_gt in range(1, 14):
+            expected = [average_precision(row, n_gt) for row in flags]
+            assert _average_precisions(flags, n_gt).tolist() == expected, (n, n_gt)
+    assert _average_precisions(np.zeros((2, 0), dtype=bool), 3).tolist() == [0.0, 0.0]
 
 
 def test_grounding_ious_simple_average() -> None:

@@ -255,6 +255,38 @@ def _shaped_instance(rng, shapes, grid: bool):
     return record([p for _, p in shapes]), record([g for g, _ in shapes])
 
 
+def _banded_instance():
+    """One gt track under five prediction tracks, whose frame 0 is solved at four thresholds.
+
+    In frame 0 the predictions' IoUs with the gt box are .88, .68, .48, .28
+    and .13, and frames 1-10 hold one prediction each, so that association
+    favours the lower IoUs: at DEFAULT_ALPHAS each band's matching loses its
+    pair at the next threshold. Frame 11 has frame 0's shape and is settled
+    by its first band.
+    """
+    heights = [88.0, 68.0, 48.0, 28.0, 13.0]
+    alone = [[], [10], [8, 9], [5, 6, 7], [1, 2, 3, 4]]  # frames each prediction holds the gt box alone
+    in_frame_11 = [(0.0, 0.0, 100.0, 90.0), (0.0, 0.0, 100.0, 8.0)] + [(200.0, 200.0, 210.0, 210.0)] * 3
+    tracks = [
+        make_track(k + 1, [(0, 0.0, 0.0, 100.0, h)] + [(f, 0.0, 0.0, 100.0, 100.0) for f in alone[k]]
+                   + [(11, *in_frame_11[k])])
+        for k, h in enumerate(heights)
+    ]
+    gt = make_video("v", [make_track(1, [(f, 0.0, 0.0, 100.0, 100.0) for f in range(12)])], 12)
+    return make_video("v", tracks, 12), gt
+
+
+def test_banded_instance_is_solved_in_four_rounds() -> None:
+    # Frame 0's bands start at alphas 0, 2, 5 and 9, frame 11's only band at
+    # 0; swapping the tables makes the blocks tall (5 x 1).
+    pred, gt = _banded_instance()
+    for prep in (_VideoPrep(pred, gt), _VideoPrep(gt, pred)):
+        assert [len(frames) for frames, *_ in prep.groups] == [10, 2]
+        first, last, _, _ = _sweep(prep, DEFAULT_ALPHAS)[0]
+        assert first.tolist()[:5] == [0, 2, 5, 9, 0]
+        assert last.tolist()[:4] == [1, 4, 8, 16] and last[-1] == 17
+
+
 def _oracle_columns(records) -> list[np.ndarray]:
     """Band records as (first, last, gt row, pred row) entries, one per matched pair."""
     entries = [(a, end, g, p) for a, end, gs, ps in records for g, p in zip(gs.tolist(), ps.tolist())]
@@ -283,6 +315,11 @@ def test_sweep_equals_per_frame_oracle(rng, alphas) -> None:
         crowded = [tuple(rng.integers(9, 21, size=2)) for _ in range(3)]
         shapes = [edges[i] for i in rng.choice(len(edges), size=4)] + crowded * 2
         instances.append(_shaped_instance(rng, [shapes[i] for i in rng.permutation(len(shapes))], trial % 2 == 0))
+    # A frame solved at four thresholds, in a group whose frames finish in
+    # different rounds, with wide (1 x 5) and tall (5 x 1) blocks; a tall
+    # block's solver rows are not arange.
+    pred, gt = _banded_instance()
+    instances += [(pred, gt), (gt, pred)]
     for trial, (pred, gt) in enumerate(instances):
         records, mc, ass_sum, global_ass = sweep_oracle(pred, gt, alphas)
         prep = _VideoPrep(pred, gt)
