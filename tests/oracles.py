@@ -25,7 +25,7 @@ from densevoc.core import (
     Box, Caption, Detection, Trajectory, ValidationError, VideoRecord, VideoTable, check_corners, check_nll,
     iou_matrix,
 )
-from densevoc.formats import FormatError, _check_unknown, _parse_box, _read_text, _require
+from densevoc.formats import FormatError
 from densevoc.ground import GroundingError
 from densevoc.metrics import _TIE_EPS, _frames
 from densevoc.synth import CANVAS, OBJECTS, SUBJECTS, VERBS
@@ -883,11 +883,71 @@ def video_rules(video: VideoRecord) -> VideoRecord:
     return video
 
 
+# The field helpers of ``densevoc.formats`` as they were when the parser oracles below were
+# written, kept here so that the oracles and the library share no parsing code.
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _float(value: Any, where: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise FormatError(f"{where}: expected a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise FormatError(f"{where}: integer is too large for a float") from None
+
+
+def _require(obj: dict, key: str, kind, where: str):
+    if key not in obj:
+        raise FormatError(f"{where}: missing required field {key!r}")
+    value = obj[key]
+    if kind is float:
+        return value if type(value) is float else _float(value, f"{where}.{key}")
+    if kind is int:
+        if not _is_int(value):
+            raise FormatError(f"{where}.{key}: expected an integer, got {type(value).__name__}")
+        if not -(2**63) <= value < 2**63:
+            raise FormatError(f"{where}.{key}: integer {value} is out of the 64-bit range")
+        return value
+    if not isinstance(value, kind):
+        raise FormatError(f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+
+
+def _check_unknown(obj: dict, allowed: set[str], where: str, strict: bool) -> None:
+    if strict:
+        unknown = set(obj) - allowed
+        if unknown:
+            raise FormatError(f"{where}: unknown fields {sorted(unknown)}")
+
+
+def _parse_box(raw: Any, where: str) -> tuple[float, float, float, float]:
+    """The corner row of a box value, checked by ``check_corners``."""
+    if not isinstance(raw, list) or len(raw) != 4:
+        raise FormatError(f"{where}: box must be a list [x1, y1, x2, y2]")
+    corners = tuple(_float(v, f"{where}.box[{k}]") for k, v in enumerate(raw))
+    try:
+        check_corners([corners])
+    except ValidationError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+    return corners
+
+
 # The dataset parser as first written: every box checked by building its
 # Box and Detection, every track its Trajectory, in document order, with the
 # record rules above. The column parser of ``formats.parse_dataset`` must
 # accept the same values, give the same records (through ``as_records``) and
-# reject with the same message. The field helpers are the library's.
+# reject with the same message. The field helpers are the copies above.
 
 
 def parse_dataset_oracle(data: Any, strict: bool = False) -> list[VideoRecord]:
