@@ -20,24 +20,29 @@ from . import assoc, formats, ground, losses, metrics, synth
 from .core import ValidationError, VideoTable
 
 
+# What a command-line value must read as, by the type it is parsed to.
+_EXPECTED = {float: "a finite number", int: "an integer"}
+
+
+def _parse(kind: type, text: str, flag: str):
+    """``kind(text)`` for ``kind`` float or int; else a ValidationError. A float may be NaN or infinite here."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValidationError(f"{flag}: expected {_EXPECTED[kind]}, got {text!r}") from None
+
+
 def _number(text: str, flag: str, low: float = -math.inf, high: float = math.inf) -> float:
     """A finite float in [low, high] from a command-line value; else a ValidationError."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
+    value = _parse(float, text, flag)
     if not math.isfinite(value):
-        raise ValidationError(f"{flag}: expected a finite number, got {text!r}")
+        raise ValidationError(f"{flag}: expected {_EXPECTED[float]}, got {text!r}")
     return _in_range(value, flag, low, high)
 
 
 def _integer(text: str, flag: str, low: float, high: float) -> int:
     """An integer in [low, high] from a command-line value; else a ValidationError."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValidationError(f"{flag}: expected an integer, got {text!r}") from None
-    return _in_range(value, flag, low, high)
+    return _in_range(_parse(int, text, flag), flag, low, high)
 
 
 def _in_range(value, flag: str, low: float, high: float):
@@ -99,7 +104,7 @@ def _scorer_config(args) -> metrics.ScorerConfig:
 def cmd_eval_chota(args) -> int:
     gates = _parse_gates(args.gate, _CHOTA_GATES)
     alphas = metrics.validate_alphas(_number(a, "--alphas") for a in args.alphas.split(","))
-    jobs = _in_range(args.jobs, "--jobs", 1, math.inf)
+    jobs = _integer(args.jobs, "--jobs", 1, math.inf)
     config = _scorer_config(args)
     config.capa_index(alphas)  # a capa_alpha off the grid fails here, before any dataset is read
     gts = formats.load_dataset(args.gt, strict=args.strict)
@@ -141,7 +146,7 @@ def cmd_eval_apm(args) -> int:
 
 
 def cmd_track_assign(args) -> int:
-    theta = assoc.validate_theta(args.theta)
+    theta = assoc.validate_theta(_parse(float, args.theta, "--theta"))
     ids = assoc.assign_identities(formats.load_matrix(args.matrix, "assoc"), theta=theta)
     print(f"observations={len(ids)} tracks={len(set(ids.ids.tolist()))}")
     if args.out:
@@ -161,8 +166,7 @@ def cmd_track_iou(args) -> int:
         captions = [table.track_captions[t] if box[r] is None else box[r]
                     for r, t in zip(rows.tolist(), track.tolist())]
         out_tables.append(VideoTable.from_rows(
-            table.video_id, table.num_frames, ids, frames, corners, table.scores[rows],
-            box_captions=None if all(c is None for c in captions) else captions))
+            table.video_id, table.num_frames, ids, frames, corners, table.scores[rows], box_captions=captions))
     if args.out:
         formats.save_dataset(out_tables, args.out)
     print(f"videos={len(out_tables)}")
@@ -180,8 +184,8 @@ def cmd_aggregate(args) -> int:
     if "matrix" in reads and not args.matrix:
         needs = "--matrix" if args.mode == "soft" else "--ids or --matrix"
         raise ValidationError(f"{args.mode} aggregation needs {needs}")
-    theta = assoc.THETA if args.theta is None else assoc.validate_theta(args.theta)
-    m = agg.HARD_M if args.m is None else agg.validate_m(args.m)
+    theta = assoc.THETA if args.theta is None else assoc.validate_theta(_parse(float, args.theta, "--theta"))
+    m = agg.HARD_M if args.m is None else agg.validate_m(_parse(int, args.m, "--m"))
     features = formats.load_matrix(args.features, "features")
     if "matrix" in reads:
         matrix = formats.load_matrix(args.matrix, "assoc")
@@ -215,7 +219,7 @@ def cmd_aggregate(args) -> int:
 def cmd_ground(args) -> int:
     by_id = {t.video_id: t for t in formats.load_dataset(args.pred, strict=args.strict)}
     queries = formats.load_queries(args.queries)
-    nlls = dict(zip(ground.MODES, formats.load_likelihoods(args.likelihoods)))[args.mode]
+    nlls = formats.load_likelihoods(args.likelihoods)
 
     results = []
     sious, tious, vious = [], [], []
@@ -262,7 +266,9 @@ _SYNTH_FLAGS = {
 
 
 def cmd_synth(args) -> int:
-    cfg = synth.SynthConfig(**{field: getattr(args, field) for field in _SYNTH_FLAGS.values()})
+    defaults = synth.SynthConfig()
+    cfg = synth.SynthConfig(**{field: _parse(type(getattr(defaults, field)), getattr(args, field), flag)
+                               for flag, field in _SYNTH_FLAGS.items()})
     gts, preds = synth.generate(cfg)
     formats.save_dataset(gts, args.out_gt)
     formats.save_dataset(preds, args.out_pred)
@@ -341,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of meteor,cider,exact,external")
     p.add_argument("--capa-alpha", default="integrate", help="'integrate' or 'single:<alpha>'")
     p.add_argument("--external-scores", default=None, help="sidecar score file")
-    p.add_argument("--jobs", type=int, default=os.environ.get("DENSEVOC_JOBS", "1"),
+    p.add_argument("--jobs", default=os.environ.get("DENSEVOC_JOBS", "1"),
                    help="worker processes (default: DENSEVOC_JOBS, else 1)")
     p.set_defaults(func=cmd_eval_chota)
 
@@ -355,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("track-assign", help="identities from an association matrix")
     p.add_argument("matrix")
-    p.add_argument("--theta", type=float, default=assoc.THETA)
+    p.add_argument("--theta", default=assoc.THETA)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_track_assign)
 
@@ -371,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", default=None, help="association matrix file")
     p.add_argument("--ids", default=None, help="identity file from track-assign")
     p.add_argument("--mode", choices=("soft", "hard"), default="soft")
-    p.add_argument("--m", type=int, default=None, help=f"frames sampled per track in hard mode (default {agg.HARD_M})")
-    p.add_argument("--theta", type=float, default=None, help=f"hard mode without --ids (default {assoc.THETA})")
+    p.add_argument("--m", default=None, help=f"frames sampled per track in hard mode (default {agg.HARD_M})")
+    p.add_argument("--theta", default=None, help=f"hard mode without --ids (default {assoc.THETA})")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_aggregate)
 
@@ -380,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pred")
     p.add_argument("--queries", required=True)
     p.add_argument("--likelihoods", required=True)
-    p.add_argument("--mode", choices=ground.MODES, default=ground.MODES[0])
+    p.add_argument("--mode", choices=ground.MODES, default="per-frame")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_ground)
@@ -388,10 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="deterministic synthetic scenario files")
     defaults = synth.SynthConfig()
     for flag, field in _SYNTH_FLAGS.items():
-        default = getattr(defaults, field)
         # The metavar argparse derives from the flag's name, so the help reads as the flag.
-        p.add_argument(flag, dest=field, type=type(default), default=default,
-                       metavar=flag[2:].replace("-", "_").upper())
+        p.add_argument(flag, dest=field, default=getattr(defaults, field), metavar=flag[2:].replace("-", "_").upper())
     p.add_argument("--out-gt", required=True)
     p.add_argument("--out-pred", required=True)
     p.set_defaults(func=cmd_synth)

@@ -163,6 +163,23 @@ def _real_column(values, what: str) -> np.ndarray:
     return column.astype(float, copy=False)
 
 
+def _all_of(values, *kinds: type) -> bool:
+    """Whether every value is an instance of one of ``kinds`` and not a bool (a bool is never a number).
+
+    Values of exactly those types pass without a per-value check.
+    """
+    return set(map(type, values)) <= set(kinds) or all(isinstance(v, kinds) and not isinstance(v, bool) for v in values)
+
+
+def _caption_column(captions, what: str) -> tuple[str | None, ...]:
+    """``captions`` as a tuple; a ValidationError unless each is a str or None."""
+    captions = tuple(captions)
+    if not _all_of(captions, str, type(None)):
+        bad = next(c for c in captions if not isinstance(c, (str, type(None))))
+        raise ValidationError(f"{what} must be str or None, got {type(bad).__name__}")
+    return captions
+
+
 def first_broken_rule(video_id: str, num_frames: int, track_ids: np.ndarray, offsets: np.ndarray,
                       frames: np.ndarray, corners: np.ndarray, scores: np.ndarray):
     """The one home of each dataset rule: the first rule, in document order, that ``VideoTable``'s columns break.
@@ -208,11 +225,13 @@ class VideoTable:
 
     Per track: ``track_ids`` and ``track_captions``. Per row: ``frames``,
     ``(n, 4)`` ``corners``, ``scores`` and, when any box has one,
-    ``box_captions``. Rows run track by track, each track's in increasing
+    ``box_captions``: box captions that are all None are stored as None.
+    Rows run track by track, each track's in increasing
     frame order; track ``t`` owns rows ``offsets[t]:offsets[t + 1]``.
     Captions are raw strings. Construction checks the columns' values by the
     integer and real-number rules and their lengths, then raises the message of
-    ``first_broken_rule``. ``from_record`` is where a record
+    ``first_broken_rule``, then checks that the video id is a str and each
+    caption a str or None. ``from_record`` is where a record
     meets these checks; ``trajectories`` is the record view, built on first use.
 
     ``frame_order`` is the one definition of observation order, the order
@@ -255,12 +274,16 @@ class VideoTable:
         broken = first_broken_rule(self.video_id, int(num_frames), track_ids, offsets, frames, corners, scores)
         if broken is not None:
             raise ValidationError(broken[0])
+        if not isinstance(self.video_id, str):
+            raise ValidationError(f"video_id must be a str, got {type(self.video_id).__name__}")
+        track_captions = _caption_column(self.track_captions, f"{where}: track captions")
+        box_captions = _caption_column(() if self.box_captions is None else self.box_captions, f"{where}: box captions")
+        box_captions = None if box_captions.count(None) == len(box_captions) else box_captions
         for name, value in (("num_frames", int(num_frames)), ("track_ids", track_ids),
-                            ("track_captions", tuple(self.track_captions)), ("offsets", offsets),
-                            ("frames", frames), ("corners", corners.astype(float, copy=False)), ("scores", scores)):
+                            ("track_captions", track_captions), ("offsets", offsets), ("frames", frames),
+                            ("corners", corners.astype(float, copy=False)), ("scores", scores),
+                            ("box_captions", box_captions)):
             object.__setattr__(self, name, value)
-        if self.box_captions is not None:
-            object.__setattr__(self, "box_captions", tuple(self.box_captions))
 
     @classmethod
     def from_record(cls, record: VideoRecord) -> "VideoTable":
@@ -270,7 +293,6 @@ class VideoTable:
         if stray:
             raise ValidationError("detection track_id {} disagrees with trajectory {}".format(*stray[0]))
         dets = [d for t in tracks for d in t.detections]
-        captions = [None if d.caption is None else d.caption.raw for d in dets]
         return cls(
             video_id=record.video_id,
             num_frames=record.num_frames,
@@ -280,7 +302,7 @@ class VideoTable:
             frames=[d.frame for d in dets],
             corners=[d.box.as_tuple() for d in dets],
             scores=[d.score for d in dets],
-            box_captions=None if all(c is None for c in captions) else tuple(captions),
+            box_captions=[None if d.caption is None else d.caption.raw for d in dets],
         )
 
     @classmethod

@@ -29,8 +29,8 @@ from typing import Any, Sequence
 import numpy as np
 
 from .assoc import AssocMatrix
-from .core import (ValidationError, VideoRecord, VideoTable, _int_column, _real_column, check_corners, check_nll,
-                   first_broken_rule)
+from .core import (ValidationError, VideoRecord, VideoTable, _all_of, _int_column, _real_column, check_corners,
+                   check_nll, check_score, first_broken_rule)
 
 
 class FormatError(ValueError):
@@ -72,21 +72,33 @@ def _require(obj: dict, key: str, kind, where: str):
     return value
 
 
+def _checked(where: str, rule, *args):
+    """``rule(*args)``, with a broken ``core`` rule raised as a FormatError at ``where``."""
+    try:
+        return rule(*args)
+    except ValidationError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+
+
 def _read_text(path: Path) -> str:
     try:
-        return path.read_text()
+        return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc.reason}") from exc
 
 
-def _read_json(path: Path) -> Any:
+def _read_json(path: Path, kind: type = object, expected: str = "") -> Any:
+    """The JSON value of a file; a top-level value that is not a ``kind`` is a FormatError naming ``expected``."""
     text = _read_text(path)
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # an integer literal longer than Python converts
         raise FormatError(f"{path}: {exc}") from exc
+    if not isinstance(data, kind):
+        raise FormatError(f"{path}: top level: expected {expected}")
+    return data
 
 
 def _check_unknown(obj: dict, allowed: set[str], where: str, strict: bool) -> None:
@@ -101,19 +113,8 @@ def _parse_box(raw: Any, where: str) -> tuple[float, float, float, float]:
     if not isinstance(raw, list) or len(raw) != 4:
         raise FormatError(f"{where}: box must be a list [x1, y1, x2, y2]")
     corners = tuple(_float(v, f"{where}.box[{k}]") for k, v in enumerate(raw))
-    try:
-        check_corners([corners])
-    except ValidationError as exc:
-        raise FormatError(f"{where}: {exc}") from exc
+    _checked(where, check_corners, [corners])
     return corners
-
-
-def _all_of(values: list, *kinds: type) -> bool:
-    """Whether every value is an instance of one of ``kinds`` and not a bool (a bool is never a number).
-
-    Values of exactly those types pass without a per-value check.
-    """
-    return set(map(type, values)) <= set(kinds) or all(isinstance(v, kinds) and not isinstance(v, bool) for v in values)
 
 
 def _track_fields(track: Any, where: str, strict: bool) -> tuple[int, str | None, list]:
@@ -129,7 +130,7 @@ def _track_fields(track: Any, where: str, strict: bool) -> tuple[int, str | None
 
 
 def _video_table(video_id: str, num_frames: int, tracks: list, where: str, strict: bool) -> VideoTable:
-    """One video's boxes gathered into columns and checked by column.
+    """One video's boxes gathered into columns and checked by column; ``VideoTable`` checks the captions.
 
     Raises on the first check that fails, which need not be the check of
     the first bad element in document order.
@@ -151,23 +152,18 @@ def _video_table(video_id: str, num_frames: int, tracks: list, where: str, stric
     if not (_all_of(boxes, list) and set(map(len, boxes)) <= {4}):
         raise malformed
     coords = list(chain.from_iterable(boxes))
-    if not (
-        _all_of(frames, int)
-        and _all_of(coords, int, float)
-        and _all_of(scores, int, float)
-        and _all_of(captions, str, type(None))
-    ):
+    if not (_all_of(frames, int) and _all_of(coords, int, float) and _all_of(scores, int, float)):
         raise malformed
     return VideoTable(
         video_id=video_id,
         num_frames=num_frames,
         track_ids=np.array(track_ids, dtype=np.int64),
-        track_captions=tuple(track_captions),
+        track_captions=track_captions,
         offsets=np.cumsum(counts),
         frames=np.array(frames, dtype=np.int64),  # OverflowError beyond 64 bits
         corners=np.array(coords, dtype=float).reshape(-1, 4),  # OverflowError beyond the float range
         scores=np.array(scores, dtype=float),
-        box_captions=None if captions.count(None) == len(captions) else tuple(captions),
+        box_captions=captions,
     )
 
 
@@ -233,9 +229,9 @@ def parse_dataset(data: Any, strict: bool = False) -> list[VideoTable]:
         tracks = _require(video, "tracks", list, where)
         try:
             tables.append(_video_table(video_id, num_frames, tracks, where, strict))
-        except (FormatError, ValidationError, OverflowError) as exc:
+        except (FormatError, ValidationError, OverflowError):
             _first_error(video_id, num_frames, tracks, where, strict)
-            raise FormatError(f"{where}: {exc}") from exc
+            raise  # the walk raises on every input the column checks reject
     return tables
 
 
@@ -271,13 +267,22 @@ def _video_json(table: VideoTable) -> str:
     return f'{{{head},"tracks":[{",".join(tracks)}]}}'
 
 
+def _as_table(video: VideoTable | VideoRecord, i: int) -> VideoTable:
+    if isinstance(video, VideoTable):
+        return video
+    if isinstance(video, VideoRecord):
+        return VideoTable.from_record(video)
+    raise ValidationError(f"videos[{i}]: expected a VideoTable or a VideoRecord, got {type(video).__name__}")
+
+
 def save_dataset(videos: Sequence[VideoTable | VideoRecord], path: str | Path) -> None:
     """Write a dataset file in compact JSON; dataset files can hold hundreds of thousands of boxes.
 
     The one place a record is converted: by ``VideoTable.from_record``, where it meets the dataset
-    rules, before the file is opened. Coordinates and scores are always written as JSON floats.
+    rules, before the file is opened; any other element is a ValidationError there too. Coordinates
+    and scores are always written as JSON floats.
     """
-    tables = [v if isinstance(v, VideoTable) else VideoTable.from_record(v) for v in videos]
+    tables = [_as_table(v, i) for i, v in enumerate(videos)]
     with Path(path).open("w") as f:  # one video's text at a time, not the whole file's
         f.writelines(chain(["["], (("," if i else "") + _video_json(t) for i, t in enumerate(tables)), ["]\n"]))
 
@@ -299,6 +304,13 @@ def _matrix_kind(kind: str) -> str:
     return kind
 
 
+def _finite(values: np.ndarray) -> np.ndarray:
+    """The rule of every matrix file's values, read or written: all finite."""
+    if not np.isfinite(values).all():
+        raise ValidationError("matrix values must all be finite")
+    return values
+
+
 def load_matrix(path: str | Path, kind: str) -> AssocMatrix | FeatureFile:
     """Load an association matrix ("assoc", dim: M) or a feature matrix ("features", dim: [M, D]).
 
@@ -306,9 +318,7 @@ def load_matrix(path: str | Path, kind: str) -> AssocMatrix | FeatureFile:
     """
     _matrix_kind(kind)
     path = Path(path)
-    data = _read_json(path)
-    if not isinstance(data, dict):
-        raise FormatError(f"{path}: top level: expected an object")
+    data = _read_json(path, dict, "an object")
     where = str(path)
     video_id = _require(data, "video_id", str, where)
     frame_of = _require(data, "frame_of", list, where)
@@ -317,12 +327,8 @@ def load_matrix(path: str | Path, kind: str) -> AssocMatrix | FeatureFile:
     values = _require(data, "values", list, where)
     if not _all_of(values, int, float):
         raise FormatError(f"{where}.values: expected a flat list of numbers")
-    try:
-        frame_of, values = _int_column(frame_of, f"{where}: frame_of"), _real_column(values, f"{where}: values")
-    except ValidationError as exc:
-        raise FormatError(str(exc)) from exc
-    if not np.isfinite(values).all():
-        raise FormatError(f"{where}: matrix values must all be finite")
+    frame_of = _checked(where, _int_column, frame_of, "frame_of")
+    values = _checked(where, _finite, _checked(where, _real_column, values, "values"))
     dim = data.get("dim")
     if _is_int(dim):
         held, (m, d) = "assoc", (dim, dim)
@@ -338,10 +344,7 @@ def load_matrix(path: str | Path, kind: str) -> AssocMatrix | FeatureFile:
         raise FormatError(f"{where}: frame_of length {len(frame_of)} != {m} rows")
     if kind == "features":
         return FeatureFile(video_id=video_id, frame_of=frame_of, values=values.reshape(m, d))
-    try:
-        return AssocMatrix(values=values.reshape(m, m), frame_of=frame_of)
-    except ValidationError as exc:
-        raise FormatError(f"{where}: {exc}") from exc
+    return _checked(where, AssocMatrix, values.reshape(m, m), frame_of)
 
 
 def save_matrix(
@@ -351,7 +354,11 @@ def save_matrix(
     path: str | Path,
     kind: str,
 ) -> None:
-    """Write an association ("assoc") or feature ("features") matrix file: one ``frame_of`` entry per row."""
+    """Write an association ("assoc") or feature ("features") matrix file: one ``frame_of`` entry per row.
+
+    The matrix meets ``load_matrix``'s checks before the file is opened, so every file written reads
+    back: a str video id, finite values, and association scores as ``AssocMatrix`` holds them.
+    """
     _matrix_kind(kind)
     values, frame_of = _real_column(values, "matrix values"), _int_column(frame_of, "frame_of")
     rows = values.ndim == 2 and frame_of.shape == values.shape[:1]
@@ -359,6 +366,11 @@ def save_matrix(
         raise ValidationError("association matrices must be square with matching frame_of")
     if not rows:
         raise ValidationError(f"feature matrices must be 2-D with one frame_of entry per row, got {values.shape}")
+    if not isinstance(video_id, str):
+        raise ValidationError(f"video_id must be a str, got {type(video_id).__name__}")
+    _finite(values)
+    if kind == "assoc":
+        AssocMatrix(values=values, frame_of=frame_of)
     obj = {
         "video_id": video_id,
         "frame_of": frame_of.tolist(),
@@ -375,9 +387,7 @@ def _load_records(path: str | Path, label: str, noun: str, repeat: str, read) ->
     record (a location of ``""``); the ``{path}: {label}[i]`` prefix is added on the error path only.
     """
     path = Path(path)
-    data = _read_json(path)
-    if not isinstance(data, list):
-        raise FormatError(f"{path}: top level: expected a list of {noun} records")
+    data = _read_json(path, list, f"a list of {noun} records")
     out = {}
     for i, rec in enumerate(data):
         try:
@@ -396,8 +406,7 @@ def _score_record(rec: dict) -> tuple[tuple[str, int, int], float]:
     key = (_require(rec, "video_id", str, ""), _require(rec, "pred_observation_index", int, ""),
            _require(rec, "gt_track_id", int, ""))
     score = _require(rec, "score", float, "")
-    if not (0.0 <= score <= 1.0):
-        raise FormatError(f": score must be in [0, 1], got {score}")
+    _checked("", check_score, score)
     return key, score
 
 
@@ -410,26 +419,21 @@ def _likelihood_record(rec: dict) -> tuple[tuple, float]:
     video_id = _require(rec, "video_id", str, "")
     query_id = _require(rec, "query_id", str, "")
     nll = _require(rec, "nll", float, "")
-    try:
-        check_nll(nll)
-    except ValidationError as exc:
-        raise FormatError(f": {exc}") from exc
+    _checked("", check_nll, nll)
     if "track_id" in rec:
         return (video_id, _require(rec, "track_id", int, ""), query_id), nll
     return (video_id, _require(rec, "frame", int, ""), _require(rec, "observation_index", int, ""), query_id), nll
 
 
-def load_likelihoods(
-    path: str | Path,
-) -> tuple[dict[tuple[str, int, int, str], float], dict[tuple[str, int, str], float]]:
-    """Likelihood table records, split into per-frame and per-track entries (the order of ``ground.MODES``).
+def load_likelihoods(path: str | Path) -> dict[tuple, float]:
+    """The likelihood table: each record's nll under its key.
 
-    Per-frame records carry (video_id, frame, observation_index, query_id,
-    nll); per-track records carry (video_id, track_id, query_id, nll). The
-    two keys differ in length, so one table holds both until the split.
+    A per-frame record carries (video_id, frame, observation_index, query_id,
+    nll), keyed by the first four; a per-track record carries (video_id,
+    track_id, query_id, nll), keyed by the first three. ``ground`` reads the
+    keys of its mode.
     """
-    records = _load_records(path, "record", "likelihood", "likelihood record", _likelihood_record)
-    return {k: v for k, v in records.items() if len(k) == 4}, {k: v for k, v in records.items() if len(k) == 3}
+    return _load_records(path, "record", "likelihood", "likelihood record", _likelihood_record)
 
 
 def _query_record(rec: dict) -> tuple[tuple[str, str], dict]:
@@ -470,16 +474,10 @@ def load_queries(path: str | Path) -> list[dict]:
 def load_ids(path: str | Path) -> np.ndarray:
     """Identity vector from an ``{"ids": [int, ...]}`` file, as track-assign writes it."""
     path = Path(path)
-    data = _read_json(path)
-    if not isinstance(data, dict):
-        raise FormatError(f"{path}: top level: expected an object")
-    ids = _require(data, "ids", list, str(path))
+    ids = _require(_read_json(path, dict, "an object"), "ids", list, str(path))
     if not _all_of(ids, int):
         raise FormatError(f"{path}.ids: expected a list of integers")
-    try:
-        return _int_column(ids, f"{path}: ids")
-    except ValidationError as exc:
-        raise FormatError(str(exc)) from exc
+    return _checked(str(path), _int_column, ids, "ids")
 
 
 def load_flat_records(path: str | Path, video_id: str, num_frames: int | None = None,
@@ -522,10 +520,7 @@ def load_flat_records(path: str | Path, video_id: str, num_frames: int | None = 
     if error is not None:
         raise error
     num_frames = int(frames.max(initial=0)) + 1 if num_frames is None else num_frames
-    try:
-        return VideoTable.from_rows(video_id, num_frames, track_ids, frames, corners, scores)
-    except ValidationError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    return _checked(str(path), VideoTable.from_rows, video_id, num_frames, track_ids, frames, corners, scores)
 
 
 def write_json(obj: Any, path: str | Path) -> None:

@@ -21,7 +21,7 @@ from .metrics import grounding_ious
 Corners = Sequence[float]  # one box as its corner row (x1, y1, x2, y2)
 
 # The likelihood key modes: per frame candidate (video_id, frame, index, query_id), or per track
-# (video_id, track_id, query_id). ``formats.load_likelihoods`` returns their tables in this order.
+# (video_id, track_id, query_id).
 MODES = ("per-frame", "per-track")
 
 

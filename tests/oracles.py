@@ -1211,7 +1211,10 @@ def ground_oracle(pred_path, queries_path, likelihoods_path, mode: str) -> tuple
 
     by_id = {t.video_id: t for t in formats.load_dataset(pred_path)}
     queries = formats.load_queries(queries_path)
-    per_frame, per_track = formats.load_likelihoods(likelihoods_path)
+    nlls = formats.load_likelihoods(likelihoods_path)
+    # One table holds both key shapes: four fields per frame candidate, three per track.
+    per_frame = {key: nll for key, nll in nlls.items() if len(key) == 4}
+    per_track = {key: nll for key, nll in nlls.items() if len(key) == 3}
     scorers = {}
     results, ious = [], []
     for query in queries:

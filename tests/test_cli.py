@@ -15,7 +15,7 @@ from densevoc.core import Box, Caption, Detection, Trajectory, VideoRecord
 from densevoc.formats import load_dataset, save_dataset, save_matrix
 from densevoc.synth import SynthConfig, generate
 
-from densevoc import aggregate, assoc, formats, ground, losses
+from densevoc import aggregate, assoc, formats, ground, losses, metrics
 
 from conftest import OVER_BUDGET_PAIR, make_track, make_video
 from oracles import ground_oracle, track_iou_oracle
@@ -581,21 +581,24 @@ def test_summary_keys_name_the_threshold_read(tmp_path, capsys) -> None:
 
 
 def test_jobs_env_default(monkeypatch, capsys) -> None:
+    # --jobs is parsed by the command, like every numeric flag; the evaluation sees the number.
     monkeypatch.setenv("DENSEVOC_JOBS", "3")
-    from densevoc.cli import build_parser
+    assert build_parser().parse_args(["eval-chota", "a.json", "b.json"]).jobs == "3"
+    seen, chota = [], metrics.chota
 
-    args = build_parser().parse_args(
-        ["eval-chota", "a.json", "b.json"]
-    )
-    assert args.jobs == 3
+    def recorded(*args, jobs, **kwargs):
+        seen.append(jobs)
+        return chota(*args, jobs=1, **kwargs)
+
+    monkeypatch.setattr(metrics, "chota", recorded)
+    assert main(["eval-chota", _SYNTH_GT, _SYNTH_GT]) == 0
+    assert seen == [3]
 
 
 def test_jobs_env_value_that_is_not_a_count_exits_2(monkeypatch, capsys) -> None:
     monkeypatch.setenv("DENSEVOC_JOBS", "abc")
-    with pytest.raises(SystemExit) as exit_info:
-        main(["eval-chota", _SYNTH_GT, _SYNTH_GT])
-    assert exit_info.value.code == 2
-    assert "--jobs: invalid int value: 'abc'" in capsys.readouterr().err
+    assert main(["eval-chota", _SYNTH_GT, _SYNTH_GT]) == 2
+    assert capsys.readouterr().err == "error: --jobs: expected an integer, got 'abc'\n"
     monkeypatch.setenv("DENSEVOC_JOBS", "-4")
     assert main(["eval-chota", _SYNTH_GT, _SYNTH_GT]) == 2
     assert capsys.readouterr().err == "error: --jobs: -4 is outside [1, inf]\n"
@@ -882,6 +885,17 @@ BAD_INPUTS = {
         {"video_id": "v0", "query_id": "q1", "text": "x", "span": [0, 1],
          "boxes": [{"frame": 0, "box": [0, 0, 10, 10]}]},
     ]),
+    "track-assign-theta-not-a-number": lambda tmp: ["track-assign", _assoc_file(tmp), "--theta", "abc"],
+    "aggregate-hard-theta-not-a-number": lambda tmp: _aggregate_given(tmp, "hard", "--matrix") + ["--theta", "x"],
+    "aggregate-hard-m-not-an-integer": lambda tmp: _aggregate_given(tmp, "hard", "--matrix") + ["--m", "x"],
+    "aggregate-hard-ids-m-fraction": lambda tmp: _aggregate_given(tmp, "hard", "--ids") + ["--m", "1.5"],
+    "jobs-not-an-integer": lambda tmp: ["eval-chota", _SYNTH_GT, _SYNTH_GT, "--jobs", "2.5"],
+    # Each synth flag given a value that is not a number of its type: the count flags take integers.
+    **{f"synth-{flag[2:]}-not-a-number": (lambda tmp, flag=flag, value=value: [
+        "synth", flag, value, "--out-gt", str(tmp / "gt.json"), "--out-pred", str(tmp / "pred.json")
+    ]) for flag, value in (("--seed", "x"), ("--num-videos", "1.5"), ("--frames", "ten"), ("--objects", "2e1"),
+                           ("--box-jitter", "x"), ("--drop-rate", "5%"), ("--fp-rate", ""),
+                           ("--id-switch-rate", "0,1"), ("--caption-corruption-rate", "half"))},
 }
 
 
@@ -896,7 +910,8 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, case) -> None:
 @pytest.mark.parametrize("case", [
     "track-assign-theta-above-one", "track-assign-theta-zero", "track-assign-theta-nan", "aggregate-hard-theta-one",
     "aggregate-hard-m-zero", "aggregate-hard-ids-m-zero", "aggregate-soft-without-matrix",
-    "aggregate-hard-without-ids-or-matrix",
+    "aggregate-hard-without-ids-or-matrix", "track-assign-theta-not-a-number", "aggregate-hard-theta-not-a-number",
+    "aggregate-hard-m-not-an-integer", "aggregate-hard-ids-m-fraction",
 ])
 def test_identity_settings_fail_before_any_matrix_is_read(tmp_path, capsys, monkeypatch, case) -> None:
     argv = BAD_INPUTS[case](tmp_path)
@@ -904,6 +919,45 @@ def test_identity_settings_fail_before_any_matrix_is_read(tmp_path, capsys, monk
         monkeypatch.setattr(formats, name, lambda *args, **kwargs: pytest.fail("a matrix or id file was read"))
     assert main(argv) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("case, message", [
+    ("track-assign-theta-not-a-number", "--theta: expected a finite number, got 'abc'"),
+    ("aggregate-hard-theta-not-a-number", "--theta: expected a finite number, got 'x'"),
+    ("aggregate-hard-m-not-an-integer", "--m: expected an integer, got 'x'"),
+    ("aggregate-hard-ids-m-fraction", "--m: expected an integer, got '1.5'"),
+    ("jobs-not-an-integer", "--jobs: expected an integer, got '2.5'"),
+    ("synth-seed-not-a-number", "--seed: expected an integer, got 'x'"),
+    ("synth-objects-not-a-number", "--objects: expected an integer, got '2e1'"),
+    ("synth-fp-rate-not-a-number", "--fp-rate: expected a finite number, got ''"),
+    ("synth-drop-rate-not-a-number", "--drop-rate: expected a finite number, got '5%'"),
+    # A value that parses as a number meets its rule, with the rule's message.
+    ("track-assign-theta-nan", "theta must be in (0, 1), got nan"),
+    ("aggregate-hard-theta-one", "theta must be in (0, 1), got 1.0"),
+    ("aggregate-hard-m-zero", "m must be >= 1, got 0"),
+    ("jobs-below-one", "--jobs: -3 is outside [1, inf]"),
+    ("synth-infinite-jitter", "box_jitter_sigma must be finite and >= 0, got inf"),
+    ("synth-negative-seed", "seed must be >= 0, got -1"),
+])
+def test_number_flags_fail_with_one_error_line(tmp_path, capsys, case, message) -> None:
+    assert main(BAD_INPUTS[case](tmp_path)) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_input_files_are_read_as_utf8_in_any_locale(tmp_path, capsys) -> None:
+    # Under the C locale, without locale coercion or UTF-8 mode, Python's default text codec is ASCII.
+    gt = tmp_path / "gt.json"
+    video = {"video_id": "v0", "num_frames": 1,
+             "tracks": [{"track_id": 1, "caption": "un caf\u00e9", "boxes": [{"frame": 0, "box": [0, 0, 10, 10]}]}]}
+    gt.write_bytes(json.dumps([video], ensure_ascii=False).encode("utf-8"))
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"), LC_ALL="C", PYTHONCOERCECLOCALE="0",
+               PYTHONUTF8="0")
+    argv = ["eval-chota", str(gt), str(gt)]
+    result = subprocess.run([sys.executable, "-m", "densevoc.cli", *argv], cwd=tmp_path, env=env,
+                            capture_output=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert main(argv) == 0
+    assert result.stdout.decode("ascii") == capsys.readouterr().out
 
 
 def test_identity_defaults_are_read_from_the_library(tmp_path, monkeypatch) -> None:

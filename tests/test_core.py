@@ -302,6 +302,31 @@ def test_video_table_checks_columns(edit, message) -> None:
         _table(**edit)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (dict(video_id=3), "video_id must be a str, got int"),
+        (dict(track_captions=("a dog", 7)), "video 'v': track captions must be str or None, got int"),
+        (dict(box_captions=(None, b"a big dog", None)), "video 'v': box captions must be str or None, got bytes"),
+        (dict(box_captions=[None, ["a", "dog"], None]), "video 'v': box captions must be str or None, got list"),
+    ],
+)
+def test_video_table_ids_and_captions_are_strings(edit, message) -> None:
+    with pytest.raises(ValidationError, match=message):
+        _table(**edit)
+
+
+def test_video_table_stores_box_captions_that_are_all_none_as_none() -> None:
+    assert _table(box_captions=(None,) * 3).box_captions is None
+    assert _table(box_captions=[None, None, None]).box_captions is None
+    assert _table(box_captions=[None, "a big dog", None]).box_captions == (None, "a big dog", None)
+    empty = dict(track_ids=[], track_captions=(), offsets=[0], frames=[], corners=np.zeros((0, 4)), scores=[])
+    assert _table(**empty, box_captions=()).box_captions is None
+    rows = VideoTable.from_rows("v", 2, [1, 2], [0, 1], _ROW_CORNERS, [0.5, 0.5], box_captions=[None, None])
+    assert rows.box_captions is None
+    assert VideoTable.from_record(as_records([_table(box_captions=None)])[0]).box_captions is None
+
+
 def test_video_table_frames_restart_at_track_boundary() -> None:
     table = _table(frames=[1, 2, 0], offsets=[0, 2, 3])
     assert table.trajectories[1].frames == (0,)
@@ -310,7 +335,7 @@ def test_video_table_frames_restart_at_track_boundary() -> None:
 def test_only_the_file_boundary_imports_record_classes() -> None:
     """Computing layers take tables, corner rows and token sequences; only core names a record class.
 
-    formats names ``VideoRecord`` alone, for the ``save_dataset`` signature: it reads and builds no record.
+    formats names ``VideoRecord`` alone, for ``save_dataset``, which converts records: it reads and builds none.
     """
     record_classes = {"Box", "Caption", "Detection", "Trajectory", "VideoRecord"}
     named = []

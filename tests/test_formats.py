@@ -246,6 +246,61 @@ def test_save_matrix_checks_the_kind_and_the_shape(tmp_path) -> None:
         load_matrix(path, "dense")
 
 
+@pytest.mark.parametrize("kind, video_id, values, message", [
+    ("features", "v0", [[0.0, float("nan")]], "matrix values must all be finite"),
+    ("features", "v0", [[float("inf"), 0.0]], "matrix values must all be finite"),
+    ("assoc", "v0", [[float("-inf")]], "matrix values must all be finite"),
+    ("assoc", "v0", [[1.0, 1.5], [0.0, 1.0]], r"association scores must lie in \[0, 1\]"),
+    ("assoc", "v0", [[-0.5]], r"association scores must lie in \[0, 1\]"),
+    ("features", 7, [[0.5]], "video_id must be a str, got int"),
+])
+def test_save_matrix_refuses_what_load_matrix_rejects(tmp_path, kind, video_id, values, message) -> None:
+    path = tmp_path / "m.json"
+    values = np.array(values)
+    frame_of = list(range(len(values)))
+    with pytest.raises(ValidationError, match=message):
+        save_matrix(video_id, frame_of, values, path, kind)
+    assert not path.exists()
+    # The file that would have been written does not load.
+    dim = len(values) if kind == "assoc" else list(values.shape)
+    path.write_text(json.dumps({"video_id": video_id, "frame_of": frame_of, "dim": dim,
+                                "values": values.reshape(-1).tolist()}))
+    with pytest.raises(FormatError):
+        load_matrix(path, kind)
+
+
+def test_every_saved_matrix_reloads_equal(tmp_path) -> None:
+    rng = np.random.default_rng(17)
+    path = tmp_path / "m.json"
+    for trial in range(200):
+        m, d = int(rng.integers(0, 6)), int(rng.integers(0, 4))
+        frame_of = rng.integers(-(2**63), 2**63 - 1, m, dtype=np.int64, endpoint=True)
+        if trial % 2:
+            values = rng.normal(size=(m, d)) * 10.0 ** rng.integers(-300, 300, (m, d))
+            values[rng.random((m, d)) < 0.2] = -0.0
+            save_matrix(f"v{trial}", frame_of, values, path, "features")
+            loaded = load_matrix(path, "features")
+            assert loaded.video_id == f"v{trial}"
+        else:
+            values = np.where(rng.random((m, m)) < 0.3, rng.integers(0, 2, (m, m)), rng.random((m, m)))
+            save_matrix(f"v{trial}", frame_of, values, path, "assoc")
+            loaded = load_matrix(path, "assoc")
+        assert loaded.values.shape == values.shape and (loaded.values == values).all(), trial
+        assert np.signbit(loaded.values).tolist() == np.signbit(values).tolist()
+        assert loaded.frame_of.tolist() == frame_of.tolist()
+
+
+def test_save_dataset_takes_tables_and_records_only(tmp_path) -> None:
+    path = tmp_path / "d.json"
+    table = parse_dataset(GOOD)[0]
+    for videos, i, got in (("abc", 0, "str"), ([None], 0, "NoneType"), ([{"video_id": "v0"}], 0, "dict"),
+                           ([table, 3], 1, "int")):
+        message = rf"videos\[{i}\]: expected a VideoTable or a VideoRecord, got {got}$"
+        with pytest.raises(ValidationError, match=message):
+            save_dataset(videos, path)
+        assert not path.exists()
+
+
 @pytest.mark.parametrize("field, value", [("frame_of", [0, 2**63]), ("frame_of", [0, -(2**63) - 1]),
                                           ("values", [1, 0, 0, 2**64])])
 def test_matrix_integers_beyond_64_bits_are_format_errors(tmp_path, field, value) -> None:
@@ -283,9 +338,8 @@ def test_likelihood_table_both_record_shapes(tmp_path) -> None:
             ]
         )
     )
-    per_frame, per_track = load_likelihoods(path)
-    assert per_frame[("v0", 1, 0, "q1")] == pytest.approx(0.5)
-    assert per_track[("v0", 4, "q1")] == pytest.approx(1.25)
+    # One table holds both key shapes.
+    assert load_likelihoods(path) == {("v0", 1, 0, "q1"): 0.5, ("v0", 4, "q1"): 1.25}
     path.write_text(json.dumps([{"video_id": "v0", "track_id": 4, "query_id": "q", "nll": -1}]))
     with pytest.raises(FormatError, match="nll"):
         load_likelihoods(path)

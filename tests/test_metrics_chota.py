@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -725,3 +726,15 @@ def test_evaluators_reject_a_record_with_a_pointer_to_from_record() -> None:
                  lambda: ap_m([record], gts), lambda: ap_m(preds, [record])):
         with pytest.raises(ValidationError, match=r"take VideoTables, got VideoRecord; use VideoTable\.from_record"):
             call()
+
+
+def test_box_captions_all_none_give_the_reports_of_no_box_captions() -> None:
+    # A table given one None box caption per row holds no box captions, so CHOTA takes the same
+    # (track-caption) path and AP_M reads the same captions, bit for bit. The shape is perfbench's track-long.
+    shape = dict(frames_per_video=200, objects_per_video=8, box_jitter_sigma=2.0, drop_rate=0.05,
+                 false_positive_rate=0.05, id_switch_rate=0.02, caption_corruption_rate=0.2)
+    gts, preds = generate(SynthConfig(seed=0, num_videos=6, **shape))
+    assert all(p.box_captions is None for p in preds)
+    all_none = [replace(p, box_captions=(None,) * len(p.frames)) for p in preds]
+    for evaluate in (metrics.chota, metrics.ap_m):
+        assert json.dumps(evaluate(all_none, gts).to_dict()) == json.dumps(evaluate(preds, gts).to_dict())
