@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from densevoc.assoc import IdentityAssignment
-from densevoc.capmetrics import stem
+from densevoc.capmetrics import cider_pair, exact_match, meteor_lite, stem
 from densevoc.core import (
     Box, Caption, Detection, Trajectory, ValidationError, VideoRecord, VideoTable, check_corners, check_nll,
     iou_matrix,
@@ -636,35 +636,48 @@ def sweep_oracle(pred: VideoRecord, gt: VideoRecord, alphas):
     return records, mc, (mc * ass_iou).sum(axis=(1, 2)), prep.global_ass
 
 
-def caption_sums_oracle(pred: VideoRecord, gt: VideoRecord, records, n_alpha: int, scorer):
-    """CapA sums as first written: one matched entry at a time, over the dataclasses.
+def caption_sums_oracle(pred: VideoRecord, gt: VideoRecord, records, n_alpha: int, config, idf):
+    """(CapA sums, tp', missing external keys) as first written: one matched entry at a time, over the dataclasses.
 
     ``records`` are sweep records over the observation rows of ``pred`` and
     ``gt`` in frames below ``gt.num_frames``: frame-major, then trajectory
     order. A prediction's caption is its box caption, else its track
-    caption, else the empty caption.
+    caption, else the empty caption. Each entry is scored by its own calls
+    of the public caption metrics, summed in ``config.metrics`` order, and
+    then its external score is added from a plain dict; a key missing there
+    scores 0 and is returned.
     """
 
     def rows(record):
         obs = [(d.frame, k, d) for k, t in enumerate(record.trajectories) for d in t.detections]
         return sorted((o for o in obs if o[0] < gt.num_frames), key=lambda o: o[:2])
 
+    scorers = {"meteor": meteor_lite, "cider": lambda p, r: cider_pair(p, r, idf), "exact": exact_match}
+    external = dict(config.external_scores or {})
     gt_rows, pred_rows = rows(gt), rows(pred)
-    config = scorer.config
     cap_sum = np.zeros(n_alpha)
     tp_prime = np.zeros(n_alpha)
+    missing = set()
     for a, end, g, p in zip(*(column.tolist() for column in records)):
         gt_track = gt.trajectories[gt_rows[g][1]]
         if gt_track.caption is None:
             continue
         _, k, det = pred_rows[p]
         caption = det.caption if det.caption is not None else pred.trajectories[k].caption
-        total = scorer.intrinsic(caption.tokens if caption is not None else (), gt_track.caption.tokens)
+        tokens = caption.tokens if caption is not None else ()
+        total = 0.0
+        for name in config.metrics:
+            if name != "external":
+                total += scorers[name](tokens, gt_track.caption.tokens)
         if "external" in config.metrics:
-            total += scorer.external(gt.video_id, p, gt_track.track_id)
-        cap_sum[a : end + 1] += total / config.divisor
+            key = (gt.video_id, p, gt_track.track_id)
+            if key in external:
+                total += float(external[key])
+            else:
+                missing.add(key)
+        cap_sum[a : end + 1] += total / len(config.metrics)
         tp_prime[a : end + 1] += 1.0
-    return cap_sum, tp_prime
+    return cap_sum, tp_prime, missing
 
 
 # The synthetic generator and the dataset writer as first written: one

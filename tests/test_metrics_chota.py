@@ -587,13 +587,13 @@ def test_caption_sums_equal_per_match_oracle() -> None:
         for alphas in (DEFAULT_ALPHAS, (0.5,)):
             records = _sweep(prep, alphas)[0]
             for config in _configs(external):
-                scorer, oracle_scorer = _PairScorer(config, idf), _PairScorer(config, idf)
+                scorer = _PairScorer(config, idf)
                 cap_sum = _caption_sums(records, len(alphas), prep, scorer)
-                expected = caption_sums_oracle(pred, gt, records, len(alphas), oracle_scorer)
+                expected = caption_sums_oracle(pred, gt, records, len(alphas), config, idf)
                 tp_prime = _evaluate_video(*tables, alphas, config, idf)[1][5]
                 assert np.array_equal(cap_sum, expected[0]), (pred.video_id, config)
                 assert np.array_equal(tp_prime, expected[1]), (pred.video_id, config)
-                assert scorer.missing_external == oracle_scorer.missing_external
+                assert scorer.missing_external == expected[2]
 
 
 _EDIT_WORDS = ("slowly", "again", "big", "old", "dark", "left", "still", "wet", "walks", "dogs")
@@ -677,7 +677,7 @@ def test_caption_sums_on_tail_runs_equal_per_band_oracle(rng, alphas) -> None:
         prep = _VideoPrep(*tables)
         cap_sum = _caption_sums(_sweep(prep, alphas)[0], len(alphas), prep, _PairScorer(config, idf))
         bands = _oracle_columns(sweep_oracle(pred, gt, alphas)[0])
-        expected = caption_sums_oracle(pred, gt, bands, len(alphas), _PairScorer(config, idf))
+        expected = caption_sums_oracle(pred, gt, bands, len(alphas), config, idf)
         assert np.array_equal(cap_sum, expected[0]), trial
         assert np.array_equal(_evaluate_video(*tables, alphas, config, idf)[1][5], expected[1]), trial
         captioned_matches += expected[1].sum()
