@@ -104,7 +104,10 @@ def _scorer_config(args) -> metrics.ScorerConfig:
 def cmd_eval_chota(args) -> int:
     gates = _parse_gates(args.gate, _CHOTA_GATES)
     alphas = metrics.validate_alphas(_number(a, "--alphas") for a in args.alphas.split(","))
-    jobs = _integer(args.jobs, "--jobs", 1, math.inf)
+    if args.jobs is None:
+        jobs = _integer(os.environ.get("DENSEVOC_JOBS", "1"), "DENSEVOC_JOBS", 1, math.inf)
+    else:
+        jobs = _integer(args.jobs, "--jobs", 1, math.inf)
     config = _scorer_config(args)
     config.capa_index(alphas)  # a capa_alpha off the grid fails here, before any dataset is read
     gts = formats.load_dataset(args.gt, strict=args.strict)
@@ -347,8 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of meteor,cider,exact,external")
     p.add_argument("--capa-alpha", default="integrate", help="'integrate' or 'single:<alpha>'")
     p.add_argument("--external-scores", default=None, help="sidecar score file")
-    p.add_argument("--jobs", default=os.environ.get("DENSEVOC_JOBS", "1"),
-                   help="worker processes (default: DENSEVOC_JOBS, else 1)")
+    p.add_argument("--jobs", help="worker processes (default: DENSEVOC_JOBS, else 1)")
     p.set_defaults(func=cmd_eval_chota)
 
     p = sub.add_parser("eval-apm", help="frame-level average precision")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+import unicodedata
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
@@ -32,12 +33,12 @@ class Box:
         return (self.x1, self.y1, self.x2, self.y2)
 
 
-_TOKEN_CLEANER = re.compile(r"[^a-z0-9]+")
+_TOKEN_CLEANER = re.compile(r"[\W_]+")
 
 
 def tokenize(text: str) -> tuple[str, ...]:
-    """Lowercase, fold punctuation to spaces, split on whitespace."""
-    return tuple(_TOKEN_CLEANER.sub(" ", text.lower()).split())
+    """NFC-normalize, lowercase, and split on runs of characters that are not letters or digits, of any script."""
+    return tuple(_TOKEN_CLEANER.sub(" ", unicodedata.normalize("NFC", text).lower()).split())
 
 
 @dataclass(frozen=True)
@@ -79,9 +80,6 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "detections", tuple(self.detections))
-
-    def __len__(self) -> int:
-        return len(self.detections)
 
     @property
     def frames(self) -> tuple[int, ...]:

@@ -287,65 +287,43 @@ def _sweep(prep: _VideoPrep, alphas: tuple[float, ...]) -> tuple[_Records, np.nd
     return records, mc, (mc * ass_iou).sum(axis=(1, 2))
 
 
-class _PairScorer:
-    """Caption pair scoring with memoization over token sequences.
+def _score_pairs(
+    names: Sequence[str], idf: IdfTable | None, caption_ids: dict[str, int], pred: np.ndarray, gt: np.ndarray,
+    over_budget: list,
+) -> np.ndarray:
+    """The summed ``names`` scores of each (pred, gt) pair of caption ids; each distinct pair is scored once.
 
-    ``over_budget`` collects the scored pairs whose METEOR chunk search ran
-    past its node budget, so their METEOR is a lower bound.
-    ``missing_external`` collects the distinct external-score keys looked up
-    and not found.
+    Sub-metrics are added left to right in ``names`` order; ``external`` is
+    not scored here, and ``idf`` is read only for ``cider``. Only the
+    captions of the scored pairs are tokenized. Pairs whose METEOR chunk
+    search ran past its budget are appended to ``over_budget``.
     """
-
-    def __init__(self, config: ScorerConfig, idf: IdfTable):
-        self.config = config
-        self.idf = idf
-        self.cache: dict[tuple, float] = {}
-        self.missing_external: set[tuple[str, int, int]] = set()
-        self.over_budget: list[tuple] = []
-
-    def intrinsic(self, pred: tuple[str, ...], gt: tuple[str, ...]) -> float:
-        """Sum of the non-external sub-metric scores for one pair of token tuples."""
-        key = (pred, gt)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
+    texts = list(caption_ids)
+    n = len(texts)
+    keys, inverse = np.unique(pred * n + gt, return_inverse=True)
+    pred_ids, gt_ids = (ids.tolist() for ids in np.divmod(keys, n))
+    tokens = {i: tokenize(texts[i]) for i in {*pred_ids, *gt_ids}}
+    values = []
+    for a, b in zip(pred_ids, gt_ids):
+        p, r = tokens[a], tokens[b]
         total = 0.0
-        for name in self.config.metrics:
+        for name in names:
             if name == "meteor":
-                total += meteor_lite(pred, gt, over_budget=self.over_budget)
+                total += meteor_lite(p, r, over_budget=over_budget)
             elif name == "cider":
-                total += cider_pair(pred, gt, self.idf)
+                total += cider_pair(p, r, idf)
             elif name == "exact":
-                total += exact_match(pred, gt)
-        self.cache[key] = total
-        return total
+                total += exact_match(p, r)
+        values.append(total)
+    return np.array(values, dtype=float)[inverse.reshape(-1)]
 
-    def pairs(self, caption_ids: dict[str, int], pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
-        """``intrinsic`` of each (pred, gt) pair of caption ids; each distinct pair is scored once.
 
-        Only the captions of the scored pairs are tokenized.
-        """
-        texts = list(caption_ids)
-        n = len(texts)
-        keys, inverse = np.unique(pred * n + gt, return_inverse=True)
-        pred_ids, gt_ids = (ids.tolist() for ids in np.divmod(keys, n))
-        tokens = {i: tokenize(texts[i]) for i in {*pred_ids, *gt_ids}}
-        values = [self.intrinsic(tokens[a], tokens[b]) for a, b in zip(pred_ids, gt_ids)]
-        return np.array(values, dtype=float)[inverse.reshape(-1)]
-
-    def over_budget_warning(self) -> str:
-        return (
-            f"{len(self.over_budget)} caption pairs ran past the METEOR chunk-search budget;"
-            " their chunk counts are upper bounds and their METEOR lower bounds"
-        )
-
-    def external(self, video_id: str, pred_obs_index: int, gt_track_id: int) -> float:
-        key = (video_id, pred_obs_index, gt_track_id)
-        value = (self.config.external_scores or {}).get(key)
-        if value is None:
-            self.missing_external.add(key)
-            return 0.0
-        return float(value)
+def _over_budget_warning(over_budget: list) -> str:
+    """The warning for the distinct token pairs in ``over_budget``."""
+    return (
+        f"{len(set(over_budget))} caption pairs ran past the METEOR chunk-search budget;"
+        " their chunk counts are upper bounds and their METEOR lower bounds"
+    )
 
 
 def _evaluate_video(
@@ -372,23 +350,24 @@ def _evaluate_video(
     cap_sum = np.zeros(n_alpha)
     warnings: list[str] = []
     if gt_caption_count > 0:
-        scorer = _PairScorer(config, idf)
+        over_budget: list = []
         track_captions_only = "external" not in config.metrics and pred.box_captions is None
-        cap_sum = _caption_sums(records, n_alpha, prep, scorer, cap_mc if track_captions_only else None)
-        if scorer.missing_external:
-            warnings.append(
-                f"{prep.video_id}: {len(scorer.missing_external)} matched pairs had no external score (scored 0)"
-            )
-        if scorer.over_budget:
-            warnings.append(f"{prep.video_id}: {scorer.over_budget_warning()}")
+        cap_sum, missing = _caption_sums(
+            records, n_alpha, prep, config, idf, over_budget, cap_mc if track_captions_only else None
+        )
+        if missing:
+            warnings.append(f"{prep.video_id}: {len(missing)} matched pairs had no external score (scored 0)")
+        if over_budget:
+            warnings.append(f"{prep.video_id}: {_over_budget_warning(over_budget)}")
     sums = np.array([tp, prep.pred_count.sum() - tp, prep.gt_count.sum() - tp, ass_iou_sum, cap_sum, tp_prime])
     return prep.video_id, sums, gt_caption_count, warnings
 
 
 def _caption_sums(
-    records: _Records, n_alpha: int, prep: _VideoPrep, scorer: _PairScorer, cap_mc: np.ndarray | None = None
-) -> np.ndarray:
-    """Caption score sums per threshold.
+    records: _Records, n_alpha: int, prep: _VideoPrep, config: ScorerConfig, idf: IdfTable, over_budget: list,
+    cap_mc: np.ndarray | None = None,
+) -> tuple[np.ndarray, set[tuple[str, int, int]]]:
+    """Caption score sums per threshold, and the distinct external-score keys not found (scored 0).
 
     Scores every matched detection of the sweep records on its own caption,
     falling back to its track caption, plus the external score of its
@@ -398,25 +377,30 @@ def _caption_sums(
     count per threshold. That sum rounds differently from the per-match sum,
     and reports on track-captioned data are pinned to it.
     """
-    config = scorer.config
     first, last, g, p = records
     gt_track = prep.gt.track[g]
     keep = prep.gt_caption[gt_track] >= 0
     first, last, gt_track, p = first[keep], last[keep], gt_track[keep], p[keep]
-    total = scorer.pairs(prep.caption_ids, prep.pred.caption[p], prep.gt_caption[gt_track])
+    total = _score_pairs(
+        config.metrics, idf, prep.caption_ids, prep.pred.caption[p], prep.gt_caption[gt_track], over_budget
+    )
+    missing = set()
     if "external" in config.metrics:
         gt_ids = prep.gt_track_ids[gt_track].tolist()
-        total += [scorer.external(prep.video_id, obs, track_id) for obs, track_id in zip(p.tolist(), gt_ids)]
+        keys = [(prep.video_id, obs, track_id) for obs, track_id in zip(p.tolist(), gt_ids)]
+        scores = config.external_scores
+        missing = {key for key in keys if scores.get(key) is None}
+        total += [0.0 if key in missing else float(scores[key]) for key in keys]
     if cap_mc is not None:
         scores = np.zeros(cap_mc.shape[1:])
         scores[gt_track, prep.pred.track[p]] = total / config.divisor
-        return (cap_mc * scores[None, :, :]).sum(axis=(1, 2))
+        return (cap_mc * scores[None, :, :]).sum(axis=(1, 2)), missing
     alpha = np.arange(n_alpha)
     covered = (alpha >= first[:, None]) & (alpha <= last[:, None])
     # cumsum adds one matched entry at a time, in record order, as a
     # per-entry += over its thresholds would.
     added = np.where(covered, (total / config.divisor)[:, None], 0.0)
-    return np.cumsum(np.vstack([np.zeros(n_alpha), added]), axis=0)[-1]
+    return np.cumsum(np.vstack([np.zeros(n_alpha), added]), axis=0)[-1], missing
 
 
 @dataclass
@@ -728,8 +712,7 @@ def ap_m(
     met_cut = np.asarray(meteor_thresholds)[:, None]
     min_iou = min(iou_thresholds)
     n_frames = 0
-    # One scorer for every video, so its cache spans the collection.
-    scorer = _PairScorer(ScorerConfig(metrics=("meteor",)), IdfTable.build([]))
+    over_budget: list = []
 
     for pred, gt in pairs:
         prep = _VideoPrep(pred, gt)
@@ -752,7 +735,10 @@ def ap_m(
         none = [np.zeros(0, dtype=np.int64)]
         pred_ids = [prep.pred.caption[p_rows[f, i]] for _, p_rows, _, (f, i, _) in groups]
         gt_ids = [gt_caption[g_rows[f, j]] for g_rows, _, _, (f, _, j) in groups]
-        meteor = scorer.pairs(prep.caption_ids, np.concatenate(none + pred_ids), np.concatenate(none + gt_ids))
+        meteor = _score_pairs(
+            ("meteor",), None, prep.caption_ids,
+            np.concatenate(none + pred_ids), np.concatenate(none + gt_ids), over_budget,
+        )
         meteor = np.split(meteor, np.cumsum([len(ids) for ids in pred_ids])[:-1])
         video_ap = []
         for (g_rows, p_rows, iou_mat, (f, i, j)), met in zip(groups, meteor):
@@ -783,8 +769,8 @@ def ap_m(
             # += would; a sum over the frames would regroup the additions.
             cell_sum = np.cumsum(np.vstack([cell_sum, np.concatenate(video_ap)[order]]), axis=0)[-1]
 
-    if scorer.over_budget:
-        warnings.append(scorer.over_budget_warning())
+    if over_budget:
+        warnings.append(_over_budget_warning(over_budget))
     grid = cell_sum.reshape(shape) / n_frames if n_frames else np.full(shape, np.nan)  # NaN: no frame to average
     return ApmReport(
         overall=float(grid.mean()),

@@ -581,9 +581,9 @@ def test_summary_keys_name_the_threshold_read(tmp_path, capsys) -> None:
 
 
 def test_jobs_env_default(monkeypatch, capsys) -> None:
-    # --jobs is parsed by the command, like every numeric flag; the evaluation sees the number.
+    # Without --jobs the command parses DENSEVOC_JOBS, like every numeric flag; the evaluation sees the number.
     monkeypatch.setenv("DENSEVOC_JOBS", "3")
-    assert build_parser().parse_args(["eval-chota", "a.json", "b.json"]).jobs == "3"
+    assert build_parser().parse_args(["eval-chota", "a.json", "b.json"]).jobs is None
     seen, chota = [], metrics.chota
 
     def recorded(*args, jobs, **kwargs):
@@ -598,10 +598,14 @@ def test_jobs_env_default(monkeypatch, capsys) -> None:
 def test_jobs_env_value_that_is_not_a_count_exits_2(monkeypatch, capsys) -> None:
     monkeypatch.setenv("DENSEVOC_JOBS", "abc")
     assert main(["eval-chota", _SYNTH_GT, _SYNTH_GT]) == 2
-    assert capsys.readouterr().err == "error: --jobs: expected an integer, got 'abc'\n"
+    assert capsys.readouterr().err == "error: DENSEVOC_JOBS: expected an integer, got 'abc'\n"
     monkeypatch.setenv("DENSEVOC_JOBS", "-4")
     assert main(["eval-chota", _SYNTH_GT, _SYNTH_GT]) == 2
-    assert capsys.readouterr().err == "error: --jobs: -4 is outside [1, inf]\n"
+    assert capsys.readouterr().err == "error: DENSEVOC_JOBS: -4 is outside [1, inf]\n"
+    # A --jobs flag overrides the variable, and its errors name the flag.
+    assert main(["eval-chota", _SYNTH_GT, _SYNTH_GT, "--jobs", "x"]) == 2
+    assert capsys.readouterr().err == "error: --jobs: expected an integer, got 'x'\n"
+    assert main(["eval-chota", _SYNTH_GT, _SYNTH_GT, "--jobs", "1"]) == 0
 
 
 def test_aggregate_hard_defaults_to_m_6_and_theta_0_5(tmp_path, capsys) -> None:
@@ -958,6 +962,17 @@ def test_input_files_are_read_as_utf8_in_any_locale(tmp_path, capsys) -> None:
     assert (result.returncode, result.stderr) == (0, b"")
     assert main(argv) == 0
     assert result.stdout.decode("ascii") == capsys.readouterr().out
+
+
+def test_non_ascii_letters_are_part_of_the_caption(tmp_path, capsys) -> None:
+    paths = []
+    for name, caption in (("gt", "un café"), ("pred", "un caf")):
+        video = {"video_id": "v0", "num_frames": 1,
+                 "tracks": [{"track_id": 1, "caption": caption, "boxes": [{"frame": 0, "box": [0, 0, 10, 10]}]}]}
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps([video], ensure_ascii=False), encoding="utf-8")
+    assert main(["eval-chota", *map(str, paths), "--cap-metrics", "exact"]) == 0
+    assert "cap_a=0.0" in capsys.readouterr().out.splitlines()
 
 
 def test_identity_defaults_are_read_from_the_library(tmp_path, monkeypatch) -> None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +246,22 @@ def test_tokenize_idempotent() -> None:
     for text in ("A red CAR!", "dog, dog; dog", "  spaces   everywhere ", "x1 -- y2"):
         tokens = tokenize(text)
         assert tokenize(" ".join(tokens)) == tokens
+
+
+def test_tokenize_keeps_letters_of_every_script() -> None:
+    assert tokenize("un café") == ("un", "café")
+    assert tokenize("Naïve ÜBER!") == ("naïve", "über")
+    assert tokenize("straße") == ("straße",)
+    assert tokenize("一只狗在跑") == ("一只狗在跑",)
+    # Composed and decomposed spellings of the same text give the same tokens.
+    assert tokenize("caf\u00e9") == tokenize("cafe\u0301") == ("caf\u00e9",)
+
+
+def test_tokenize_on_ascii_is_the_ascii_rule() -> None:
+    rng = np.random.default_rng(0)
+    for codes in rng.integers(0, 128, size=(2000, 24)).tolist():
+        text = "".join(map(chr, codes))
+        assert tokenize(text) == tuple(re.sub(r"[^a-z0-9]+", " ", text.lower()).split()), text
 
 
 def test_caption_tokens_must_match_raw() -> None:

@@ -8,7 +8,7 @@ import pytest
 
 from densevoc import metrics
 from densevoc.capmetrics import IdfTable, _forced_alignment, meteor_lite
-from densevoc.core import ValidationError, VideoTable
+from densevoc.core import ValidationError, VideoTable, tokenize
 from densevoc.formats import load_dataset, save_dataset
 from densevoc.metrics import (
     DEFAULT_ALPHAS,
@@ -16,7 +16,6 @@ from densevoc.metrics import (
     _caption_sums,
     _evaluate_video,
     _idf_documents,
-    _PairScorer,
     _sweep,
     _VideoPrep,
     ap_m,
@@ -587,13 +586,12 @@ def test_caption_sums_equal_per_match_oracle() -> None:
         for alphas in (DEFAULT_ALPHAS, (0.5,)):
             records = _sweep(prep, alphas)[0]
             for config in _configs(external):
-                scorer = _PairScorer(config, idf)
-                cap_sum = _caption_sums(records, len(alphas), prep, scorer)
+                cap_sum, missing = _caption_sums(records, len(alphas), prep, config, idf, [])
                 expected = caption_sums_oracle(pred, gt, records, len(alphas), config, idf)
                 tp_prime = _evaluate_video(*tables, alphas, config, idf)[1][5]
                 assert np.array_equal(cap_sum, expected[0]), (pred.video_id, config)
                 assert np.array_equal(tp_prime, expected[1]), (pred.video_id, config)
-                assert scorer.missing_external == expected[2]
+                assert missing == expected[2]
 
 
 _EDIT_WORDS = ("slowly", "again", "big", "old", "dark", "left", "still", "wet", "walks", "dogs")
@@ -640,6 +638,45 @@ def test_box_caption_reports_equal_caption_oracles(monkeypatch, seed) -> None:
     assert (chota(preds, gts, config=config).to_dict(), ap_m(preds, gts).to_dict()) == expected
 
 
+def test_caption_scorers_are_called_through_the_metrics_module(monkeypatch) -> None:
+    # Tracing wraps metrics.meteor_lite and metrics.cider_pair; a scorer bound
+    # at import time would hide the caption layer from it.
+    gts, preds = generate(
+        SynthConfig(
+            seed=3, num_videos=2, frames_per_video=30, objects_per_video=4, box_jitter_sigma=2.0,
+            drop_rate=0.05, false_positive_rate=0.05, id_switch_rate=0.02, caption_corruption_rate=0.2,
+        )
+    )
+    preds = _box_captioned(preds, np.random.default_rng(3))
+    calls: dict[str, list] = {"meteor_lite": [], "cider_pair": []}
+
+    def counting(scorer, scored):
+        def counted(p, r, *args, **kwargs):
+            scored.append((p, r))
+            return scorer(p, r, *args, **kwargs)
+
+        return counted
+
+    for name, scored in calls.items():
+        monkeypatch.setattr(metrics, name, counting(getattr(metrics, name), scored))
+    chota(preds, gts)
+    # Each distinct (pred caption, gt caption) pair matched at some threshold, per video.
+    expected = []
+    for pred, gt in zip(preds, gts):
+        prep = _VideoPrep(pred, gt)
+        _, _, g, p = _sweep(prep, DEFAULT_ALPHAS)[0]
+        pairs = zip(prep.pred.caption[p].tolist(), prep.gt_caption[prep.gt.track[g]].tolist())
+        ids = {(a, b) for a, b in pairs if b >= 0}
+        texts = list(prep.caption_ids)
+        expected += [(tokenize(texts[a]), tokenize(texts[b])) for a, b in ids]
+    assert len(expected) > 20
+    assert sorted(calls["meteor_lite"]) == sorted(calls["cider_pair"]) == sorted(expected)
+    calls["meteor_lite"].clear()
+    calls["cider_pair"].clear()
+    ap_m(preds, gts)
+    assert calls["meteor_lite"] and not calls["cider_pair"]
+
+
 _TIE_CAPTIONS = ("a red car", "a dog runs", "the old man walks slowly", "two birds fly", "")
 
 
@@ -675,7 +712,7 @@ def test_caption_sums_on_tail_runs_equal_per_band_oracle(rng, alphas) -> None:
         idf = IdfTable.build(_idf_documents([gt]))
         tables = pred, gt
         prep = _VideoPrep(*tables)
-        cap_sum = _caption_sums(_sweep(prep, alphas)[0], len(alphas), prep, _PairScorer(config, idf))
+        cap_sum = _caption_sums(_sweep(prep, alphas)[0], len(alphas), prep, config, idf, [])[0]
         bands = _oracle_columns(sweep_oracle(pred, gt, alphas)[0])
         expected = caption_sums_oracle(pred, gt, bands, len(alphas), config, idf)
         assert np.array_equal(cap_sum, expected[0]), trial

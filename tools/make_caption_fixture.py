@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import re
+import unicodedata
 from collections import Counter
 from pathlib import Path
 
@@ -21,7 +22,7 @@ VOWELS = set("aeiou")
 
 
 def toks(text):
-    return re.sub(r"[^a-z0-9]+", " ", text.lower()).split()
+    return re.sub(r"[\W_]+", " ", unicodedata.normalize("NFC", text).lower()).split()
 
 
 def stem_word(word):
